@@ -5,7 +5,8 @@ objects, ``hypotheses`` checks the assumptions the theory needs (with
 conclusive verdicts on finite spaces and sampled ones on boxes), ``solver``
 runs the coupled iteration with a certified step-decay bound, ``oracle``
 recomputes everything on finite instances through an independent vectorized
-route, and ``instances``/``cli`` handle the JSON schema and the command line.
+route, ``pipeline`` chains the checks into a solver configuration, and
+``instances``/``cli`` handle the JSON schema and the command line.
 """
 
 from .errors import (
@@ -57,6 +58,7 @@ from .oracle import (
     min_chain_table,
     oracle_report,
 )
+from .pipeline import build_config, run_hypothesis_suite
 from .solver import (
     BoundRow,
     CollapseVerdict,
@@ -113,6 +115,7 @@ __all__ = [
     "UniquenessVerdict",
     "VIOLATED",
     "all_coupled_fixed_points",
+    "build_config",
     "check_common_comparable",
     "check_epsilon_chainable",
     "check_mixed_monotone",
@@ -137,6 +140,7 @@ __all__ = [
     "product_eta",
     "product_leq",
     "residual",
+    "run_hypothesis_suite",
     "sample_points",
     "uniqueness_probe",
     "verify_decay_bound",

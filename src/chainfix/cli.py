@@ -22,112 +22,30 @@ import json
 import math
 import sys
 
-from .errors import DomainError, InvalidInstanceError, SamplingError
-from .hypotheses import (
-    HOLDS,
-    ContractivityReport,
-    SamplingPlan,
-    check_common_comparable,
-    check_epsilon_chainable,
-    check_mixed_monotone,
-    check_pair_bounds,
-    check_seed,
-    estimate_contraction,
-    find_epsilon_chain,
-    sample_points,
+from .errors import ChainfixError, DomainError
+from .hypotheses import HOLDS, find_epsilon_chain
+from .instances import (
+    dump_instance,
+    generate_finite_instance,
+    load_instance,
+    parse_point,
 )
-from .instances import Instance, dump_instance, generate_finite_instance, load_instance
 from .mappings import TableMap
 from .oracle import oracle_report
+from .pipeline import (
+    SUITE_ORDER,
+    build_config,
+    candidate_points,
+    run_hypothesis_suite,
+)
 from .solver import (
-    SolveConfig,
     SolveResult,
+    below_bound,
     collapse_check,
     picard_solve,
     verify_decay_bound,
 )
-from .spaces import BoxSpace, FiniteSpace, point_jsonable
-
-SUITE_ORDER = (
-    "mixed-monotone",
-    "uniform-local-contraction",
-    "epsilon-chainable",
-    "seed-condition",
-    "common-comparable",
-    "pair-bounds",
-)
-
-
-def default_plan(inst: Instance) -> SamplingPlan:
-    return SamplingPlan(grid_step=inst.grid_step, random_count=8, seed=0)
-
-
-def candidate_points(inst: Instance, plan: SamplingPlan | None = None):
-    if isinstance(inst.space, FiniteSpace):
-        return None  # checks enumerate the whole space themselves
-    return sample_points(inst.space, plan or default_plan(inst))
-
-
-def run_hypothesis_suite(inst: Instance) -> dict:
-    """All six hypothesis reports, keyed by hypothesis name."""
-    plan = default_plan(inst)
-    cand = candidate_points(inst, plan)
-    eps = inst.params.epsilon
-    try:
-        contraction = estimate_contraction(inst.cmap, eps, plan)
-    except SamplingError:
-        mode = "exhaustive" if isinstance(inst.space, FiniteSpace) else "sampled"
-        size = None if cand is None else len(cand)
-        seed = None if cand is None else plan.seed
-        contraction = ContractivityReport(
-            eps, 0.0, False, None, 0, mode, vacuous=True,
-            sample_size=size, sample_seed=seed,
-        )
-    return {
-        "mixed-monotone": check_mixed_monotone(inst.cmap, plan),
-        "uniform-local-contraction": contraction,
-        "epsilon-chainable": check_epsilon_chainable(inst.space, eps, cand),
-        "seed-condition": check_seed(inst.cmap, inst.x0, inst.y0),
-        "common-comparable": check_common_comparable(inst.space, cand),
-        "pair-bounds": check_pair_bounds(inst.space, cand),
-    }
-
-
-def build_config(inst: Instance, suite: dict) -> SolveConfig:
-    """Solve configuration from the instance parameters plus what was certified.
-
-    The contraction factor is the claimed one when the instance declares it,
-    else the measured supremum (a constant map measures 0, which the open
-    interval excludes, so 0.5 stands in). The decay bound is certified only
-    when every hypothesis it leans on passed exhaustively.
-    """
-    c = suite["uniform-local-contraction"]
-    chainable = suite["epsilon-chainable"]
-    lam = inst.params.lambda_claimed
-    if lam is None and not c.violated and c.lambda_hat is not None:
-        lam = c.lambda_hat if c.lambda_hat > 0.0 else 0.5
-    chain_n = None
-    if chainable.passed:
-        chain_n = max(chainable.details["max_n"], 1)
-    certified = (
-        not c.violated
-        and c.mode == "exhaustive"
-        and not c.vacuous
-        and lam is not None
-        and c.lambda_hat is not None
-        and lam >= c.lambda_hat
-        and suite["mixed-monotone"].verdict == HOLDS
-        and suite["seed-condition"].verdict == HOLDS
-        and chainable.verdict == HOLDS
-    )
-    return SolveConfig(
-        residual_tolerance=inst.params.tolerance,
-        max_iterations=inst.params.max_iterations,
-        lam=lam,
-        epsilon=inst.params.epsilon,
-        chain_n=chain_n,
-        lambda_certified=certified,
-    )
+from .spaces import BoxSpace, point_jsonable
 
 
 def _suite_doc(suite: dict) -> dict:
@@ -139,7 +57,13 @@ def _violated(suite: dict) -> list[str]:
 
 
 def _dump(doc) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise DomainError(
+            "the result holds a non-finite number, which JSON cannot carry"
+        ) from None
+    return (text + "\n").encode("utf-8")
 
 
 def _write(path: str | None, data: bytes) -> None:
@@ -249,9 +173,7 @@ def cmd_solve(args) -> int:
         "bound": {
             "advisory": result.bound_advisory,
             "all_below": (
-                all(r.observed <= r.bound for r in result.bound_check)
-                if result.bound_check
-                else None
+                below_bound(result.bound_check) if result.bound_check else None
             ),
             "rows": [[r.m, r.observed, r.bound] for r in result.bound_check],
         },
@@ -269,23 +191,20 @@ def cmd_solve(args) -> int:
 
 
 def _cli_point(space, text: str, what: str):
-    if isinstance(space, FiniteSpace):
-        if text in space.labels:
-            return space.labels.index(text)
+    raw = text
+    if isinstance(space, BoxSpace):
         try:
-            idx = int(text)
+            raw = [float(part) for part in text.split(",")]
         except ValueError:
-            raise DomainError(f"{what}: unknown label {text!r}") from None
-        space.validate_point(idx)
-        return idx
-    try:
-        pt = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise DomainError(
-            f"{what}: expected comma-separated coordinates, got {text!r}"
-        ) from None
-    space.validate_point(pt)
-    return pt
+            raise DomainError(
+                f"{what}: expected comma-separated coordinates, got {text!r}"
+            ) from None
+    elif text not in space.labels:
+        try:
+            raw = int(text)
+        except ValueError:
+            pass  # reported as an unknown label
+    return parse_point(space, raw, what)
 
 
 def cmd_chain(args) -> int:
@@ -449,7 +368,7 @@ def run_cli(argv=None) -> int:
         return 0 if code in (0, None) else int(code)
     try:
         return args.func(args)
-    except (InvalidInstanceError, DomainError, SamplingError, OSError) as exc:
+    except (ChainfixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

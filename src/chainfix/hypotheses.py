@@ -10,19 +10,28 @@ exceptions are conclusive everywhere:
 * a chain returned by ``find_epsilon_chain`` is a genuine certificate, valid
   in the full space even when its waypoints came from a grid.
 
+Both kinds of space run the same scans. A private tabulation step turns the
+points under test into index-addressed tables: the order and the distances
+between points, and F over every pair of points. A finite space hands over
+its own tables; a box validates its sample once and tabulates it, so a map
+that leaves the box anywhere on the sample raises ``EscapeError`` before any
+scan starts. The scans themselves are plain loops over point indices.
+
 Every violated verdict carries a witness that can be re-checked with a single
 direct evaluation. Enumeration orders are fixed (lexicographic in point
 indices, sample order on boxes) so witnesses are reproducible and comparable
-across independent implementations.
+across independent implementations. A contraction scan with no admissible
+quadruple returns a ``vacuous`` report rather than raising.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from operator import le, sub
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -162,33 +171,14 @@ def sample_points(space: Space, plan: SamplingPlan | None = None) -> list[Point]
     if plan.grid_step is not None:
         if plan.grid_step <= 0:
             raise SamplingError(f"grid_step must be positive, got {plan.grid_step!r}")
-        axes = []
-        for lo, hi in zip(space.lower, space.upper):
-            vals = [lo]
-            k = 1
-            while lo + k * plan.grid_step < hi - 1e-12:
-                vals.append(lo + k * plan.grid_step)
-                k += 1
-            if vals[-1] != hi:
-                vals.append(hi)
-            axes.append(vals)
-        total = 1
-        for a in axes:
-            total *= len(a)
+        axes = space.grid_axes(plan.grid_step)
+        total = math.prod(map(len, axes))
         if total > _GRID_CAP:
             raise SamplingError(
                 f"grid of {total} points exceeds the cap of {_GRID_CAP}"
             )
         pts.extend(tuple(c) for c in itertools.product(*axes))
-    if plan.random_count:
-        rng = random.Random(plan.seed)
-        for _ in range(plan.random_count):
-            pts.append(
-                tuple(
-                    lo + rng.random() * (hi - lo)
-                    for lo, hi in zip(space.lower, space.upper)
-                )
-            )
+    pts += space.uniform_points(plan.random_count, plan.seed)
     if not pts:
         raise SamplingError(
             "sampling plan produced no points (need grid_step or random_count)"
@@ -196,23 +186,105 @@ def sample_points(space: Space, plan: SamplingPlan | None = None) -> list[Point]
     return list(dict.fromkeys(pts))
 
 
-def _plan_fields(space, plan, pts):
+class _BoxRow:
+    """Row p of a relation on a box, computed on demand: ``row[q]``."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: Point):
+        self.p = p
+
+
+class _L1Row(_BoxRow):
+    __slots__ = ()
+
+    def __getitem__(self, q: Point) -> float:
+        # the sum BoxSpace.distance takes, term for term, so values agree bitwise
+        return sum(map(abs, map(sub, self.p, q)))
+
+
+class _LeqRow(_BoxRow):
+    __slots__ = ()
+
+    def __getitem__(self, q: Point) -> bool:
+        return all(map(le, self.p, q))
+
+
+class _Rows(dict):
+    """``rows[p][q]`` for any two box points; each row is built on first use."""
+
+    def __init__(self, row):
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, p: Point):
+        r = self[p] = self.row(p)
+        return r
+
+
+class _Tables(NamedTuple):
+    """The points under test, addressed by index.
+
+    ``L[i][j]`` is pts[i] <= pts[j] and ``D[i][j]`` is d(pts[i], pts[j]).
+    Map checks add ``T[i][j]`` = F(pts[i], pts[j]) and ``LI[a][b]`` /
+    ``DI[a][b]``, the same relations between two such images: on a finite
+    space images are point indices, so these are ``L`` and ``D`` again.
+    """
+
+    pts: Sequence[Point]
+    L: Sequence[Sequence[bool]]
+    D: Sequence[Sequence[float]]
+    exhaustive: bool
+    T: Sequence[Sequence[Point]] = ()
+    LI: object = None
+    DI: object = None
+    sample_size: int | None = None
+    sample_seed: int | None = None
+
+    def report(self, hypothesis: str, witness=None, **fields) -> HypothesisReport:
+        """Conclusive on a whole finite space, else ``undetermined-sampled``."""
+        verdict = SAMPLED
+        if self.exhaustive:
+            verdict = HOLDS if witness is None else VIOLATED
+        return HypothesisReport(hypothesis, verdict, witness, **fields)
+
+
+def _space_tables(
+    space: Space,
+    candidates: Optional[Sequence[Point]],
+    extra: Iterable[Point] = (),
+) -> _Tables:
+    if candidates is None:
+        if isinstance(space, BoxSpace):
+            raise DomainError("box spaces need an explicit candidate point list")
+        # extra points are points of the space, hence already listed
+        return _Tables(space.points(), space.order, space.dist, True)
+    cand = list(candidates)
+    for p in cand:
+        space.validate_point(p)
+    cand = list(dict.fromkeys([*cand, *extra]))
     if isinstance(space, FiniteSpace):
-        return None, None
+        rows = [(space.order[p], space.dist[p]) for p in cand]
+    else:
+        rows = [(_LeqRow(p), _L1Row(p)) for p in cand]
+    L = [[lr[q] for q in cand] for lr, _ in rows]
+    D = [[dr[q] for q in cand] for _, dr in rows]
+    return _Tables(cand, L, D, False)
+
+
+def _map_tables(cmap: CoupledMap, plan: SamplingPlan | None) -> _Tables:
+    space = cmap.space
+    if isinstance(cmap, TableMap):
+        L, D = space.order, space.dist
+        return _Tables(space.points(), L, D, True, cmap.table, L, D)
     plan = plan or SamplingPlan()
-    return len(pts), plan.seed
-
-
-def _memo_apply(cmap: CoupledMap):
-    cache: dict = {}
-    def f(x, y):
-        key = (x, y)
-        out = cache.get(key)
-        if out is None:
-            out = cmap.apply(x, y)
-            cache[key] = out
-        return out
-    return f
+    tab = _space_tables(space, sample_points(space, plan))  # validates each point
+    pts = tab.pts
+    T = [[cmap.apply(x, y) for y in pts] for x in pts]
+    return tab._replace(
+        T=T, LI=_Rows(_LeqRow), DI=_Rows(_L1Row),
+        sample_size=len(pts), sample_seed=plan.seed,
+    )
 
 
 def check_mixed_monotone(
@@ -223,74 +295,42 @@ def check_mixed_monotone(
     First branch: x1 <= x2 must give F(x1, y) <= F(x2, y) for every y.
     Second branch: y1 <= y2 must give F(x, y1) >= F(x, y2) for every x.
     """
-    space = cmap.space
-    if isinstance(cmap, TableMap):
-        L = space.order
-        T = cmap.table
-        n = space.size
-        for x1 in range(n):
-            for x2 in range(n):
-                if x1 == x2 or not L[x1][x2]:
-                    continue
-                for y in range(n):
-                    if not L[T[x1][y]][T[x2][y]]:
-                        return _monotone_violation(cmap, "first-argument", x1, x2, y)
-        for x in range(n):
-            for y1 in range(n):
-                for y2 in range(n):
-                    if y1 == y2 or not L[y1][y2]:
-                        continue
-                    if not L[T[x][y2]][T[x][y1]]:
-                        return _monotone_violation(cmap, "second-argument", y1, y2, x)
-        return HypothesisReport("mixed-monotone", HOLDS)
-    pts = sample_points(space, plan)
-    size, seed = _plan_fields(space, plan, pts)
-    f = _memo_apply(cmap)
-    leq = space.leq
-    for x1 in pts:
-        for x2 in pts:
-            if x1 == x2 or not leq(x1, x2):
+    tab = _map_tables(cmap, plan)
+    L, T, LI = tab.L, tab.T, tab.LI
+    n = len(tab.pts)
+    for x1 in range(n):
+        for x2 in range(n):
+            if x1 == x2 or not L[x1][x2]:
                 continue
-            for y in pts:
-                if not leq(f(x1, y), f(x2, y)):
-                    return _monotone_violation(
-                        cmap, "first-argument", x1, x2, y, size, seed
-                    )
-    for x in pts:
-        for y1 in pts:
-            for y2 in pts:
-                if y1 == y2 or not leq(y1, y2):
+            for y in range(n):
+                if not LI[T[x1][y]][T[x2][y]]:
+                    return _monotone_violation(tab, "first-argument", x1, x2, y)
+    for x in range(n):
+        for y1 in range(n):
+            for y2 in range(n):
+                if y1 == y2 or not L[y1][y2]:
                     continue
-                if not leq(f(x, y2), f(x, y1)):
-                    return _monotone_violation(
-                        cmap, "second-argument", y1, y2, x, size, seed
-                    )
-    return HypothesisReport(
-        "mixed-monotone", SAMPLED, sample_size=size, sample_seed=seed
+                if not LI[T[x][y2]][T[x][y1]]:
+                    return _monotone_violation(tab, "second-argument", y1, y2, x)
+    return tab.report(
+        "mixed-monotone", sample_size=tab.sample_size, sample_seed=tab.sample_seed
     )
 
 
-def _monotone_violation(cmap, branch, a1, a2, other, size=None, seed=None):
+def _monotone_violation(tab: _Tables, branch, a1, a2, other):
+    pts, T = tab.pts, tab.T
     if branch == "first-argument":
-        witness = {
-            "branch": branch,
-            "x1": point_jsonable(a1),
-            "x2": point_jsonable(a2),
-            "y": point_jsonable(other),
-            "F(x1,y)": point_jsonable(cmap.apply(a1, other)),
-            "F(x2,y)": point_jsonable(cmap.apply(a2, other)),
-        }
+        names = ("x1", "x2", "y", "F(x1,y)", "F(x2,y)")
+        images = (T[a1][other], T[a2][other])
     else:
-        witness = {
-            "branch": branch,
-            "y1": point_jsonable(a1),
-            "y2": point_jsonable(a2),
-            "x": point_jsonable(other),
-            "F(x,y1)": point_jsonable(cmap.apply(other, a1)),
-            "F(x,y2)": point_jsonable(cmap.apply(other, a2)),
-        }
+        names = ("y1", "y2", "x", "F(x,y1)", "F(x,y2)")
+        images = (T[other][a1], T[other][a2])
+    values = (pts[a1], pts[a2], pts[other], *images)
+    witness = {"branch": branch}
+    witness.update((k, point_jsonable(v)) for k, v in zip(names, values))
     return HypothesisReport(
-        "mixed-monotone", VIOLATED, witness, sample_size=size, sample_seed=seed
+        "mixed-monotone", VIOLATED, witness,
+        sample_size=tab.sample_size, sample_seed=tab.sample_seed,
     )
 
 
@@ -303,112 +343,62 @@ def estimate_contraction(
     distance (d(x,u) + d(y,v)) / 2 is strictly below epsilon, and the
     distances are not both zero. Enumeration is lexicographic: (x, u) pairs
     ascending, then (y, v) pairs ascending, matching the exhaustive oracle,
-    and the scan stops at the first ratio >= 1.
+    and the scan stops at the first ratio >= 1. With no admissible quadruple
+    the report is ``vacuous``, with ``lambda_hat`` 0.0 and no witness.
     """
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-    space = cmap.space
-    if isinstance(cmap, TableMap):
-        n = space.size
-        L = space.order
-        D = space.dist
-        T = cmap.table
-        xu_pairs = [(x, u) for x in range(n) for u in range(n) if L[u][x]]
-        yv_pairs = [(y, v) for y in range(n) for v in range(n) if L[y][v]]
-        best = -1.0
-        best_w = None
-        tested = 0
-        for x, u in xu_pairs:
-            dxu = D[x][u]
-            tx = T[x]
-            tu = T[u]
-            for y, v in yv_pairs:
-                s = dxu + D[y][v]
-                if s <= 0 or not s / 2.0 < epsilon:
-                    continue
-                tested += 1
-                r = 2.0 * D[tx[y]][tu[v]] / s
-                if r >= 1.0:
-                    return ContractivityReport(
-                        epsilon, None, True, (x, u, y, v), tested, "exhaustive"
-                    )
-                if r > best:
-                    best = r
-                    best_w = (x, u, y, v)
-        if tested == 0:
-            raise SamplingError(
-                f"no admissible quadruple at epsilon={epsilon!r}: "
-                "epsilon is below the resolution of the space"
-            )
-        return ContractivityReport(epsilon, best, False, best_w, tested, "exhaustive")
-    pts = sample_points(space, plan)
-    size, seed = _plan_fields(space, plan, pts)
-    f = _memo_apply(cmap)
-    leq = space.leq
-    dist = space.distance
-    xu_pairs = [(x, u) for x in pts for u in pts if leq(u, x)]
-    yv_pairs = [(y, v) for y in pts for v in pts if leq(y, v)]
+    tab = _map_tables(cmap, plan)
+    L, D, T, DI = tab.L, tab.D, tab.T, tab.DI
+    idx = range(len(tab.pts))
+    xu_pairs = [(x, u) for x in idx for u in idx if L[u][x]]
+    yv_pairs = [(y, v) for y in idx for v in idx if L[y][v]]
     best = -1.0
     best_w = None
     tested = 0
     for x, u in xu_pairs:
-        dxu = dist(x, u)
+        dxu = D[x][u]
+        tx = T[x]
+        tu = T[u]
         for y, v in yv_pairs:
-            s = dxu + dist(y, v)
+            s = dxu + D[y][v]
             if s <= 0 or not s / 2.0 < epsilon:
                 continue
             tested += 1
-            r = 2.0 * dist(f(x, y), f(u, v)) / s
+            r = 2.0 * DI[tx[y]][tu[v]] / s
             if r >= 1.0:
-                return ContractivityReport(
-                    epsilon, None, True, (x, u, y, v), tested, "sampled",
-                    sample_size=size, sample_seed=seed,
+                return _contraction_report(
+                    tab, epsilon, None, True, (x, u, y, v), tested
                 )
             if r > best:
                 best = r
                 best_w = (x, u, y, v)
-    if tested == 0:
-        raise SamplingError(
-            f"no admissible quadruple in the sample at epsilon={epsilon!r}: "
-            "epsilon is too small for the sample resolution"
-        )
+    return _contraction_report(tab, epsilon, max(best, 0.0), False, best_w, tested)
+
+
+def _contraction_report(tab: _Tables, epsilon, lambda_hat, violated, quad, tested):
+    witness = None if quad is None else tuple(tab.pts[i] for i in quad)
+    mode = "exhaustive" if tab.exhaustive else "sampled"
     return ContractivityReport(
-        epsilon, best, False, best_w, tested, "sampled",
-        sample_size=size, sample_seed=seed,
+        epsilon, lambda_hat, violated, witness, tested, mode, vacuous=tested == 0,
+        sample_size=tab.sample_size, sample_seed=tab.sample_seed,
     )
 
 
-def _candidate_list(
-    space: Space,
-    candidates: Optional[Sequence[Point]],
-    extra: Iterable[Point] = (),
-) -> list[Point]:
-    if candidates is None:
-        if isinstance(space, BoxSpace):
-            raise DomainError("box spaces need an explicit candidate point list")
-        cand = list(space.points())
-    else:
-        cand = list(candidates)
-        for p in cand:
-            space.validate_point(p)
-    for p in extra:
-        cand.append(p)
-    return list(dict.fromkeys(cand))
+def _epsilon_adjacency(tab: _Tables, epsilon):
+    # edge i -> j iff pts[i] <= pts[j] and their distance is below epsilon;
+    # hops of a chain
+    L, D = tab.L, tab.D
+    idx = range(len(tab.pts))
+    return [
+        [j for j in idx if i != j and L[i][j] and D[i][j] < epsilon] for i in idx
+    ]
 
 
-def _epsilon_adjacency(space, cand, epsilon):
-    # edge p -> q iff p <= q and d(p, q) < epsilon; hops of a chain
-    n = len(cand)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, p in enumerate(cand):
-        for j, q in enumerate(cand):
-            if i != j and space.leq(p, q) and space.distance(p, q) < epsilon:
-                adj[i].append(j)
-    return adj
-
-
-def _bfs_hops(adj: list[list[int]], src: int) -> list[int | None]:
+def _bfs(adj: list[list[int]], src: int) -> tuple[list, list]:
+    # hop counts from src and the node each one was first reached from
     hops: list[int | None] = [None] * len(adj)
+    parent: list[int | None] = [None] * len(adj)
     hops[src] = 0
     queue = deque([src])
     while queue:
@@ -416,8 +406,9 @@ def _bfs_hops(adj: list[list[int]], src: int) -> list[int | None]:
         for j in adj[i]:
             if hops[j] is None:
                 hops[j] = hops[i] + 1
+                parent[j] = i
                 queue.append(j)
-    return hops
+    return hops, parent
 
 
 def find_epsilon_chain(
@@ -442,21 +433,13 @@ def find_epsilon_chain(
         raise DomainError("chain endpoints must satisfy a <= b")
     if a == b:
         return Chain((a,), epsilon)
-    cand = _candidate_list(space, candidates, extra=(a, b))
+    tab = _space_tables(space, candidates, extra=(a, b))
+    cand = tab.pts
     index = {p: i for i, p in enumerate(cand)}
-    adj = _epsilon_adjacency(space, cand, epsilon)
+    adj = _epsilon_adjacency(tab, epsilon)
     src, dst = index[a], index[b]
-    parent: dict[int, int] = {src: src}
-    queue = deque([src])
-    while queue:
-        i = queue.popleft()
-        if i == dst:
-            break
-        for j in adj[i]:
-            if j not in parent:
-                parent[j] = i
-                queue.append(j)
-    if dst not in parent:
+    hops, parent = _bfs(adj, src)
+    if hops[dst] is None:
         return None
     path = [dst]
     while path[-1] != src:
@@ -483,21 +466,21 @@ def check_epsilon_chainable(
     """
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-    cand = _candidate_list(space, candidates)
-    adj = _epsilon_adjacency(space, cand, epsilon)
+    tab = _space_tables(space, candidates)
+    cand, L = tab.pts, tab.L
+    adj = _epsilon_adjacency(tab, epsilon)
     table: dict[tuple[Point, Point], int] = {}
     unreachable: list[tuple[Point, Point]] = []
     for i, p in enumerate(cand):
-        hops = _bfs_hops(adj, i)
+        hops, _ = _bfs(adj, i)
         for j, q in enumerate(cand):
-            if not space.leq(p, q):
+            if not L[i][j]:
                 continue
             if hops[j] is None:
                 unreachable.append((p, q))
             else:
                 table[(p, q)] = hops[j]
     max_n = max(table.values(), default=0)
-    exhaustive = isinstance(space, FiniteSpace) and candidates is None
     details = {
         "epsilon": epsilon,
         "max_n": max_n,
@@ -505,15 +488,10 @@ def check_epsilon_chainable(
         "unreachable": tuple(unreachable),
         "candidates": len(cand),
     }
+    witness = None
     if unreachable:
-        p, q = unreachable[0]
-        witness = [point_jsonable(p), point_jsonable(q)]
-        verdict = VIOLATED if exhaustive else SAMPLED
-        return HypothesisReport(
-            "epsilon-chainable", verdict, witness, details=details
-        )
-    verdict = HOLDS if exhaustive else SAMPLED
-    return HypothesisReport("epsilon-chainable", verdict, details=details)
+        witness = [point_jsonable(p) for p in unreachable[0]]
+    return tab.report("epsilon-chainable", witness, details=details)
 
 
 def check_seed(cmap: CoupledMap, x0: Point, y0: Point) -> HypothesisReport:
@@ -539,13 +517,9 @@ def check_seed(cmap: CoupledMap, x0: Point, y0: Point) -> HypothesisReport:
     return HypothesisReport("seed-condition", VIOLATED, witness)
 
 
-def _leq_matrix(space, cand) -> np.ndarray:
-    s = len(cand)
-    M = np.zeros((s, s), dtype=bool)
-    for i, p in enumerate(cand):
-        for j, q in enumerate(cand):
-            M[i, j] = space.leq(p, q)
-    return M
+def _leq_matrix(tab: _Tables) -> np.ndarray:
+    s = len(tab.pts)
+    return np.array(tab.L, dtype=bool).reshape(s, s)
 
 
 def check_common_comparable(
@@ -558,16 +532,17 @@ def check_common_comparable(
     spaces. On box grids even a failure is reported as sampled: a missing
     grid witness says nothing about the full box.
     """
-    cand = _candidate_list(space, candidates)
+    tab = _space_tables(space, candidates)
+    cand = tab.pts
     s = len(cand)
-    M = _leq_matrix(space, cand)
+    M = _leq_matrix(tab)
     # C[(z1,z2),(x,y)]: (z1,z2) comparable to (x,y) in the product order
     below = M[:, None, :, None] & M.T[None, :, None, :]
     above = M.T[:, None, :, None] & M[None, :, None, :]
     C = (below | above).reshape(s * s, s * s).astype(np.float32)
     linked = (C @ C) > 0  # C is symmetric: comparability is
     bad = np.argwhere(~linked)
-    exhaustive = isinstance(space, FiniteSpace) and candidates is None
+    witness = None
     if bad.size:
         p_flat, q_flat = (int(v) for v in bad[0])
         pi, pj = divmod(p_flat, s)
@@ -576,14 +551,8 @@ def check_common_comparable(
             "pair1": [point_jsonable(cand[pi]), point_jsonable(cand[pj])],
             "pair2": [point_jsonable(cand[qi]), point_jsonable(cand[qj])],
         }
-        verdict = VIOLATED if exhaustive else SAMPLED
-        return HypothesisReport(
-            "common-comparable", verdict, witness,
-            sample_size=None if exhaustive else s,
-        )
-    verdict = HOLDS if exhaustive else SAMPLED
-    return HypothesisReport(
-        "common-comparable", verdict, sample_size=None if exhaustive else s
+    return tab.report(
+        "common-comparable", witness, sample_size=None if tab.exhaustive else s
     )
 
 
@@ -591,23 +560,16 @@ def check_pair_bounds(
     space: Space, candidates: Optional[Sequence[Point]] = None
 ) -> HypothesisReport:
     """Every two candidate points must have a common upper or lower bound."""
-    cand = _candidate_list(space, candidates)
-    s = len(cand)
-    M = _leq_matrix(space, cand).astype(np.float32)
+    tab = _space_tables(space, candidates)
+    cand = tab.pts
+    M = _leq_matrix(tab).astype(np.float32)
     upper = (M @ M.T) > 0  # some z with p <= z and q <= z
     lower = (M.T @ M) > 0  # some z with z <= p and z <= q
     ok = upper | lower
     bad = np.argwhere(~ok)
-    exhaustive = isinstance(space, FiniteSpace) and candidates is None
+    witness = None
     if bad.size:
-        i, j = (int(v) for v in bad[0])
-        witness = [point_jsonable(cand[i]), point_jsonable(cand[j])]
-        verdict = VIOLATED if exhaustive else SAMPLED
-        return HypothesisReport(
-            "pair-bounds", verdict, witness,
-            sample_size=None if exhaustive else s,
-        )
-    verdict = HOLDS if exhaustive else SAMPLED
-    return HypothesisReport(
-        "pair-bounds", verdict, sample_size=None if exhaustive else s
+        witness = [point_jsonable(cand[int(v)]) for v in bad[0]]
+    return tab.report(
+        "pair-bounds", witness, sample_size=None if tab.exhaustive else len(cand)
     )

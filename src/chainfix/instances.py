@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EscapeError, GrammarError, InvalidInstanceError
+from .errors import EscapeError, InvalidInstanceError
 from .mappings import CoupledMap, ExpressionMap, TableMap, expression_map
 from .spaces import BoxSpace, FiniteSpace, Point, Space, point_jsonable
 
@@ -166,7 +167,8 @@ def _parse_box_space(data: dict) -> tuple[BoxSpace, float | None]:
     return space, step
 
 
-def _parse_point(space: Space, raw, where: str) -> Point:
+def parse_point(space: Space, raw, where: str) -> Point:
+    """A point from its document form: label or index, or box coordinates."""
     if isinstance(space, FiniteSpace):
         if isinstance(raw, str):
             try:
@@ -243,34 +245,15 @@ def _parse_expression_map(space, data: dict) -> ExpressionMap:
             f"{space.dim}-dimensional box",
             field="map.formula",
         )
-    try:
-        return expression_map(space, sources)
-    except GrammarError:
-        raise
-    except EscapeError:
-        raise
+    return expression_map(space, sources)
 
 
 def _check_box_closure(space: BoxSpace, cmap: ExpressionMap, step: float | None):
     # sample check only: the box must be mapped into itself
-    axes = []
-    for lo, hi in zip(space.lower, space.upper):
-        vals = [lo, hi]
-        if step is not None:
-            k = 1
-            while lo + k * step < hi - 1e-12:
-                vals.append(lo + k * step)
-                k += 1
-        axes.append(sorted(set(vals)))
-    pts = [tuple(c) for c in itertools.product(*axes)]
+    pts = [tuple(c) for c in itertools.product(*space.grid_axes(step))]
     if len(pts) ** 2 > 40000:
         pts = pts[:200]
-    rng = random.Random(0)
-    for _ in range(32):
-        pts.append(
-            tuple(lo + rng.random() * (hi - lo)
-                  for lo, hi in zip(space.lower, space.upper))
-        )
+    pts += space.uniform_points(32, seed=0)
     for x in pts:
         for y in pts:
             try:
@@ -345,8 +328,8 @@ def parse_instance(data, *, max_points: int = MAX_POINTS) -> Instance:
     except Exception as exc:
         raise InvalidInstanceError(f"map: {exc}", field="map") from None
     seeds = _require(data, "seeds", dict, "document")
-    x0 = _parse_point(space, seeds.get("x0"), "seeds.x0")
-    y0 = _parse_point(space, seeds.get("y0"), "seeds.y0")
+    x0 = parse_point(space, seeds.get("x0"), "seeds.x0")
+    y0 = parse_point(space, seeds.get("y0"), "seeds.y0")
     params_data = _require(data, "parameters", dict, "document")
     epsilon = _require(params_data, "epsilon", float, "parameters")
     if epsilon <= 0:
@@ -404,11 +387,23 @@ def parse_instance(data, *, max_points: int = MAX_POINTS) -> Instance:
     )
 
 
+def _finite_number(text: str) -> float:
+    # NaN, Infinity and -Infinity, or a literal too large for a float
+    value = float(text)
+    if not math.isfinite(value):
+        raise InvalidInstanceError(
+            f"non-finite number {text} is not allowed", witness=text
+        )
+    return value
+
+
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        data = json.loads(text)
+        data = json.loads(
+            text, parse_constant=_finite_number, parse_float=_finite_number
+        )
     except json.JSONDecodeError as exc:
         raise InvalidInstanceError(
             f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}): "
@@ -481,7 +476,8 @@ def instance_document(inst: Instance) -> dict:
 
 def dump_instance(inst: Instance) -> bytes:
     doc = instance_document(inst)
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    return (text + "\n").encode("utf-8")
 
 
 def generate_finite_instance(seed: int, size: int | None = None) -> Instance:
@@ -533,11 +529,7 @@ def generate_finite_instance(seed: int, size: int | None = None) -> Instance:
     ]
 
     order_pairs = [[i, j] for i in range(n) for j in range(i + 1, n) if adj[i][j]]
-    L = np.eye(n, dtype=bool)
-    for i, j in order_pairs:
-        L[i, j] = True
-    for k in range(n):
-        L |= np.outer(L[:, k], L[k, :])
+    L = _closure(n, order_pairs)
 
     cover_d = [dist[i][j] for i, j in order_pairs]
     comp_d = [
@@ -589,12 +581,11 @@ def generate_finite_instance(seed: int, size: int | None = None) -> Instance:
         table = [[x] * n for x in range(n)]
 
     seeds = None
-    space_order = [[bool(L[i][j]) for j in range(n)] for i in range(n)]
     for x0 in range(n):
         for y0 in range(n):
             fx = table[x0][y0]
             fy = table[y0][x0]
-            if space_order[x0][fx] and space_order[fy][y0]:
+            if L[x0][fx] and L[fy][y0]:
                 seeds = (x0, y0)
                 break
         if seeds:

@@ -1,0 +1,93 @@
+"""The library pipeline: run the six hypothesis checks, then configure the solver.
+
+A box is sampled once with the default plan and every check sees the same
+points; on a finite space every check enumerates the whole space.
+"""
+
+from __future__ import annotations
+
+from .hypotheses import (
+    HOLDS,
+    SamplingPlan,
+    check_common_comparable,
+    check_epsilon_chainable,
+    check_mixed_monotone,
+    check_pair_bounds,
+    check_seed,
+    estimate_contraction,
+    sample_points,
+)
+from .instances import Instance
+from .solver import SolveConfig
+from .spaces import FiniteSpace
+
+SUITE_ORDER = (
+    "mixed-monotone",
+    "uniform-local-contraction",
+    "epsilon-chainable",
+    "seed-condition",
+    "common-comparable",
+    "pair-bounds",
+)
+
+
+def default_plan(inst: Instance) -> SamplingPlan:
+    return SamplingPlan(grid_step=inst.grid_step, random_count=8, seed=0)
+
+
+def candidate_points(inst: Instance, plan: SamplingPlan | None = None):
+    if isinstance(inst.space, FiniteSpace):
+        return None  # checks enumerate the whole space themselves
+    return sample_points(inst.space, plan or default_plan(inst))
+
+
+def run_hypothesis_suite(inst: Instance) -> dict:
+    """All six hypothesis reports, keyed by hypothesis name."""
+    plan = default_plan(inst)
+    cand = candidate_points(inst, plan)
+    eps = inst.params.epsilon
+    return {
+        "mixed-monotone": check_mixed_monotone(inst.cmap, plan),
+        "uniform-local-contraction": estimate_contraction(inst.cmap, eps, plan),
+        "epsilon-chainable": check_epsilon_chainable(inst.space, eps, cand),
+        "seed-condition": check_seed(inst.cmap, inst.x0, inst.y0),
+        "common-comparable": check_common_comparable(inst.space, cand),
+        "pair-bounds": check_pair_bounds(inst.space, cand),
+    }
+
+
+def build_config(inst: Instance, suite: dict) -> SolveConfig:
+    """Solve configuration from the instance parameters plus what was certified.
+
+    The contraction factor is the claimed one when the instance declares it,
+    else the measured supremum (a constant map measures 0, which the open
+    interval excludes, so 0.5 stands in). The decay bound is certified only
+    when every hypothesis it leans on passed exhaustively.
+    """
+    c = suite["uniform-local-contraction"]
+    chainable = suite["epsilon-chainable"]
+    lam = inst.params.lambda_claimed
+    if lam is None and not c.violated and c.lambda_hat is not None:
+        lam = c.lambda_hat if c.lambda_hat > 0.0 else 0.5
+    chain_n = None
+    if chainable.passed:
+        chain_n = max(chainable.details["max_n"], 1)
+    certified = (
+        not c.violated
+        and c.mode == "exhaustive"
+        and not c.vacuous
+        and lam is not None
+        and c.lambda_hat is not None
+        and lam >= c.lambda_hat
+        and suite["mixed-monotone"].verdict == HOLDS
+        and suite["seed-condition"].verdict == HOLDS
+        and chainable.verdict == HOLDS
+    )
+    return SolveConfig(
+        residual_tolerance=inst.params.tolerance,
+        max_iterations=inst.params.max_iterations,
+        lam=lam,
+        epsilon=inst.params.epsilon,
+        chain_n=chain_n,
+        lambda_certified=certified,
+    )

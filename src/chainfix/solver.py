@@ -123,6 +123,11 @@ def decay_bound(chain_n: int, lam: float, epsilon: float, m: int) -> float:
     return 2.0 * chain_n * lam**m * epsilon
 
 
+def below_bound(rows) -> bool:
+    """The lemma's strict ceiling: every observed step lies below its bound."""
+    return all(row.observed < row.bound for row in rows)
+
+
 def picard_solve(
     cmap: CoupledMap, x0: Point, y0: Point, config: SolveConfig | None = None
 ) -> SolveResult:
@@ -246,7 +251,7 @@ def verify_decay_bound(
         observed = d(a, c) + d(b, e)
     all_below = None
     if have_bound:
-        all_below = all(row.observed < row.bound for row in rows)
+        all_below = below_bound(rows)
     return DecayReport(
         tuple(rows), all_below, rows[-1].observed, n, tuple(uncertified)
     )

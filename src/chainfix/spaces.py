@@ -16,6 +16,7 @@ approximate matching compare distances against their own tolerance.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -165,6 +166,29 @@ class BoxSpace:
     @property
     def dim(self) -> int:
         return len(self.lower)
+
+    def grid_axes(self, step: float | None) -> list[list[float]]:
+        """Per-axis grid lo, lo + step, ..., hi; only lo and hi when step is None."""
+        axes = []
+        for lo, hi in zip(self.lower, self.upper):
+            vals = [lo]
+            k = 1
+            while step is not None and lo + k * step < hi - 1e-12:
+                vals.append(lo + k * step)
+                k += 1
+            if vals[-1] != hi:
+                vals.append(hi)
+            axes.append(vals)
+        return axes
+
+    def uniform_points(self, count: int, seed: int) -> list[BoxPoint]:
+        """``count`` uniform draws from the box, reproducible from ``seed``."""
+        rng = random.Random(seed)
+        bounds = list(zip(self.lower, self.upper))
+        return [
+            tuple(lo + rng.random() * (hi - lo) for lo, hi in bounds)
+            for _ in range(count)
+        ]
 
     def validate_point(self, p: Point) -> None:
         if not isinstance(p, tuple) or len(p) != self.dim:

@@ -17,10 +17,11 @@ import time
 
 import pytest
 
-from chainfix.cli import build_config, run_cli, run_hypothesis_suite
+from chainfix.cli import run_cli
 from chainfix.hypotheses import HOLDS
 from chainfix.instances import generate_finite_instance, load_instance
 from chainfix.oracle import oracle_report
+from chainfix.pipeline import build_config, run_hypothesis_suite
 from chainfix.solver import collapse_check, picard_solve, verify_decay_bound
 
 from conftest import ACCEPTANCE_LINES

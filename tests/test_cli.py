@@ -53,6 +53,46 @@ class TestExitCodes:
         assert code == 0
 
 
+    def test_map_escaping_off_the_load_check_exits_two(self, capsys, tmp_path):
+        # the load check tries only the first 200 grid points, so the escape
+        # near y = 1 surfaces when the checks tabulate F over the sample
+        doc = {
+            "schema_version": 1,
+            "space": {"kind": "box", "dimension": 1, "lower": [0],
+                      "upper": [1], "grid_step": 0.004},
+            "map": {"kind": "expression", "formula": "max(0, 100*y - 98.9)"},
+            "seeds": {"x0": 0, "y0": 0},
+            "parameters": {"epsilon": 0.01},
+        }
+        path = tmp_path / "escape.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert "escapes the box" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_is_rejected(self, capsys, l1_path, tmp_path,
+                                           constant):
+        text = open(l1_path).read().replace('"epsilon": 0.3', f'"epsilon": {constant}')
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"non-finite number {constant} " in err
+
+
+    def test_non_finite_result_exits_two_without_output(self, capsys, f1_path):
+        # a NaN epsilon reaches the output document, which JSON cannot carry
+        code, out, err = run(capsys, "chain", f1_path, "--from", "a", "--to", "a",
+                             "--eps", "nan")
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+
+
 class TestSolve:
     def test_l1_summary(self, capsys, l1_path):
         code, out, _ = run(capsys, "solve", l1_path)

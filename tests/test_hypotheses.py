@@ -131,10 +131,14 @@ class TestContraction:
         assert rep.lambda_hat is None
         assert rep.verdict == VIOLATED
 
-    def test_no_admissible_quadruple_raises(self, antichain2_path):
+    def test_no_admissible_quadruple_is_vacuous(self, antichain2_path):
         inst = load_instance(antichain2_path)
-        with pytest.raises(SamplingError):
-            estimate_contraction(inst.cmap, inst.params.epsilon)
+        rep = estimate_contraction(inst.cmap, inst.params.epsilon)
+        assert rep.vacuous
+        assert rep.pairs_tested == 0
+        assert rep.lambda_hat == 0.0
+        assert rep.witness is None
+        assert not rep.violated
 
     def test_epsilon_must_be_positive(self, chain4_path):
         inst = load_instance(chain4_path)

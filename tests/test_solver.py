@@ -16,12 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainfix.cli import build_config, run_hypothesis_suite
 from chainfix.errors import DomainError
 from chainfix.instances import generate_finite_instance, load_instance
 from chainfix.mappings import expression_map
+from chainfix.pipeline import build_config, run_hypothesis_suite
 from chainfix.solver import (
+    BoundRow,
     SolveConfig,
+    below_bound,
     collapse_check,
     decay_bound,
     picard_solve,
@@ -180,6 +182,11 @@ class TestDecayReport:
         )
         assert "mixed-monotone" in rep.uncertified
         assert "uniform-local-contraction" in rep.uncertified
+
+    def test_observed_equal_to_bound_is_not_below(self):
+        # the lemma's ceiling is strict: eta_m < 2 n lam^m eps
+        assert below_bound([BoundRow(0, 1.0, 2.0)]) is True
+        assert below_bound([BoundRow(0, 1.0, 2.0), BoundRow(1, 0.5, 0.5)]) is False
 
     def test_no_bound_without_lambda(self, chain4_path):
         inst = load_instance(chain4_path)
