@@ -207,6 +207,18 @@ def _cli_point(space, text: str, what: str):
     return parse_point(space, raw, what)
 
 
+def _epsilon_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite number {text!r}")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def cmd_chain(args) -> int:
     inst = load_instance(args.instance)
     eps = args.eps if args.eps is not None else inst.params.epsilon
@@ -334,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", required=True)
-    p.add_argument("--eps", type=float, default=None,
+    p.add_argument("--eps", type=_epsilon_arg, default=None,
                    help="override the instance epsilon")
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_chain)

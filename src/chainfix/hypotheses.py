@@ -169,7 +169,7 @@ def sample_points(space: Space, plan: SamplingPlan | None = None) -> list[Point]
     plan = plan or SamplingPlan()
     pts: list[Point] = []
     if plan.grid_step is not None:
-        if plan.grid_step <= 0:
+        if not plan.grid_step > 0:
             raise SamplingError(f"grid_step must be positive, got {plan.grid_step!r}")
         axes = space.grid_axes(plan.grid_step)
         total = math.prod(map(len, axes))
@@ -346,7 +346,7 @@ def estimate_contraction(
     and the scan stops at the first ratio >= 1. With no admissible quadruple
     the report is ``vacuous``, with ``lambda_hat`` 0.0 and no witness.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     tab = _map_tables(cmap, plan)
     L, D, T, DI = tab.L, tab.D, tab.T, tab.DI
@@ -425,7 +425,7 @@ def find_epsilon_chain(
     added), so the returned chain has minimal n over those waypoints and
     never repeats a point. Returns None when no chain exists.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     space.validate_point(a)
     space.validate_point(b)
@@ -464,7 +464,7 @@ def check_epsilon_chainable(
     conclusive: the space may hold waypoints the sample lacks, so the verdict
     stays ``undetermined-sampled`` with the failing pair recorded.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     tab = _space_tables(space, candidates)
     cand, L = tab.pts, tab.L
@@ -517,9 +517,13 @@ def check_seed(cmap: CoupledMap, x0: Point, y0: Point) -> HypothesisReport:
     return HypothesisReport("seed-condition", VIOLATED, witness)
 
 
-def _leq_matrix(tab: _Tables) -> np.ndarray:
+def _bound_matrices(tab: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order M[p, q] = p <= q over the points under test, and which pairs
+    share a common upper bound (UB) or a common lower bound (LB) among them."""
     s = len(tab.pts)
-    return np.array(tab.L, dtype=bool).reshape(s, s)
+    M = np.array(tab.L, dtype=bool).reshape(s, s)
+    F = M.astype(np.float32)
+    return M, (F @ F.T) > 0, (F.T @ F) > 0
 
 
 def check_common_comparable(
@@ -531,25 +535,46 @@ def check_common_comparable(
     (first component ascending, second descending). Exhaustive on finite
     spaces. On box grids even a failure is reported as sampled: a missing
     grid witness says nothing about the full box.
+
+    The order is transitive, so (x, y) and (u, v) share such a point iff they
+    are comparable themselves (x <= u and v <= y, or u <= x and y <= v), or
+    UB[x, u] and LB[y, v], or LB[x, u] and UB[y, v]. The four facts about
+    (x, u) select which (y, v) relations count, so at most 16 distinct s x s
+    patterns decide the verdict in O(s^2) memory. The witness is the first
+    failing quadruple in (x, y, u, v) row-major order.
     """
     tab = _space_tables(space, candidates)
     cand = tab.pts
     s = len(cand)
-    M = _leq_matrix(tab)
-    # C[(z1,z2),(x,y)]: (z1,z2) comparable to (x,y) in the product order
-    below = M[:, None, :, None] & M.T[None, :, None, :]
-    above = M.T[:, None, :, None] & M[None, :, None, :]
-    C = (below | above).reshape(s * s, s * s).astype(np.float32)
-    linked = (C @ C) > 0  # C is symmetric: comparability is
-    bad = np.argwhere(~linked)
+    M, UB, LB = _bound_matrices(tab)
+    # bit k of code[x, u] is fact k about (x, u); it selects relation k
+    # among the (y, v) relations
+    facts = (M, M.T, UB, LB)
+    relations = (M.T, M, LB, UB)
+    code = np.zeros((s, s), dtype=np.uint8)
+    for k, fact in enumerate(facts):
+        code[fact] |= 1 << k
+    failing = {}  # code -> unlinked (y, v) pattern
+    for c in np.unique(code).tolist():
+        linked = np.zeros((s, s), dtype=bool)
+        for k, rel in enumerate(relations):
+            if c >> k & 1:
+                linked |= rel
+        if not linked.all():
+            failing[c] = ~linked
     witness = None
-    if bad.size:
-        p_flat, q_flat = (int(v) for v in bad[0])
-        pi, pj = divmod(p_flat, s)
-        qi, qj = divmod(q_flat, s)
+    if failing:
+        bad_xu = np.isin(code, list(failing))
+        x = int(np.argmax(bad_xu.any(axis=1)))
+        us = np.flatnonzero(bad_xu[x])
+        # bad_y[i, y]: some v leaves (x, y) and (us[i], v) unlinked
+        bad_y = np.array([failing[c].any(axis=1) for c in code[x, us].tolist()])
+        y = int(np.argmax(bad_y.any(axis=0)))
+        u = int(us[np.argmax(bad_y[:, y])])
+        v = int(np.argmax(failing[int(code[x, u])][y]))
         witness = {
-            "pair1": [point_jsonable(cand[pi]), point_jsonable(cand[pj])],
-            "pair2": [point_jsonable(cand[qi]), point_jsonable(cand[qj])],
+            "pair1": [point_jsonable(cand[x]), point_jsonable(cand[y])],
+            "pair2": [point_jsonable(cand[u]), point_jsonable(cand[v])],
         }
     return tab.report(
         "common-comparable", witness, sample_size=None if tab.exhaustive else s
@@ -562,11 +587,8 @@ def check_pair_bounds(
     """Every two candidate points must have a common upper or lower bound."""
     tab = _space_tables(space, candidates)
     cand = tab.pts
-    M = _leq_matrix(tab).astype(np.float32)
-    upper = (M @ M.T) > 0  # some z with p <= z and q <= z
-    lower = (M.T @ M) > 0  # some z with z <= p and z <= q
-    ok = upper | lower
-    bad = np.argwhere(~ok)
+    _, upper, lower = _bound_matrices(tab)
+    bad = np.argwhere(~(upper | lower))
     witness = None
     if bad.size:
         witness = [point_jsonable(cand[int(v)]) for v in bad[0]]

@@ -63,14 +63,23 @@ class Instance:
     source: dict = field(compare=False, default_factory=dict)
 
 
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _require(data: dict, key: str, kind, where: str):
     if key not in data:
         raise InvalidInstanceError(f"missing field {key!r} in {where}", field=key)
     value = data[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_finite_number(value):
             raise InvalidInstanceError(
-                f"field {key!r} in {where} must be a number, got {value!r}",
+                f"field {key!r} in {where} must be a finite number, got {value!r}",
                 field=key,
             )
         return float(value)
@@ -135,9 +144,9 @@ def _parse_finite_space(data: dict) -> FiniteSpace:
         )
     for row in dist:
         for v in row:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            if not _is_finite_number(v):
                 raise InvalidInstanceError(
-                    f"distance_matrix entries must be numbers, got {v!r}",
+                    f"distance_matrix entries must be finite numbers, got {v!r}",
                     field="space.distance_matrix",
                 )
     order = _closure(n, _require(data, "order_pairs", list, "space"))
@@ -156,6 +165,13 @@ def _parse_box_space(data: dict) -> tuple[BoxSpace, float | None]:
             "lower and upper must each list one value per dimension",
             field="space.lower",
         )
+    for name, values in (("lower", lower), ("upper", upper)):
+        for v in values:
+            if not _is_finite_number(v):
+                raise InvalidInstanceError(
+                    f"space.{name} entries must be finite numbers, got {v!r}",
+                    field=f"space.{name}",
+                )
     step = None
     if "grid_step" in data:
         step = _require(data, "grid_step", float, "space")
@@ -187,15 +203,13 @@ def parse_point(space: Space, raw, where: str) -> Point:
                 f"{where} index {raw} is out of range", field=where, witness=raw
             )
         return raw
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+    if _is_finite_number(raw):
         pt: Point = (float(raw),)
-    elif isinstance(raw, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-    ):
+    elif isinstance(raw, list) and all(map(_is_finite_number, raw)):
         pt = tuple(float(v) for v in raw)
     else:
         raise InvalidInstanceError(
-            f"{where} must be a coordinate or coordinate list, got {raw!r}",
+            f"{where} must be a finite coordinate or coordinate list, got {raw!r}",
             field=where,
         )
     try:

@@ -2,10 +2,10 @@
 
 Everything here recomputes what ``hypotheses`` and ``solver`` produce, but
 through a different route: dense numpy array sweeps instead of Python loops,
-and sparse graph search instead of hand-rolled BFS. Agreement between the two
-routes is the core equivalence guarantee, so this module must not import
-from ``hypotheses`` beyond the shared report type, and must not share loop
-code with it.
+and boolean matrix frontier expansion instead of hand-rolled BFS. Agreement
+between the two routes is the core equivalence guarantee, so this module must
+not import from ``hypotheses`` beyond the shared report type, and must not
+share loop code with it.
 
 Enumeration order is pinned to match: quadruples (x, u, y, v) are scanned
 with x outermost and v innermost, row-major, and the first violation (or the
@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import DomainError
 from .hypotheses import ContractivityReport
@@ -43,7 +41,7 @@ def exhaustive_contraction_check(cmap: TableMap, epsilon: float) -> Contractivit
     (``2.0 * dF / s`` with admissibility ``s / 2.0 < epsilon`` and ``s > 0``)
     so agreement is exact in floating point, not approximate.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     space = cmap.space
     n = space.size
@@ -97,31 +95,41 @@ def exhaustive_contraction_check(cmap: TableMap, epsilon: float) -> Contractivit
 def min_chain_table(
     space, epsilon: float
 ) -> tuple[dict[tuple[int, int], int], list[tuple[int, int]], int]:
-    """Minimal ascending-chain hop counts via sparse shortest paths.
+    """Minimal ascending-chain hop counts via boolean frontier expansion.
 
     Returns (table over comparable pairs, unreachable comparable pairs,
     max hop count). Edges are p -> q with p <= q and d(p, q) < epsilon.
+    Row i of the frontier holds the nodes first reached from i at the
+    current level; one boolean matrix product per level advances every
+    source at once, for at most n - 1 levels.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     n = space.size
     D = np.asarray(space.dist, dtype=float)
     L = np.asarray(space.order, dtype=bool)
     edges = L & (D < epsilon)
     np.fill_diagonal(edges, False)
-    graph = csr_matrix(edges.astype(np.int8))
-    hops = shortest_path(graph, method="D", directed=True, unweighted=True)
+    hops = np.full((n, n), -1, dtype=np.intp)
+    np.fill_diagonal(hops, 0)
+    reached = frontier = np.eye(n, dtype=bool)
+    for level in range(1, n):
+        frontier = (frontier @ edges) & ~reached
+        if not frontier.any():
+            break
+        hops[frontier] = level
+        reached = reached | frontier
     table: dict[tuple[int, int], int] = {}
     unreachable: list[tuple[int, int]] = []
     for i in range(n):
         for j in range(n):
             if not L[i, j]:
                 continue
-            h = hops[i, j]
-            if np.isinf(h):
+            h = int(hops[i, j])
+            if h < 0:
                 unreachable.append((i, j))
             else:
-                table[(i, j)] = int(h)
+                table[(i, j)] = h
     max_n = max(table.values(), default=0)
     return table, unreachable, max_n
 

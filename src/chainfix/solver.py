@@ -54,7 +54,7 @@ class SolveConfig:
             )
         if self.lam is not None and not 0.0 < self.lam < 1.0:
             raise DomainError(f"lam must lie in (0, 1), got {self.lam!r}")
-        if self.epsilon is not None and self.epsilon <= 0:
+        if self.epsilon is not None and not self.epsilon > 0:
             raise DomainError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.chain_n is not None and self.chain_n < 1:
             raise DomainError(f"chain_n must be at least 1, got {self.chain_n!r}")
@@ -116,7 +116,7 @@ def decay_bound(chain_n: int, lam: float, epsilon: float, m: int) -> float:
         raise DomainError(f"chain_n must be at least 1, got {chain_n!r}")
     if not 0.0 < lam < 1.0:
         raise DomainError(f"lam must lie in (0, 1), got {lam!r}")
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     if m < 0:
         raise DomainError(f"iteration index must be nonnegative, got {m!r}")

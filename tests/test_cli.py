@@ -85,12 +85,24 @@ class TestExitCodes:
 
 
     def test_non_finite_result_exits_two_without_output(self, capsys, f1_path):
-        # a NaN epsilon reaches the output document, which JSON cannot carry
         code, out, err = run(capsys, "chain", f1_path, "--from", "a", "--to", "a",
                              "--eps", "nan")
         assert code == 2
         assert out == ""
         assert "non-finite" in err
+        assert "argument --eps" in err
+
+    @pytest.mark.parametrize("eps, reason", [
+        ("inf", "non-finite"), ("-inf", "non-finite"),
+        ("0", "must be positive"), ("-0.5", "must be positive"),
+        ("abc", "not a number"),
+    ])
+    def test_chain_eps_is_checked_as_an_argument(self, capsys, f1_path, eps, reason):
+        code, out, err = run(capsys, "chain", f1_path, "--from", "a", "--to", "b",
+                             f"--eps={eps}")
+        assert code == 2
+        assert out == ""
+        assert f"argument --eps: {reason}" in err
 
 
 class TestSolve:

@@ -36,6 +36,8 @@ from chainfix.hypotheses import (
 )
 from chainfix.instances import generate_finite_instance, load_instance
 from chainfix.mappings import TableMap, expression_map
+from chainfix.oracle import exhaustive_contraction_check, min_chain_table
+from chainfix.solver import SolveConfig, decay_bound
 from chainfix.spaces import BoxSpace, FiniteSpace
 
 GRID = SamplingPlan(grid_step=0.5)
@@ -50,6 +52,12 @@ def chain_space(n: int, scale: float = 1.0) -> FiniteSpace:
 class TestSamplePoints:
     def test_finite_space_enumerates_everything(self):
         assert sample_points(chain_space(4)) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, float("nan")])
+    def test_rejects_grid_step_that_is_not_positive(self, step):
+        box = BoxSpace((0.0,), (1.0,))
+        with pytest.raises(SamplingError, match="grid_step must be positive"):
+            sample_points(box, SamplingPlan(grid_step=step))
 
     def test_grid_includes_both_endpoints(self):
         box = BoxSpace((0.0,), (1.0,))
@@ -300,3 +308,21 @@ class TestProductStructure:
         cand = sample_points(box, SamplingPlan(grid_step=0.5))
         assert check_common_comparable(box, cand).verdict == SAMPLED
         assert check_pair_bounds(box, cand).verdict == SAMPLED
+
+
+@pytest.mark.parametrize("call", [
+    lambda cmap, eps: estimate_contraction(cmap, eps),
+    lambda cmap, eps: find_epsilon_chain(cmap.space, 0, 1, eps),
+    lambda cmap, eps: check_epsilon_chainable(cmap.space, eps),
+    lambda cmap, eps: exhaustive_contraction_check(cmap, eps),
+    lambda cmap, eps: min_chain_table(cmap.space, eps),
+    lambda cmap, eps: SolveConfig(epsilon=eps),
+    lambda cmap, eps: decay_bound(1, 0.5, eps, 0),
+], ids=["contraction", "find-chain", "chainable", "oracle-contraction",
+        "oracle-chain-table", "solve-config", "decay-bound"])
+def test_nan_epsilon_is_rejected(call):
+    # NaN fails every comparison, so "epsilon <= 0" would let it through
+    space = chain_space(3)
+    cmap = TableMap(space, ((0, 0, 0), (1, 1, 1), (2, 2, 2)))
+    with pytest.raises(DomainError, match="epsilon must be positive"):
+        call(cmap, float("nan"))

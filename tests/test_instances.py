@@ -193,6 +193,29 @@ class TestRejections:
         with pytest.raises(InvalidInstanceError):
             parse_instance(doc)
 
+    @pytest.mark.parametrize("make, path, value, field", [
+        (box_doc, ("parameters", "epsilon"), float("nan"), "epsilon"),
+        (box_doc, ("parameters", "epsilon"), 10**400, "epsilon"),
+        (box_doc, ("parameters", "tolerance"), float("inf"), "tolerance"),
+        (box_doc, ("space", "lower"), [float("nan")], "space.lower"),
+        (box_doc, ("space", "upper"), [float("inf")], "space.upper"),
+        (box_doc, ("space", "grid_step"), float("nan"), "grid_step"),
+        (box_doc, ("seeds", "x0"), float("nan"), "seeds.x0"),
+        (box_doc, ("seeds", "y0"), [float("-inf")], "seeds.y0"),
+        (finite_doc, ("space", "distance_matrix"),
+         [[0, 1, float("inf")], [1, 0, 1], [float("inf"), 1, 0]],
+         "space.distance_matrix"),
+    ], ids=["epsilon-nan", "epsilon-huge-int", "tolerance-inf", "lower-nan",
+            "upper-inf", "grid-step-nan", "seed-nan", "seed-list-inf",
+            "distance-inf"])
+    def test_rejects_non_finite_number_in_document(self, make, path, value, field):
+        # a document built in Python bypasses the JSON loader's own check
+        doc = make()
+        doc[path[0]][path[1]] = value
+        with pytest.raises(InvalidInstanceError, match="finite") as info:
+            parse_instance(doc)
+        assert info.value.field == field
+
     def test_rejects_lambda_outside_open_interval(self):
         for bad in (0, 1, 1.5):
             doc = box_doc()

@@ -4,6 +4,11 @@ The agreement tests here are small and targeted; the broad sweep over a
 hundred generated instances lives in the acceptance suite.
 """
 
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,6 +124,43 @@ class TestChainTable:
         assert rep.details["chain_n"] == table
         assert list(rep.details["unreachable"]) == unreachable
         assert rep.details["max_n"] == max_n
+
+    def test_matches_scipy_shortest_path(self):
+        sparse = pytest.importorskip("scipy.sparse")
+        from scipy.sparse.csgraph import shortest_path
+
+        unreachable_seen = 0
+        for seed in range(50):
+            inst = generate_finite_instance(seed)
+            space, base = inst.space, inst.params.epsilon
+            L = np.asarray(space.order, dtype=bool)
+            for eps in (0.3 * base, 0.75 * base, base, 2.0 * base):
+                edges = L & (np.asarray(space.dist, dtype=float) < eps)
+                np.fill_diagonal(edges, False)
+                hops = shortest_path(sparse.csr_matrix(edges.astype(np.int8)),
+                                     method="D", directed=True, unweighted=True)
+                pairs = [(i, j) for i in range(space.size)
+                         for j in range(space.size) if L[i, j]]
+                ref = {p: int(hops[p]) for p in pairs if np.isfinite(hops[p])}
+                ref_unreachable = [p for p in pairs if np.isinf(hops[p])]
+                table, unreachable, max_n = min_chain_table(space, eps)
+                assert table == ref
+                assert unreachable == ref_unreachable
+                assert max_n == max(ref.values(), default=0)
+                unreachable_seen += bool(unreachable)
+        assert unreachable_seen > 0
+
+
+def test_import_loads_no_scipy():
+    import chainfix
+
+    src = os.path.dirname(os.path.dirname(chainfix.__file__))
+    code = ("import sys, chainfix, chainfix.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_oracle_report_bundles_everything(chain4_path):
