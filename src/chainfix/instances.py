@@ -73,27 +73,28 @@ def _is_finite_number(value) -> bool:
 
 
 def _require(data: dict, key: str, kind, where: str):
+    field = key if where == "document" else f"{where}.{key}"
     if key not in data:
-        raise InvalidInstanceError(f"missing field {key!r} in {where}", field=key)
+        raise InvalidInstanceError(f"missing field {key!r} in {where}", field=field)
     value = data[key]
     if kind is float:
         if not _is_finite_number(value):
             raise InvalidInstanceError(
                 f"field {key!r} in {where} must be a finite number, got {value!r}",
-                field=key,
+                field=field,
             )
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidInstanceError(
                 f"field {key!r} in {where} must be an integer, got {value!r}",
-                field=key,
+                field=field,
             )
         return value
     if not isinstance(value, kind):
         raise InvalidInstanceError(
             f"field {key!r} in {where} must be {kind.__name__}, got {value!r}",
-            field=key,
+            field=field,
         )
     return value
 

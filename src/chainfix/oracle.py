@@ -1,11 +1,13 @@
 """Independent cross-checks for finite instances.
 
 Everything here recomputes what ``hypotheses`` and ``solver`` produce, but
-through a different route: dense numpy array sweeps instead of Python loops,
-and boolean matrix frontier expansion instead of hand-rolled BFS. Agreement
-between the two routes is the core equivalence guarantee, so this module must
-not import from ``hypotheses`` beyond the shared report type, and must not
-share loop code with it.
+through a different route: numpy array sweeps instead of Python loops, and
+boolean matrix frontier expansion instead of hand-rolled BFS. The contraction
+sweep visits only order-admissible quadruples (u <= x, y <= v), in blocks of
+a fixed size, so its memory does not grow with n^4. Agreement between the two
+routes is the core equivalence guarantee, so this module must not import from
+``hypotheses`` beyond the shared report type, and must not share loop code
+with it.
 
 Enumeration order is pinned to match: quadruples (x, u, y, v) are scanned
 with x outermost and v innermost, row-major, and the first violation (or the
@@ -22,7 +24,7 @@ from .errors import DomainError
 from .hypotheses import ContractivityReport
 from .mappings import TableMap
 
-_CHUNK = 8  # x-indices per sweep; bounds peak memory at CHUNK * n^3 floats
+_BLOCK = 1 << 16  # quadruples per sweep block, rounded to whole (x, u) rows
 
 
 def all_coupled_fixed_points(cmap: TableMap) -> list[tuple[int, int]]:
@@ -35,56 +37,61 @@ def all_coupled_fixed_points(cmap: TableMap) -> list[tuple[int, int]]:
 
 
 def exhaustive_contraction_check(cmap: TableMap, epsilon: float) -> ContractivityReport:
-    """Scan all admissible quadruples with dense array arithmetic.
+    """Scan every order-admissible quadruple with block array arithmetic.
 
-    Ratio formula is kept textually identical to the loop route
-    (``2.0 * dF / s`` with admissibility ``s / 2.0 < epsilon`` and ``s > 0``)
-    so agreement is exact in floating point, not approximate.
+    Only (x, u) pairs with u <= x and (y, v) pairs with y <= v are visited;
+    both lists are row-major, so (xu index, yv index) row-major order is the
+    (x, u, y, v) order with the order-inadmissible quadruples left out. The
+    sweep takes whole xu rows, about ``_BLOCK`` quadruples at a time, and
+    returns at the first block holding a violation.
+    Ratio arithmetic is the loop route's (``2.0 * dF / s`` with
+    admissibility ``s / 2.0 < epsilon`` and ``s > 0``) so agreement is exact
+    in floating point, not approximate.
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     space = cmap.space
-    n = space.size
     D = np.asarray(space.dist, dtype=float)
     L = np.asarray(space.order, dtype=bool)
     T = np.asarray(cmap.table, dtype=np.intp)
-    XU = L.T  # XU[x, u]: u <= x
-    YV = L  # YV[y, v]: y <= v
+    xs, us = np.nonzero(L.T)  # u <= x
+    ys, vs = np.nonzero(L)  # y <= v
+    D_xu = D[xs, us]
+    D_yv = D[ys, vs]
+    # whole xu rows per block; the order is reflexive, so ys is never empty
+    rows = max(1, _BLOCK // len(ys))
     best = -np.inf
     best_idx: tuple[int, int, int, int] | None = None
     tested = 0
-    for x0 in range(0, n, _CHUNK):
-        xs = np.arange(x0, min(x0 + _CHUNK, n))
-        # S[a, u, y, v] = d(xs[a], u) + d(y, v)
-        S = D[xs][:, :, None, None] + D[None, None, :, :]
-        adm = XU[xs][:, :, None, None] & YV[None, None, :, :]
-        adm &= (S / 2.0 < epsilon) & (S > 0.0)
-        tested += int(adm.sum())
-        if not adm.any():
+    for r0 in range(0, len(xs), rows):
+        bx, bu = xs[r0 : r0 + rows], us[r0 : r0 + rows]
+        S = D_xu[r0 : r0 + rows, None] + D_yv[None, :]
+        adm = (S / 2.0 < epsilon) & (S > 0.0)
+        count = int(np.count_nonzero(adm))
+        if not count:
             continue
-        # dF[a, u, y, v] = d(F(xs[a], y), F(u, v))
-        dF = D[T[xs][:, None, :, None], T[None, :, None, :]]
-        safe = np.where(S > 0.0, S, np.inf)
-        ratio = np.where(adm, 2.0 * dF / safe, -np.inf)
+        dF = D[T[bx][:, ys], T[bu][:, vs]]
+        # ratio = 2.0 * dF / S on admissible entries, -inf elsewhere
+        ratio = np.divide(2.0 * dF, S, out=np.full(S.shape, -np.inf), where=adm)
         vmask = ratio >= 1.0
         if vmask.any():
             flat = int(np.argmax(vmask))  # first True, row-major
-            a, u, y, v = np.unravel_index(flat, vmask.shape)
-            tested_before = int(adm.flat[: flat + 1].sum())
+            a, b = np.unravel_index(flat, vmask.shape)
             return ContractivityReport(
                 epsilon,
                 None,
                 True,
-                (int(xs[a]), int(u), int(y), int(v)),
-                tested - int(adm.sum()) + tested_before,
+                (int(bx[a]), int(bu[a]), int(ys[b]), int(vs[b])),
+                tested + int(np.count_nonzero(adm.flat[: flat + 1])),
                 "exhaustive",
             )
-        m = float(ratio.max())
+        tested += count
+        flat = int(np.argmax(ratio))  # first attainment of the block maximum
+        m = float(ratio.flat[flat])
         if m > best:
             best = m
-            flat = int(np.argmax(ratio == m))
-            a, u, y, v = np.unravel_index(flat, ratio.shape)
-            best_idx = (int(xs[a]), int(u), int(y), int(v))
+            a, b = np.unravel_index(flat, ratio.shape)
+            best_idx = (int(bx[a]), int(bu[a]), int(ys[b]), int(vs[b]))
     if tested == 0:
         return ContractivityReport(
             epsilon, 0.0, False, None, 0, "exhaustive", vacuous=True

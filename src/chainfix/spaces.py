@@ -16,6 +16,8 @@ approximate matching compare distances against their own tolerance.
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -157,6 +159,14 @@ class BoxSpace:
         if len(self.lower) == 0 or len(self.lower) != len(self.upper):
             raise InvalidInstanceError("box bounds must be nonempty and same length")
         for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            if not all(
+                isinstance(v, numbers.Real) and math.isfinite(v) for v in (lo, hi)
+            ):
+                raise InvalidInstanceError(
+                    f"box bounds must be finite numbers on axis {i}: "
+                    f"[{lo!r}, {hi!r}]",
+                    witness=(i,),
+                )
             if not lo <= hi:
                 raise InvalidInstanceError(
                     f"box bounds inverted on axis {i}: {lo!r} > {hi!r}",

@@ -118,7 +118,7 @@ class TestRejections:
         del doc["parameters"]["epsilon"]
         with pytest.raises(InvalidInstanceError) as exc:
             parse_instance(doc)
-        assert exc.value.field == "epsilon"
+        assert exc.value.field == "parameters.epsilon"
 
     def test_rejects_order_cycle_via_antisymmetry(self):
         doc = finite_doc()
@@ -194,12 +194,12 @@ class TestRejections:
             parse_instance(doc)
 
     @pytest.mark.parametrize("make, path, value, field", [
-        (box_doc, ("parameters", "epsilon"), float("nan"), "epsilon"),
-        (box_doc, ("parameters", "epsilon"), 10**400, "epsilon"),
-        (box_doc, ("parameters", "tolerance"), float("inf"), "tolerance"),
+        (box_doc, ("parameters", "epsilon"), float("nan"), "parameters.epsilon"),
+        (box_doc, ("parameters", "epsilon"), 10**400, "parameters.epsilon"),
+        (box_doc, ("parameters", "tolerance"), float("inf"), "parameters.tolerance"),
         (box_doc, ("space", "lower"), [float("nan")], "space.lower"),
         (box_doc, ("space", "upper"), [float("inf")], "space.upper"),
-        (box_doc, ("space", "grid_step"), float("nan"), "grid_step"),
+        (box_doc, ("space", "grid_step"), float("nan"), "space.grid_step"),
         (box_doc, ("seeds", "x0"), float("nan"), "seeds.x0"),
         (box_doc, ("seeds", "y0"), [float("-inf")], "seeds.y0"),
         (finite_doc, ("space", "distance_matrix"),

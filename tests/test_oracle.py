@@ -7,14 +7,20 @@ hundred generated instances lives in the acceptance suite.
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainfix import oracle
 from chainfix.errors import DomainError
-from chainfix.hypotheses import check_epsilon_chainable, estimate_contraction
+from chainfix.hypotheses import (
+    ContractivityReport,
+    check_epsilon_chainable,
+    estimate_contraction,
+)
 from chainfix.instances import generate_finite_instance, load_instance
 from chainfix.mappings import TableMap
 from chainfix.oracle import (
@@ -26,10 +32,74 @@ from chainfix.oracle import (
 from chainfix.spaces import FiniteSpace
 
 
-def chain_space(n: int) -> FiniteSpace:
-    dist = [[abs(i - j) for j in range(n)] for i in range(n)]
+def chain_space(n: int, positions=None) -> FiniteSpace:
+    p = list(range(n)) if positions is None else positions
+    dist = [[abs(p[i] - p[j]) for j in range(n)] for i in range(n)]
     order = [[i <= j for j in range(n)] for i in range(n)]
     return FiniteSpace.from_lists([f"p{i}" for i in range(n)], dist, order)
+
+
+def dense_contraction_reference(cmap: TableMap, epsilon: float) -> ContractivityReport:
+    """The earlier sweep over all n^4 quadruples, eight x-indices at a time.
+
+    Kept only as a reference for the order-admissible block sweep.
+    """
+    n = cmap.space.size
+    D = np.asarray(cmap.space.dist, dtype=float)
+    L = np.asarray(cmap.space.order, dtype=bool)
+    T = np.asarray(cmap.table, dtype=np.intp)
+    XU = L.T  # XU[x, u]: u <= x
+    YV = L  # YV[y, v]: y <= v
+    best = -np.inf
+    best_idx = None
+    tested = 0
+    for x0 in range(0, n, 8):
+        xs = np.arange(x0, min(x0 + 8, n))
+        S = D[xs][:, :, None, None] + D[None, None, :, :]
+        adm = XU[xs][:, :, None, None] & YV[None, None, :, :]
+        adm &= (S / 2.0 < epsilon) & (S > 0.0)
+        tested += int(adm.sum())
+        if not adm.any():
+            continue
+        dF = D[T[xs][:, None, :, None], T[None, :, None, :]]
+        safe = np.where(S > 0.0, S, np.inf)
+        ratio = np.where(adm, 2.0 * dF / safe, -np.inf)
+        vmask = ratio >= 1.0
+        if vmask.any():
+            flat = int(np.argmax(vmask))
+            a, u, y, v = np.unravel_index(flat, vmask.shape)
+            tested_before = int(adm.flat[: flat + 1].sum())
+            return ContractivityReport(
+                epsilon, None, True, (int(xs[a]), int(u), int(y), int(v)),
+                tested - int(adm.sum()) + tested_before, "exhaustive",
+            )
+        m = float(ratio.max())
+        if m > best:
+            best = m
+            flat = int(np.argmax(ratio == m))
+            a, u, y, v = np.unravel_index(flat, ratio.shape)
+            best_idx = (int(xs[a]), int(u), int(y), int(v))
+    if tested == 0:
+        return ContractivityReport(
+            epsilon, 0.0, False, None, 0, "exhaustive", vacuous=True
+        )
+    return ContractivityReport(epsilon, best, False, best_idx, tested, "exhaustive")
+
+
+def assert_same_report(got: ContractivityReport, ref: ContractivityReport):
+    assert got.violated == ref.violated
+    assert got.witness == ref.witness
+    assert repr(got.lambda_hat) == repr(ref.lambda_hat)  # bitwise
+    assert got.pairs_tested == ref.pairs_tested
+    assert got.vacuous == ref.vacuous
+
+
+def block_of(space: FiniteSpace, quad) -> int:
+    """Index of the sweep block that holds quadruple (x, u, y, v)."""
+    L = np.asarray(space.order, dtype=bool)
+    xs, us = np.nonzero(L.T)
+    row = int(np.flatnonzero((xs == quad[0]) & (us == quad[1]))[0])
+    return row // max(1, oracle._BLOCK // int(L.sum()))
 
 
 class TestFixedPoints:
@@ -94,6 +164,81 @@ class TestContractionCheck:
         assert vec.witness == loop.witness
         assert vec.lambda_hat == loop.lambda_hat  # bitwise, not approximate
         assert vec.pairs_tested == loop.pairs_tested
+
+
+class TestBlockSweep:
+    """The order-admissible block sweep against the dense all-n^4 sweep."""
+
+    @given(
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=2, max_value=64),
+        st.sampled_from(["vacuous", "partial", "base", "full"]),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_matches_dense_reference(self, seed, size, regime, constant):
+        inst = generate_finite_instance(seed, size)
+        space = inst.space
+        D = np.asarray(space.dist, dtype=float)
+        eps = {
+            # every nonzero mean distance is at least half the smallest one
+            "vacuous": float(D[D > 0].min()) / 2.0,
+            "partial": 0.6 * inst.params.epsilon,
+            "base": inst.params.epsilon,
+            # above the diameter, every order-admissible quadruple counts
+            "full": float(D.max()) + 1.0,
+        }[regime]
+        cmap = inst.cmap
+        if constant:
+            c = seed % size
+            cmap = TableMap(space, ((c,) * size,) * size)
+        got = exhaustive_contraction_check(cmap, eps)
+        assert_same_report(got, dense_contraction_reference(cmap, eps))
+        if regime == "vacuous":
+            assert got.vacuous
+        if regime == "full" and not got.violated:
+            L = np.asarray(space.order, dtype=bool)
+            assert got.pairs_tested == int(L.sum()) ** 2 - size * size
+
+    def test_violation_in_a_later_block(self):
+        # F jumps one unit where x crosses 59 -> 60, a unit step: ratio 2
+        n = 64
+        cmap = TableMap(chain_space(n), tuple(
+            (int(x >= 60),) * n for x in range(n)))
+        got = exhaustive_contraction_check(cmap, 1.0)
+        assert got.violated
+        assert got.witness == (60, 59, 0, 0)
+        assert block_of(cmap.space, got.witness) > 0
+        assert_same_report(got, dense_contraction_reference(cmap, 1.0))
+        assert_same_report(got, estimate_contraction(cmap, 1.0))
+
+    def test_tied_maximum_keeps_the_first_block(self):
+        # F steps by one unit where x crosses 3 -> 4 and 59 -> 60; both input
+        # gaps are 3, so the ratio 2/3 is attained in two far-apart blocks
+        n = 64
+        positions = [0, 1, 2, 3] + [i + 2 for i in range(4, 60)]
+        positions += [i + 4 for i in range(60, n)]
+        cmap = TableMap(chain_space(n, positions), tuple(
+            (int(x >= 4) + int(x >= 60),) * n for x in range(n)))
+        got = exhaustive_contraction_check(cmap, 2.0)
+        assert not got.violated
+        assert got.lambda_hat == 2.0 / 3.0
+        assert got.witness == (4, 3, 0, 0)
+        later = (60, 59, 0, 0)
+        assert block_of(cmap.space, later) > block_of(cmap.space, got.witness)
+        assert_same_report(got, dense_contraction_reference(cmap, 2.0))
+        assert_same_report(got, estimate_contraction(cmap, 2.0))
+
+    def test_peak_memory_stays_small(self):
+        inst = generate_finite_instance(420, 64)  # constant map: full sweep
+        tracemalloc.start()
+        try:
+            rep = exhaustive_contraction_check(inst.cmap, inst.params.epsilon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.pairs_tested > 3_000_000
+        assert peak < 16 * 2**20
 
 
 class TestChainTable:

@@ -99,6 +99,21 @@ class TestBoxSpace:
         with pytest.raises(InvalidInstanceError):
             BoxSpace((1.0,), (0.0,))
 
+    def test_rejects_infinite_upper_bound(self):
+        # an unbounded axis would give sample_points' grid no last point
+        with pytest.raises(InvalidInstanceError, match="axis 1") as exc:
+            BoxSpace((0.0, 0.0), (1.0, float("inf")))
+        assert exc.value.witness == (1,)
+
+    def test_rejects_infinite_lower_bound(self):
+        with pytest.raises(InvalidInstanceError, match="axis 0") as exc:
+            BoxSpace((float("-inf"),), (1.0,))
+        assert exc.value.witness == (0,)
+
+    def test_rejects_bound_that_is_not_a_number(self):
+        with pytest.raises(InvalidInstanceError, match="axis 0"):
+            BoxSpace(("0",), (1.0,))
+
     def test_validate_point_outside(self):
         box = BoxSpace((0.0,), (1.0,))
         with pytest.raises(DomainError):
