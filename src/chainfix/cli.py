@@ -135,14 +135,8 @@ def cmd_solve(args) -> int:
     suite = run_hypothesis_suite(inst)
     cfg = build_config(inst, suite)
     result = picard_solve(inst.cmap, inst.x0, inst.y0, cfg)
-    mode = (
-        "comparable-seeds"
-        if inst.space.leq(inst.x0, inst.y0) or inst.space.leq(inst.y0, inst.x0)
-        else "pair-bounds"
-    )
     collapse = collapse_check(
         result,
-        mode,
         inst.space,
         x0=inst.x0,
         y0=inst.y0,

@@ -35,7 +35,14 @@ import numpy as np
 
 from .errors import EscapeError, InvalidInstanceError
 from .mappings import CoupledMap, ExpressionMap, TableMap, expression_map
-from .spaces import BoxSpace, FiniteSpace, Point, Space, point_jsonable
+from .spaces import (
+    BoxSpace,
+    FiniteSpace,
+    Point,
+    Space,
+    is_finite_number,
+    point_jsonable,
+)
 
 SCHEMA_VERSION = 1
 MAX_POINTS = 64
@@ -63,22 +70,13 @@ class Instance:
     source: dict = field(compare=False, default_factory=dict)
 
 
-def _is_finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
 def _require(data: dict, key: str, kind, where: str):
     field = key if where == "document" else f"{where}.{key}"
     if key not in data:
         raise InvalidInstanceError(f"missing field {key!r} in {where}", field=field)
     value = data[key]
     if kind is float:
-        if not _is_finite_number(value):
+        if not is_finite_number(value):
             raise InvalidInstanceError(
                 f"field {key!r} in {where} must be a finite number, got {value!r}",
                 field=field,
@@ -145,7 +143,7 @@ def _parse_finite_space(data: dict) -> FiniteSpace:
         )
     for row in dist:
         for v in row:
-            if not _is_finite_number(v):
+            if not is_finite_number(v):
                 raise InvalidInstanceError(
                     f"distance_matrix entries must be finite numbers, got {v!r}",
                     field="space.distance_matrix",
@@ -168,7 +166,7 @@ def _parse_box_space(data: dict) -> tuple[BoxSpace, float | None]:
         )
     for name, values in (("lower", lower), ("upper", upper)):
         for v in values:
-            if not _is_finite_number(v):
+            if not is_finite_number(v):
                 raise InvalidInstanceError(
                     f"space.{name} entries must be finite numbers, got {v!r}",
                     field=f"space.{name}",
@@ -204,9 +202,9 @@ def parse_point(space: Space, raw, where: str) -> Point:
                 f"{where} index {raw} is out of range", field=where, witness=raw
             )
         return raw
-    if _is_finite_number(raw):
+    if is_finite_number(raw):
         pt: Point = (float(raw),)
-    elif isinstance(raw, list) and all(map(_is_finite_number, raw)):
+    elif isinstance(raw, list) and all(map(is_finite_number, raw)):
         pt = tuple(float(v) for v in raw)
     else:
         raise InvalidInstanceError(
@@ -281,7 +279,7 @@ def _check_box_closure(space: BoxSpace, cmap: ExpressionMap, step: float | None)
                 ) from None
 
 
-def parse_instance(data, *, max_points: int = MAX_POINTS) -> Instance:
+def parse_instance(data) -> Instance:
     """Validate a decoded JSON document and build the runtime objects.
 
     Raises InvalidInstanceError with the offending field (and a witness where
@@ -321,11 +319,6 @@ def parse_instance(data, *, max_points: int = MAX_POINTS) -> Instance:
         raise
     except Exception as exc:
         raise InvalidInstanceError(f"space: {exc}", field="space") from None
-    if isinstance(space, FiniteSpace) and space.size > max_points:
-        raise InvalidInstanceError(
-            f"{space.size} points exceeds the limit of {max_points}",
-            field="space.points",
-        )
     map_data = _require(data, "map", dict, "document")
     map_kind = _require(map_data, "kind", str, "map")
     try:
@@ -429,18 +422,9 @@ def load_instance(path) -> Instance:
 
 def _covering_pairs(order: tuple[tuple[bool, ...], ...]) -> list[list[int]]:
     # transitive reduction: i < j with no k strictly between
-    n = len(order)
-    covers = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not order[i][j]:
-                continue
-            if any(
-                k != i and k != j and order[i][k] and order[k][j] for k in range(n)
-            ):
-                continue
-            covers.append([i, j])
-    return covers
+    strict = np.array(order, dtype=bool)
+    np.fill_diagonal(strict, False)
+    return np.argwhere(strict & ~(strict @ strict)).tolist()
 
 
 def instance_document(inst: Instance) -> dict:
@@ -523,25 +507,19 @@ def generate_finite_instance(seed: int, size: int | None = None) -> Instance:
     if not any(adj[i][j] for i in range(n) for j in range(i + 1, n)):
         adj[0][n - 1] = True
 
-    W = [[0.0 if i == j else float("inf") for j in range(n)] for i in range(n)]
+    W = np.full((n, n), np.inf)
+    np.fill_diagonal(W, 0.0)
     for i in range(n):
         for j in range(i + 1, n):
             w = float(rng.randint(1, 5))
             if adj[i][j]:
-                W[i][j] = w
-                W[j][i] = w
+                W[i, j] = W[j, i] = w
+    # Floyd-Warshall; pass k leaves row and column k as they were
     for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if W[i][k] + W[k][j] < W[i][j]:
-                    W[i][j] = W[i][k] + W[k][j]
-    finite = [W[i][j] for i in range(n) for j in range(n) if W[i][j] < float("inf")]
-    cap = max(finite) if finite else 1.0
-    cap = max(cap, 1.0)
-    dist = [
-        [W[i][j] if W[i][j] < float("inf") else cap for j in range(n)]
-        for i in range(n)
-    ]
+        W = np.minimum(W, W[:, k, None] + W[None, k, :])
+    reached = np.isfinite(W)
+    cap = max(W[reached].max(), 1.0)
+    dist = np.where(reached, W, cap).tolist()
 
     order_pairs = [[i, j] for i in range(n) for j in range(i + 1, n) if adj[i][j]]
     L = _closure(n, order_pairs)

@@ -41,7 +41,6 @@ class SolveConfig:
     epsilon: float | None = None
     chain_n: int | None = None
     lambda_certified: bool = False
-    record_trace: bool = True
 
     def __post_init__(self) -> None:
         if self.residual_tolerance <= 0:
@@ -151,16 +150,14 @@ def picard_solve(
             fx = cmap.apply(x, y)
             fy = cmap.apply(y, x)
         except EscapeError:
-            if cfg.record_trace:
-                trace.append(TraceRow(m, x, y, math.inf, prev_step))
+            trace.append(TraceRow(m, x, y, math.inf, prev_step))
             return SolveResult(
                 DIVERGED, x, y, m, math.inf, d(x, y),
                 tuple(trace), tuple(bounds),
                 bound_advisory=not cfg.lambda_certified,
             )
         r = d(x, fx) + d(y, fy)
-        if cfg.record_trace:
-            trace.append(TraceRow(m, x, y, r, prev_step))
+        trace.append(TraceRow(m, x, y, r, prev_step))
         if cfg.can_bound:
             bounds.append(
                 BoundRow(m, r, decay_bound(cfg.chain_n, cfg.lam, cfg.epsilon, m))
@@ -334,7 +331,6 @@ class CollapseVerdict:
 
 def collapse_check(
     result: SolveResult,
-    mode: str,
     space,
     *,
     x0: Point,
@@ -344,17 +340,15 @@ def collapse_check(
 ) -> CollapseVerdict:
     """Check that a converged pair collapsed to the diagonal (x = y).
 
-    Applicable when the seeds are comparable, or when every two points of
-    the space have a common upper or lower bound. The gap allowance is twice
-    the residual tolerance: each component sits within tolerance of the
-    limit, so the pair is within 2 * tolerance of the diagonal.
+    Applicable when the seeds are comparable (mode "comparable-seeds"), or
+    otherwise when every two points of the space have a common upper or
+    lower bound (mode "pair-bounds"). The gap allowance is twice the
+    residual tolerance: each component sits within tolerance of the limit,
+    so the pair is within 2 * tolerance of the diagonal.
     """
-    if mode == "comparable-seeds":
-        applicable = space.leq(x0, y0) or space.leq(y0, x0)
-    elif mode == "pair-bounds":
-        applicable = pair_bounds
-    else:
-        raise DomainError(f"unknown collapse mode {mode!r}")
+    comparable = space.leq(x0, y0) or space.leq(y0, x0)
+    mode = "comparable-seeds" if comparable else "pair-bounds"
+    applicable = comparable or pair_bounds
     tol = 2.0 * residual_tolerance
     if not result.converged or not applicable:
         return CollapseVerdict("not-applicable", result.gap, tol, mode)

@@ -6,9 +6,11 @@ a box is a tuple of coordinates. Both kinds expose the same query surface
 
 Finite spaces are validated eagerly: every metric axiom (zero diagonal,
 symmetry, positivity, triangle inequality) and order axiom (reflexivity,
-antisymmetry, transitivity) is checked over all relevant index tuples at
-construction time, and the first violation is reported together with its
-witnessing indices. Boxes only need consistent bounds.
+antisymmetry, transitivity) is checked at construction time as a boolean
+mask over the whole matrix, and the first violation in row-major order of
+its index tuple is reported with its witnessing indices. Distances are
+compared as float64, so each must be a finite float or an integer within
+2**52. Boxes only need finite, consistent bounds.
 
 Equality of box points is exact coordinate equality; callers that want
 approximate matching compare distances against their own tolerance.
@@ -17,10 +19,11 @@ approximate matching compare distances against their own tolerance.
 from __future__ import annotations
 
 import math
-import numbers
 import random
 from dataclasses import dataclass
 from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import DomainError, InvalidInstanceError
 
@@ -30,67 +33,97 @@ Point = Union[FinitePoint, BoxPoint]
 Pair = tuple[Point, Point]
 
 
+# Two integers up to 2**52 add exactly in float64, so the float64 triangle
+# check decides what it would on the caller's own integers.
+_MAX_EXACT_INT = 2**52
+_BLOCK = 1 << 18  # cells per slab of a triple sweep: bounded memory at any n
+
+
+def is_finite_number(value) -> bool:
+    """An int or float (not a bool) that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True entry of ``mask`` in row-major order."""
+    hits = np.argwhere(mask)
+    return tuple(map(int, hits[0])) if len(hits) else None
+
+
+def _first_in_slabs(slab, n: int) -> tuple[int, ...] | None:
+    """``_first`` of the n x n x n mask that ``slab(r)`` builds for the
+    first-axis rows ``r``, a slice of them at a time."""
+    step = max(1, _BLOCK // (n * n))
+    for lo in range(0, n, step):
+        if hit := _first(slab(slice(lo, lo + step))):
+            return (hit[0] + lo, *hit[1:])
+    return None
+
+
 def _check_metric(d: Sequence[Sequence[float]]) -> None:
-    n = len(d)
-    for i in range(n):
-        if d[i][i] != 0:
+    for i, row in enumerate(d):
+        for j, v in enumerate(row):
+            if not (isinstance(v, float) and math.isfinite(v)) and not (
+                is_finite_number(v) and abs(v) <= _MAX_EXACT_INT
+            ):
+                raise InvalidInstanceError(
+                    f"distance d[{i}][{j}] = {v!r} is not a finite float or "
+                    f"an integer within 2**52",
+                    witness=(i, j),
+                )
+    D = np.array(d, dtype=float)
+    if hit := _first(np.diagonal(D) != 0):
+        i = hit[0]
+        raise InvalidInstanceError(
+            f"metric identity fails: d[{i}][{i}] = {d[i][i]!r}", witness=(i, i)
+        )
+    if hit := _first((D != D.T) | (~np.eye(len(D), dtype=bool) & (D <= 0))):
+        i, j = hit
+        if D[i, j] != D[j, i]:
             raise InvalidInstanceError(
-                f"metric identity fails: d[{i}][{i}] = {d[i][i]!r}", witness=(i, i)
+                f"metric symmetry fails: d[{i}][{j}] = {d[i][j]!r} "
+                f"but d[{j}][{i}] = {d[j][i]!r}",
+                witness=(i, j),
             )
-    for i in range(n):
-        for j in range(n):
-            if d[i][j] != d[j][i]:
-                raise InvalidInstanceError(
-                    f"metric symmetry fails: d[{i}][{j}] = {d[i][j]!r} "
-                    f"but d[{j}][{i}] = {d[j][i]!r}",
-                    witness=(i, j),
-                )
-            if i != j and d[i][j] <= 0:
-                raise InvalidInstanceError(
-                    f"metric positivity fails: d[{i}][{j}] = {d[i][j]!r}",
-                    witness=(i, j),
-                )
-    for i in range(n):
-        di = d[i]
-        for k in range(n):
-            dik = di[k]
-            dk = d[k]
-            for j in range(n):
-                if di[j] > dik + dk[j]:
-                    raise InvalidInstanceError(
-                        f"triangle inequality fails: d[{i}][{j}] > "
-                        f"d[{i}][{k}] + d[{k}][{j}]",
-                        witness=(i, j, k),
-                    )
+        raise InvalidInstanceError(
+            f"metric positivity fails: d[{i}][{j}] = {d[i][j]!r}",
+            witness=(i, j),
+        )
+    # axes [i, k, j]: d[i][j] > d[i][k] + d[k][j]
+    if hit := _first_in_slabs(lambda r: D[r, None] > D[r, :, None] + D, len(D)):
+        i, k, j = hit
+        raise InvalidInstanceError(
+            f"triangle inequality fails: d[{i}][{j}] > "
+            f"d[{i}][{k}] + d[{k}][{j}]",
+            witness=(i, j, k),
+        )
 
 
 def _check_order(leq: Sequence[Sequence[bool]]) -> None:
-    n = len(leq)
-    for i in range(n):
-        if not leq[i][i]:
-            raise InvalidInstanceError(
-                f"order reflexivity fails at point {i}", witness=(i,)
-            )
-    for i in range(n):
-        for j in range(n):
-            if i != j and leq[i][j] and leq[j][i]:
-                raise InvalidInstanceError(
-                    f"order antisymmetry fails: {i} <= {j} and {j} <= {i}",
-                    witness=(i, j),
-                )
-    for i in range(n):
-        li = leq[i]
-        for j in range(n):
-            if not li[j]:
-                continue
-            lj = leq[j]
-            for k in range(n):
-                if lj[k] and not li[k]:
-                    raise InvalidInstanceError(
-                        f"order transitivity fails: {i} <= {j} <= {k} "
-                        f"but not {i} <= {k}",
-                        witness=(i, j, k),
-                    )
+    L = np.array(leq, dtype=bool)
+    if hit := _first(~np.diagonal(L)):
+        raise InvalidInstanceError(
+            f"order reflexivity fails at point {hit[0]}", witness=hit
+        )
+    if hit := _first(L & L.T & ~np.eye(len(L), dtype=bool)):
+        i, j = hit
+        raise InvalidInstanceError(
+            f"order antisymmetry fails: {i} <= {j} and {j} <= {i}",
+            witness=(i, j),
+        )
+    # axes [i, j, k]: i <= j <= k but not i <= k
+    if hit := _first_in_slabs(lambda r: L[r, :, None] & L & ~L[r, None], len(L)):
+        i, j, k = hit
+        raise InvalidInstanceError(
+            f"order transitivity fails: {i} <= {j} <= {k} "
+            f"but not {i} <= {k}",
+            witness=(i, j, k),
+        )
 
 
 @dataclass(frozen=True)
@@ -159,9 +192,7 @@ class BoxSpace:
         if len(self.lower) == 0 or len(self.lower) != len(self.upper):
             raise InvalidInstanceError("box bounds must be nonempty and same length")
         for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            if not all(
-                isinstance(v, numbers.Real) and math.isfinite(v) for v in (lo, hi)
-            ):
+            if not (is_finite_number(lo) and is_finite_number(hi)):
                 raise InvalidInstanceError(
                     f"box bounds must be finite numbers on axis {i}: "
                     f"[{lo!r}, {hi!r}]",

@@ -219,13 +219,8 @@ def test_diagonal_collapse(pool, l1_path, l2d_path, chain4_path):
         cfg = build_config(inst, suite)
         res = picard_solve(inst.cmap, inst.x0, inst.y0, cfg)
         assert res.converged, name
-        mode = (
-            "comparable-seeds"
-            if inst.space.leq(inst.x0, inst.y0) or inst.space.leq(inst.y0, inst.x0)
-            else "pair-bounds"
-        )
         verdict = collapse_check(
-            res, mode, inst.space, x0=inst.x0, y0=inst.y0,
+            res, inst.space, x0=inst.x0, y0=inst.y0,
             pair_bounds=suite["pair-bounds"].passed,
             residual_tolerance=cfg.residual_tolerance,
         )

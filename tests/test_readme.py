@@ -17,4 +17,6 @@ def test_library_example_runs(monkeypatch):
     namespace: dict = {}
     exec(compile(library_block(), "README.md", "exec"), namespace)
     assert namespace["res"].fixed_pair == (0, 0)
+    assert namespace["collapse"].verdict == "holds"
+    assert namespace["collapse"].mode == "comparable-seeds"
     assert namespace["suite"]["uniform-local-contraction"].lambda_hat == 2.0 / 3.0

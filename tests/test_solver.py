@@ -93,13 +93,6 @@ class TestPicard:
         for prev, cur in zip(rows, rows[1:]):
             assert cur.residual <= lam * prev.residual + 1e-15
 
-    def test_trace_can_be_disabled(self, l1_path):
-        inst = load_instance(l1_path)
-        cfg = SolveConfig(record_trace=False, max_iterations=60)
-        res = picard_solve(inst.cmap, inst.x0, inst.y0, cfg)
-        assert res.converged
-        assert res.trace == ()
-
     def test_exhaustion_reports_last_iterate(self, l1_path):
         inst = load_instance(l1_path)
         cfg = SolveConfig(residual_tolerance=1e-10, max_iterations=3)
@@ -248,38 +241,32 @@ class TestCollapse:
     def test_l1_collapses_on_comparable_seeds(self, l1_path):
         inst, cfg, res = solve_instance(l1_path)
         verdict = collapse_check(
-            res, "comparable-seeds", inst.space,
+            res, inst.space,
             x0=inst.x0, y0=inst.y0, pair_bounds=False,
             residual_tolerance=cfg.residual_tolerance,
         )
         assert verdict.verdict == "holds"
+        assert verdict.mode == "comparable-seeds"
         assert verdict.gap <= 2e-10
 
     def test_f1_fixed_pair_does_not_collapse(self, f1_path):
         # contraction fails on f1, and the solve lands on (0, 1): gap 1
         inst, cfg, res = solve_instance(f1_path)
         verdict = collapse_check(
-            res, "comparable-seeds", inst.space,
+            res, inst.space,
             x0=inst.x0, y0=inst.y0, pair_bounds=True,
             residual_tolerance=cfg.residual_tolerance,
         )
         assert verdict.verdict == "violated"
+        assert verdict.mode == "comparable-seeds"
         assert verdict.gap == 1.0
 
     def test_not_applicable_without_pair_bounds(self, antichain2_path):
         inst, cfg, res = solve_instance(antichain2_path)
         verdict = collapse_check(
-            res, "pair-bounds", inst.space,
+            res, inst.space,
             x0=inst.x0, y0=inst.y0, pair_bounds=False,
             residual_tolerance=cfg.residual_tolerance,
         )
         assert verdict.verdict == "not-applicable"
-
-    def test_unknown_mode_rejected(self, l1_path):
-        inst, cfg, res = solve_instance(l1_path)
-        with pytest.raises(DomainError):
-            collapse_check(
-                res, "nonsense", inst.space,
-                x0=inst.x0, y0=inst.y0, pair_bounds=False,
-                residual_tolerance=1e-10,
-            )
+        assert verdict.mode == "pair-bounds"

@@ -114,6 +114,15 @@ class TestBoxSpace:
         with pytest.raises(InvalidInstanceError, match="axis 0"):
             BoxSpace(("0",), (1.0,))
 
+    @pytest.mark.parametrize("lower, upper", [
+        ((False,), (True,)),
+        ((0,), (10**400,)),  # too large for a float: no OverflowError
+    ], ids=["bool", "huge-int"])
+    def test_rejects_bool_and_unconvertible_bounds(self, lower, upper):
+        with pytest.raises(InvalidInstanceError, match="axis 0") as exc:
+            BoxSpace(lower, upper)
+        assert exc.value.witness == (0,)
+
     def test_validate_point_outside(self):
         box = BoxSpace((0.0,), (1.0,))
         with pytest.raises(DomainError):
