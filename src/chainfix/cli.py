@@ -25,6 +25,7 @@ import sys
 from .errors import ChainfixError, DomainError
 from .hypotheses import HOLDS, find_epsilon_chain
 from .instances import (
+    MAX_ITERATIONS,
     dump_instance,
     generate_finite_instance,
     load_instance,
@@ -213,6 +214,18 @@ def _epsilon_arg(text: str) -> float:
     return value
 
 
+def _horizon_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= value <= MAX_ITERATIONS:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [0, {MAX_ITERATIONS}], got {text!r}"
+        )
+    return value
+
+
 def cmd_chain(args) -> int:
     inst = load_instance(args.instance)
     eps = args.eps if args.eps is not None else inst.params.epsilon
@@ -352,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemma", help="iterate-gap decay vs its ceiling")
     p.add_argument("instance")
-    p.add_argument("--horizon", type=int, default=50)
+    p.add_argument("--horizon", type=_horizon_arg, default=50)
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_verify_lemma)
 

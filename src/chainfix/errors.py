@@ -10,9 +10,10 @@ class ChainfixError(Exception):
 class InvalidInstanceError(ChainfixError):
     """A space, map, or instance file failed validation.
 
-    Carries the first violated requirement: ``field`` is a dotted path into
-    the instance document when known, ``witness`` the offending indices or
-    points.
+    Carries the first violated requirement: ``field`` is the document key at
+    fault, bare from a space or map constructor (``table``) and as a dotted
+    path once ``parse_instance`` has prefixed it (``map.table``); ``witness``
+    is the offending indices or points.
     """
 
     def __init__(self, message: str, *, field: str | None = None, witness=None):
@@ -22,7 +23,10 @@ class InvalidInstanceError(ChainfixError):
 
 
 class GrammarError(InvalidInstanceError):
-    """An expression string fell outside the supported arithmetic grammar."""
+    """An expression from a document's ``formula`` fell outside the grammar."""
+
+    def __init__(self, message: str, *, field: str | None = "formula", witness=None):
+        super().__init__(message, field=field, witness=witness)
 
 
 class DomainError(ChainfixError):

@@ -46,6 +46,9 @@ from .spaces import (
 
 SCHEMA_VERSION = 1
 MAX_POINTS = 64
+# Cap on parameters.max_iterations and on verify-lemma's --horizon: each
+# step applies the map and records a row, so the count bounds time and memory.
+MAX_ITERATIONS = 100_000
 
 _TOP_KEYS = {"schema_version", "space", "map", "seeds", "parameters", "declared_flags"}
 
@@ -122,34 +125,36 @@ def _closure(n: int, pairs) -> list[list[bool]]:
     return [[bool(v) for v in row] for row in L]
 
 
+def _build(where: str, make, *args):
+    """``make(*args)``, with ``where`` prefixed to the field of its error."""
+    try:
+        return make(*args)
+    except InvalidInstanceError as exc:
+        exc.field = f"{where}.{exc.field}" if exc.field else where
+        raise
+    except Exception as exc:
+        reason = str(exc) or type(exc).__name__
+        raise InvalidInstanceError(f"{where}: {reason}", field=where) from None
+
+
+def _require_rows(data: dict, key: str, where: str) -> list:
+    rows = _require(data, key, list, where)
+    if any(not isinstance(row, list) for row in rows):
+        raise InvalidInstanceError(f"{where}.{key} must be a list of rows",
+                                   field=f"{where}.{key}")
+    return rows
+
+
 def _parse_finite_space(data: dict) -> FiniteSpace:
     labels = _require(data, "points", list, "space")
-    if not labels:
-        raise InvalidInstanceError("a finite space needs at least one point",
-                                   field="space.points")
     if len(labels) > MAX_POINTS:
         raise InvalidInstanceError(
             f"{len(labels)} points exceeds the limit of {MAX_POINTS}",
             field="space.points",
         )
-    if len(set(map(str, labels))) != len(labels):
-        raise InvalidInstanceError("point labels must be distinct",
-                                   field="space.points")
-    n = len(labels)
-    dist = _require(data, "distance_matrix", list, "space")
-    if len(dist) != n or any(not isinstance(r, list) or len(r) != n for r in dist):
-        raise InvalidInstanceError(
-            f"distance_matrix must be {n}x{n}", field="space.distance_matrix"
-        )
-    for row in dist:
-        for v in row:
-            if not is_finite_number(v):
-                raise InvalidInstanceError(
-                    f"distance_matrix entries must be finite numbers, got {v!r}",
-                    field="space.distance_matrix",
-                )
-    order = _closure(n, _require(data, "order_pairs", list, "space"))
-    return FiniteSpace.from_lists([str(v) for v in labels], dist, order)
+    dist = _require_rows(data, "distance_matrix", "space")
+    order = _closure(len(labels), _require(data, "order_pairs", list, "space"))
+    return _build("space", FiniteSpace.from_lists, labels, dist, order)
 
 
 def _parse_box_space(data: dict) -> tuple[BoxSpace, float | None]:
@@ -162,15 +167,9 @@ def _parse_box_space(data: dict) -> tuple[BoxSpace, float | None]:
     if len(lower) != dim or len(upper) != dim:
         raise InvalidInstanceError(
             "lower and upper must each list one value per dimension",
-            field="space.lower",
+            field="space.lower" if len(lower) != dim else "space.upper",
         )
-    for name, values in (("lower", lower), ("upper", upper)):
-        for v in values:
-            if not is_finite_number(v):
-                raise InvalidInstanceError(
-                    f"space.{name} entries must be finite numbers, got {v!r}",
-                    field=f"space.{name}",
-                )
+    space = _build("space", BoxSpace, tuple(lower), tuple(upper))
     step = None
     if "grid_step" in data:
         step = _require(data, "grid_step", float, "space")
@@ -178,7 +177,6 @@ def _parse_box_space(data: dict) -> tuple[BoxSpace, float | None]:
             raise InvalidInstanceError(
                 f"grid_step must be positive, got {step}", field="space.grid_step"
             )
-    space = BoxSpace(tuple(float(v) for v in lower), tuple(float(v) for v in upper))
     return space, step
 
 
@@ -197,13 +195,9 @@ def parse_point(space: Space, raw, where: str) -> Point:
             raise InvalidInstanceError(
                 f"{where} must be an index or label, got {raw!r}", field=where
             )
-        if not 0 <= raw < space.size:
-            raise InvalidInstanceError(
-                f"{where} index {raw} is out of range", field=where, witness=raw
-            )
-        return raw
-    if is_finite_number(raw):
-        pt: Point = (float(raw),)
+        pt: Point = raw
+    elif is_finite_number(raw):
+        pt = (float(raw),)
     elif isinstance(raw, list) and all(map(is_finite_number, raw)):
         pt = tuple(float(v) for v in raw)
     else:
@@ -223,19 +217,8 @@ def _parse_table_map(space, data: dict) -> TableMap:
     if not isinstance(space, FiniteSpace):
         raise InvalidInstanceError("table maps require a finite space",
                                    field="map.kind")
-    table = _require(data, "table", list, "map")
-    if any(not isinstance(row, list) for row in table):
-        raise InvalidInstanceError("map.table must be a list of rows",
-                                   field="map.table")
-    for i, row in enumerate(table):
-        for j, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise InvalidInstanceError(
-                    f"map.table[{i}][{j}] must be a point index, got {v!r}",
-                    field="map.table",
-                    witness=[i, j],
-                )
-    return TableMap(space, tuple(tuple(row) for row in table))
+    table = _require_rows(data, "table", "map")
+    return _build("map", TableMap, space, tuple(tuple(row) for row in table))
 
 
 def _parse_expression_map(space, data: dict) -> ExpressionMap:
@@ -243,22 +226,12 @@ def _parse_expression_map(space, data: dict) -> ExpressionMap:
         raise InvalidInstanceError("expression maps require a box space",
                                    field="map.kind")
     formula = data.get("formula")
-    if isinstance(formula, str):
-        sources = [formula]
-    elif isinstance(formula, list) and all(isinstance(s, str) for s in formula):
-        sources = list(formula)
-    else:
+    if not isinstance(formula, (str, list)):
         raise InvalidInstanceError(
             "map.formula must be a string or a list of strings",
             field="map.formula",
         )
-    if len(sources) != space.dim:
-        raise InvalidInstanceError(
-            f"map.formula lists {len(sources)} components for a "
-            f"{space.dim}-dimensional box",
-            field="map.formula",
-        )
-    return expression_map(space, sources)
+    return _build("map", expression_map, space, formula)
 
 
 def _check_box_closure(space: BoxSpace, cmap: ExpressionMap, step: float | None):
@@ -305,36 +278,26 @@ def parse_instance(data) -> Instance:
     space_data = _require(data, "space", dict, "document")
     kind = _require(space_data, "kind", str, "space")
     grid_step = None
-    try:
-        if kind == "finite":
-            space: Space = _parse_finite_space(space_data)
-        elif kind == "box":
-            space, grid_step = _parse_box_space(space_data)
-        else:
-            raise InvalidInstanceError(
-                f"space.kind must be 'finite' or 'box', got {kind!r}",
-                field="space.kind",
-            )
-    except InvalidInstanceError:
-        raise
-    except Exception as exc:
-        raise InvalidInstanceError(f"space: {exc}", field="space") from None
+    if kind == "finite":
+        space: Space = _parse_finite_space(space_data)
+    elif kind == "box":
+        space, grid_step = _parse_box_space(space_data)
+    else:
+        raise InvalidInstanceError(
+            f"space.kind must be 'finite' or 'box', got {kind!r}",
+            field="space.kind",
+        )
     map_data = _require(data, "map", dict, "document")
     map_kind = _require(map_data, "kind", str, "map")
-    try:
-        if map_kind == "table":
-            cmap: CoupledMap = _parse_table_map(space, map_data)
-        elif map_kind == "expression":
-            cmap = _parse_expression_map(space, map_data)
-        else:
-            raise InvalidInstanceError(
-                f"map.kind must be 'table' or 'expression', got {map_kind!r}",
-                field="map.kind",
-            )
-    except InvalidInstanceError:
-        raise
-    except Exception as exc:
-        raise InvalidInstanceError(f"map: {exc}", field="map") from None
+    if map_kind == "table":
+        cmap: CoupledMap = _parse_table_map(space, map_data)
+    elif map_kind == "expression":
+        cmap = _parse_expression_map(space, map_data)
+    else:
+        raise InvalidInstanceError(
+            f"map.kind must be 'table' or 'expression', got {map_kind!r}",
+            field="map.kind",
+        )
     seeds = _require(data, "seeds", dict, "document")
     x0 = parse_point(space, seeds.get("x0"), "seeds.x0")
     y0 = parse_point(space, seeds.get("y0"), "seeds.y0")
@@ -356,9 +319,10 @@ def parse_instance(data) -> Instance:
     max_iterations = 200
     if "max_iterations" in params_data:
         max_iterations = _require(params_data, "max_iterations", int, "parameters")
-        if max_iterations < 1:
+        if not 1 <= max_iterations <= MAX_ITERATIONS:
             raise InvalidInstanceError(
-                "parameters.max_iterations must be at least 1",
+                f"parameters.max_iterations must lie in [1, {MAX_ITERATIONS}], "
+                f"got {max_iterations}",
                 field="parameters.max_iterations",
             )
     lam = None

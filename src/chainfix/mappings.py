@@ -28,13 +28,13 @@ class TableMap:
     def __post_init__(self) -> None:
         n = self.space.size
         if len(self.table) != n or any(len(row) != n for row in self.table):
-            raise InvalidInstanceError(f"map table must be {n} x {n}")
+            raise InvalidInstanceError(f"map table must be {n} x {n}", field="table")
         for i, row in enumerate(self.table):
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
+                if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
                     raise InvalidInstanceError(
                         f"map table entry [{i}][{j}] = {v!r} is not a point index",
-                        witness=(i, j),
+                        field="table", witness=(i, j),
                     )
 
     def apply(self, x: Point, y: Point) -> Point:
@@ -65,7 +65,7 @@ class ExpressionMap:
         if len(self.components) != self.space.dim:
             raise InvalidInstanceError(
                 f"expression map needs {self.space.dim} component(s), "
-                f"got {len(self.components)}"
+                f"got {len(self.components)}", field="formula",
             )
 
     @property

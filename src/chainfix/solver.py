@@ -208,6 +208,8 @@ def verify_decay_bound(
     are listed in ``uncertified`` rather than raised, because the point of
     the report is to watch the numbers even when certification is partial.
     """
+    if not isinstance(horizon, int) or horizon < 0:
+        raise DomainError(f"horizon must be a nonnegative integer, got {horizon!r}")
     space = cmap.space
     uncertified = []
     if not mixed_monotone:

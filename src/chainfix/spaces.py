@@ -10,7 +10,8 @@ antisymmetry, transitivity) is checked at construction time as a boolean
 mask over the whole matrix, and the first violation in row-major order of
 its index tuple is reported with its witnessing indices. Distances are
 compared as float64, so each must be a finite float or an integer within
-2**52. Boxes only need finite, consistent bounds.
+2**52. Boxes only need finite, consistent bounds, which they store as floats.
+Each error names the document key it rejects in ``field``.
 
 Equality of box points is exact coordinate equality; callers that want
 approximate matching compare distances against their own tolerance.
@@ -74,13 +75,14 @@ def _check_metric(d: Sequence[Sequence[float]]) -> None:
                 raise InvalidInstanceError(
                     f"distance d[{i}][{j}] = {v!r} is not a finite float or "
                     f"an integer within 2**52",
-                    witness=(i, j),
+                    field="distance_matrix", witness=(i, j),
                 )
     D = np.array(d, dtype=float)
     if hit := _first(np.diagonal(D) != 0):
         i = hit[0]
         raise InvalidInstanceError(
-            f"metric identity fails: d[{i}][{i}] = {d[i][i]!r}", witness=(i, i)
+            f"metric identity fails: d[{i}][{i}] = {d[i][i]!r}",
+            field="distance_matrix", witness=(i, i),
         )
     if hit := _first((D != D.T) | (~np.eye(len(D), dtype=bool) & (D <= 0))):
         i, j = hit
@@ -88,11 +90,11 @@ def _check_metric(d: Sequence[Sequence[float]]) -> None:
             raise InvalidInstanceError(
                 f"metric symmetry fails: d[{i}][{j}] = {d[i][j]!r} "
                 f"but d[{j}][{i}] = {d[j][i]!r}",
-                witness=(i, j),
+                field="distance_matrix", witness=(i, j),
             )
         raise InvalidInstanceError(
             f"metric positivity fails: d[{i}][{j}] = {d[i][j]!r}",
-            witness=(i, j),
+            field="distance_matrix", witness=(i, j),
         )
     # axes [i, k, j]: d[i][j] > d[i][k] + d[k][j]
     if hit := _first_in_slabs(lambda r: D[r, None] > D[r, :, None] + D, len(D)):
@@ -100,7 +102,7 @@ def _check_metric(d: Sequence[Sequence[float]]) -> None:
         raise InvalidInstanceError(
             f"triangle inequality fails: d[{i}][{j}] > "
             f"d[{i}][{k}] + d[{k}][{j}]",
-            witness=(i, j, k),
+            field="distance_matrix", witness=(i, j, k),
         )
 
 
@@ -108,13 +110,14 @@ def _check_order(leq: Sequence[Sequence[bool]]) -> None:
     L = np.array(leq, dtype=bool)
     if hit := _first(~np.diagonal(L)):
         raise InvalidInstanceError(
-            f"order reflexivity fails at point {hit[0]}", witness=hit
+            f"order reflexivity fails at point {hit[0]}",
+            field="order_pairs", witness=hit,
         )
     if hit := _first(L & L.T & ~np.eye(len(L), dtype=bool)):
         i, j = hit
         raise InvalidInstanceError(
             f"order antisymmetry fails: {i} <= {j} and {j} <= {i}",
-            witness=(i, j),
+            field="order_pairs", witness=(i, j),
         )
     # axes [i, j, k]: i <= j <= k but not i <= k
     if hit := _first_in_slabs(lambda r: L[r, :, None] & L & ~L[r, None], len(L)):
@@ -122,7 +125,7 @@ def _check_order(leq: Sequence[Sequence[bool]]) -> None:
         raise InvalidInstanceError(
             f"order transitivity fails: {i} <= {j} <= {k} "
             f"but not {i} <= {k}",
-            witness=(i, j, k),
+            field="order_pairs", witness=(i, j, k),
         )
 
 
@@ -137,11 +140,17 @@ class FiniteSpace:
     def __post_init__(self) -> None:
         n = len(self.labels)
         if n == 0:
-            raise InvalidInstanceError("finite space needs at least one point")
+            raise InvalidInstanceError("finite space needs at least one point",
+                                       field="points")
+        if len(set(self.labels)) != n:
+            raise InvalidInstanceError("point labels must be distinct",
+                                       field="points")
         if len(self.dist) != n or any(len(row) != n for row in self.dist):
-            raise InvalidInstanceError(f"distance matrix must be {n} x {n}")
+            raise InvalidInstanceError(f"distance matrix must be {n} x {n}",
+                                       field="distance_matrix")
         if len(self.order) != n or any(len(row) != n for row in self.order):
-            raise InvalidInstanceError(f"order relation must be {n} x {n}")
+            raise InvalidInstanceError(f"order relation must be {n} x {n}",
+                                       field="order_pairs")
         _check_metric(self.dist)
         _check_order(self.order)
 
@@ -190,19 +199,23 @@ class BoxSpace:
 
     def __post_init__(self) -> None:
         if len(self.lower) == 0 or len(self.lower) != len(self.upper):
-            raise InvalidInstanceError("box bounds must be nonempty and same length")
+            raise InvalidInstanceError("box bounds must be nonempty and same length",
+                                       field="lower")
         for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            if not (is_finite_number(lo) and is_finite_number(hi)):
-                raise InvalidInstanceError(
-                    f"box bounds must be finite numbers on axis {i}: "
-                    f"[{lo!r}, {hi!r}]",
-                    witness=(i,),
-                )
+            for name, v in (("lower", lo), ("upper", hi)):
+                if not is_finite_number(v):
+                    raise InvalidInstanceError(
+                        f"box bounds must be finite numbers on axis {i}: "
+                        f"[{lo!r}, {hi!r}]",
+                        field=name, witness=(i,),
+                    )
             if not lo <= hi:
                 raise InvalidInstanceError(
                     f"box bounds inverted on axis {i}: {lo!r} > {hi!r}",
-                    witness=(i,),
+                    field="upper", witness=(i,),
                 )
+        object.__setattr__(self, "lower", tuple(map(float, self.lower)))
+        object.__setattr__(self, "upper", tuple(map(float, self.upper)))
 
     @property
     def dim(self) -> int:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from chainfix.cli import run_cli
+from chainfix.instances import MAX_ITERATIONS
 
 
 def run(capsys, *argv):
@@ -263,6 +264,26 @@ class TestVerifyLemma:
         doc = json.loads(out)
         assert doc["advisory"] is True
         assert doc["all_below_bound"] is True
+
+
+    @pytest.mark.parametrize("horizon, reason", [
+        ("-3", f"must lie in [0, {MAX_ITERATIONS}]"),
+        (str(MAX_ITERATIONS + 1), f"must lie in [0, {MAX_ITERATIONS}]"),
+        ("ten", "not an integer"),
+    ])
+    def test_horizon_is_checked_as_an_argument(self, capsys, f1_path, horizon,
+                                               reason):
+        code, out, err = run(capsys, "verify-lemma", f1_path,
+                             f"--horizon={horizon}")
+        assert code == 2
+        assert out == ""
+        assert f"argument --horizon: {reason}" in err
+        assert "Traceback" not in err
+
+    def test_horizon_zero_gives_one_row(self, capsys, chain4_path):
+        code, out, _ = run(capsys, "verify-lemma", chain4_path, "--horizon", "0")
+        assert code == 0
+        assert json.loads(out)["rows"] == [[0, 8, 20.0]]
 
 
 def test_gen_solve_pipeline(capsys, tmp_path):

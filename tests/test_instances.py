@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from chainfix.errors import GrammarError, InvalidInstanceError
 from chainfix.instances import (
+    MAX_ITERATIONS,
     dump_instance,
     generate_finite_instance,
     instance_document,
@@ -184,8 +185,9 @@ class TestRejections:
     def test_rejects_variable_denominator(self):
         doc = box_doc()
         doc["map"]["formula"] = "x/(y + 1)"
-        with pytest.raises(GrammarError):
+        with pytest.raises(GrammarError) as exc:
             parse_instance(doc)
+        assert exc.value.field == "map.formula"
 
     def test_rejects_nonpositive_grid_step(self):
         doc = box_doc()
@@ -215,6 +217,55 @@ class TestRejections:
         with pytest.raises(InvalidInstanceError, match="finite") as info:
             parse_instance(doc)
         assert info.value.field == field
+
+    @pytest.mark.parametrize("make, path, value, field, witness", [
+        (finite_doc, ("space", "distance_matrix", 0, 1), 9,
+         "space.distance_matrix", (0, 1)),
+        (finite_doc, ("space", "distance_matrix"),
+         [[0, 1, 9], [1, 0, 1], [9, 1, 0]], "space.distance_matrix", (0, 2, 1)),
+        (finite_doc, ("space", "distance_matrix"),
+         [[0, 2**53 + 1, 2], [2**53 + 1, 0, 1], [2, 1, 0]],
+         "space.distance_matrix", (0, 1)),
+        (finite_doc, ("space", "order_pairs"), [[0, 1], [1, 0]],
+         "space.order_pairs", (0, 1)),
+        (finite_doc, ("map", "table"), [[0, 0, 0], [1, 0, 0]], "map.table", None),
+        (finite_doc, ("map", "table", 0, 0), 7, "map.table", (0, 0)),
+        (finite_doc, ("map", "table", 2), [1, 1], "map.table", None),
+        (box_doc, ("space", "lower"), [2], "space.upper", (0,)),
+        (box_doc, ("space", "lower"), [False], "space.lower", (0,)),
+        (box_doc, ("map", "formula"), ["x", "y"], "map.formula", None),
+    ], ids=["asymmetric", "triangle", "inexact-distance", "order-cycle",
+            "table-2x3", "table-entry-7", "table-short-row", "inverted-box",
+            "bool-bound", "formula-count"])
+    def test_constructor_errors_name_the_field(self, make, path, value, field,
+                                               witness):
+        doc = make()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(InvalidInstanceError) as info:
+            parse_instance(doc)
+        assert info.value.field == field
+        assert info.value.witness == witness
+
+    def test_unparseable_formula_gives_a_reason(self):
+        # the parser gives up on this nesting without a message of its own
+        doc = box_doc()
+        doc["map"]["formula"] = "-" * 20000 + "x"
+        with pytest.raises(InvalidInstanceError) as info:
+            parse_instance(doc)
+        assert info.value.field.startswith("map")
+        assert str(info.value).rstrip() not in ("map:", "")
+
+    def test_max_iterations_capped(self):
+        doc = finite_doc()
+        doc["parameters"]["max_iterations"] = MAX_ITERATIONS
+        assert parse_instance(doc).params.max_iterations == MAX_ITERATIONS
+        doc["parameters"]["max_iterations"] = MAX_ITERATIONS + 1
+        with pytest.raises(InvalidInstanceError, match=str(MAX_ITERATIONS)) as info:
+            parse_instance(doc)
+        assert info.value.field == "parameters.max_iterations"
 
     def test_rejects_lambda_outside_open_interval(self):
         for bad in (0, 1, 1.5):

@@ -87,6 +87,15 @@ def test_table_map_rejects_out_of_range_entry():
         TableMap(sp, ((0, 3), (1, 1)))
 
 
+def test_table_map_rejects_bool_entry():
+    # True == 1 as an int, but it is not a point index
+    sp = chain_space(2)
+    with pytest.raises(InvalidInstanceError) as exc:
+        TableMap(sp, ((True, 0), (0, 0)))
+    assert exc.value.field == "table"
+    assert exc.value.witness == (0, 0)
+
+
 def test_expression_map_component_count_checked():
     box = BoxSpace((0.0, 0.0), (1.0, 1.0))
     with pytest.raises(InvalidInstanceError):

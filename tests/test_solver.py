@@ -176,6 +176,13 @@ class TestDecayReport:
         assert "mixed-monotone" in rep.uncertified
         assert "uniform-local-contraction" in rep.uncertified
 
+    @pytest.mark.parametrize("horizon", [-1, 2.5, None])
+    def test_horizon_must_be_a_nonnegative_integer(self, chain4_path, horizon):
+        inst = load_instance(chain4_path)
+        pair = (inst.x0, inst.y0)
+        with pytest.raises(DomainError, match="horizon"):
+            verify_decay_bound(inst.cmap, pair, pair, SolveConfig(), horizon)
+
     def test_observed_equal_to_bound_is_not_below(self):
         # the lemma's ceiling is strict: eta_m < 2 n lam^m eps
         assert below_bound([BoundRow(0, 1.0, 2.0)]) is True
