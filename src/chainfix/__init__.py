@@ -58,7 +58,7 @@ from .oracle import (
     min_chain_table,
     oracle_report,
 )
-from .pipeline import build_config, run_hypothesis_suite
+from .pipeline import build_config, run_hypothesis_suite, uncertified
 from .solver import (
     BoundRow,
     CollapseVerdict,
@@ -142,6 +142,7 @@ __all__ = [
     "residual",
     "run_hypothesis_suite",
     "sample_points",
+    "uncertified",
     "uniqueness_probe",
     "verify_decay_bound",
 ]

@@ -10,9 +10,12 @@ Subcommands::
     gen           emit a deterministic generated instance
 
 Exit codes are pinned: 0 on success, 1 when a hypothesis is violated (or a
-solve does not converge, or a requested chain does not exist), 2 on I/O,
-schema, or argument errors. All JSON output is canonical (sorted keys,
-two-space indent, trailing newline) so repeated runs are byte-identical.
+solve does not converge, or a requested chain does not exist, or the
+verify-lemma streams leave the box or miss a certified bound), 2 on I/O,
+schema, or argument errors, printed as ``error: <field>: <message>`` when
+the error names a document field. All JSON output is canonical (sorted
+keys, two-space indent, trailing newline) so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .pipeline import (
     build_config,
     candidate_points,
     run_hypothesis_suite,
+    uncertified,
 )
 from .solver import (
     SolveResult,
@@ -76,6 +80,11 @@ def _write(path: str | None, data: bytes) -> None:
             fh.write(data)
 
 
+def _residual(value: float) -> float | None:
+    """None for the residual of an iterate whose image left the box (inf)."""
+    return value if math.isfinite(value) else None
+
+
 def _csv_point(pt) -> str:
     if isinstance(pt, tuple):
         return ";".join(repr(c) for c in pt)
@@ -92,7 +101,7 @@ def emit_trace(result: SolveResult, fmt: str) -> bytes:
                 "m": row.m,
                 "x": point_jsonable(row.x),
                 "y": point_jsonable(row.y),
-                "residual": row.residual,
+                "residual": _residual(row.residual),
                 "eta_step": row.eta_step,
                 "bound": step_bounds.get(row.m - 1),
             }
@@ -103,13 +112,14 @@ def emit_trace(result: SolveResult, fmt: str) -> bytes:
     out = ["m,x,y,residual,eta_step,bound"]
     for row in result.trace:
         bound = step_bounds.get(row.m - 1)
+        res = _residual(row.residual)
         out.append(
             ",".join(
                 [
                     str(row.m),
                     _csv_point(row.x),
                     _csv_point(row.y),
-                    repr(row.residual),
+                    "" if res is None else repr(res),
                     "" if row.eta_step is None else repr(row.eta_step),
                     "" if bound is None else repr(bound),
                 ]
@@ -153,7 +163,7 @@ def cmd_solve(args) -> int:
             else None
         ),
         "iterations_used": result.iterations_used,
-        "residual": result.residual,
+        "residual": _residual(result.residual),
         "gap": result.gap,
         "config": {
             "residual_tolerance": cfg.residual_tolerance,
@@ -162,11 +172,12 @@ def cmd_solve(args) -> int:
             "epsilon": cfg.epsilon,
             "chain_n": cfg.chain_n,
             "lambda_certified": cfg.lambda_certified,
+            "uncertified": list(uncertified(inst, suite)),
         },
         "hypotheses": _suite_doc(suite),
         "violated": _violated(suite),
         "bound": {
-            "advisory": result.bound_advisory,
+            "advisory": not cfg.lambda_certified,
             "all_below": (
                 below_bound(result.bound_check) if result.bound_check else None
             ),
@@ -274,11 +285,11 @@ def cmd_verify_lemma(args) -> int:
     inst = load_instance(args.instance)
     suite = run_hypothesis_suite(inst)
     cfg = build_config(inst, suite)
+    reasons = uncertified(inst, suite)
     fx = inst.cmap.apply(inst.x0, inst.y0)
     fy = inst.cmap.apply(inst.y0, inst.x0)
-    seed_ok = suite["seed-condition"].verdict == HOLDS
     chain_up = chain_down = None
-    if seed_ok:
+    if "seed-condition" not in reasons:
         cand = candidate_points(inst)
         chain_up = find_epsilon_chain(
             inst.space, inst.x0, fx, inst.params.epsilon, cand
@@ -294,28 +305,24 @@ def cmd_verify_lemma(args) -> int:
         horizon=args.horizon,
         chain_up=chain_up,
         chain_down=chain_down,
-        mixed_monotone=suite["mixed-monotone"].verdict == HOLDS,
-        contraction=(
-            suite["uniform-local-contraction"].verdict == HOLDS
-        ),
     )
-    uncertified = list(report.uncertified)
-    if not seed_ok:
-        uncertified.append("seed-condition")
     advisory = not cfg.lambda_certified
     doc = {
         "instance": args.instance,
         "horizon": args.horizon,
         "chain_n": report.chain_n,
         "advisory": advisory,
-        "uncertified": uncertified,
+        "uncertified": list(reasons),
         "all_below_bound": report.all_below_bound,
         "final_observed": report.final_observed,
+        "escaped_at": report.escaped_at,
         "rows": [
             [m, obs, None if math.isnan(b) else b] for m, obs, b in report.rows
         ],
     }
     _write(args.json, _dump(doc))
+    if report.escaped_at is not None:
+        return 1
     if report.all_below_bound is False and not advisory:
         return 1
     return 0
@@ -388,7 +395,9 @@ def run_cli(argv=None) -> int:
     try:
         return args.func(args)
     except (ChainfixError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        field = getattr(exc, "field", None)  # set on InvalidInstanceError
+        where = f"{field}: " if field else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 2
 
 

@@ -92,7 +92,6 @@ class CompiledExpression:
     """A validated expression; ``code`` is derived from ``source``."""
 
     source: str
-    variables: tuple[str, ...]
     code: object = field(compare=False, repr=False)
 
     def evaluate(self, env: dict[str, float]) -> float:
@@ -110,5 +109,4 @@ def parse_expression(source: str, dim: int = 1) -> CompiledExpression:
         raise GrammarError(f"unparseable expression {source!r}: {exc.msg}") from exc
     _validate(tree.body, allowed, source)
     code = compile(tree, "<coupled-map>", "eval")
-    used = tuple(sorted(_names(tree.body)))
-    return CompiledExpression(source=source, variables=used, code=code)
+    return CompiledExpression(source=source, code=code)

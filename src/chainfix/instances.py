@@ -29,7 +29,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,31 +70,30 @@ class Instance:
     params: Parameters
     order_limit_closure: bool = True
     grid_step: float | None = None
-    source: dict = field(compare=False, default_factory=dict)
 
 
 def _require(data: dict, key: str, kind, where: str):
     field = key if where == "document" else f"{where}.{key}"
     if key not in data:
-        raise InvalidInstanceError(f"missing field {key!r} in {where}", field=field)
+        raise InvalidInstanceError("required field is missing", field=field)
     value = data[key]
     if kind is float:
         if not is_finite_number(value):
             raise InvalidInstanceError(
-                f"field {key!r} in {where} must be a finite number, got {value!r}",
+                f"must be a finite number, got {value!r}",
                 field=field,
             )
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidInstanceError(
-                f"field {key!r} in {where} must be an integer, got {value!r}",
+                f"must be an integer, got {value!r}",
                 field=field,
             )
         return value
     if not isinstance(value, kind):
         raise InvalidInstanceError(
-            f"field {key!r} in {where} must be {kind.__name__}, got {value!r}",
+            f"must be {kind.__name__}, got {value!r}",
             field=field,
         )
     return value
@@ -109,7 +108,7 @@ def _closure(n: int, pairs) -> list[list[bool]]:
             or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)
         ):
             raise InvalidInstanceError(
-                f"order_pairs entries must be [i, j] index pairs, got {pair!r}",
+                f"entries must be [i, j] index pairs, got {pair!r}",
                 field="space.order_pairs",
             )
         i, j = pair
@@ -134,13 +133,13 @@ def _build(where: str, make, *args):
         raise
     except Exception as exc:
         reason = str(exc) or type(exc).__name__
-        raise InvalidInstanceError(f"{where}: {reason}", field=where) from None
+        raise InvalidInstanceError(reason, field=where) from None
 
 
 def _require_rows(data: dict, key: str, where: str) -> list:
     rows = _require(data, key, list, where)
     if any(not isinstance(row, list) for row in rows):
-        raise InvalidInstanceError(f"{where}.{key} must be a list of rows",
+        raise InvalidInstanceError("must be a list of rows",
                                    field=f"{where}.{key}")
     return rows
 
@@ -160,7 +159,7 @@ def _parse_finite_space(data: dict) -> FiniteSpace:
 def _parse_box_space(data: dict) -> tuple[BoxSpace, float | None]:
     dim = _require(data, "dimension", int, "space")
     if dim < 1:
-        raise InvalidInstanceError(f"dimension must be at least 1, got {dim}",
+        raise InvalidInstanceError(f"must be at least 1, got {dim}",
                                    field="space.dimension")
     lower = _require(data, "lower", list, "space")
     upper = _require(data, "upper", list, "space")
@@ -175,7 +174,7 @@ def _parse_box_space(data: dict) -> tuple[BoxSpace, float | None]:
         step = _require(data, "grid_step", float, "space")
         if step <= 0:
             raise InvalidInstanceError(
-                f"grid_step must be positive, got {step}", field="space.grid_step"
+                f"must be positive, got {step}", field="space.grid_step"
             )
     return space, step
 
@@ -188,12 +187,12 @@ def parse_point(space: Space, raw, where: str) -> Point:
                 return space.labels.index(raw)
             except ValueError:
                 raise InvalidInstanceError(
-                    f"unknown point label {raw!r} in {where}", field=where,
+                    f"unknown point label {raw!r}", field=where,
                     witness=raw,
                 ) from None
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise InvalidInstanceError(
-                f"{where} must be an index or label, got {raw!r}", field=where
+                f"must be an index or label, got {raw!r}", field=where
             )
         pt: Point = raw
     elif is_finite_number(raw):
@@ -202,13 +201,13 @@ def parse_point(space: Space, raw, where: str) -> Point:
         pt = tuple(float(v) for v in raw)
     else:
         raise InvalidInstanceError(
-            f"{where} must be a finite coordinate or coordinate list, got {raw!r}",
+            f"must be a finite coordinate or coordinate list, got {raw!r}",
             field=where,
         )
     try:
         space.validate_point(pt)
     except Exception as exc:
-        raise InvalidInstanceError(f"{where}: {exc}", field=where,
+        raise InvalidInstanceError(str(exc), field=where,
                                    witness=point_jsonable(pt)) from None
     return pt
 
@@ -228,7 +227,7 @@ def _parse_expression_map(space, data: dict) -> ExpressionMap:
     formula = data.get("formula")
     if not isinstance(formula, (str, list)):
         raise InvalidInstanceError(
-            "map.formula must be a string or a list of strings",
+            "must be a string or a list of strings",
             field="map.formula",
         )
     return _build("map", expression_map, space, formula)
@@ -271,7 +270,7 @@ def parse_instance(data) -> Instance:
     version = _require(data, "schema_version", int, "document")
     if version != SCHEMA_VERSION:
         raise InvalidInstanceError(
-            f"unsupported schema_version {version}; this build reads "
+            f"unsupported version {version}; this build reads "
             f"{SCHEMA_VERSION}",
             field="schema_version",
         )
@@ -284,7 +283,7 @@ def parse_instance(data) -> Instance:
         space, grid_step = _parse_box_space(space_data)
     else:
         raise InvalidInstanceError(
-            f"space.kind must be 'finite' or 'box', got {kind!r}",
+            f"must be 'finite' or 'box', got {kind!r}",
             field="space.kind",
         )
     map_data = _require(data, "map", dict, "document")
@@ -295,7 +294,7 @@ def parse_instance(data) -> Instance:
         cmap = _parse_expression_map(space, map_data)
     else:
         raise InvalidInstanceError(
-            f"map.kind must be 'table' or 'expression', got {map_kind!r}",
+            f"must be 'table' or 'expression', got {map_kind!r}",
             field="map.kind",
         )
     seeds = _require(data, "seeds", dict, "document")
@@ -305,7 +304,7 @@ def parse_instance(data) -> Instance:
     epsilon = _require(params_data, "epsilon", float, "parameters")
     if epsilon <= 0:
         raise InvalidInstanceError(
-            f"parameters.epsilon must be positive, got {epsilon}",
+            f"must be positive, got {epsilon}",
             field="parameters.epsilon",
         )
     tolerance = 1e-10
@@ -313,7 +312,7 @@ def parse_instance(data) -> Instance:
         tolerance = _require(params_data, "tolerance", float, "parameters")
         if tolerance <= 0:
             raise InvalidInstanceError(
-                f"parameters.tolerance must be positive, got {tolerance}",
+                f"must be positive, got {tolerance}",
                 field="parameters.tolerance",
             )
     max_iterations = 200
@@ -321,7 +320,7 @@ def parse_instance(data) -> Instance:
         max_iterations = _require(params_data, "max_iterations", int, "parameters")
         if not 1 <= max_iterations <= MAX_ITERATIONS:
             raise InvalidInstanceError(
-                f"parameters.max_iterations must lie in [1, {MAX_ITERATIONS}], "
+                f"must lie in [1, {MAX_ITERATIONS}], "
                 f"got {max_iterations}",
                 field="parameters.max_iterations",
             )
@@ -330,17 +329,17 @@ def parse_instance(data) -> Instance:
         lam = _require(params_data, "lambda_claimed", float, "parameters")
         if not 0.0 < lam < 1.0:
             raise InvalidInstanceError(
-                f"parameters.lambda_claimed must lie in (0, 1), got {lam}",
+                f"must lie in (0, 1), got {lam}",
                 field="parameters.lambda_claimed",
             )
     flags = data.get("declared_flags", {})
     if not isinstance(flags, dict):
-        raise InvalidInstanceError("declared_flags must be an object",
+        raise InvalidInstanceError("must be an object",
                                    field="declared_flags")
     closure_flag = flags.get("order_limit_closure", True)
     if not isinstance(closure_flag, bool):
         raise InvalidInstanceError(
-            "declared_flags.order_limit_closure must be a boolean",
+            "must be a boolean",
             field="declared_flags.order_limit_closure",
         )
     if isinstance(space, FiniteSpace):
@@ -355,7 +354,6 @@ def parse_instance(data) -> Instance:
         params=Parameters(epsilon, tolerance, max_iterations, lam),
         order_limit_closure=closure_flag,
         grid_step=grid_step,
-        source=data,
     )
 
 
@@ -412,7 +410,7 @@ def instance_document(inst: Instance) -> dict:
     if isinstance(inst.cmap, TableMap):
         map_doc = {"kind": "table", "table": [list(row) for row in inst.cmap.table]}
     else:
-        sources = [c.source for c in inst.cmap.components]
+        sources = list(inst.cmap.sources)
         map_doc = {
             "kind": "expression",
             "formula": sources[0] if len(sources) == 1 else sources,

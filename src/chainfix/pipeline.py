@@ -56,38 +56,42 @@ def run_hypothesis_suite(inst: Instance) -> dict:
     }
 
 
-def build_config(inst: Instance, suite: dict) -> SolveConfig:
-    """Solve configuration from the instance parameters plus what was certified.
-
-    The contraction factor is the claimed one when the instance declares it,
-    else the measured supremum (a constant map measures 0, which the open
-    interval excludes, so 0.5 stands in). The decay bound is certified only
-    when every hypothesis it leans on passed exhaustively.
-    """
-    c = suite["uniform-local-contraction"]
-    chainable = suite["epsilon-chainable"]
+def _factor(inst: Instance, c) -> float | None:
+    # the claimed factor, else the measured supremum; a constant map measures
+    # 0, which the open interval excludes, so 0.5 stands in
     lam = inst.params.lambda_claimed
     if lam is None and not c.violated and c.lambda_hat is not None:
         lam = c.lambda_hat if c.lambda_hat > 0.0 else 0.5
+    return lam
+
+
+def uncertified(inst: Instance, suite: dict) -> tuple[str, ...]:
+    """The decay bound's hypotheses that are not proven, by suite name.
+
+    The bound 2·n·λ^m·ε leans on the first four hypotheses of
+    ``SUITE_ORDER``; each is listed unless its verdict is ``holds``.
+    Contraction is listed too when its scan was vacuous or the factor is
+    below the measured ``lambda_hat``. An empty tuple means certified.
+    """
+    proven = {name: suite[name].verdict == HOLDS for name in SUITE_ORDER[:4]}
+    c = suite["uniform-local-contraction"]
+    proven["uniform-local-contraction"] = (
+        c.verdict == HOLDS and not c.vacuous and _factor(inst, c) >= c.lambda_hat
+    )
+    return tuple(name for name, ok in proven.items() if not ok)
+
+
+def build_config(inst: Instance, suite: dict) -> SolveConfig:
+    """Solve configuration from the instance parameters plus what was certified."""
+    chainable = suite["epsilon-chainable"]
     chain_n = None
     if chainable.passed:
         chain_n = max(chainable.details["max_n"], 1)
-    certified = (
-        not c.violated
-        and c.mode == "exhaustive"
-        and not c.vacuous
-        and lam is not None
-        and c.lambda_hat is not None
-        and lam >= c.lambda_hat
-        and suite["mixed-monotone"].verdict == HOLDS
-        and suite["seed-condition"].verdict == HOLDS
-        and chainable.verdict == HOLDS
-    )
     return SolveConfig(
         residual_tolerance=inst.params.tolerance,
         max_iterations=inst.params.max_iterations,
-        lam=lam,
+        lam=_factor(inst, suite["uniform-local-contraction"]),
         epsilon=inst.params.epsilon,
         chain_n=chain_n,
-        lambda_certified=certified,
+        lambda_certified=not uncertified(inst, suite),
     )

@@ -12,9 +12,11 @@ locality epsilon), successive iterates of a seed-condition start obey
     step_m <= 2 * n * lam**m * epsilon
 
 and the solver records that bound next to the observed step so a violation
-is visible in the trace. The bound is advisory for sampled certifications:
-a grid cannot prove the hypotheses on a continuum, so the numbers are
-reported but a breach is not an error.
+is visible in the trace. Whether the bound is certified is decided once, by
+``pipeline.uncertified``, and reaches the solver only as
+``SolveConfig.lambda_certified``; otherwise the bound is advisory (a grid
+cannot prove the hypotheses on a continuum), so the numbers are reported but
+a breach is not an error.
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ class SolveResult:
     gap: float  # d(x, y) at the final iterate
     trace: tuple[TraceRow, ...] = ()
     bound_check: tuple[BoundRow, ...] = ()
-    bound_advisory: bool = False
 
     @property
     def converged(self) -> bool:
@@ -134,49 +135,40 @@ def picard_solve(
 
     The m-th trace row holds the iterate, its residual, and the pair-metric
     step taken to reach it; the residual at iterate m equals the step from
-    m to m+1, which is what makes the recorded decay bound comparable.
+    m to m+1, which is what makes the recorded decay bound comparable. When
+    F(x_m, y_m) leaves the box the status is ``diverged-from-box`` and the
+    residual of row m is inf, since the step out of the box has no length.
     """
     cfg = config or SolveConfig()
     space = cmap.space
     space.validate_point(x0)
     space.validate_point(y0)
-    x, y = x0, y0
     d = space.distance
     trace: list[TraceRow] = []
     bounds: list[BoundRow] = []
-    prev_step: float | None = None
+    x, y = x0, y0
+    r = prev_step = None
+    status = EXHAUSTED
     for m in range(cfg.max_iterations + 1):
+        if m:
+            x, y, prev_step = fx, fy, r
         try:
             fx = cmap.apply(x, y)
             fy = cmap.apply(y, x)
         except EscapeError:
-            trace.append(TraceRow(m, x, y, math.inf, prev_step))
-            return SolveResult(
-                DIVERGED, x, y, m, math.inf, d(x, y),
-                tuple(trace), tuple(bounds),
-                bound_advisory=not cfg.lambda_certified,
-            )
-        r = d(x, fx) + d(y, fy)
+            status, r = DIVERGED, math.inf
+        else:
+            r = d(x, fx) + d(y, fy)
+            if cfg.can_bound:
+                bounds.append(
+                    BoundRow(m, r, decay_bound(cfg.chain_n, cfg.lam, cfg.epsilon, m))
+                )
+            if r <= cfg.residual_tolerance:
+                status = CONVERGED
         trace.append(TraceRow(m, x, y, r, prev_step))
-        if cfg.can_bound:
-            bounds.append(
-                BoundRow(m, r, decay_bound(cfg.chain_n, cfg.lam, cfg.epsilon, m))
-            )
-        if r <= cfg.residual_tolerance:
-            return SolveResult(
-                CONVERGED, x, y, m, r, d(x, y),
-                tuple(trace), tuple(bounds),
-                bound_advisory=not cfg.lambda_certified,
-            )
-        if m == cfg.max_iterations:
-            return SolveResult(
-                EXHAUSTED, x, y, m, r, d(x, y),
-                tuple(trace), tuple(bounds),
-                bound_advisory=not cfg.lambda_certified,
-            )
-        x, y = fx, fy
-        prev_step = r
-    raise AssertionError("unreachable")
+        if status != EXHAUSTED:
+            break
+    return SolveResult(status, x, y, m, r, d(x, y), tuple(trace), tuple(bounds))
 
 
 @dataclass(frozen=True)
@@ -185,7 +177,7 @@ class DecayReport:
     all_below_bound: bool | None  # None when no bound was available
     final_observed: float
     chain_n: int | None
-    uncertified: tuple[str, ...] = ()
+    escaped_at: int | None = None  # first step whose iterates leave the box
 
 
 def verify_decay_bound(
@@ -197,27 +189,21 @@ def verify_decay_bound(
     *,
     chain_up: Chain | None = None,
     chain_down: Chain | None = None,
-    mixed_monotone: bool = False,
-    contraction: bool = False,
 ) -> DecayReport:
     """Track the pair-metric gap between two iterate streams against the bound.
 
     ``ascending`` starts the stream launched at the chain's lower end and
     ``descending`` the one at its upper end; the observed quantity at step m
-    is d(x_m, x'_m) + d(y_m, y'_m). Hypotheses the caller could not certify
-    are listed in ``uncertified`` rather than raised, because the point of
-    the report is to watch the numbers even when certification is partial.
+    is d(x_m, x'_m) + d(y_m, y'_m). The report only tracks the numbers;
+    whether the bound is certified is ``pipeline.uncertified``'s decision.
+    The chain length is the longer of the two chains when either is given,
+    else ``config.chain_n``. If an iterate leaves the box at step m, the rows
+    stop at m - 1, ``escaped_at`` is m, and ``all_below_bound`` judges the
+    rows before the escape.
     """
     if not isinstance(horizon, int) or horizon < 0:
         raise DomainError(f"horizon must be a nonnegative integer, got {horizon!r}")
     space = cmap.space
-    uncertified = []
-    if not mixed_monotone:
-        uncertified.append("mixed-monotone")
-    if not contraction:
-        uncertified.append("uniform-local-contraction")
-    if chain_up is None and chain_down is None and config.chain_n is None:
-        uncertified.append("epsilon-chainable")
     n: int | None
     if chain_up is not None or chain_down is not None:
         n = max(
@@ -235,6 +221,7 @@ def verify_decay_bound(
         space.validate_point(p)
     d = space.distance
     rows: list[BoundRow] = []
+    escaped_at = None
     observed = d(a, c) + d(b, e)
     for m in range(horizon + 1):
         bound = decay_bound(n, lam, eps, m) if have_bound else math.nan
@@ -245,15 +232,13 @@ def verify_decay_bound(
             a, b = cmap.apply(a, b), cmap.apply(b, a)
             c, e = cmap.apply(c, e), cmap.apply(e, c)
         except EscapeError:
-            observed = math.inf
-            continue
+            escaped_at = m + 1
+            break
         observed = d(a, c) + d(b, e)
     all_below = None
     if have_bound:
         all_below = below_bound(rows)
-    return DecayReport(
-        tuple(rows), all_below, rows[-1].observed, n, tuple(uncertified)
-    )
+    return DecayReport(tuple(rows), all_below, rows[-1].observed, n, escaped_at)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,31 @@ import pytest
 from chainfix.cli import run_cli
 from chainfix.instances import MAX_ITERATIONS
 
+# F jumps out of [0, 1] only within 0.001 of x = 0.45, which the grid and
+# the seeded draws miss, so `check` passes; the seed x0 = 0 lands on 0.45
+ESCAPE_DOC = {
+    "schema_version": 1,
+    "space": {"kind": "box", "dimension": 1, "lower": [0], "upper": [1],
+              "grid_step": 0.5},
+    "map": {"kind": "expression",
+            "formula": "0.45 + 1000*max(0, 0.001 - abs(x - 0.45))"},
+    "seeds": {"x0": 0, "y0": 1},
+    "parameters": {"epsilon": 0.6},
+}
+
+
+def strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"non-finite {constant} in output")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture
+def escape_path(tmp_path):
+    path = tmp_path / "escape.json"
+    path.write_text(json.dumps(ESCAPE_DOC))
+    return str(path)
+
 
 def run(capsys, *argv):
     code = run_cli(list(argv))
@@ -72,6 +97,34 @@ class TestExitCodes:
         assert out == ""
         assert "escapes the box" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda d: d["space"]["distance_matrix"][0].__setitem__(1, 5),
+         "error: space.distance_matrix: metric symmetry fails: "
+         "d[0][1] = 5 but d[1][0] = 1\n"),
+        (lambda d: d["space"]["order_pairs"].append([1, 0]),
+         "error: space.order_pairs: order antisymmetry fails: 0 <= 1 and 1 <= 0\n"),
+        (lambda d: d["space"]["points"].__setitem__(1, "a"),
+         "error: space.points: point labels must be distinct\n"),
+        (lambda d: d["parameters"].pop("epsilon"),
+         "error: parameters.epsilon: required field is missing\n"),
+        (lambda d: d["seeds"].update(x0="z"),
+         "error: seeds.x0: unknown point label 'z'\n"),
+        (lambda d: d["space"].update(kind="torus"),
+         "error: space.kind: must be 'finite' or 'box', got 'torus'\n"),
+        (lambda d: d["parameters"].update(epsilon=-1),
+         "error: parameters.epsilon: must be positive, got -1.0\n"),
+    ], ids=["asymmetric", "order-cycle", "repeated-label", "missing",
+            "unknown-label", "unknown-kind", "negative"])
+    def test_error_names_the_field_once(self, capsys, tmp_path, f1_path,
+                                        edit, line):
+        doc = json.loads(open(f1_path).read())
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == line
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_is_rejected(self, capsys, l1_path, tmp_path,
@@ -158,6 +211,24 @@ class TestSolve:
         assert rows[1]["bound"] == 2.4  # 2 * 4 * 0.5**0 * 0.3
         assert rows[2]["x"] == 0.359375
         assert rows[2]["y"] == 0.5
+
+    def test_escape_is_a_verdict(self, capsys, escape_path, tmp_path):
+        assert run(capsys, "check", escape_path)[0] == 0
+        jsonl, csv = tmp_path / "t.jsonl", tmp_path / "t.csv"
+        code, out, err = run(capsys, "solve", escape_path, "--trace", str(jsonl))
+        assert (code, err) == (1, "")
+        doc = strict_json(out)
+        assert doc["status"] == "diverged-from-box"
+        assert doc["fixed_point"] is None
+        assert doc["iterations_used"] == 1
+        assert doc["residual"] is None  # the step out of the box has no length
+        rows = [strict_json(line) for line in jsonl.read_text().splitlines()]
+        assert [r["residual"] for r in rows] == [1.0, None]
+        run(capsys, "solve", escape_path, "--json", str(tmp_path / "s.json"),
+            "--trace", str(csv), "--trace-format", "csv")
+        assert csv.read_text().splitlines()[1:] == [
+            "0,0.0,1.0,1.0,,", "1,0.45,0.45,,1.0,2.4",
+        ]
 
     def test_trace_csv_header_and_first_rows(self, capsys, l1_path, tmp_path):
         trace = tmp_path / "t.csv"
@@ -264,6 +335,15 @@ class TestVerifyLemma:
         doc = json.loads(out)
         assert doc["advisory"] is True
         assert doc["all_below_bound"] is True
+        assert doc["escaped_at"] is None
+
+    def test_escape_stops_the_rows(self, capsys, escape_path):
+        code, out, err = run(capsys, "verify-lemma", escape_path)
+        assert (code, err) == (1, "")
+        doc = strict_json(out)
+        assert doc["escaped_at"] == 1
+        assert doc["rows"] == [[0, 1.0, 1.2]]
+        assert doc["final_observed"] == 1.0
 
 
     @pytest.mark.parametrize("horizon, reason", [
@@ -295,3 +375,23 @@ def test_gen_solve_pipeline(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["status"] == "converged"  # constant-map regime
     assert code == 0 if not doc["violated"] else 1
+
+
+def test_certification_reasons_match_the_verdict(capsys, instance_dir, tmp_path):
+    # one policy: advisory exactly when a reason is listed, in both commands
+    paths = sorted(str(p) for p in instance_dir.glob("*.json"))
+    for size in (5, 16):
+        for seed in range(41):
+            path = tmp_path / f"g{seed}_{size}.json"
+            run(capsys, "gen", "--seed", str(seed), "--size", str(size),
+                "--out", str(path))
+            paths.append(str(path))
+    advisory = 0
+    for path in paths:
+        lemma = json.loads(run(capsys, "verify-lemma", path, "--horizon", "5")[1])
+        assert lemma["advisory"] == bool(lemma["uncertified"]), path
+        config = json.loads(run(capsys, "solve", path)[1])["config"]
+        assert config["lambda_certified"] == (config["uncertified"] == []), path
+        assert config["uncertified"] == lemma["uncertified"], path
+        advisory += lemma["advisory"]
+    assert 0 < advisory < len(paths)

@@ -16,6 +16,7 @@ def test_library_example_runs(monkeypatch):
     monkeypatch.chdir(ROOT)  # the example loads instances/ by relative path
     namespace: dict = {}
     exec(compile(library_block(), "README.md", "exec"), namespace)
+    assert namespace["reasons"] == ()
     assert namespace["res"].fixed_pair == (0, 0)
     assert namespace["collapse"].verdict == "holds"
     assert namespace["collapse"].mode == "comparable-seeds"

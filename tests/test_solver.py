@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from chainfix.errors import DomainError
 from chainfix.instances import generate_finite_instance, load_instance
 from chainfix.mappings import expression_map
-from chainfix.pipeline import build_config, run_hypothesis_suite
+from chainfix.pipeline import build_config, run_hypothesis_suite, uncertified
 from chainfix.solver import (
     BoundRow,
     SolveConfig,
@@ -118,7 +118,7 @@ class TestPicard:
     def test_bound_rows_recorded_when_certified(self, chain4_path):
         inst, cfg, res = solve_instance(chain4_path)
         assert cfg.lambda_certified
-        assert not res.bound_advisory
+        assert uncertified(inst, run_hypothesis_suite(inst)) == ()
         assert res.bound_check
         for row in res.bound_check:
             assert row.observed < row.bound
@@ -157,24 +157,32 @@ class TestDecayReport:
             (fx, fy),
             cfg,
             horizon=20,
-            mixed_monotone=True,
-            contraction=True,
         )
         assert rep.all_below_bound is True
-        assert rep.uncertified == ()
+        assert rep.escaped_at is None
+        assert uncertified(inst, suite) == ()
         assert rep.rows[0].observed == 8.0  # d(0,0) + d(3,1)
         assert rep.final_observed == 0.0
 
-    def test_uncertified_hypotheses_are_listed(self, chain4_path):
-        inst = load_instance(chain4_path)
-        cfg = SolveConfig(lam=0.5, epsilon=10.0, chain_n=1)
-        fx = inst.cmap.apply(inst.x0, inst.y0)
-        fy = inst.cmap.apply(inst.y0, inst.x0)
+    def test_uncertified_hypotheses_are_listed(self, l1_path):
+        # a box proves neither monotonicity nor contraction from its sample
+        inst = load_instance(l1_path)
+        reasons = uncertified(inst, run_hypothesis_suite(inst))
+        assert "mixed-monotone" in reasons
+        assert "uniform-local-contraction" in reasons
+
+    def test_escape_stops_the_rows(self):
+        # F jumps out of [0, 1] only near x = 0.45, where (0, 1) lands
+        box = BoxSpace((0.0,), (1.0,))
+        cmap = expression_map(box, ["0.45 + 1000*max(0, 0.001 - abs(x - 0.45))"])
+        cfg = SolveConfig(lam=0.5, epsilon=0.6, chain_n=1)
         rep = verify_decay_bound(
-            inst.cmap, (inst.x0, inst.y0), (fx, fy), cfg, horizon=5
+            cmap, ((0.0,), (1.0,)), ((0.45,), (0.45,)), cfg, horizon=5
         )
-        assert "mixed-monotone" in rep.uncertified
-        assert "uniform-local-contraction" in rep.uncertified
+        assert rep.escaped_at == 1
+        assert [row.m for row in rep.rows] == [0]
+        assert rep.final_observed == rep.rows[0].observed == 1.0
+        assert rep.all_below_bound is True  # row 0 only: 1.0 < 2 * 0.6
 
     @pytest.mark.parametrize("horizon", [-1, 2.5, None])
     def test_horizon_must_be_a_nonnegative_integer(self, chain4_path, horizon):
