@@ -37,7 +37,12 @@ class EscapeError(ChainfixError):
     """An expression map produced a value outside its box.
 
     Signals an ill-posed instance; the solver reports it as divergence.
+    ``witness`` is the pair of points (x, y) whose image left the box.
     """
+
+    def __init__(self, message: str, *, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class SamplingError(ChainfixError):

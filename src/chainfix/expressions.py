@@ -10,16 +10,48 @@ Parsing reuses Python's ``ast`` with a strict node whitelist; anything
 outside the grammar is rejected up front and the validated tree is compiled
 once, so repeated evaluation is a plain ``eval`` of a code object with no
 builtins in scope.
+
+Every numeric literal is rewritten to a float at parse time, and a literal
+outside float range is a ``GrammarError``, so evaluation is float64
+arithmetic throughout. The same code object therefore evaluates Python
+floats (one point) and float64 arrays (many points at once, elementwise)
+with bitwise equal results: ``min`` and ``max`` keep the builtins' tie rule
+on both, and an overflow is an infinity rather than an exception.
 """
 
 from __future__ import annotations
 
 import ast
+import math
+import operator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import GrammarError
 
-_FUNCS = {"min": min, "max": max, "abs": abs}
+
+def _first_wins(beats):
+    # the builtins' rule: a later argument replaces the current one only when
+    # it beats it strictly, so min(0.0, -0.0) is 0.0 (np.minimum gives -0.0)
+    def pick(first, *rest):
+        for v in rest:
+            wins = beats(v, first)
+            if isinstance(wins, np.ndarray):
+                first = np.where(wins, v, first)
+            elif wins:
+                first = v
+        return first
+
+    return pick
+
+
+_FUNCS = {
+    "min": _first_wins(operator.lt),
+    "max": _first_wins(operator.gt),
+    "abs": abs,
+}
+_SCOPE = {"__builtins__": {}, **_FUNCS}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 _UNARY = (ast.USub, ast.UAdd)
 
@@ -43,6 +75,7 @@ def _const_value(node: ast.expr) -> float:
 
 
 def _validate(node: ast.expr, allowed: set[str], source: str) -> None:
+    # rewrites each literal to a float as it goes
     if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
         _validate(node.left, allowed, source)
         _validate(node.right, allowed, source)
@@ -81,6 +114,15 @@ def _validate(node: ast.expr, allowed: set[str], source: str) -> None:
     elif isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise GrammarError(f"non-numeric literal {node.value!r} in {source!r}")
+        try:
+            value = float(node.value)
+        except OverflowError:  # an integer too large for a float
+            value = math.inf
+        if not math.isfinite(value):
+            raise GrammarError(
+                f"numeric literal outside float range in {source!r}"
+            )
+        node.value = value
     else:
         raise GrammarError(
             f"disallowed syntax ({type(node).__name__}) in {source!r}"
@@ -94,8 +136,13 @@ class CompiledExpression:
     source: str
     code: object = field(compare=False, repr=False)
 
-    def evaluate(self, env: dict[str, float]) -> float:
-        return float(eval(self.code, {"__builtins__": {}, **_FUNCS}, env))
+    def evaluate(self, env: dict) -> float | np.ndarray:
+        """The value at one point, or elementwise when ``env`` holds
+        broadcastable float64 arrays (then an array, or a float when the
+        expression reads no variable). Array callers choose how numpy
+        reports overflow and invalid operations."""
+        value = eval(self.code, _SCOPE, env)
+        return value if isinstance(value, np.ndarray) else float(value)
 
 
 def parse_expression(source: str, dim: int = 1) -> CompiledExpression:

@@ -13,9 +13,12 @@ exceptions are conclusive everywhere:
 Both kinds of space run the same scans. A private tabulation step turns the
 points under test into index-addressed tables: the order and the distances
 between points, and F over every pair of points. A finite space hands over
-its own tables; a box validates its sample once and tabulates it, so a map
-that leaves the box anywhere on the sample raises ``EscapeError`` before any
-scan starts. The scans themselves are plain loops over point indices.
+its own tables; a box validates its sample once and tabulates it with numpy
+(one array evaluation of the map), so a map that leaves the box anywhere on
+the sample raises ``EscapeError`` before any scan starts. The
+mixed-monotonicity scan compares whole rows of images as numpy masks, a
+block of about 2**16 cells at a time; the contraction scan and the chain
+search are plain loops over point indices.
 
 Every violated verdict carries a witness that can be re-checked with a single
 direct evaluation. Enumeration orders are fixed (lexicographic in point
@@ -30,7 +33,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from operator import le, sub
+from operator import sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -50,6 +53,7 @@ VIOLATED = "violated"
 SAMPLED = "undetermined-sampled"
 
 _GRID_CAP = 20000
+_BLOCK = 1 << 16  # cells per block of a whole-row scan
 
 
 @dataclass(frozen=True)
@@ -186,28 +190,17 @@ def sample_points(space: Space, plan: SamplingPlan | None = None) -> list[Point]
     return list(dict.fromkeys(pts))
 
 
-class _BoxRow:
-    """Row p of a relation on a box, computed on demand: ``row[q]``."""
+class _L1Row:
+    """Distances from box point p, computed on demand: ``row[q]``."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: Point):
         self.p = p
 
-
-class _L1Row(_BoxRow):
-    __slots__ = ()
-
     def __getitem__(self, q: Point) -> float:
         # the sum BoxSpace.distance takes, term for term, so values agree bitwise
         return sum(map(abs, map(sub, self.p, q)))
-
-
-class _LeqRow(_BoxRow):
-    __slots__ = ()
-
-    def __getitem__(self, q: Point) -> bool:
-        return all(map(le, self.p, q))
 
 
 class _Rows(dict):
@@ -226,9 +219,11 @@ class _Tables(NamedTuple):
     """The points under test, addressed by index.
 
     ``L[i][j]`` is pts[i] <= pts[j] and ``D[i][j]`` is d(pts[i], pts[j]).
-    Map checks add ``T[i][j]`` = F(pts[i], pts[j]) and ``LI[a][b]`` /
-    ``DI[a][b]``, the same relations between two such images: on a finite
-    space images are point indices, so these are ``L`` and ``D`` again.
+    Map checks add ``T[i][j]`` = F(pts[i], pts[j]) and ``DI[a][b]``, the
+    distance between two such images, and the same images as one array:
+    ``images[i, j]`` is a point index on a finite space (so ``DI`` is ``D``)
+    and a coordinate vector on a box. ``LI(A, B)`` is the mask of
+    ``A[...] <= B[...]`` over two arrays of images cut from ``images``.
     """
 
     pts: Sequence[Point]
@@ -236,8 +231,9 @@ class _Tables(NamedTuple):
     D: Sequence[Sequence[float]]
     exhaustive: bool
     T: Sequence[Sequence[Point]] = ()
-    LI: object = None
     DI: object = None
+    images: np.ndarray | None = None
+    LI: object = None
     sample_size: int | None = None
     sample_seed: int | None = None
 
@@ -265,26 +261,53 @@ def _space_tables(
     cand = list(dict.fromkeys([*cand, *extra]))
     if isinstance(space, FiniteSpace):
         rows = [(space.order[p], space.dist[p]) for p in cand]
-    else:
-        rows = [(_LeqRow(p), _L1Row(p)) for p in cand]
-    L = [[lr[q] for q in cand] for lr, _ in rows]
-    D = [[dr[q] for q in cand] for _, dr in rows]
-    return _Tables(cand, L, D, False)
+        L = [[lr[q] for q in cand] for lr, _ in rows]
+        D = [[dr[q] for q in cand] for _, dr in rows]
+        return _Tables(cand, L, D, False)
+    P = np.array(cand, dtype=float).reshape(len(cand), space.dim)
+    leq = np.ones((len(cand),) * 2, dtype=bool)
+    dist = 0.0
+    for axis in P.T:
+        leq &= axis[:, None] <= axis
+        # |d0| + |d1| + ... in BoxSpace.distance's order, so values agree bitwise
+        dist = dist + abs(axis[:, None] - axis)
+    return _Tables(cand, leq.tolist(), dist.tolist(), False)
+
+
+def _box_leq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    return (A <= B).all(-1)
 
 
 def _map_tables(cmap: CoupledMap, plan: SamplingPlan | None) -> _Tables:
     space = cmap.space
     if isinstance(cmap, TableMap):
         L, D = space.order, space.dist
-        return _Tables(space.points(), L, D, True, cmap.table, L, D)
+        order = np.array(L, dtype=bool)
+        return _Tables(
+            space.points(), L, D, True, cmap.table, D, np.array(cmap.table),
+            lambda A, B: order[A, B],
+        )
     plan = plan or SamplingPlan()
     tab = _space_tables(space, sample_points(space, plan))  # validates each point
-    pts = tab.pts
-    T = [[cmap.apply(x, y) for y in pts] for x in pts]
+    images = cmap.tabulate(tab.pts, tab.pts)
     return tab._replace(
-        T=T, LI=_Rows(_LeqRow), DI=_Rows(_L1Row),
-        sample_size=len(pts), sample_seed=plan.seed,
+        T=[list(map(tuple, row.tolist())) for row in images],
+        DI=_Rows(_L1Row), images=images, LI=_box_leq,
+        sample_size=len(tab.pts), sample_seed=plan.seed,
     )
+
+
+def _first_failure(rows: int, cols: int, holds) -> tuple[int, int] | None:
+    """First False, in row-major order, of the rows x cols mask that
+    ``holds(r)`` builds for a slice ``r`` of its rows, about _BLOCK cells at
+    a time; None when every cell holds."""
+    step = max(1, _BLOCK // max(1, cols))
+    for lo in range(0, rows, step):
+        ok = holds(slice(lo, lo + step))
+        if not ok.all():
+            r, c = np.unravel_index(np.argmin(ok), ok.shape)
+            return lo + int(r), int(c)
+    return None
 
 
 def check_mixed_monotone(
@@ -296,22 +319,19 @@ def check_mixed_monotone(
     Second branch: y1 <= y2 must give F(x, y1) >= F(x, y2) for every x.
     """
     tab = _map_tables(cmap, plan)
-    L, T, LI = tab.L, tab.T, tab.LI
+    F, leq = tab.images, tab.LI
     n = len(tab.pts)
-    for x1 in range(n):
-        for x2 in range(n):
-            if x1 == x2 or not L[x1][x2]:
-                continue
-            for y in range(n):
-                if not LI[T[x1][y]][T[x2][y]]:
-                    return _monotone_violation(tab, "first-argument", x1, x2, y)
-    for x in range(n):
-        for y1 in range(n):
-            for y2 in range(n):
-                if y1 == y2 or not L[y1][y2]:
-                    continue
-                if not LI[T[x][y2]][T[x][y1]]:
-                    return _monotone_violation(tab, "second-argument", y1, y2, x)
+    strict = np.array(tab.L, dtype=bool) & ~np.eye(n, dtype=bool)
+    # the comparable pairs a1 <= a2, a1 != a2, in lexicographic order
+    a1, a2 = np.nonzero(strict)
+    # rows (x1, x2), columns y
+    if hit := _first_failure(len(a1), n, lambda r: leq(F[a1[r]], F[a2[r]])):
+        p, y = hit
+        return _monotone_violation(tab, "first-argument", a1[p], a2[p], y)
+    # rows x, columns (y1, y2)
+    if hit := _first_failure(n, len(a1), lambda r: leq(F[r][:, a2], F[r][:, a1])):
+        x, p = hit
+        return _monotone_violation(tab, "second-argument", a1[p], a2[p], x)
     return tab.report(
         "mixed-monotone", sample_size=tab.sample_size, sample_seed=tab.sample_seed
     )
@@ -319,6 +339,7 @@ def check_mixed_monotone(
 
 def _monotone_violation(tab: _Tables, branch, a1, a2, other):
     pts, T = tab.pts, tab.T
+    a1, a2 = int(a1), int(a2)
     if branch == "first-argument":
         names = ("x1", "x2", "y", "F(x1,y)", "F(x2,y)")
         images = (T[a1][other], T[a2][other])

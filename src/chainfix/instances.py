@@ -239,16 +239,14 @@ def _check_box_closure(space: BoxSpace, cmap: ExpressionMap, step: float | None)
     if len(pts) ** 2 > 40000:
         pts = pts[:200]
     pts += space.uniform_points(32, seed=0)
-    for x in pts:
-        for y in pts:
-            try:
-                cmap.apply(x, y)
-            except EscapeError as exc:
-                raise InvalidInstanceError(
-                    f"map leaves the box: {exc}",
-                    field="map.formula",
-                    witness=[point_jsonable(x), point_jsonable(y)],
-                ) from None
+    try:
+        cmap.tabulate(pts, pts)
+    except EscapeError as exc:
+        raise InvalidInstanceError(
+            f"map leaves the box: {exc}",
+            field="map.formula",
+            witness=[point_jsonable(p) for p in exc.witness],
+        ) from None
 
 
 def parse_instance(data) -> Instance:

@@ -13,9 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, Union
 
+import numpy as np
+
 from .errors import DomainError, EscapeError, InvalidInstanceError
 from .expressions import CompiledExpression, parse_expression
 from .spaces import BoxPoint, BoxSpace, FiniteSpace, Point
+
+_BLOCK = 1 << 16  # point pairs evaluated at once by ExpressionMap.tabulate
 
 
 @dataclass(frozen=True)
@@ -78,10 +82,42 @@ class ExpressionMap:
         env = _env(x, y)
         out = tuple(c.evaluate(env) for c in self.components)
         if not self.space.contains(out):
-            raise EscapeError(
-                f"map value {out!r} escapes the box at x={x!r}, y={y!r}"
-            )
+            raise _escape(out, x, y)
         return out
+
+    def tabulate(self, xs: Sequence[BoxPoint], ys: Sequence[BoxPoint]) -> np.ndarray:
+        """F over every pair of points: ``out[i, j]`` is ``apply(xs[i], ys[j])``.
+
+        The expressions run on float64 arrays, a block of rows of about
+        2**16 pairs at a time, and give the values ``apply`` gives bit for
+        bit. The first pair in row-major order whose image leaves the box
+        raises the ``EscapeError`` that ``apply`` raises there.
+        """
+        for p in (*xs, *ys):
+            self.space.validate_point(p)
+        k = self.space.dim
+        X = np.array(xs, dtype=float).reshape(len(xs), k)
+        Y = np.array(ys, dtype=float).reshape(len(ys), k)
+        out = np.empty((len(xs), len(ys), k))
+        lo, hi = np.array(self.space.lower), np.array(self.space.upper)
+        step = max(1, _BLOCK // max(1, len(ys)))
+        for r in range(0, len(xs), step):
+            block = out[r:r + step]
+            env = _env(X[r:r + step].T[:, :, None], Y.T)  # (rows, 1) by (len(ys),)
+            with np.errstate(all="ignore"):  # an overflow is an escape, not a warning
+                for i, c in enumerate(self.components):
+                    block[..., i] = c.evaluate(env)
+            outside = ~((lo <= block) & (block <= hi)).all(-1)
+            if outside.any():
+                i, j = np.unravel_index(np.argmax(outside), outside.shape)
+                raise _escape(tuple(block[i, j].tolist()), xs[r + i], ys[j])
+        return out
+
+
+def _escape(out: BoxPoint, x: BoxPoint, y: BoxPoint) -> EscapeError:
+    return EscapeError(
+        f"map value {out!r} escapes the box at x={x!r}, y={y!r}", witness=(x, y)
+    )
 
 
 CoupledMap = Union[TableMap, ExpressionMap]

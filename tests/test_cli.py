@@ -126,6 +126,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == line
 
+    @pytest.mark.parametrize("formula, reason", [
+        (f"{10**200} * {10**200} * x", "map leaves the box: map value (nan,) "),
+        (f"x/{10**399}", "numeric literal outside float range"),
+    ], ids=["huge-product", "huge-divisor"])
+    def test_huge_literal_is_a_field_error(self, capsys, tmp_path, formula,
+                                           reason):
+        # literals are floats, so the product overflows to inf (an escape)
+        # and the divisor is rejected, instead of an OverflowError
+        doc = dict(ESCAPE_DOC, map={"kind": "expression", "formula": formula})
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: map.formula: {reason}")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_is_rejected(self, capsys, l1_path, tmp_path,
                                            constant):

@@ -96,3 +96,12 @@ def test_abs_arity_checked():
 def test_min_needs_two_arguments():
     with pytest.raises(GrammarError):
         parse_expression("min(x)", dim=1)
+
+
+def test_literals_are_floats_within_float_range():
+    # an integer literal past 2**53 is rounded once, not multiplied exactly
+    expr = parse_expression(f"{2**53 + 1} * x - {2**53} * x", dim=1)
+    assert expr.evaluate({"x": 1.0, "y": 0.0}) == 0.0
+    for source in ("1e400*x", f"x/{10**400}", f"{10**309} + x"):
+        with pytest.raises(GrammarError, match="outside float range"):
+            parse_expression(source, dim=1)

@@ -1,17 +1,26 @@
-"""The tabulated box scans against a direct reference.
+"""The tabulated scans against a direct reference.
 
-The reference below is the pair of sampled loops the scans replaced: they
-walk sample points rather than indices and ask ``space.leq``,
-``space.distance`` and ``cmap.apply`` about every pair. On generated box maps
-(affine, clamped min/max/abs trees, and violators such as ``x*y`` or
-expansive maps) both must give the same verdict, witness, bitwise
-``lambda_hat``, quadruple count and sample fields.
+The references below are the quadruple loops the scans replaced: they walk
+points rather than indices and ask ``space.leq``, ``space.distance`` and
+``cmap.apply`` about every pair. On generated box maps (affine, clamped
+min/max/abs trees, and violators such as ``x*y`` or expansive maps) both
+must give the same verdict, witness, bitwise ``lambda_hat``, quadruple count
+and sample fields; on generated finite tables, the same mixed-monotonicity
+verdict and witness. The box map's array tabulation is checked against
+``apply`` by ``repr``, escapes included.
 """
 
+import warnings
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainfix import hypotheses
+from chainfix.errors import EscapeError
 from chainfix.hypotheses import (
+    HOLDS,
     SAMPLED,
     VIOLATED,
     SamplingPlan,
@@ -19,8 +28,8 @@ from chainfix.hypotheses import (
     estimate_contraction,
     sample_points,
 )
-from chainfix.mappings import expression_map
-from chainfix.spaces import BoxSpace, point_jsonable
+from chainfix.mappings import TableMap, expression_map
+from chainfix.spaces import BoxSpace, FiniteSpace, point_jsonable
 
 
 def reference_mixed_monotone(cmap, plan):
@@ -36,7 +45,7 @@ def reference_mixed_monotone(cmap, plan):
         witness = {k: point_jsonable(v) for k, v in zip(names, values)}
         return VIOLATED, {"branch": branch, **witness}
 
-    result = SAMPLED, None
+    result = (HOLDS if isinstance(space, FiniteSpace) else SAMPLED), None
     for x1 in pts:
         for x2 in pts:
             if x1 == x2 or not leq(x1, x2):
@@ -51,7 +60,7 @@ def reference_mixed_monotone(cmap, plan):
         else:
             continue
         break
-    if result[0] == SAMPLED:
+    if result[0] != VIOLATED:
         for x in pts:
             for y1 in pts:
                 for y2 in pts:
@@ -196,3 +205,114 @@ def test_box_scan_without_admissible_quadruple_is_vacuous():
     assert (rep.vacuous, rep.pairs_tested, rep.lambda_hat, rep.witness) == (
         True, 0, 0.0, None)
     assert (rep.mode, rep.sample_size, rep.sample_seed) == ("sampled", 3, 3)
+
+
+def images_by_apply(cmap, pts):
+    try:
+        return [[cmap.apply(x, y) for y in pts] for x in pts]
+    except EscapeError as exc:
+        return str(exc), exc.witness
+
+
+def images_by_tabulate(cmap, pts):
+    try:
+        table = cmap.tabulate(pts, pts)
+    except EscapeError as exc:
+        return str(exc), exc.witness
+    return [list(map(tuple, row)) for row in table.tolist()]
+
+
+@st.composite
+def signed_box_maps(draw):
+    # on [-1, 1], 0*x is -0.0 for x < 0, so signed zeros meet in min and max;
+    # the grid pairs equal coordinates, so ties meet too
+    dim = draw(st.sampled_from([1, 2]))
+    xs = ["x"] if dim == 1 else ["x1", "x2"]
+    ys = ["y"] if dim == 1 else ["y1", "y2"]
+    x, y = xs[-1], ys[0]
+    edge_cases = [
+        f"min(0*{x}, -(0*{y}))", f"max(-(0*{x}), 0*{y})",
+        f"min({x}, {y})", f"max({y}, {x}, {y})", f"min(-{x}, -{y}, 0*{x})",
+        f"1e308*{x}*10", f"{x} - {y}", "0.5",
+    ]
+    component = st.one_of(
+        st.sampled_from(edge_cases),
+        tree(xs, ys),
+        tree(xs, ys).map(lambda e: f"min(1, max(-1, {e}))"),
+    )
+    formulas = [draw(component) for _ in range(dim)]
+    space = BoxSpace((-1.0,) * dim, (1.0,) * dim)
+    plan = SamplingPlan(grid_step=draw(st.sampled_from([0.5, 1.0])),
+                        random_count=draw(st.integers(0, 3)),
+                        seed=draw(st.integers(0, 5)))
+    pts = [(-0.0,) * dim, *sample_points(space, plan)]
+    return expression_map(space, formulas), pts
+
+
+@given(signed_box_maps())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_tabulate_matches_apply(case):
+    cmap, pts = case
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tabulated = images_by_tabulate(cmap, pts)
+    assert repr(tabulated) == repr(images_by_apply(cmap, pts))
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_overflow_escapes_quietly(capfd):
+    cmap = expression_map(BoxSpace((0.0,), (1.0,)), "1e308*x*10")
+    pts = [(0.0,), (0.5,), (1.0,)]
+    with pytest.raises(EscapeError) as info:
+        cmap.tabulate(pts, pts)
+    assert str(info.value) == (
+        "map value (inf,) escapes the box at x=(0.5,), y=(0.0,)")
+    assert info.value.witness == ((0.5,), (0.0,))
+    assert "RuntimeWarning" not in capfd.readouterr().err
+
+
+def finite_space(n, kind, rng):
+    # "chain" is the dense total order, "antichain" the identity and
+    # "random" the transitive closure of i <= j for half the i < j
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            leq[i][j] = kind == "chain" or (kind == "random" and rng.random() < 0.5)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
+    dist = [[float(i != j) for j in range(n)] for i in range(n)]
+    return FiniteSpace.from_lists([f"p{i}" for i in range(n)], dist, leq)
+
+
+@st.composite
+def finite_maps(draw):
+    n = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["random", "chain", "antichain"]))
+    space = finite_space(n, kind, draw(st.randoms(use_true_random=False)))
+    regime = draw(st.sampled_from(["late", "second", "random", "first", "constant"]))
+    if regime == "random":
+        table = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    else:
+        # F(x, y) = x passes both branches, F(x, y) = y fails only the
+        # second one on any comparable pair; "late" edits one entry of the
+        # last rows of a passing map
+        c = draw(st.integers(0, n - 1))
+        table = [[{"second": y, "constant": c}.get(regime, x) for y in range(n)]
+                 for x in range(n)]
+        if regime == "late":
+            row = draw(st.integers(n // 2, n - 1))
+            table[row][draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    return TableMap(space, tuple(map(tuple, table)))
+
+
+@given(finite_maps(), st.integers(1, 40))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_whole_row_scan_matches_finite_reference(cmap, block):
+    # small blocks put the first violation past the first block
+    with mock.patch.object(hypotheses, "_BLOCK", block):
+        rep = check_mixed_monotone(cmap)
+    ref = reference_mixed_monotone(cmap, SamplingPlan())
+    assert (rep.verdict, rep.witness) == (ref["verdict"], ref["witness"])
+    assert (rep.sample_size, rep.sample_seed) == (None, None)
