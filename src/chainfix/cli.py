@@ -21,6 +21,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,6 +30,7 @@ from .errors import ChainfixError, DomainError
 from .hypotheses import HOLDS, find_epsilon_chain
 from .instances import (
     MAX_ITERATIONS,
+    canonical_json,
     dump_instance,
     generate_finite_instance,
     load_instance,
@@ -59,16 +61,6 @@ def _suite_doc(suite: dict) -> dict:
 
 def _violated(suite: dict) -> list[str]:
     return [name for name in SUITE_ORDER if not suite[name].passed]
-
-
-def _dump(doc) -> bytes:
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        raise DomainError(
-            "the result holds a non-finite number, which JSON cannot carry"
-        ) from None
-    return (text + "\n").encode("utf-8")
 
 
 def _write(path: str | None, data: bytes) -> None:
@@ -137,7 +129,7 @@ def cmd_check(args) -> int:
         "reports": _suite_doc(suite),
         "violated": _violated(suite),
     }
-    _write(args.json, _dump(doc))
+    _write(args.json, canonical_json(doc))
     return 1 if doc["violated"] else 0
 
 
@@ -190,7 +182,7 @@ def cmd_solve(args) -> int:
             "mode": collapse.mode,
         },
     }
-    _write(args.json, _dump(doc))
+    _write(args.json, canonical_json(doc))
     if args.trace:
         _write(args.trace, emit_trace(result, args.trace_format))
     return 1 if doc["violated"] or not result.converged else 0
@@ -254,7 +246,7 @@ def cmd_chain(args) -> int:
             "n": chain.n,
             "points": [point_jsonable(p) for p in chain.points],
         }
-    _write(args.json, _dump(doc))
+    _write(args.json, canonical_json(doc))
     return 0 if chain is not None else 1
 
 
@@ -266,18 +258,15 @@ def cmd_oracle(args) -> int:
     doc = {
         "instance": args.instance,
         "epsilon": inst.params.epsilon,
-        "fixed_points": [[i, j] for i, j in rep.fixed_points],
+        "fixed_points": rep.fixed_points,
         "contraction": rep.contraction.as_dict(),
         "chain": {
             "max_n": rep.max_chain_n,
-            "unreachable": [[i, j] for i, j in rep.unreachable],
-            "table": [
-                [i, j, rep.chain_table[(i, j)]]
-                for i, j in sorted(rep.chain_table)
-            ],
+            "unreachable": rep.unreachable,
+            "table": [(*ij, h) for ij, h in rep.chain_table.items()],
         },
     }
-    _write(args.json, _dump(doc))
+    _write(args.json, canonical_json(doc))
     return 1 if rep.contraction.violated or rep.unreachable else 0
 
 
@@ -320,7 +309,7 @@ def cmd_verify_lemma(args) -> int:
             [m, obs, None if math.isnan(b) else b] for m, obs, b in report.rows
         ],
     }
-    _write(args.json, _dump(doc))
+    _write(args.json, canonical_json(doc))
     if report.escaped_at is not None:
         return 1
     if report.all_below_bound is False and not advisory:
@@ -334,7 +323,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="chainfix",
         description="Coupled fixed points on ordered chainable metric spaces.",

@@ -20,20 +20,20 @@ An instance document is JSON with a pinned shape::
 closure is taken before the order axioms are checked, so a cyclic input
 fails antisymmetry rather than slipping through. Serialization is canonical
 (sorted keys, two-space indent, trailing newline) so identical instances are
-byte-identical on disk.
+byte-identical on disk; ``canonical_json`` writes that layout for every
+document chainfix emits.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EscapeError, InvalidInstanceError
+from .errors import DomainError, EscapeError, InvalidInstanceError
 from .mappings import CoupledMap, ExpressionMap, TableMap, expression_map
 from .spaces import (
     BoxSpace,
@@ -100,28 +100,37 @@ def _require(data: dict, key: str, kind, where: str):
 
 
 def _closure(n: int, pairs) -> list[list[bool]]:
+    shaped = set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}
+    flat = list(itertools.chain.from_iterable(pairs)) if shaped else []
+    if not (
+        shaped
+        and set(map(type, flat)) <= {int}
+        and (not flat or 0 <= min(flat) and max(flat) < n)
+    ):
+        # the whole-list test failed: name the first bad pair
+        for pair in pairs:
+            if (
+                not isinstance(pair, (list, tuple))
+                or len(pair) != 2
+                or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)
+            ):
+                raise InvalidInstanceError(
+                    f"entries must be [i, j] index pairs, got {pair!r}",
+                    field="space.order_pairs",
+                )
+            i, j = pair
+            if not (0 <= i < n and 0 <= j < n):
+                raise InvalidInstanceError(
+                    f"order pair {pair!r} is out of range for {n} points",
+                    field="space.order_pairs",
+                    witness=pair,
+                )
+    P = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     L = np.eye(n, dtype=bool)
-    for pair in pairs:
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)
-        ):
-            raise InvalidInstanceError(
-                f"entries must be [i, j] index pairs, got {pair!r}",
-                field="space.order_pairs",
-            )
-        i, j = pair
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidInstanceError(
-                f"order pair {pair!r} is out of range for {n} points",
-                field="space.order_pairs",
-                witness=pair,
-            )
-        L[i, j] = True
+    L[P[:, 0], P[:, 1]] = True
     for k in range(n):
-        L |= np.outer(L[:, k], L[k, :])
-    return [[bool(v) for v in row] for row in L]
+        L |= L[:, k, None] & L[k]  # rows i <= k take in row k
+    return L.tolist()
 
 
 def _build(where: str, make, *args):
@@ -217,7 +226,7 @@ def _parse_table_map(space, data: dict) -> TableMap:
         raise InvalidInstanceError("table maps require a finite space",
                                    field="map.kind")
     table = _require_rows(data, "table", "map")
-    return _build("map", TableMap, space, tuple(tuple(row) for row in table))
+    return _build("map", TableMap, space, tuple(map(tuple, table)))
 
 
 def _parse_expression_map(space, data: dict) -> ExpressionMap:
@@ -355,28 +364,20 @@ def parse_instance(data) -> Instance:
     )
 
 
-def _finite_number(text: str) -> float:
-    # NaN, Infinity and -Infinity, or a literal too large for a float
-    value = float(text)
-    if not math.isfinite(value):
-        raise InvalidInstanceError(
-            f"non-finite number {text} is not allowed", witness=text
-        )
-    return value
-
-
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        data = json.loads(
-            text, parse_constant=_finite_number, parse_float=_finite_number
-        )
+        # NaN, Infinity and 1e400 decode to floats that the field they land
+        # in rejects, by name
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInstanceError(
             f"{path}: not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal of more than 4300 digits
+        raise InvalidInstanceError(f"{path}: not readable as JSON: {exc}") from None
     return parse_instance(data)
 
 
@@ -434,9 +435,70 @@ def instance_document(inst: Instance) -> dict:
 
 
 def dump_instance(inst: Instance) -> bytes:
-    doc = instance_document(inst)
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    return (text + "\n").encode("utf-8")
+    return canonical_json(instance_document(inst))
+
+
+_SCALARS = {int, float, bool, type(None)}
+# the C encoder: ", " between items, ": " after keys, no whitespace else
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def canonical_json(doc) -> bytes:
+    """``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``
+    as UTF-8, byte for byte.
+
+    A list of numbers, booleans and nulls, or a list of nonempty such
+    lists, is encoded by one C-encoder call and laid out with
+    ``str.replace``: none of those values can hold a comma, so every ", "
+    is an item boundary. Everything else is laid out recursively.
+    """
+    try:
+        return (_layout(doc, "\n") + "\n").encode("utf-8")
+    except ValueError:
+        raise DomainError(
+            "the result holds a non-finite number, which JSON cannot carry"
+        ) from None
+
+
+def _layout(o, nl: str) -> str:
+    """``o`` indented as at the line break ``nl``, which ends in its indent."""
+    inner = nl + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = sorted(o.items())
+        return "{" + inner + ("," + inner).join(
+            f"{_encode(_key(k))}: {_layout(v, inner)}" for k, v in items
+        ) + nl + "}"
+    if not isinstance(o, (list, tuple)):
+        return _encode(o)
+    if not o:
+        return "[]"
+    types = set(map(type, o))
+    if types <= _SCALARS:
+        return "[" + inner + _encode(o)[1:-1].replace(", ", "," + inner) + nl + "]"
+    if (
+        types <= {list, tuple}
+        and all(o)
+        and set(map(type, itertools.chain.from_iterable(o))) <= _SCALARS
+    ):
+        row = inner + "  "
+        body = _encode(o)[2:-2].replace("], [", inner + "]," + inner + "[" + row)
+        body = body.replace(", ", "," + row)
+        return "[" + inner + "[" + row + body + inner + "]" + nl + "]"
+    return "[" + inner + ("," + inner).join(_layout(v, inner) for v in o) + nl + "]"
+
+
+def _key(k) -> str:
+    # json's key rule: strings as they are, numbers, booleans and null as
+    # their JSON text
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):
+        return _encode(k)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(k).__name__}"
+    )
 
 
 def generate_finite_instance(seed: int, size: int | None = None) -> Instance:

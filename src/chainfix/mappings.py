@@ -11,6 +11,7 @@ step and a whole trajectory costs O(m) applications.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -33,13 +34,16 @@ class TableMap:
         n = self.space.size
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise InvalidInstanceError(f"map table must be {n} x {n}", field="table")
-        for i, row in enumerate(self.table):
-            for j, v in enumerate(row):
-                if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
-                    raise InvalidInstanceError(
-                        f"map table entry [{i}][{j}] = {v!r} is not a point index",
-                        field="table", witness=(i, j),
-                    )
+        flat = list(chain.from_iterable(self.table))
+        if not (set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) < n):
+            # the whole-table test failed: name the first entry that is no index
+            for i, row in enumerate(self.table):
+                for j, v in enumerate(row):
+                    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+                        raise InvalidInstanceError(
+                            f"map table entry [{i}][{j}] = {v!r} is not a point index",
+                            field="table", witness=(i, j),
+                        )
 
     def apply(self, x: Point, y: Point) -> Point:
         self.space.validate_point(x)

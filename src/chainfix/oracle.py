@@ -33,7 +33,7 @@ def all_coupled_fixed_points(cmap: TableMap) -> list[tuple[int, int]]:
     n = T.shape[0]
     fixed_first = T == np.arange(n)[:, None]  # F(x, y) == x
     mask = fixed_first & fixed_first.T  # F(y, x) == y
-    return [(int(i), int(j)) for i, j in np.argwhere(mask)]
+    return list(map(tuple, np.argwhere(mask).tolist()))
 
 
 def exhaustive_contraction_check(cmap: TableMap, epsilon: float) -> ContractivityReport:
@@ -105,7 +105,8 @@ def min_chain_table(
     """Minimal ascending-chain hop counts via boolean frontier expansion.
 
     Returns (table over comparable pairs, unreachable comparable pairs,
-    max hop count). Edges are p -> q with p <= q and d(p, q) < epsilon.
+    max hop count); the table's keys and the unreachable list run in
+    row-major order. Edges are p -> q with p <= q and d(p, q) < epsilon.
     Row i of the frontier holds the nodes first reached from i at the
     current level; one boolean matrix product per level advances every
     source at once, for at most n - 1 levels.
@@ -126,18 +127,12 @@ def min_chain_table(
             break
         hops[frontier] = level
         reached = reached | frontier
-    table: dict[tuple[int, int], int] = {}
-    unreachable: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(n):
-            if not L[i, j]:
-                continue
-            h = int(hops[i, j])
-            if h < 0:
-                unreachable.append((i, j))
-            else:
-                table[(i, j)] = h
-    max_n = max(table.values(), default=0)
+    pairs = np.argwhere(L)  # comparable pairs, row-major
+    h = hops[L]
+    found = h >= 0
+    table = dict(zip(map(tuple, pairs[found].tolist()), h[found].tolist()))
+    unreachable = list(map(tuple, pairs[~found].tolist()))
+    max_n = int(h.max(initial=0))
     return table, unreachable, max_n
 
 

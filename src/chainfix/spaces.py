@@ -10,7 +10,9 @@ antisymmetry, transitivity) is checked at construction time as a boolean
 mask over the whole matrix, and the first violation in row-major order of
 its index tuple is reported with its witnessing indices. Distances are
 compared as float64, so each must be a finite float or an integer within
-2**52. Boxes only need finite, consistent bounds, which they store as floats.
+2**52; the entries are tested as one array, and only a rejected matrix is
+scanned entry by entry to name its first bad entry. Boxes only need finite,
+consistent bounds, which they store as floats.
 Each error names the document key it rejects in ``field``.
 
 Equality of box points is exact coordinate equality; callers that want
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
@@ -52,8 +55,8 @@ def is_finite_number(value) -> bool:
 
 def _first(mask: np.ndarray) -> tuple[int, ...] | None:
     """Index of the first True entry of ``mask`` in row-major order."""
-    hits = np.argwhere(mask)
-    return tuple(map(int, hits[0])) if len(hits) else None
+    k = int(mask.argmax())  # stops at the first True
+    return tuple(map(int, np.unravel_index(k, mask.shape))) if mask.flat[k] else None
 
 
 def _first_in_slabs(slab, n: int) -> tuple[int, ...] | None:
@@ -67,17 +70,30 @@ def _first_in_slabs(slab, n: int) -> tuple[int, ...] | None:
 
 
 def _check_metric(d: Sequence[Sequence[float]]) -> None:
-    for i, row in enumerate(d):
-        for j, v in enumerate(row):
-            if not (isinstance(v, float) and math.isfinite(v)) and not (
-                is_finite_number(v) and abs(v) <= _MAX_EXACT_INT
-            ):
-                raise InvalidInstanceError(
-                    f"distance d[{i}][{j}] = {v!r} is not a finite float or "
-                    f"an integer within 2**52",
-                    field="distance_matrix", witness=(i, j),
-                )
-    D = np.array(d, dtype=float)
+    types = set(map(type, chain.from_iterable(d)))
+    D = None
+    if types <= {int, float}:
+        try:
+            D = np.array(d, dtype=float)
+        except OverflowError:  # an integer beyond float range
+            pass
+    if (
+        D is None
+        or not np.isfinite(D).all()
+        or int in types and (np.abs(D) > _MAX_EXACT_INT).any()
+    ):
+        # the whole-matrix test failed: name the first inexact entry
+        for i, row in enumerate(d):
+            for j, v in enumerate(row):
+                if not (isinstance(v, float) and math.isfinite(v)) and not (
+                    is_finite_number(v) and abs(v) <= _MAX_EXACT_INT
+                ):
+                    raise InvalidInstanceError(
+                        f"distance d[{i}][{j}] = {v!r} is not a finite float or "
+                        f"an integer within 2**52",
+                        field="distance_matrix", witness=(i, j),
+                    )
+        D = np.array(d, dtype=float)
     if hit := _first(np.diagonal(D) != 0):
         i = hit[0]
         raise InvalidInstanceError(
@@ -156,10 +172,18 @@ class FiniteSpace:
 
     @classmethod
     def from_lists(cls, labels, dist, order) -> "FiniteSpace":
+        """From document lists; a label that is not a string is stringified,
+        and a non-finite number is rejected as a label."""
+        for i, v in enumerate(labels):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise InvalidInstanceError(
+                    f"point label [{i}] = {v!r} is not a finite number",
+                    field="points", witness=(i,),
+                )
         return cls(
-            tuple(str(l) for l in labels),
-            tuple(tuple(row) for row in dist),
-            tuple(tuple(bool(v) for v in row) for row in order),
+            tuple(map(str, labels)),
+            tuple(map(tuple, dist)),
+            tuple(tuple(map(bool, row)) for row in order),
         )
 
     @property

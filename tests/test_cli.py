@@ -64,6 +64,15 @@ class TestExitCodes:
         assert code == 2
         assert "line" in err
 
+    def test_overlong_integer_literal_is_validation_error(self, capsys, tmp_path):
+        # json refuses to convert an integer of more than 4300 digits
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"schema_version": 1' + "0" * 5000 + "}")
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: not readable as JSON: Exceeds the limit")
+        assert "Traceback" not in err
+
     def test_schema_violation_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema_version": 99}')
@@ -151,7 +160,56 @@ class TestExitCodes:
         code, out, err = run(capsys, "check", str(path))
         assert code == 2
         assert out == ""
-        assert f"non-finite number {constant} " in err
+        value = repr(float(constant))
+        assert err == f"error: parameters.epsilon: must be a finite number, got {value}\n"
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "NaN", "Infinity"])
+    @pytest.mark.parametrize("doc, where, line", [
+        ("f1", ("space", "distance_matrix", 0, 1),
+         "space.distance_matrix: distance d[0][1] = {} is not a finite float "
+         "or an integer within 2**52"),
+        ("f1", ("parameters", "epsilon"),
+         "parameters.epsilon: must be a finite number, got {}"),
+        ("f1", ("parameters", "tolerance"),
+         "parameters.tolerance: must be a finite number, got {}"),
+        ("f1", ("parameters", "max_iterations"),
+         "parameters.max_iterations: must be an integer, got {}"),
+        ("f1", ("schema_version",), "schema_version: must be an integer, got {}"),
+        ("f1", ("space", "points", 1),
+         "space.points: point label [1] = {} is not a finite number"),
+        ("f1", ("space", "order_pairs", 1, 0),
+         "space.order_pairs: entries must be [i, j] index pairs, got [{}, 2]"),
+        ("f1", ("map", "table", 0, 1),
+         "map.table: map table entry [0][1] = {} is not a point index"),
+        ("f1", ("seeds", "x0"), "seeds.x0: must be an index or label, got {}"),
+        ("l1", ("space", "lower", 0),
+         "space.lower: box bounds must be finite numbers on axis 0: [{}, 1]"),
+        ("l1", ("space", "upper", 0),
+         "space.upper: box bounds must be finite numbers on axis 0: [0, {}]"),
+        ("l1", ("space", "dimension"), "space.dimension: must be an integer, got {}"),
+        ("l1", ("space", "grid_step"),
+         "space.grid_step: must be a finite number, got {}"),
+        ("l1", ("seeds", "y0"),
+         "seeds.y0: must be a finite coordinate or coordinate list, got {}"),
+        ("l1", ("parameters", "lambda_claimed"),
+         "parameters.lambda_claimed: must be a finite number, got {}"),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_non_finite_literal_names_its_field(self, capsys, tmp_path,
+                                                instance_dir, literal, doc,
+                                                where, line):
+        # json reads these literals as floats; the field holding one
+        # rejects it by name
+        data = json.loads((instance_dir / f"{doc}.json").read_text())
+        *path, last = where
+        target = data
+        for key in path:
+            target = target[key]
+        target[last] = "@literal@"
+        bad = tmp_path / "nonfinite.json"
+        bad.write_text(json.dumps(data).replace('"@literal@"', literal))
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {line.format(repr(float(literal)))}\n"
 
 
     def test_non_finite_result_exits_two_without_output(self, capsys, f1_path):

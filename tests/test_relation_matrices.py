@@ -4,9 +4,12 @@
 per axiom and report its first True entry in row-major order of the index
 tuple; ``instances._covering_pairs`` is ``S & ~(S @ S)`` over the strict
 order; the generator runs Floyd-Warshall one whole-matrix pass per k. The
-functions below are test-only copies of the Python loops they replaced, and
-every check must give the same message text and witness, the same covering
-pairs and the same generated distances as those loops.
+entries of the distance matrix, the map table and the order pairs are
+tested as whole lists (one pass over their types, then numpy or min/max
+for ranges). The functions below are test-only copies of the Python loops
+they replaced, and every check must give the same message text, witness
+and field, the same covering pairs and the same generated distances as
+those loops.
 
 The one intended difference is exactness: the matrix checks compare float64
 values, so an entry that is not a finite float, or is an integer beyond
@@ -14,6 +17,7 @@ values, so an entry that is not a finite float, or is an integer beyond
 row-major position, before any axiom is looked at.
 """
 
+import json
 import random
 
 import pytest
@@ -24,6 +28,7 @@ from chainfix.errors import InvalidInstanceError
 from chainfix.instances import (
     _closure,
     _covering_pairs,
+    dump_instance,
     generate_finite_instance,
     parse_instance,
 )
@@ -359,3 +364,104 @@ class TestExactness:
         with pytest.raises(InvalidInstanceError) as exc:
             _check_metric([[0, value], [value, 0]])
         assert exc.value.witness == (0, 1)
+
+
+def loop_table_entries(table, n):
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+                raise InvalidInstanceError(
+                    f"map table entry [{i}][{j}] = {v!r} is not a point index",
+                    witness=(i, j),
+                )
+
+
+def loop_order_pairs(n, pairs):
+    for pair in pairs:
+        if (
+            not isinstance(pair, (list, tuple))
+            or len(pair) != 2
+            or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)
+        ):
+            raise InvalidInstanceError(
+                f"entries must be [i, j] index pairs, got {pair!r}"
+            )
+        i, j = pair
+        if not (0 <= i < n and 0 <= j < n):
+            raise InvalidInstanceError(
+                f"order pair {pair!r} is out of range for {n} points",
+                witness=pair,
+            )
+
+
+def reference_entries(doc):
+    """(message, witness, field) of the first bad entry, checked in
+    parse_instance's order: order pairs, then distances, then the table."""
+    space = doc["space"]
+    n = len(space["points"])
+    for field, check, args in (
+        ("space.order_pairs", loop_order_pairs, (n, space["order_pairs"])),
+        ("space.distance_matrix", reference_metric, (space["distance_matrix"],)),
+        ("map.table", loop_table_entries, (doc["map"]["table"], n)),
+    ):
+        if found := outcome(check, *args):
+            return (*found, field)
+    return None
+
+
+def parsed_outcome(doc):
+    try:
+        parse_instance(doc)
+    except InvalidInstanceError as exc:
+        return str(exc), exc.witness, exc.field
+    return None
+
+
+def mutations(n):
+    return [True, False, 1.0, 0.5, n, -1, 2**52, 2**53 + 1, -(2**60), "1", None]
+
+
+def entry_rows(doc, where):
+    if where == "table":
+        return doc["map"]["table"]
+    if where == "distance":
+        return doc["space"]["distance_matrix"]
+    return doc["space"]["order_pairs"]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A generated finite document with a few table, distance or order-pair
+    entries replaced by a bool, a float, an index out of range either way,
+    an integer above 2**52 or a string."""
+    size = draw(st.sampled_from([2, 3, 5, 9, 16, 64]))
+    doc = json.loads(dump_instance(generate_finite_instance(
+        draw(st.integers(0, 10_000)), size)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = len(doc["space"]["points"])
+    for _ in range(draw(st.integers(0, 3))):
+        value = draw(st.sampled_from(mutations(n)))
+        rows = entry_rows(doc, draw(st.sampled_from(["table", "distance", "pair"])))
+        if rows:
+            row = rows[rng.randrange(len(rows))]
+            row[rng.randrange(len(row))] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_documents())
+def test_entry_checks_match_loops(doc):
+    expected = reference_entries(doc)
+    assert parsed_outcome(doc) == expected
+
+
+@pytest.mark.parametrize("value", mutations(16), ids=repr)
+@pytest.mark.parametrize("where", ["table", "distance", "pair"])
+def test_each_entry_mutation_matches_loops(where, value):
+    # one bad entry, the last in row-major order: the whole-array test
+    # alone has to catch it
+    doc = json.loads(dump_instance(generate_finite_instance(5, 16)))
+    entry_rows(doc, where)[-1][-1] = value
+    expected = reference_entries(doc)
+    assert expected is not None
+    assert parsed_outcome(doc) == expected
