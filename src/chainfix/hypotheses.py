@@ -30,11 +30,10 @@ quadruple returns a ``vacuous`` report rather than raising.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
-from dataclasses import dataclass, field
 from operator import sub
-from typing import Iterable, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,12 +51,10 @@ HOLDS = "holds"
 VIOLATED = "violated"
 SAMPLED = "undetermined-sampled"
 
-_GRID_CAP = 20000
 _BLOCK = 1 << 16  # cells per block of a whole-row scan
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
+class SamplingPlan(NamedTuple):
     """Deterministic sample description: grid resolution plus seeded draws."""
 
     grid_step: float | None = None
@@ -65,14 +62,13 @@ class SamplingPlan:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     hypothesis: str
     verdict: str
     witness: object = None
     sample_size: int | None = None
     sample_seed: int | None = None
-    details: dict = field(default_factory=dict)
+    details: Mapping = MappingProxyType({})  # read-only: one empty default serves all
 
     @property
     def passed(self) -> bool:
@@ -95,8 +91,7 @@ class HypothesisReport:
         return out
 
 
-@dataclass(frozen=True)
-class ContractivityReport:
+class ContractivityReport(NamedTuple):
     """Result of scanning admissible quadruples (x, u, y, v) with x >= u, y <= v.
 
     ``lambda_hat`` is the supremum of 2 d(F(x,y), F(u,v)) / (d(x,u) + d(y,v))
@@ -143,8 +138,7 @@ class ContractivityReport:
         }
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """Order-ascending chain whose consecutive gaps are all below epsilon."""
 
     points: tuple[Point, ...]
@@ -175,13 +169,7 @@ def sample_points(space: Space, plan: SamplingPlan | None = None) -> list[Point]
     if plan.grid_step is not None:
         if not plan.grid_step > 0:
             raise SamplingError(f"grid_step must be positive, got {plan.grid_step!r}")
-        axes = space.grid_axes(plan.grid_step)
-        total = math.prod(map(len, axes))
-        if total > _GRID_CAP:
-            raise SamplingError(
-                f"grid of {total} points exceeds the cap of {_GRID_CAP}"
-            )
-        pts.extend(tuple(c) for c in itertools.product(*axes))
+        pts.extend(itertools.product(*space.grid_axes(plan.grid_step)))
     pts += space.uniform_points(plan.random_count, plan.seed)
     if not pts:
         raise SamplingError(
@@ -575,8 +563,11 @@ def check_common_comparable(
     code = np.zeros((s, s), dtype=np.uint8)
     for k, fact in enumerate(facts):
         code[fact] |= 1 << k
+    # which codes occur, found without sorting or copying code
+    present = np.zeros(16, dtype=bool)
+    present[code] = True
     failing = {}  # code -> unlinked (y, v) pattern
-    for c in np.unique(code).tolist():
+    for c in np.flatnonzero(present).tolist():
         linked = np.zeros((s, s), dtype=bool)
         for k, rel in enumerate(relations):
             if c >> k & 1:
@@ -585,7 +576,9 @@ def check_common_comparable(
             failing[c] = ~linked
     witness = None
     if failing:
-        bad_xu = np.isin(code, list(failing))
+        is_failing = np.zeros(16, dtype=bool)
+        is_failing[list(failing)] = True
+        bad_xu = is_failing[code]
         x = int(np.argmax(bad_xu.any(axis=1)))
         us = np.flatnonzero(bad_xu[x])
         # bad_y[i, y]: some v leaves (x, y) and (us[i], v) unlinked

@@ -16,7 +16,7 @@ first attainment of the maximal ratio) is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,8 +136,7 @@ def min_chain_table(
     return table, unreachable, max_n
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     fixed_points: list[tuple[int, int]]
     contraction: ContractivityReport
     chain_table: dict[tuple[int, int], int]

@@ -22,8 +22,9 @@ a breach is not an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import DomainError, EscapeError
 from .hypotheses import Chain
@@ -83,8 +84,7 @@ class BoundRow(NamedTuple):
     bound: float
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     status: str
     x: Point
     y: Point
@@ -171,8 +171,7 @@ def picard_solve(
     return SolveResult(status, x, y, m, r, d(x, y), tuple(trace), tuple(bounds))
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     rows: tuple[BoundRow, ...]
     all_below_bound: bool | None  # None when no bound was available
     final_observed: float
@@ -241,12 +240,11 @@ def verify_decay_bound(
     return DecayReport(tuple(rows), all_below, rows[-1].observed, n, escaped_at)
 
 
-@dataclass(frozen=True)
-class UniquenessVerdict:
+class UniquenessVerdict(NamedTuple):
     verdict: str  # "same" | "distinct" | "inconclusive"
     case: str  # "directly-comparable" | "via-witness" | "no-witness"
     eta: float
-    details: dict = field(default_factory=dict)
+    details: Mapping = MappingProxyType({})  # read-only: one empty default serves all
 
 
 def uniqueness_probe(
@@ -308,8 +306,7 @@ def uniqueness_probe(
     return UniquenessVerdict("distinct", "via-witness", eta, details)
 
 
-@dataclass(frozen=True)
-class CollapseVerdict:
+class CollapseVerdict(NamedTuple):
     verdict: str  # "holds" | "violated" | "not-applicable"
     gap: float
     tolerance: float

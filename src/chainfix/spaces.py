@@ -29,12 +29,14 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, InvalidInstanceError
+from .errors import DomainError, InvalidInstanceError, SamplingError
 
 FinitePoint = int
 BoxPoint = tuple[float, ...]
 Point = Union[FinitePoint, BoxPoint]
 Pair = tuple[Point, Point]
+
+GRID_CAP = 20000  # most points a box grid may hold
 
 
 # Two integers up to 2**52 add exactly in float64, so the float64 triangle
@@ -246,9 +248,20 @@ class BoxSpace:
         return len(self.lower)
 
     def grid_axes(self, step: float | None) -> list[list[float]]:
-        """Per-axis grid lo, lo + step, ..., hi; only lo and hi when step is None."""
+        """Per-axis grid lo, lo + step, ..., hi; only lo and hi when step is None.
+
+        A grid of more than GRID_CAP points raises SamplingError, before any
+        axis longer than GRID_CAP is built, so a tiny step costs no time.
+        """
         axes = []
-        for lo, hi in zip(self.lower, self.upper):
+        for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            # lo + k * step never falls as k grows, so if the loop below
+            # would still run at k = GRID_CAP, this axis alone is over the cap
+            if step is not None and lo + GRID_CAP * step < hi - 1e-12:
+                raise SamplingError(
+                    f"grid of over {GRID_CAP} points on axis {i} alone "
+                    f"exceeds the cap of {GRID_CAP}"
+                )
             vals = [lo]
             k = 1
             while step is not None and lo + k * step < hi - 1e-12:
@@ -257,6 +270,9 @@ class BoxSpace:
             if vals[-1] != hi:
                 vals.append(hi)
             axes.append(vals)
+        total = math.prod(map(len, axes))
+        if step is not None and total > GRID_CAP:
+            raise SamplingError(f"grid of {total} points exceeds the cap of {GRID_CAP}")
         return axes
 
     def uniform_points(self, count: int, seed: int) -> list[BoxPoint]:

@@ -1,11 +1,18 @@
 """Exit codes, JSON shapes, and byte determinism of the command line."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import chainfix
 from chainfix.cli import run_cli
 from chainfix.instances import MAX_ITERATIONS
+
+SRC = os.path.dirname(os.path.dirname(chainfix.__file__))
 
 # F jumps out of [0, 1] only within 0.001 of x = 0.45, which the grid and
 # the seeded draws miss, so `check` passes; the seed x0 = 0 lands on 0.45
@@ -469,3 +476,57 @@ def test_certification_reasons_match_the_verdict(capsys, instance_dir, tmp_path)
         assert config["uncertified"] == lemma["uncertified"], path
         advisory += lemma["advisory"]
     assert 0 < advisory < len(paths)
+
+
+# what `python -m chainfix` runs, for a child that runs code of its own first
+RUN_CHAINFIX = ("import runpy; "
+                "runpy.run_module('chainfix', run_name='__main__', alter_sys=True)")
+
+
+def run_fresh(*argv, probe=""):
+    """A fresh `python -m chainfix` in a child held to 20 s and 512 MiB of
+    address space, so that a runaway grid fails the test, not the machine;
+    ``probe`` is code the child runs first."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-c", probe + RUN_CHAINFIX, *argv], env=env,
+        preexec_fn=limit, capture_output=True, text=True, timeout=20,
+    )
+
+
+@pytest.mark.parametrize("dim, step", [(1, 1e-300), (2, 1e-5), (1, 1e-5)])
+def test_grid_over_the_cap_exits_two_before_it_is_built(tmp_path, dim, step):
+    doc = {
+        "schema_version": 1,
+        "space": {"kind": "box", "dimension": dim, "lower": [0] * dim,
+                  "upper": [1] * dim, "grid_step": step},
+        "map": {"kind": "expression",
+                "formula": ["(x1 + y1)/2", "(x2 + y2)/2"] if dim == 2
+                else "(x + y)/2"},
+        "seeds": {"x0": [0] * dim, "y0": [1] * dim},
+        "parameters": {"epsilon": 0.6},
+    }
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    proc = run_fresh("check", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: space.grid_step: grid of ")
+    assert "exceeds the cap of 20000" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "verify-lemma"])
+@pytest.mark.parametrize("name", ["f1", "l2d"])
+def test_fresh_call_does_not_load_numpy_ma(instance_dir, command, name):
+    # numpy.ma costs about 14 ms to import; np.unique and np.isin pull it in
+    probe = ("import atexit, sys\n"
+             "atexit.register(lambda: print(sorted(m for m in sys.modules "
+             "if m == 'numpy.ma' or m.startswith('numpy.ma.')), "
+             "file=sys.stderr))\n")
+    proc = run_fresh(command, str(instance_dir / f"{name}.json"), probe=probe)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert json.loads(proc.stdout)
+    assert proc.stderr == "[]\n"

@@ -59,6 +59,23 @@ class TestSamplePoints:
         with pytest.raises(SamplingError, match="grid_step must be positive"):
             sample_points(box, SamplingPlan(grid_step=step))
 
+    @pytest.mark.parametrize("upper, step, message", [
+        ((20000.0,), 1.0, "grid of 20001 points exceeds the cap of 20000"),
+        ((1.0, 1.0), 1 / 200, "grid of 40401 points exceeds the cap of 20000"),
+        ((1.0,), 1e-5,
+         "grid of over 20000 points on axis 0 alone exceeds the cap of 20000"),
+    ])
+    def test_rejects_grid_over_the_cap(self, upper, step, message):
+        box = BoxSpace((0.0,) * len(upper), upper)
+        with pytest.raises(SamplingError) as exc:
+            sample_points(box, SamplingPlan(grid_step=step))
+        assert str(exc.value) == message
+
+    def test_grid_at_the_cap(self):
+        box = BoxSpace((0.0,), (19999.0,))
+        pts = sample_points(box, SamplingPlan(grid_step=1.0))
+        assert pts == [(float(k),) for k in range(20000)]
+
     def test_grid_includes_both_endpoints(self):
         box = BoxSpace((0.0,), (1.0,))
         pts = sample_points(box, SamplingPlan(grid_step=0.4))

@@ -195,6 +195,29 @@ class TestRejections:
         with pytest.raises(InvalidInstanceError):
             parse_instance(doc)
 
+    @pytest.mark.parametrize("upper, step, message", [
+        ([19999], 1, None),  # 20000 points: at the cap
+        ([20000], 1, "grid of 20001 points exceeds the cap of 20000"),
+        ([1, 1], 1 / 140, None),  # 141 x 141 = 19881 points
+        ([1, 1], 1 / 200, "grid of 40401 points exceeds the cap of 20000"),
+        ([1], 1e-5,
+         "grid of over 20000 points on axis 0 alone exceeds the cap of 20000"),
+    ])
+    def test_grid_over_the_cap_names_grid_step(self, upper, step, message):
+        doc = box_doc()
+        doc["space"].update(dimension=len(upper), lower=[0] * len(upper),
+                            upper=upper, grid_step=step)
+        doc["map"]["formula"] = ["x1", "x2"] if len(upper) == 2 else "x"
+        doc["seeds"] = {"x0": [0] * len(upper), "y0": upper}
+        if message is None:
+            inst = parse_instance(doc)
+            assert inst.grid_step == step
+            return
+        with pytest.raises(InvalidInstanceError) as exc:
+            parse_instance(doc)
+        assert exc.value.field == "space.grid_step"
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("make, path, value, field", [
         (box_doc, ("parameters", "epsilon"), float("nan"), "parameters.epsilon"),
         (box_doc, ("parameters", "epsilon"), 10**400, "parameters.epsilon"),

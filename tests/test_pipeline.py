@@ -1,7 +1,5 @@
 """The decay bound's certification policy, `pipeline.uncertified`."""
 
-import dataclasses
-
 import pytest
 
 from chainfix.hypotheses import HOLDS
@@ -55,9 +53,7 @@ def test_shipped_instances(instance_dir, name, expected):
 
 def test_claimed_factor_below_the_measured_one(chain4_path):
     inst = load_instance(chain4_path)  # measures lambda_hat 2/3
-    low = dataclasses.replace(
-        inst, params=dataclasses.replace(inst.params, lambda_claimed=0.5)
-    )
+    low = inst._replace(params=inst.params._replace(lambda_claimed=0.5))
     suite = run_hypothesis_suite(low)
     assert suite["uniform-local-contraction"].verdict == HOLDS
     assert uncertified(low, suite) == ("uniform-local-contraction",)
@@ -65,7 +61,7 @@ def test_claimed_factor_below_the_measured_one(chain4_path):
 
 def test_failed_seed_condition(chain4_path):
     inst = load_instance(chain4_path)
-    swapped = dataclasses.replace(inst, x0=inst.y0, y0=inst.x0)
+    swapped = inst._replace(x0=inst.y0, y0=inst.x0)
     assert uncertified(swapped, run_hypothesis_suite(swapped)) == ("seed-condition",)
 
 
