@@ -11,11 +11,12 @@ exceptions are conclusive everywhere:
   in the full space even when its waypoints came from a grid.
 
 Both kinds of space run the same scans. A private tabulation step turns the
-points under test into index-addressed tables: the order and the distances
+points under test into index-addressed arrays: the order and the distances
 between points, and F over every pair of points. A finite space hands over
-its own tables; a box validates its sample once and tabulates it with numpy
-(one array evaluation of the map), so a map that leaves the box anywhere on
-the sample raises ``EscapeError`` before any scan starts. The
+its own read-only ``L``, ``D`` and ``T`` without a copy (the oracle reads
+them too: reading stored data is not sharing a kernel); a box validates its
+sample once and tabulates it with numpy, so a map that leaves the box
+anywhere on the sample raises ``EscapeError`` before any scan starts. The
 mixed-monotonicity scan compares whole rows of images as numpy masks, a
 block of about 2**16 cells at a time; the contraction scan and the chain
 search are plain loops over point indices.
@@ -206,20 +207,17 @@ class _Rows(dict):
 class _Tables(NamedTuple):
     """The points under test, addressed by index.
 
-    ``L[i][j]`` is pts[i] <= pts[j] and ``D[i][j]`` is d(pts[i], pts[j]).
-    Map checks add ``T[i][j]`` = F(pts[i], pts[j]) and ``DI[a][b]``, the
-    distance between two such images, and the same images as one array:
-    ``images[i, j]`` is a point index on a finite space (so ``DI`` is ``D``)
-    and a coordinate vector on a box. ``LI(A, B)`` is the mask of
-    ``A[...] <= B[...]`` over two arrays of images cut from ``images``.
+    ``L[i, j]`` is pts[i] <= pts[j] and ``D[i, j]`` is d(pts[i], pts[j]), as
+    boolean and float64 arrays. Map checks add ``images[i, j]`` =
+    F(pts[i], pts[j]): a point index on a finite space and a coordinate
+    vector on a box. ``LI(A, B)`` is the mask of ``A[...] <= B[...]`` over
+    two arrays of images cut from ``images``.
     """
 
     pts: Sequence[Point]
-    L: Sequence[Sequence[bool]]
-    D: Sequence[Sequence[float]]
+    L: np.ndarray
+    D: np.ndarray
     exhaustive: bool
-    T: Sequence[Sequence[Point]] = ()
-    DI: object = None
     images: np.ndarray | None = None
     LI: object = None
     sample_size: int | None = None
@@ -242,16 +240,14 @@ def _space_tables(
         if isinstance(space, BoxSpace):
             raise DomainError("box spaces need an explicit candidate point list")
         # extra points are points of the space, hence already listed
-        return _Tables(space.points(), space.order, space.dist, True)
+        return _Tables(space.points(), space.L, space.D, True)
     cand = list(candidates)
     for p in cand:
         space.validate_point(p)
     cand = list(dict.fromkeys([*cand, *extra]))
     if isinstance(space, FiniteSpace):
-        rows = [(space.order[p], space.dist[p]) for p in cand]
-        L = [[lr[q] for q in cand] for lr, _ in rows]
-        D = [[dr[q] for q in cand] for _, dr in rows]
-        return _Tables(cand, L, D, False)
+        sub = np.ix_(cand, cand)
+        return _Tables(cand, space.L[sub], space.D[sub], False)
     P = np.array(cand, dtype=float).reshape(len(cand), space.dim)
     leq = np.ones((len(cand),) * 2, dtype=bool)
     dist = 0.0
@@ -259,7 +255,7 @@ def _space_tables(
         leq &= axis[:, None] <= axis
         # |d0| + |d1| + ... in BoxSpace.distance's order, so values agree bitwise
         dist = dist + abs(axis[:, None] - axis)
-    return _Tables(cand, leq.tolist(), dist.tolist(), False)
+    return _Tables(cand, leq, dist, False)
 
 
 def _box_leq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -269,18 +265,12 @@ def _box_leq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _map_tables(cmap: CoupledMap, plan: SamplingPlan | None) -> _Tables:
     space = cmap.space
     if isinstance(cmap, TableMap):
-        L, D = space.order, space.dist
-        order = np.array(L, dtype=bool)
-        return _Tables(
-            space.points(), L, D, True, cmap.table, D, np.array(cmap.table),
-            lambda A, B: order[A, B],
-        )
+        tab = _space_tables(space, None)
+        return tab._replace(images=cmap.T, LI=lambda A, B: space.L[A, B])
     plan = plan or SamplingPlan()
     tab = _space_tables(space, sample_points(space, plan))  # validates each point
-    images = cmap.tabulate(tab.pts, tab.pts)
     return tab._replace(
-        T=[list(map(tuple, row.tolist())) for row in images],
-        DI=_Rows(_L1Row), images=images, LI=_box_leq,
+        images=cmap.tabulate(tab.pts, tab.pts), LI=_box_leq,
         sample_size=len(tab.pts), sample_seed=plan.seed,
     )
 
@@ -309,32 +299,32 @@ def check_mixed_monotone(
     tab = _map_tables(cmap, plan)
     F, leq = tab.images, tab.LI
     n = len(tab.pts)
-    strict = np.array(tab.L, dtype=bool) & ~np.eye(n, dtype=bool)
+    strict = tab.L & ~np.eye(n, dtype=bool)
     # the comparable pairs a1 <= a2, a1 != a2, in lexicographic order
     a1, a2 = np.nonzero(strict)
     # rows (x1, x2), columns y
     if hit := _first_failure(len(a1), n, lambda r: leq(F[a1[r]], F[a2[r]])):
         p, y = hit
-        return _monotone_violation(tab, "first-argument", a1[p], a2[p], y)
+        return _monotone_violation(tab, cmap, "first-argument", a1[p], a2[p], y)
     # rows x, columns (y1, y2)
     if hit := _first_failure(n, len(a1), lambda r: leq(F[r][:, a2], F[r][:, a1])):
         x, p = hit
-        return _monotone_violation(tab, "second-argument", a1[p], a2[p], x)
+        return _monotone_violation(tab, cmap, "second-argument", a1[p], a2[p], x)
     return tab.report(
         "mixed-monotone", sample_size=tab.sample_size, sample_seed=tab.sample_seed
     )
 
 
-def _monotone_violation(tab: _Tables, branch, a1, a2, other):
-    pts, T = tab.pts, tab.T
-    a1, a2 = int(a1), int(a2)
+def _monotone_violation(tab: _Tables, cmap, branch, a1, a2, other):
+    pts = tab.pts
+    p1, p2, q = pts[int(a1)], pts[int(a2)], pts[other]
     if branch == "first-argument":
         names = ("x1", "x2", "y", "F(x1,y)", "F(x2,y)")
-        images = (T[a1][other], T[a2][other])
+        images = (cmap.apply(p1, q), cmap.apply(p2, q))
     else:
         names = ("y1", "y2", "x", "F(x,y1)", "F(x,y2)")
-        images = (T[other][a1], T[other][a2])
-    values = (pts[a1], pts[a2], pts[other], *images)
+        images = (cmap.apply(q, p1), cmap.apply(q, p2))
+    values = (p1, p2, q, *images)
     witness = {"branch": branch}
     witness.update((k, point_jsonable(v)) for k, v in zip(names, values))
     return HypothesisReport(
@@ -358,10 +348,16 @@ def estimate_contraction(
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     tab = _map_tables(cmap, plan)
-    L, D, T, DI = tab.L, tab.D, tab.T, tab.DI
-    idx = range(len(tab.pts))
-    xu_pairs = [(x, u) for x in idx for u in idx if L[u][x]]
-    yv_pairs = [(y, v) for y in idx for v in idx if L[y][v]]
+    # the loop reads Python numbers, converted once: T[i][j] = F(pts[i], pts[j])
+    D = tab.D.tolist()
+    if isinstance(cmap, TableMap):  # images are point indices into D
+        T, DI = tab.images.tolist(), D
+    else:
+        T = [list(map(tuple, row.tolist())) for row in tab.images]
+        DI = _Rows(_L1Row)
+    # row-major in (x, u) with u <= x, and in (y, v) with y <= v
+    xu_pairs = list(zip(*(a.tolist() for a in np.nonzero(tab.L.T))))
+    yv_pairs = list(zip(*(a.tolist() for a in np.nonzero(tab.L))))
     best = -1.0
     best_w = None
     tested = 0
@@ -397,11 +393,9 @@ def _contraction_report(tab: _Tables, epsilon, lambda_hat, violated, quad, teste
 def _epsilon_adjacency(tab: _Tables, epsilon):
     # edge i -> j iff pts[i] <= pts[j] and their distance is below epsilon;
     # hops of a chain
-    L, D = tab.L, tab.D
-    idx = range(len(tab.pts))
-    return [
-        [j for j in idx if i != j and L[i][j] and D[i][j] < epsilon] for i in idx
-    ]
+    edges = tab.L & (tab.D < epsilon)
+    np.fill_diagonal(edges, False)
+    return [row.nonzero()[0].tolist() for row in edges]
 
 
 def _bfs(adj: list[list[int]], src: int) -> tuple[list, list]:
@@ -482,9 +476,8 @@ def check_epsilon_chainable(
     unreachable: list[tuple[Point, Point]] = []
     for i, p in enumerate(cand):
         hops, _ = _bfs(adj, i)
-        for j, q in enumerate(cand):
-            if not L[i][j]:
-                continue
+        for j in L[i].nonzero()[0].tolist():
+            q = cand[j]
             if hops[j] is None:
                 unreachable.append((p, q))
             else:
@@ -529,8 +522,7 @@ def check_seed(cmap: CoupledMap, x0: Point, y0: Point) -> HypothesisReport:
 def _bound_matrices(tab: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The order M[p, q] = p <= q over the points under test, and which pairs
     share a common upper bound (UB) or a common lower bound (LB) among them."""
-    s = len(tab.pts)
-    M = np.array(tab.L, dtype=bool).reshape(s, s)
+    M = tab.L
     F = M.astype(np.float32)
     return M, (F @ F.T) > 0, (F.T @ F) > 0
 

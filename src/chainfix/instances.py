@@ -97,7 +97,7 @@ def _require(data: dict, key: str, kind, where: str):
     return value
 
 
-def _closure(n: int, pairs) -> list[list[bool]]:
+def _closure(n: int, pairs) -> np.ndarray:
     shaped = set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}
     flat = list(itertools.chain.from_iterable(pairs)) if shaped else []
     if not (
@@ -128,7 +128,7 @@ def _closure(n: int, pairs) -> list[list[bool]]:
     L[P[:, 0], P[:, 1]] = True
     for k in range(n):
         L |= L[:, k, None] & L[k]  # rows i <= k take in row k
-    return L.tolist()
+    return L
 
 
 def _build(where: str, make, *args):
@@ -225,7 +225,7 @@ def _parse_table_map(space, data: dict) -> TableMap:
         raise InvalidInstanceError("table maps require a finite space",
                                    field="map.kind")
     table = _require_rows(data, "table", "map")
-    return _build("map", TableMap, space, tuple(map(tuple, table)))
+    return _build("map", TableMap, space, table)
 
 
 def _parse_expression_map(space, data: dict) -> ExpressionMap:
@@ -379,10 +379,9 @@ def load_instance(path) -> Instance:
     return parse_instance(data)
 
 
-def _covering_pairs(order: tuple[tuple[bool, ...], ...]) -> list[list[int]]:
+def _covering_pairs(L: np.ndarray) -> list[list[int]]:
     # transitive reduction: i < j with no k strictly between
-    strict = np.array(order, dtype=bool)
-    np.fill_diagonal(strict, False)
+    strict = L & ~np.eye(len(L), dtype=bool)
     return np.argwhere(strict & ~(strict @ strict)).tolist()
 
 
@@ -393,7 +392,7 @@ def instance_document(inst: Instance) -> dict:
             "kind": "finite",
             "points": list(inst.space.labels),
             "distance_matrix": [list(row) for row in inst.space.dist],
-            "order_pairs": _covering_pairs(inst.space.order),
+            "order_pairs": _covering_pairs(inst.space.L),
         }
     else:
         space_doc = {
@@ -405,7 +404,7 @@ def instance_document(inst: Instance) -> dict:
         if inst.grid_step is not None:
             space_doc["grid_step"] = inst.grid_step
     if isinstance(inst.cmap, TableMap):
-        map_doc = {"kind": "table", "table": [list(row) for row in inst.cmap.table]}
+        map_doc = {"kind": "table", "table": inst.cmap.T.tolist()}
     else:
         sources = list(inst.cmap.sources)
         map_doc = {
@@ -542,7 +541,7 @@ def generate_finite_instance(seed: int, size: int | None = None) -> Instance:
     dist = np.where(reached, W, cap).tolist()
 
     order_pairs = [[i, j] for i in range(n) for j in range(i + 1, n) if adj[i][j]]
-    L = _closure(n, order_pairs)
+    L = _closure(n, order_pairs).tolist()
 
     cover_d = [dist[i][j] for i, j in order_pairs]
     comp_d = [

@@ -23,32 +23,56 @@ from .spaces import BoxPoint, BoxSpace, FiniteSpace, Point
 _BLOCK = 1 << 16  # point pairs evaluated at once by ExpressionMap.tabulate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TableMap:
-    """F given as an n x n table of point indices: table[x][y] = F(x, y)."""
+    """F given as an n x n table of point indices: T[x, y] = F(x, y)."""
 
     space: FiniteSpace
-    table: tuple[tuple[int, ...], ...]
+    T: np.ndarray  # given as int rows or an int array, stored read-only as intp
 
     def __post_init__(self) -> None:
         n = self.space.size
-        if len(self.table) != n or any(len(row) != n for row in self.table):
+        rows = self.T
+        if len(rows) != n or any(len(row) != n for row in rows):
             raise InvalidInstanceError(f"map table must be {n} x {n}", field="table")
-        flat = list(chain.from_iterable(self.table))
-        if not (set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) < n):
+        T = None
+        if (
+            isinstance(rows, np.ndarray) and rows.dtype.kind in "iu"
+            or set(map(type, chain.from_iterable(rows))) == {int}
+        ):
+            try:  # a copy; an integer array's value beyond intp wraps below 0
+                T = np.array(rows, dtype=np.intp)
+            except OverflowError:  # a Python integer beyond intp
+                pass
+        if T is None or T.ndim != 2 or T.min() < 0 or T.max() >= n:
             # the whole-table test failed: name the first entry that is no index
-            for i, row in enumerate(self.table):
+            for i, row in enumerate(rows):
                 for j, v in enumerate(row):
-                    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+                    if (
+                        isinstance(v, bool)
+                        or not isinstance(v, (int, np.integer))
+                        or not 0 <= v < n
+                    ):
                         raise InvalidInstanceError(
                             f"map table entry [{i}][{j}] = {v!r} is not a point index",
                             field="table", witness=(i, j),
                         )
+        T.setflags(write=False)
+        object.__setattr__(self, "T", T)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TableMap)
+            and self.space == other.space
+            and np.array_equal(self.T, other.T)
+        )
+
+    __hash__ = None  # the arrays have no hash
 
     def apply(self, x: Point, y: Point) -> Point:
         self.space.validate_point(x)
         self.space.validate_point(y)
-        return self.table[x][y]
+        return int(self.T[x, y])
 
 
 def _env(x: BoxPoint, y: BoxPoint) -> dict[str, float]:

@@ -7,7 +7,9 @@ sweep visits only order-admissible quadruples (u <= x, y <= v), in blocks of
 a fixed size, so its memory does not grow with n^4. Agreement between the two
 routes is the core equivalence guarantee, so this module must not import from
 ``hypotheses`` beyond the shared report type, and must not share loop code
-with it.
+with it. Both routes read the space's read-only ``D`` and ``L`` and the
+map's ``T`` without a copy: reading stored data is not sharing a kernel,
+and the sweeps below are this module's own.
 
 Enumeration order is pinned to match: quadruples (x, u, y, v) are scanned
 with x outermost and v innermost, row-major, and the first violation (or the
@@ -29,7 +31,7 @@ _BLOCK = 1 << 16  # quadruples per sweep block, rounded to whole (x, u) rows
 
 def all_coupled_fixed_points(cmap: TableMap) -> list[tuple[int, int]]:
     """Every pair (x, y) with F(x, y) = x and F(y, x) = y, row-major."""
-    T = np.asarray(cmap.table, dtype=np.intp)
+    T = cmap.T
     n = T.shape[0]
     fixed_first = T == np.arange(n)[:, None]  # F(x, y) == x
     mask = fixed_first & fixed_first.T  # F(y, x) == y
@@ -50,10 +52,7 @@ def exhaustive_contraction_check(cmap: TableMap, epsilon: float) -> Contractivit
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-    space = cmap.space
-    D = np.asarray(space.dist, dtype=float)
-    L = np.asarray(space.order, dtype=bool)
-    T = np.asarray(cmap.table, dtype=np.intp)
+    D, L, T = cmap.space.D, cmap.space.L, cmap.T
     xs, us = np.nonzero(L.T)  # u <= x
     ys, vs = np.nonzero(L)  # y <= v
     D_xu = D[xs, us]
@@ -114,8 +113,7 @@ def min_chain_table(
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     n = space.size
-    D = np.asarray(space.dist, dtype=float)
-    L = np.asarray(space.order, dtype=bool)
+    D, L = space.D, space.L
     edges = L & (D < epsilon)
     np.fill_diagonal(edges, False)
     hops = np.full((n, n), -1, dtype=np.intp)

@@ -393,5 +393,7 @@ def test_parsed_values_detached_from_input_document():
     inst = parse_instance(doc)
     doc["parameters"]["epsilon"] = 99.0
     doc["map"]["table"][0][0] = 2
+    doc["space"]["distance_matrix"][0][1] = 5
     assert inst.params.epsilon == 1.5
-    assert inst.cmap.table[0][0] == 0
+    assert inst.cmap.T[0, 0] == 0
+    assert inst.space.distance(0, 1) == 1 and inst.space.D[0, 1] == 1

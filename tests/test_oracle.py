@@ -47,7 +47,7 @@ def dense_contraction_reference(cmap: TableMap, epsilon: float) -> Contractivity
     n = cmap.space.size
     D = np.asarray(cmap.space.dist, dtype=float)
     L = np.asarray(cmap.space.order, dtype=bool)
-    T = np.asarray(cmap.table, dtype=np.intp)
+    T = cmap.T
     XU = L.T  # XU[x, u]: u <= x
     YV = L  # YV[y, v]: y <= v
     best = -np.inf

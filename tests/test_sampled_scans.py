@@ -6,10 +6,12 @@ points rather than indices and ask ``space.leq``, ``space.distance`` and
 min/max/abs trees, and violators such as ``x*y`` or expansive maps) both
 must give the same verdict, witness, bitwise ``lambda_hat``, quadruple count
 and sample fields; on generated finite tables, the same mixed-monotonicity
-verdict and witness. The box map's array tabulation is checked against
-``apply`` by ``repr``, escapes included.
+verdict and witness, and the same contraction report as the finite index
+loop below. The box map's array tabulation is checked against ``apply`` by
+``repr``, escapes included.
 """
 
+import random
 import warnings
 from unittest import mock
 
@@ -113,6 +115,36 @@ def reference_contraction(cmap, epsilon, plan):
     return {"violated": violated, "lambda_hat": best, "witness": best_w,
             "pairs_tested": tested, "vacuous": tested == 0,
             "sample_size": len(pts), "sample_seed": plan.seed}
+
+
+def reference_finite_contraction(cmap, epsilon):
+    """The finite scan as an index loop over rows of Python numbers, read
+    point by point through ``leq``, ``distance`` and ``apply``: (x, u) with
+    u <= x row-major, then (y, v) with y <= v row-major."""
+    space = cmap.space
+    idx = range(space.size)
+    L = [[space.leq(p, q) for q in idx] for p in idx]
+    D = [[space.distance(p, q) for q in idx] for p in idx]
+    T = [[cmap.apply(x, y) for y in idx] for x in idx]
+    best, best_w, tested = -1.0, None, 0
+    for x in idx:
+        for u in idx:
+            if not L[u][x]:
+                continue
+            for y in idx:
+                for v in idx:
+                    if not L[y][v]:
+                        continue
+                    s = D[x][u] + D[y][v]
+                    if s <= 0 or not s / 2.0 < epsilon:
+                        continue
+                    tested += 1
+                    r = 2.0 * D[T[x][y]][T[u][v]] / s
+                    if r >= 1.0:
+                        return VIOLATED, (x, u, y, v), None, tested, False
+                    if r > best:
+                        best, best_w = r, (x, u, y, v)
+    return HOLDS, best_w, max(best, 0.0), tested, tested == 0
 
 
 def coef(lo, hi):
@@ -271,9 +303,10 @@ def test_overflow_escapes_quietly(capfd):
     assert "RuntimeWarning" not in capfd.readouterr().err
 
 
-def finite_space(n, kind, rng):
+def finite_space(n, kind, rng, positions=None):
     # "chain" is the dense total order, "antichain" the identity and
-    # "random" the transitive closure of i <= j for half the i < j
+    # "random" the transitive closure of i <= j for half the i < j; the
+    # metric is |positions[i] - positions[j]|, or discrete without positions
     leq = [[i == j for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -283,6 +316,8 @@ def finite_space(n, kind, rng):
             for j in range(n):
                 leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
     dist = [[float(i != j) for j in range(n)] for i in range(n)]
+    if positions is not None:
+        dist = [[abs(a - b) for b in positions] for a in positions]
     return FiniteSpace.from_lists([f"p{i}" for i in range(n)], dist, leq)
 
 
@@ -316,3 +351,48 @@ def test_whole_row_scan_matches_finite_reference(cmap, block):
     ref = reference_mixed_monotone(cmap, SamplingPlan())
     assert (rep.verdict, rep.witness) == (ref["verdict"], ref["witness"])
     assert (rep.sample_size, rep.sample_seed) == (None, None)
+
+
+@st.composite
+def finite_contraction_cases(draw):
+    # points on a line at small integer positions, so equal distances and
+    # tied ratios are common; a scale of 1 keeps integer distances, 0.5 and
+    # 0.25 give exact floats
+    n = draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(["chain", "random", "chain", "random", "antichain"]))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([1, 0.5, 0.25]))
+    pos = sorted(draw(st.sets(st.integers(0, 9), min_size=n, max_size=n)))
+    space = finite_space(n, kind, rng, [p * scale for p in pos])
+    regime = draw(st.sampled_from(["late", "step", "random", "constant", "first"]))
+    c = draw(st.integers(0, n - 1))
+    # "constant" ties every ratio at 0; "late" breaks a constant map in one
+    # of the last rows; "first" is F(x, y) = x
+    table = [[x if regime == "first" else c for y in range(n)] for x in range(n)]
+    if regime == "late":
+        table[draw(st.integers(n - 2, n - 1))][draw(st.integers(0, n - 1))] = (
+            draw(st.integers(0, n - 1)))
+    elif regime == "step":
+        # F jumps between the two closest points where x crosses the widest
+        # gap, so every ratio is 2 * (closest gap) / s: it holds below 1 when
+        # the widest gap is over twice the closest, with ties wherever y = v
+        gaps = [b - a for a, b in zip(pos, pos[1:])]
+        lo = gaps.index(min(gaps))
+        k = gaps.index(max(gaps)) + 1
+        table = [[lo + (x >= k)] * n for x in range(n)]
+    elif regime == "random":
+        table = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    # 0.1 is below half of every nonzero distance: the scan is vacuous
+    epsilon = draw(st.sampled_from([100.0, 2.5, 1.0, 0.1]))
+    return TableMap(space, table), epsilon
+
+
+@given(finite_contraction_cases())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_finite_contraction_matches_index_loop(case):
+    cmap, epsilon = case
+    rep = estimate_contraction(cmap, epsilon)
+    verdict, witness, lam, tested, vacuous = reference_finite_contraction(cmap, epsilon)
+    assert (rep.verdict, rep.witness, repr(rep.lambda_hat), rep.pairs_tested,
+            rep.vacuous) == (verdict, witness, repr(lam), tested, vacuous)
+    assert rep.mode == "exhaustive"
