@@ -131,10 +131,11 @@ def _validate(node: ast.expr, allowed: set[str], source: str) -> None:
 
 @dataclass(frozen=True)
 class CompiledExpression:
-    """A validated expression; ``code`` is derived from ``source``."""
+    """A validated expression; ``tree`` and ``code`` are derived from ``source``."""
 
     source: str
     code: object = field(compare=False, repr=False)
+    tree: ast.expr = field(compare=False, repr=False)  # validated; literals are floats
 
     def evaluate(self, env: dict) -> float | np.ndarray:
         """The value at one point, or elementwise when ``env`` holds
@@ -156,4 +157,4 @@ def parse_expression(source: str, dim: int = 1) -> CompiledExpression:
         raise GrammarError(f"unparseable expression {source!r}: {exc.msg}") from exc
     _validate(tree.body, allowed, source)
     code = compile(tree, "<coupled-map>", "eval")
-    return CompiledExpression(source=source, code=code)
+    return CompiledExpression(source=source, code=code, tree=tree.body)

@@ -3,12 +3,18 @@
 Finite spaces are checked exhaustively, so verdicts are conclusive. Boxes are
 checked on a deterministic sample (a coordinate grid plus seeded uniform
 draws), so a clean pass is reported as ``undetermined-sampled``: sampling can
-falsify a universally quantified hypothesis but never prove it. Two
+falsify a universally quantified hypothesis but never prove it. Three
 exceptions are conclusive everywhere:
 
 * ``check_seed`` evaluates two concrete applications, nothing more;
 * a chain returned by ``find_epsilon_chain`` is a genuine certificate, valid
-  in the full space even when its waypoints came from a grid.
+  in the full space even when its waypoints came from a grid;
+* an affine box map, F(x, y) = A x - B y + c (``ExpressionMap.affine``,
+  see ``chainfix.affine``), is decided from its exact coefficients where
+  they prove a hypothesis: mixed monotonicity when A, B >= 0, and uniform
+  local contraction, reported with ``mode: "exact"``, when the ratio's
+  supremum over the whole box is below 1. What they do not prove is
+  scanned on the sample as before.
 
 Both kinds of space run the same scans. A private tabulation step turns the
 points under test into index-addressed arrays: the order and the distances
@@ -34,12 +40,12 @@ import itertools
 from collections import deque
 from operator import sub
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, SamplingError
-from .mappings import CoupledMap, TableMap
+from .mappings import CoupledMap, ExpressionMap, TableMap
 from .spaces import (
     BoxSpace,
     FiniteSpace,
@@ -47,6 +53,9 @@ from .spaces import (
     Space,
     point_jsonable,
 )
+
+if TYPE_CHECKING:
+    from .affine import AffineMap
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -98,7 +107,9 @@ class ContractivityReport(NamedTuple):
     ``lambda_hat`` is the supremum of 2 d(F(x,y), F(u,v)) / (d(x,u) + d(y,v))
     over the tested quadruples when no ratio reached 1; on a violation the
     scan stops and ``witness`` is the first offending quadruple in
-    enumeration order (``lambda_hat`` is then unknown and left None).
+    enumeration order (``lambda_hat`` is then unknown and left None). In
+    ``mode`` "exact" nothing was scanned: ``lambda_hat`` is the supremum over
+    the whole box, read from an affine map's coefficients and rounded up.
     """
 
     epsilon: float
@@ -106,7 +117,7 @@ class ContractivityReport(NamedTuple):
     violated: bool
     witness: tuple | None
     pairs_tested: int
-    mode: str  # "exhaustive" | "sampled"
+    mode: str  # "exhaustive" | "sampled" | "exact"
     vacuous: bool = False
     sample_size: int | None = None
     sample_seed: int | None = None
@@ -119,7 +130,7 @@ class ContractivityReport(NamedTuple):
     def verdict(self) -> str:
         if self.violated:
             return VIOLATED
-        return HOLDS if self.mode == "exhaustive" else SAMPLED
+        return SAMPLED if self.mode == "sampled" else HOLDS
 
     def as_dict(self) -> dict:
         witness = self.witness
@@ -295,7 +306,11 @@ def check_mixed_monotone(
 
     First branch: x1 <= x2 must give F(x1, y) <= F(x2, y) for every y.
     Second branch: y1 <= y2 must give F(x, y1) >= F(x, y2) for every x.
+    An affine box map with A, B >= 0 holds with no scan.
     """
+    aff = _affine(cmap)
+    if aff is not None and aff.mixed_monotone:
+        return HypothesisReport("mixed-monotone", HOLDS, details={"mode": "exact"})
     tab = _map_tables(cmap, plan)
     F, leq = tab.images, tab.LI
     n = len(tab.pts)
@@ -343,10 +358,17 @@ def estimate_contraction(
     distances are not both zero. Enumeration is lexicographic: (x, u) pairs
     ascending, then (y, v) pairs ascending, matching the exhaustive oracle,
     and the scan stops at the first ratio >= 1. With no admissible quadruple
-    the report is ``vacuous``, with ``lambda_hat`` 0.0 and no witness.
+    the report is ``vacuous``, with ``lambda_hat`` 0.0 and no witness. An
+    affine box map whose exact supremum (``AffineMap.lambda_hat``) is below
+    1 is not scanned.
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    aff = _affine(cmap)
+    if aff is not None:
+        lam = aff.lambda_hat(cmap.space)
+        if lam is not None and lam < 1.0:
+            return ContractivityReport(epsilon, lam, False, None, 0, "exact")
     tab = _map_tables(cmap, plan)
     # the loop reads Python numbers, converted once: T[i][j] = F(pts[i], pts[j])
     D = tab.D.tolist()
@@ -379,6 +401,10 @@ def estimate_contraction(
                 best = r
                 best_w = (x, u, y, v)
     return _contraction_report(tab, epsilon, max(best, 0.0), False, best_w, tested)
+
+
+def _affine(cmap: CoupledMap) -> AffineMap | None:
+    return cmap.affine if isinstance(cmap, ExpressionMap) else None
 
 
 def _contraction_report(tab: _Tables, epsilon, lambda_hat, violated, quad, tested):

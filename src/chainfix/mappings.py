@@ -6,19 +6,27 @@ The iterate convention is the coupled recursion
 
 so the pair (F^m(x, y), F^m(y, x)) advances by one simultaneous update per
 step and a whole trajectory costs O(m) applications.
+
+An expression map whose components are all affine also exposes its exact
+coefficients, ``ExpressionMap.affine`` (see ``chainfix.affine``), once they
+prove that its float image never leaves the box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from typing import NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, EscapeError, InvalidInstanceError
 from .expressions import CompiledExpression, parse_expression
 from .spaces import BoxPoint, BoxSpace, FiniteSpace, Point
+
+if TYPE_CHECKING:
+    from .affine import AffineMap
 
 _BLOCK = 1 << 16  # point pairs evaluated at once by ExpressionMap.tabulate
 
@@ -103,6 +111,15 @@ class ExpressionMap:
     @property
     def sources(self) -> tuple[str, ...]:
         return tuple(c.source for c in self.components)
+
+    @cached_property
+    def affine(self) -> AffineMap | None:
+        """The exact coefficients when every component is affine and its
+        float value at every pair of box points provably lies in the box
+        (``chainfix.affine.affine_map``); else None. Read once, on first use."""
+        from .affine import affine_map  # exact rationals, for expression maps only
+
+        return affine_map(self)
 
     def apply(self, x: Point, y: Point) -> Point:
         self.space.validate_point(x)

@@ -15,6 +15,8 @@ scanned entry by entry to name its first bad entry. The arrays the checks
 build are stored read-only, ``D`` (float64) and ``L`` (``L[p, q]`` iff
 p <= q), and every whole-matrix computation reads them without a copy;
 ``dist`` keeps the distances as given, so an integer stays an integer.
+Order entries must be booleans, so a truthy string such as "False" is
+rejected rather than read as true.
 Boxes only need finite, consistent bounds, which they store as floats.
 Each error names the document key it rejects in ``field``.
 
@@ -157,7 +159,7 @@ class FiniteSpace:
 
     labels: tuple[str, ...]
     dist: tuple[tuple[float, ...], ...]  # as given: an int stays an int
-    L: np.ndarray  # given as any n x n boolean rows, stored read-only
+    L: np.ndarray  # given as n x n boolean rows or array, stored read-only
     D: np.ndarray = field(init=False, repr=False)  # dist as read-only float64
 
     def __post_init__(self) -> None:
@@ -174,6 +176,17 @@ class FiniteSpace:
         if len(self.L) != n or any(len(row) != n for row in self.L):
             raise InvalidInstanceError(f"order relation must be {n} x {n}",
                                        field="order_pairs")
+        if not (isinstance(self.L, np.ndarray) and self.L.dtype == bool) and not (
+            set(map(type, chain.from_iterable(self.L))) <= {bool, np.bool_}
+        ):
+            # the whole-matrix test failed: name the first entry that is no boolean
+            for i, row in enumerate(self.L):
+                for j, v in enumerate(row):
+                    if not isinstance(v, (bool, np.bool_)):
+                        raise InvalidInstanceError(
+                            f"order entry [{i}][{j}] = {v!r} is not a boolean",
+                            field="order_pairs", witness=(i, j),
+                        )
         D = _check_metric(self.dist)
         L = np.array(self.L, dtype=bool)  # a copy that no caller can write
         _check_order(L)

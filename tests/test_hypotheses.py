@@ -95,10 +95,18 @@ class TestSamplePoints:
 
 
 class TestMixedMonotone:
-    def test_affine_grid_pass_is_sampled(self):
+    def test_affine_pass_is_exact(self):
+        # A = 1/4 and B = 1/8 are nonnegative, so no sample is drawn; the
+        # same values behind min are no affine form and stay sampled
         box = BoxSpace((0.0,), (1.0,))
         cmap = expression_map(box, ["(2*x - y + 3)/8"])
         rep = check_mixed_monotone(cmap, GRID)
+        assert rep.as_dict() == {
+            "hypothesis": "mixed-monotone", "verdict": HOLDS, "witness": None,
+            "sample_seed": None, "sample_size": None, "mode": "exact",
+        }
+        wrapped = expression_map(box, ["min((2*x - y + 3)/8, (2*x - y + 3)/8)"])
+        rep = check_mixed_monotone(wrapped, GRID)
         assert rep.verdict == SAMPLED
         assert rep.passed
 
@@ -132,13 +140,20 @@ class TestMixedMonotone:
 
 
 class TestContraction:
-    def test_affine_sampled_supremum_is_half(self):
+    def test_affine_supremum_is_exactly_half(self):
+        # 2 * max(1/4, 1/8) over the whole box, with no quadruple scanned;
+        # the wrapped map scans its grid and meets 0.5 there too
         box = BoxSpace((0.0,), (1.0,))
         cmap = expression_map(box, ["(2*x - y + 3)/8"])
-        rep = estimate_contraction(cmap, 0.3, SamplingPlan(grid_step=0.25))
-        assert not rep.violated
-        assert rep.lambda_hat == 0.5
-        assert rep.mode == "sampled"
+        plan = SamplingPlan(grid_step=0.25)
+        rep = estimate_contraction(cmap, 0.3, plan)
+        assert rep.verdict == HOLDS
+        assert (rep.lambda_hat, rep.mode, rep.pairs_tested, rep.vacuous) == (
+            0.5, "exact", 0, False)
+        assert (rep.witness, rep.sample_size, rep.sample_seed) == (None, None, None)
+        wrapped = expression_map(box, ["min((2*x - y + 3)/8, (2*x - y + 3)/8)"])
+        rep = estimate_contraction(wrapped, 0.3, plan)
+        assert (rep.verdict, rep.lambda_hat, rep.mode) == (SAMPLED, 0.5, "sampled")
 
     def test_chain4_supremum_and_first_argmax(self, chain4_path):
         inst = load_instance(chain4_path)

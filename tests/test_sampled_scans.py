@@ -5,8 +5,9 @@ points rather than indices and ask ``space.leq``, ``space.distance`` and
 ``cmap.apply`` about every pair. On generated box maps (affine, clamped
 min/max/abs trees, and violators such as ``x*y`` or expansive maps) both
 must give the same verdict, witness, bitwise ``lambda_hat``, quadruple count
-and sample fields; on generated finite tables, the same mixed-monotonicity
-verdict and witness, and the same contraction report as the finite index
+and sample fields (an affine map is written as ``min(f, f)`` here, since
+its plain form is decided from its coefficients without a scan); on
+generated finite tables, the same mixed-monotonicity verdict and witness, and the same contraction report as the finite index
 loop below. The box map's array tabulation is checked against ``apply`` by
 ``repr``, escapes included.
 """
@@ -191,7 +192,8 @@ def box_maps(draw):
     violators = ["x*y", "y", "1 - x", "min(1, 2*abs(x - y))"] if dim == 1 else [
         "x1*y2", "y1", "min(1, max(0, 2*x2 - y1))", "1 - x1"]
     component = st.one_of(
-        affine(xs, ys),
+        # min(f, f) has f's values but no affine form, so it is scanned
+        affine(xs, ys).map(lambda e: f"min({e}, {e})"),
         tree(xs, ys).map(lambda e: f"min(1, max(0, {e}))"),
         st.sampled_from(violators),
     )

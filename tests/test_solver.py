@@ -165,11 +165,11 @@ class TestDecayReport:
         assert rep.final_observed == 0.0
 
     def test_uncertified_hypotheses_are_listed(self, l1_path):
-        # a box proves neither monotonicity nor contraction from its sample
+        # the affine map proves monotonicity and contraction from its
+        # coefficients; the box proves chainability only on its sample
         inst = load_instance(l1_path)
         reasons = uncertified(inst, run_hypothesis_suite(inst))
-        assert "mixed-monotone" in reasons
-        assert "uniform-local-contraction" in reasons
+        assert reasons == ("epsilon-chainable",)
 
     def test_escape_stops_the_rows(self):
         # F jumps out of [0, 1] only near x = 0.45, where (0, 1) lands

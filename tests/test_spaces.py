@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from chainfix.errors import DomainError, InvalidInstanceError
@@ -76,6 +77,30 @@ class TestFiniteSpace:
         with pytest.raises(InvalidInstanceError) as exc:
             FiniteSpace.from_lists(["a", "b", "c"], dist, order)
         assert "transitiv" in str(exc.value)
+
+    @pytest.mark.parametrize("order, bad", [
+        # "False" is truthy, so it used to read as a <= b
+        ([[1, "False"], [0, 1]], (0, 0)),
+        ([[True, "False"], [False, True]], (0, 1)),
+        ([[True, False], [None, True]], (1, 0)),
+        ([[True, 1.0], [False, True]], (0, 1)),
+    ])
+    def test_rejects_non_boolean_order_entry(self, order, bad):
+        with pytest.raises(InvalidInstanceError) as exc:
+            FiniteSpace.from_lists(["a", "b"], [[0, 1], [1, 0]], order)
+        assert exc.value.field == "order_pairs"
+        assert exc.value.witness == bad
+        i, j = bad
+        assert str(exc.value) == (
+            f"order entry [{i}][{j}] = {order[i][j]!r} is not a boolean")
+
+    def test_boolean_array_and_numpy_booleans_are_accepted(self):
+        L = np.array([[True, True], [False, True]])
+        from_array = FiniteSpace.from_lists(["a", "b"], [[0, 1], [1, 0]], L)
+        from_rows = FiniteSpace.from_lists(["a", "b"], [[0, 1], [1, 0]],
+                                           [list(row) for row in L])
+        assert from_array == from_rows
+        assert from_array.leq(0, 1) and not from_array.leq(1, 0)
 
     def test_validate_point_range(self):
         sp = chain_space(2)
