@@ -44,14 +44,7 @@ from .instances import (
     load_instance,
     parse_instance,
 )
-from .mappings import (
-    CoupledMap,
-    ExpressionMap,
-    IteratePair,
-    TableMap,
-    expression_map,
-    iterate_m,
-)
+from .mappings import CoupledMap, ExpressionMap, TableMap, expression_map
 from .oracle import (
     OracleReport,
     all_coupled_fixed_points,
@@ -67,21 +60,13 @@ from .solver import (
     SolveConfig,
     SolveResult,
     TraceRow,
-    UniquenessVerdict,
     collapse_check,
     decay_bound,
     picard_solve,
     residual,
-    uniqueness_probe,
     verify_decay_bound,
 )
-from .spaces import (
-    BoxSpace,
-    FiniteSpace,
-    product_comparable,
-    product_eta,
-    product_leq,
-)
+from .spaces import BoxSpace, FiniteSpace
 
 __version__ = "0.1.0"
 
@@ -103,7 +88,6 @@ __all__ = [
     "HypothesisReport",
     "Instance",
     "InvalidInstanceError",
-    "IteratePair",
     "OracleReport",
     "Parameters",
     "SAMPLED",
@@ -113,7 +97,6 @@ __all__ = [
     "SolveResult",
     "TableMap",
     "TraceRow",
-    "UniquenessVerdict",
     "VIOLATED",
     "all_coupled_fixed_points",
     "build_config",
@@ -131,19 +114,14 @@ __all__ = [
     "find_epsilon_chain",
     "generate_finite_instance",
     "instance_document",
-    "iterate_m",
     "load_instance",
     "min_chain_table",
     "oracle_report",
     "parse_instance",
     "picard_solve",
-    "product_comparable",
-    "product_eta",
-    "product_leq",
     "residual",
     "run_hypothesis_suite",
     "sample_points",
     "uncertified",
-    "uniqueness_probe",
     "verify_decay_bound",
 ]

@@ -51,8 +51,9 @@ def affine_form(
 ) -> AffineForm | None:
     """``expr`` as an affine form on the box ``bounds`` (variable -> (lo, hi)),
     or None when it is not affine (a ``min``/``max``/``abs`` call, or a
-    product of two terms that both read a variable) or when its evaluation
-    might overflow there.
+    product of two terms that both read a variable), when its evaluation
+    might overflow there, or when it nests too deeply to read; the sampled
+    route then decides it.
 
     The rounding bound follows the standard model of float64 arithmetic: an
     operation whose exact result is z returns z(1 + d) + e with
@@ -118,7 +119,7 @@ def affine_form(
 
     try:
         coef, const, error = walk(expr.tree)
-    except _NotAffine:
+    except (_NotAffine, RecursionError):  # or nested deeper than walk can follow
         return None
     ends = [
         (k * Fraction(bounds[v][0]), k * Fraction(bounds[v][1]))

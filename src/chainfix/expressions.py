@@ -153,8 +153,14 @@ def parse_expression(source: str, dim: int = 1) -> CompiledExpression:
     allowed = set(variable_names(dim))
     try:
         tree = ast.parse(source, mode="eval")
+        _validate(tree.body, allowed, source)
+        code = compile(tree, "<coupled-map>", "eval")
     except SyntaxError as exc:
         raise GrammarError(f"unparseable expression {source!r}: {exc.msg}") from exc
-    _validate(tree.body, allowed, source)
-    code = compile(tree, "<coupled-map>", "eval")
+    except (RecursionError, MemoryError):
+        # parsing, validating and compiling all recurse, and CPython's
+        # parser reports its own depth limit as a MemoryError
+        raise GrammarError(
+            f"expression of {len(source)} characters nests too deeply"
+        ) from None
     return CompiledExpression(source=source, code=code, tree=tree.body)

@@ -51,6 +51,7 @@ from .spaces import (
     FiniteSpace,
     Point,
     Space,
+    _first_in_blocks,
     point_jsonable,
 )
 
@@ -286,19 +287,6 @@ def _map_tables(cmap: CoupledMap, plan: SamplingPlan | None) -> _Tables:
     )
 
 
-def _first_failure(rows: int, cols: int, holds) -> tuple[int, int] | None:
-    """First False, in row-major order, of the rows x cols mask that
-    ``holds(r)`` builds for a slice ``r`` of its rows, about _BLOCK cells at
-    a time; None when every cell holds."""
-    step = max(1, _BLOCK // max(1, cols))
-    for lo in range(0, rows, step):
-        ok = holds(slice(lo, lo + step))
-        if not ok.all():
-            r, c = np.unravel_index(np.argmin(ok), ok.shape)
-            return lo + int(r), int(c)
-    return None
-
-
 def check_mixed_monotone(
     cmap: CoupledMap, plan: SamplingPlan | None = None
 ) -> HypothesisReport:
@@ -318,11 +306,15 @@ def check_mixed_monotone(
     # the comparable pairs a1 <= a2, a1 != a2, in lexicographic order
     a1, a2 = np.nonzero(strict)
     # rows (x1, x2), columns y
-    if hit := _first_failure(len(a1), n, lambda r: leq(F[a1[r]], F[a2[r]])):
+    if hit := _first_in_blocks(
+        lambda r: ~leq(F[a1[r]], F[a2[r]]), len(a1), n, _BLOCK
+    ):
         p, y = hit
         return _monotone_violation(tab, cmap, "first-argument", a1[p], a2[p], y)
     # rows x, columns (y1, y2)
-    if hit := _first_failure(n, len(a1), lambda r: leq(F[r][:, a2], F[r][:, a1])):
+    if hit := _first_in_blocks(
+        lambda r: ~leq(F[r][:, a2], F[r][:, a1]), n, len(a1), _BLOCK
+    ):
         x, p = hit
         return _monotone_violation(tab, cmap, "second-argument", a1[p], a2[p], x)
     return tab.report(

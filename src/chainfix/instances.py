@@ -367,7 +367,10 @@ def parse_instance(data) -> Instance:
 
 def load_instance(path) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInstanceError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         # NaN, Infinity and 1e400 decode to floats that the field they land
         # in rejects, by name
@@ -379,6 +382,10 @@ def load_instance(path) -> Instance:
         ) from None
     except ValueError as exc:  # an integer literal of more than 4300 digits
         raise InvalidInstanceError(f"{path}: not readable as JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidInstanceError(
+            f"{path}: not readable as JSON: arrays or objects nested too deeply"
+        ) from None
     return parse_instance(data)
 
 

@@ -1,6 +1,6 @@
-"""Coupled maps F : X x X -> X and their iterates.
+"""Coupled maps F : X x X -> X.
 
-The iterate convention is the coupled recursion
+Their iterates are ``solver.picard_solve``'s: the coupled recursion
 
     F^0(x, y) = x,    F^(m+1)(x, y) = F(F^m(x, y), F^m(y, x))
 
@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, EscapeError, InvalidInstanceError
+from .errors import EscapeError, InvalidInstanceError
 from .expressions import CompiledExpression, parse_expression
 from .spaces import BoxPoint, BoxSpace, FiniteSpace, Point
 
@@ -174,19 +174,3 @@ def expression_map(space: BoxSpace, sources: Union[str, Sequence[str]]) -> Expre
         sources = [sources]
     components = tuple(parse_expression(s, space.dim) for s in sources)
     return ExpressionMap(space, components)
-
-
-class IteratePair(NamedTuple):
-    m: int
-    forward: Point   # F^m(x, y)
-    backward: Point  # F^m(y, x)
-
-
-def iterate_m(cmap: CoupledMap, x: Point, y: Point, m: int) -> IteratePair:
-    """Both m-th iterates from the seed pair; m = 0 returns the seeds."""
-    if not isinstance(m, int) or m < 0:
-        raise DomainError(f"iteration count must be a nonnegative integer, got {m!r}")
-    fwd, bwd = x, y
-    for _ in range(m):
-        fwd, bwd = cmap.apply(fwd, bwd), cmap.apply(bwd, fwd)
-    return IteratePair(m, fwd, bwd)

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import DomainError, EscapeError
 from .hypotheses import Chain
 from .mappings import CoupledMap
-from .spaces import Point, product_comparable, product_eta
+from .spaces import Point
 
 CONVERGED = "converged"
 EXHAUSTED = "max-iterations-exhausted"
@@ -238,72 +237,6 @@ def verify_decay_bound(
     if have_bound:
         all_below = below_bound(rows)
     return DecayReport(tuple(rows), all_below, rows[-1].observed, n, escaped_at)
-
-
-class UniquenessVerdict(NamedTuple):
-    verdict: str  # "same" | "distinct" | "inconclusive"
-    case: str  # "directly-comparable" | "via-witness" | "no-witness"
-    eta: float
-    details: Mapping = MappingProxyType({})  # read-only: one empty default serves all
-
-
-def uniqueness_probe(
-    cmap: CoupledMap,
-    pair1: tuple[Point, Point],
-    pair2: tuple[Point, Point],
-    witness: Optional[tuple[Point, Point]] = None,
-    *,
-    config: SolveConfig | None = None,
-    horizon: int = 50,
-) -> UniquenessVerdict:
-    """Decide whether two coupled fixed pairs are the same point of the space.
-
-    Directly product-comparable pairs are compared outright. Otherwise a
-    product point comparable to both is iterated; if its orbit lands on both
-    pairs they coincide. Both inputs must actually be fixed pairs up to the
-    configured residual tolerance.
-    """
-    cfg = config or SolveConfig()
-    space = cmap.space
-    tol = cfg.residual_tolerance
-    for pair in (pair1, pair2):
-        r = residual(cmap, *pair)
-        if r > tol:
-            raise DomainError(
-                f"pair {pair!r} is not fixed: residual {r!r} exceeds {tol!r}"
-            )
-    eta = product_eta(space, pair1, pair2)
-    if product_comparable(space, pair1, pair2):
-        verdict = "same" if eta <= 2.0 * tol else "distinct"
-        return UniquenessVerdict(verdict, "directly-comparable", eta)
-    if witness is None:
-        return UniquenessVerdict(
-            "inconclusive", "no-witness", eta,
-            {"reason": "pairs are incomparable and no linking witness was given"},
-        )
-    w1, w2 = witness
-    space.validate_point(w1)
-    space.validate_point(w2)
-    if not (
-        product_comparable(space, witness, pair1)
-        and product_comparable(space, witness, pair2)
-    ):
-        raise DomainError(
-            "witness pair must be product-comparable to both fixed pairs"
-        )
-    a, b = w1, w2
-    e1 = product_eta(space, (a, b), pair1)
-    e2 = product_eta(space, (a, b), pair2)
-    for _ in range(horizon):
-        if e1 <= tol and e2 <= tol:
-            break
-        a, b = cmap.apply(a, b), cmap.apply(b, a)
-        e1 = product_eta(space, (a, b), pair1)
-        e2 = product_eta(space, (a, b), pair2)
-    details = {"witness_eta_to_pair1": e1, "witness_eta_to_pair2": e2}
-    if (e1 <= tol and e2 <= tol) or eta <= 2.0 * tol:
-        return UniquenessVerdict("same", "via-witness", eta, details)
-    return UniquenessVerdict("distinct", "via-witness", eta, details)
 
 
 class CollapseVerdict(NamedTuple):

@@ -2,7 +2,7 @@
 
 A point of a finite space is an integer index into its label list; a point of
 a box is a tuple of coordinates. Both kinds expose the same query surface
-(``distance``, ``leq``, ``contains``) so everything downstream stays generic.
+(``distance``, ``leq``) so everything downstream stays generic.
 
 Finite spaces are validated eagerly: every metric axiom (zero diagonal,
 symmetry, positivity, triangle inequality) and order axiom (reflexivity,
@@ -39,7 +39,6 @@ from .errors import DomainError, InvalidInstanceError, SamplingError
 FinitePoint = int
 BoxPoint = tuple[float, ...]
 Point = Union[FinitePoint, BoxPoint]
-Pair = tuple[Point, Point]
 
 GRID_CAP = 20000  # most points a box grid may hold
 
@@ -66,12 +65,15 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(map(int, np.unravel_index(k, mask.shape))) if mask.flat[k] else None
 
 
-def _first_in_slabs(slab, n: int) -> tuple[int, ...] | None:
-    """``_first`` of the n x n x n mask that ``slab(r)`` builds for the
-    first-axis rows ``r``, a slice of them at a time."""
-    step = max(1, _BLOCK // (n * n))
-    for lo in range(0, n, step):
-        if hit := _first(slab(slice(lo, lo + step))):
+def _first_in_blocks(
+    mask, rows: int, row_cells: int, block: int
+) -> tuple[int, ...] | None:
+    """``_first`` of a mask with ``rows`` first-axis rows of ``row_cells``
+    cells each, which ``mask(r)`` builds for a slice ``r`` of its rows, about
+    ``block`` cells at a time; None when no cell is True."""
+    step = max(1, block // max(1, row_cells))
+    for lo in range(0, rows if row_cells else 0, step):
+        if hit := _first(mask(slice(lo, lo + step))):
             return (hit[0] + lo, *hit[1:])
     return None
 
@@ -121,7 +123,9 @@ def _check_metric(d: Sequence[Sequence[float]]) -> np.ndarray:
             field="distance_matrix", witness=(i, j),
         )
     # axes [i, k, j]: d[i][j] > d[i][k] + d[k][j]
-    if hit := _first_in_slabs(lambda r: D[r, None] > D[r, :, None] + D, len(D)):
+    if hit := _first_in_blocks(
+        lambda r: D[r, None] > D[r, :, None] + D, len(D), D.size, _BLOCK
+    ):
         i, k, j = hit
         raise InvalidInstanceError(
             f"triangle inequality fails: d[{i}][{j}] > "
@@ -144,7 +148,9 @@ def _check_order(L: np.ndarray) -> None:
             field="order_pairs", witness=(i, j),
         )
     # axes [i, j, k]: i <= j <= k but not i <= k
-    if hit := _first_in_slabs(lambda r: L[r, :, None] & L & ~L[r, None], len(L)):
+    if hit := _first_in_blocks(
+        lambda r: L[r, :, None] & L & ~L[r, None], len(L), L.size, _BLOCK
+    ):
         i, j, k = hit
         raise InvalidInstanceError(
             f"order transitivity fails: {i} <= {j} <= {k} "
@@ -232,9 +238,6 @@ class FiniteSpace:
                 f"invalid finite point {p!r}: expected an index in "
                 f"[0, {len(self.labels)})"
             )
-
-    def contains(self, p: Point) -> bool:
-        return isinstance(p, int) and 0 <= p < len(self.labels)
 
     def distance(self, p: Point, q: Point) -> float:
         self.validate_point(p)
@@ -344,26 +347,6 @@ class BoxSpace:
 
 
 Space = Union[FiniteSpace, BoxSpace]
-
-
-def product_leq(space: Space, low: Pair, high: Pair) -> bool:
-    """Product order on X x X: (u, v) <= (x, y) iff u <= x and y <= v.
-
-    The second component runs against the base order on purpose: forward
-    iterates ascend while backward iterates descend.
-    """
-    u, v = low
-    x, y = high
-    return space.leq(u, x) and space.leq(y, v)
-
-
-def product_comparable(space: Space, a: Pair, b: Pair) -> bool:
-    return product_leq(space, a, b) or product_leq(space, b, a)
-
-
-def product_eta(space: Space, a: Pair, b: Pair) -> float:
-    """Product metric: eta((x, y), (u, v)) = d(x, u) + d(y, v)."""
-    return space.distance(a[0], b[0]) + space.distance(a[1], b[1])
 
 
 def point_jsonable(p: Point):

@@ -8,8 +8,10 @@ affine form) finds a violation, and the sampled ``lambda_hat`` may exceed
 the exact one only by the rounding allowance ``rounding_allowance`` argues.
 """
 
+import inspect
 import json
 import math
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -103,6 +105,18 @@ class TestAffineForm:
         q = Fraction(1, 8)
         assert cmap.affine == AffineMap(
             A=((2 * q, 0), (0, q)), B=((q, 0), (0, q)), c=(3 * q, 4 * q))
+
+    def test_form_nested_deeper_than_the_walk_is_left_to_the_scan(self):
+        expr = parse_expression("x" + "+0" * 200)
+        limit = sys.getrecursionlimit()
+        # room for the caller's frames, but not for 200 nested additions
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            form = affine_form(expr, {"x": (0.0, 1.0), "y": (0.0, 1.0)})
+        finally:
+            sys.setrecursionlimit(limit)
+        assert form is None
+        assert affine_form(expr, {"x": (0.0, 1.0), "y": (0.0, 1.0)}) is not None
 
     def test_literals_are_the_floats_evaluation_reads(self):
         form = affine_form(parse_expression("0.1*x"),

@@ -80,6 +80,37 @@ class TestExitCodes:
         assert err.startswith(f"error: {bad}: not readable as JSON: Exceeds the limit")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"\xff\xfe{}", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 200000 + b"]" * 200000,
+         "not readable as JSON: arrays or objects nested too deeply"),
+    ], ids=["not-utf8", "nested-too-deeply"])
+    def test_unreadable_document_is_validation_error(
+        self, capsys, tmp_path, content, reason
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        code, out, err = run(capsys, "check", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {bad}: {reason}")
+        assert "Traceback" not in err
+
+    def test_formula_nested_too_deeply_names_the_formula(self, capsys, tmp_path):
+        doc = {
+            "schema_version": 1,
+            "space": {"kind": "box", "dimension": 1, "lower": [0], "upper": [1]},
+            "map": {"kind": "expression", "formula": "x" + "+0" * 50000},
+            "seeds": {"x0": 0, "y0": 1},
+            "parameters": {"epsilon": 0.6},
+        }
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: map.formula: expression of 100001 characters nests too deeply\n"
+        )
+
     def test_schema_violation_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema_version": 99}')

@@ -105,3 +105,14 @@ def test_literals_are_floats_within_float_range():
     for source in ("1e400*x", f"x/{10**400}", f"{10**309} + x"):
         with pytest.raises(GrammarError, match="outside float range"):
             parse_expression(source, dim=1)
+
+
+@pytest.mark.parametrize("source", [
+    "x" + "+0" * 50000,
+    "-" * 50000 + "x",  # past the parser's own depth limit
+    "x/(1" + "+0" * 50000 + ")",
+], ids=["sum", "unary-minus", "denominator"])
+def test_formula_nested_too_deeply_is_a_grammar_error(source):
+    with pytest.raises(GrammarError, match="nests too deeply") as info:
+        parse_expression(source, dim=1)
+    assert info.value.field == "formula"

@@ -15,7 +15,8 @@ All four values are exact in binary floating point.
 import pytest
 
 from chainfix.errors import EscapeError, InvalidInstanceError
-from chainfix.mappings import TableMap, expression_map, iterate_m
+from chainfix.mappings import TableMap, expression_map
+from chainfix.solver import SolveConfig, picard_solve
 from chainfix.spaces import BoxSpace, FiniteSpace
 
 
@@ -36,10 +37,15 @@ def test_affine_first_iterate(affine):
     assert affine.apply((1.0,), (0.0,)) == (0.625,)
 
 
-def test_affine_second_iterate_via_iterate_m(affine):
-    pair = iterate_m(affine, (0.0,), (1.0,), 2)
-    assert pair.forward == (0.359375,)
-    assert pair.backward == (0.5,)
+def affine_trace(affine, m: int):
+    """The first m + 1 rows of the coupled iteration from (0, 1)."""
+    return picard_solve(affine, (0.0,), (1.0,), SolveConfig(max_iterations=m)).trace
+
+
+def test_affine_second_iterate_via_picard_trace(affine):
+    row = affine_trace(affine, 2)[2]
+    assert row.x == (0.359375,)
+    assert row.y == (0.5,)
 
 
 def test_affine_fixed_point_is_three_sevenths(affine):
@@ -47,18 +53,17 @@ def test_affine_fixed_point_is_three_sevenths(affine):
     assert affine.apply((c,), (c,)) == (c,)
 
 
-def test_iterate_zero_is_identity(affine):
-    pair = iterate_m(affine, (0.0,), (1.0,), 0)
-    assert pair.forward == (0.0,)
-    assert pair.backward == (1.0,)
+def test_trace_row_zero_is_the_seeds(affine):
+    row = affine_trace(affine, 2)[0]
+    assert row.x == (0.0,)
+    assert row.y == (1.0,)
 
 
-def test_iterate_updates_both_streams_simultaneously(affine):
+def test_trace_updates_both_streams_simultaneously(affine):
     # second iterate must use (x1, y1), not a half-updated pair
-    one = iterate_m(affine, (0.0,), (1.0,), 1)
-    two = iterate_m(affine, (0.0,), (1.0,), 2)
-    assert two.forward == affine.apply(one.forward, one.backward)
-    assert two.backward == affine.apply(one.backward, one.forward)
+    _, one, two = affine_trace(affine, 2)
+    assert two.x == affine.apply(one.x, one.y)
+    assert two.y == affine.apply(one.y, one.x)
 
 
 def test_escape_raises():

@@ -23,22 +23,19 @@ from chainfix.solver import (
     CollapseVerdict,
     DecayReport,
     SolveResult,
-    UniquenessVerdict,
     collapse_check,
     picard_solve,
-    uniqueness_probe,
     verify_decay_bound,
 )
 
 
 @pytest.fixture(scope="module")
-def records(chain4_path, antichain2_path):
-    """One record of each of the eleven types, built the way callers build them."""
+def records(chain4_path):
+    """One record of each of the ten types, built the way callers build them."""
     inst = load_instance(chain4_path)
     suite = run_hypothesis_suite(inst)
     cfg = build_config(inst, suite)
     res = picard_solve(inst.cmap, inst.x0, inst.y0, cfg)
-    anti = load_instance(antichain2_path)
     return [
         SamplingPlan(grid_step=0.5, random_count=8, seed=3),
         suite["epsilon-chainable"],
@@ -49,7 +46,6 @@ def records(chain4_path, antichain2_path):
         oracle_report(inst.cmap, inst.params.epsilon),
         res,
         verify_decay_bound(inst.cmap, (0, 3), (3, 0), cfg, horizon=3),
-        uniqueness_probe(anti.cmap, (0, 0), (1, 1), config=cfg),
         collapse_check(res, inst.space, x0=inst.x0, y0=inst.y0,
                        pair_bounds=True, residual_tolerance=1e-10),
     ]
@@ -59,7 +55,7 @@ def test_one_record_of_each_type(records):
     assert [type(r) for r in records] == [
         SamplingPlan, HypothesisReport, ContractivityReport, Chain,
         Parameters, Instance, OracleReport, SolveResult, DecayReport,
-        UniquenessVerdict, CollapseVerdict,
+        CollapseVerdict,
     ]
 
 
@@ -77,7 +73,7 @@ def test_repr_lists_every_field_in_order(records):
         fields = ", ".join(f"{k}={getattr(r, k)!r}" for k in r._fields)
         assert repr(r) == f"{type(r).__name__}({fields})"
     assert repr(records[0]) == "SamplingPlan(grid_step=0.5, random_count=8, seed=3)"
-    assert repr(records[10]) == (
+    assert repr(records[9]) == (
         "CollapseVerdict(verdict='holds', gap=0, tolerance=2e-10, "
         "mode='comparable-seeds')"
     )
@@ -91,12 +87,9 @@ def test_replace_gives_a_changed_copy(records):
     assert low._replace(lambda_claimed=None) == params
 
 
-@pytest.mark.parametrize("make", [
-    lambda: HypothesisReport("seed-condition", "holds"),
-    lambda: UniquenessVerdict("same", "directly-comparable", 0.0),
-])
-def test_default_details_are_read_only(make):
-    a, b = make(), make()
+def test_default_details_are_read_only():
+    a = HypothesisReport("seed-condition", "holds")
+    b = HypothesisReport("seed-condition", "holds")
     assert a.details == b.details == {}
     with pytest.raises(TypeError):
         a.details["reason"] = "written through the default"

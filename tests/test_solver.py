@@ -28,7 +28,6 @@ from chainfix.solver import (
     decay_bound,
     picard_solve,
     residual,
-    uniqueness_probe,
     verify_decay_bound,
 )
 from chainfix.spaces import BoxSpace
@@ -206,50 +205,6 @@ class TestDecayReport:
         )
         assert rep.all_below_bound is None
         assert all(math.isnan(r.bound) for r in rep.rows)
-
-
-class TestUniqueness:
-    def test_comparable_fixed_pairs_distinct(self, f1_path):
-        inst = load_instance(f1_path)
-        cfg = SolveConfig(residual_tolerance=1e-9)
-        verdict = uniqueness_probe(
-            inst.cmap, (0, 1), (1, 0), config=cfg
-        )
-        assert verdict.verdict == "distinct"
-        assert verdict.case == "directly-comparable"
-        assert verdict.eta == 2.0
-
-    def test_converged_pair_matches_exact_fixed_point(self, l1_path):
-        inst, cfg, res = solve_instance(l1_path)
-        c = (3.0 / 7.0,)
-        verdict = uniqueness_probe(
-            inst.cmap, (res.x, res.y), (c, c),
-            config=SolveConfig(residual_tolerance=cfg.residual_tolerance),
-        )
-        assert verdict.verdict == "same"
-
-    def test_incomparable_pairs_without_witness_inconclusive(
-        self, antichain2_path
-    ):
-        inst = load_instance(antichain2_path)
-        cfg = SolveConfig(residual_tolerance=1e-9)
-        verdict = uniqueness_probe(inst.cmap, (0, 0), (1, 1), config=cfg)
-        assert verdict.verdict == "inconclusive"
-        assert verdict.case == "no-witness"
-
-    def test_witness_must_link_both_pairs(self, antichain2_path):
-        inst = load_instance(antichain2_path)
-        cfg = SolveConfig(residual_tolerance=1e-9)
-        with pytest.raises(DomainError):
-            uniqueness_probe(
-                inst.cmap, (0, 0), (1, 1), witness=(0, 1), config=cfg
-            )
-
-    def test_rejects_nonfixed_input(self, f1_path):
-        inst = load_instance(f1_path)
-        cfg = SolveConfig(residual_tolerance=1e-9)
-        with pytest.raises(DomainError):
-            uniqueness_probe(inst.cmap, (2, 2), (0, 0), config=cfg)
 
 
 class TestCollapse:

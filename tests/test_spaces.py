@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from chainfix.errors import DomainError, InvalidInstanceError
-from chainfix.spaces import (
-    BoxSpace,
-    FiniteSpace,
-    point_jsonable,
-    product_comparable,
-    product_eta,
-    product_leq,
-)
+from chainfix.spaces import BoxSpace, FiniteSpace, point_jsonable
 
 
 def chain_space(n: int = 3) -> FiniteSpace:
@@ -154,24 +147,6 @@ class TestBoxSpace:
             box.validate_point((1.5,))
         with pytest.raises(DomainError):
             box.validate_point((0.5, 0.5))
-
-
-class TestProductOrder:
-    def test_product_leq_flips_second_component(self):
-        sp = chain_space(3)
-        # (0, 2) is a product lower bound of (1, 1)
-        assert product_leq(sp, (0, 2), (1, 1))
-        assert not product_leq(sp, (1, 1), (0, 2)) or (1, 1) == (0, 2)
-
-    def test_product_comparable_either_direction(self):
-        sp = chain_space(3)
-        assert product_comparable(sp, (1, 1), (0, 2))
-        assert product_comparable(sp, (0, 2), (1, 1))
-        assert not product_comparable(sp, (0, 0), (1, 2))
-
-    def test_product_eta_adds_component_distances(self):
-        sp = chain_space(3)
-        assert product_eta(sp, (0, 2), (2, 0)) == 4
 
 
 def test_point_jsonable_shapes():
