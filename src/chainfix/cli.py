@@ -26,7 +26,7 @@ import json
 import math
 import sys
 
-from .errors import ChainfixError, DomainError
+from .errors import ChainfixError, DomainError, clipped_repr
 from .hypotheses import HOLDS, find_epsilon_chain
 from .instances import (
     MAX_ITERATIONS,
@@ -195,7 +195,8 @@ def _cli_point(space, text: str, what: str):
             raw = [float(part) for part in text.split(",")]
         except ValueError:
             raise DomainError(
-                f"{what}: expected comma-separated coordinates, got {text!r}"
+                f"{what}: expected comma-separated coordinates, "
+                f"got {clipped_repr(text)}"
             ) from None
     elif text not in space.labels:
         try:
@@ -206,25 +207,27 @@ def _cli_point(space, text: str, what: str):
 
 
 def _epsilon_arg(text: str) -> float:
+    shown = clipped_repr(text)
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a number: {shown}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"non-finite number {text!r}")
+        raise argparse.ArgumentTypeError(f"non-finite number {shown}")
     if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be positive, got {shown}")
     return value
 
 
 def _horizon_arg(text: str) -> int:
+    shown = clipped_repr(text)
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {shown}") from None
     if not 0 <= value <= MAX_ITERATIONS:
         raise argparse.ArgumentTypeError(
-            f"must lie in [0, {MAX_ITERATIONS}], got {text!r}"
+            f"must lie in [0, {MAX_ITERATIONS}], got {shown}"
         )
     return value
 
@@ -263,7 +266,7 @@ def cmd_oracle(args) -> int:
         "chain": {
             "max_n": rep.max_chain_n,
             "unreachable": rep.unreachable,
-            "table": [(*ij, h) for ij, h in rep.chain_table.items()],
+            "table": rep.chain_table,
         },
     }
     _write(args.json, canonical_json(doc))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GrammarError
+from .errors import GrammarError, clipped_repr
 
 
 def _first_wins(beats):
@@ -74,20 +74,21 @@ def _const_value(node: ast.expr) -> float:
     return eval(compile(expr, "<denominator>", "eval"), {"__builtins__": {}}, {})
 
 
-def _validate(node: ast.expr, allowed: set[str], source: str) -> None:
-    # rewrites each literal to a float as it goes
+def _validate(node: ast.expr, allowed: set[str], shown: str) -> None:
+    # rewrites each literal to a float as it goes; ``shown`` names the
+    # source in messages
     if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
-        _validate(node.left, allowed, source)
-        _validate(node.right, allowed, source)
+        _validate(node.left, allowed, shown)
+        _validate(node.right, allowed, shown)
         if isinstance(node.op, ast.Div):
             if _names(node.right):
                 raise GrammarError(
-                    f"division denominator must be a constant in {source!r}"
+                    f"division denominator must be a constant in {shown}"
                 )
             if _const_value(node.right) == 0:
-                raise GrammarError(f"division by zero constant in {source!r}")
+                raise GrammarError(f"division by zero constant in {shown}")
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARY):
-        _validate(node.operand, allowed, source)
+        _validate(node.operand, allowed, shown)
     elif isinstance(node, ast.Call):
         if (
             not isinstance(node.func, ast.Name)
@@ -95,37 +96,37 @@ def _validate(node: ast.expr, allowed: set[str], source: str) -> None:
             or node.keywords
         ):
             raise GrammarError(
-                f"only plain min/max/abs calls are allowed in {source!r}"
+                f"only plain min/max/abs calls are allowed in {shown}"
             )
         if node.func.id == "abs" and len(node.args) != 1:
-            raise GrammarError(f"abs takes exactly one argument in {source!r}")
+            raise GrammarError(f"abs takes exactly one argument in {shown}")
         if node.func.id in ("min", "max") and len(node.args) < 2:
             raise GrammarError(
-                f"{node.func.id} needs at least two arguments in {source!r}"
+                f"{node.func.id} needs at least two arguments in {shown}"
             )
         for arg in node.args:
-            _validate(arg, allowed, source)
+            _validate(arg, allowed, shown)
     elif isinstance(node, ast.Name):
         if node.id not in allowed:
             raise GrammarError(
-                f"unknown variable {node.id!r} in {source!r}; "
+                f"unknown variable {node.id!r} in {shown}; "
                 f"allowed: {', '.join(sorted(allowed))}"
             )
     elif isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
-            raise GrammarError(f"non-numeric literal {node.value!r} in {source!r}")
+            raise GrammarError(f"non-numeric literal {node.value!r} in {shown}")
         try:
             value = float(node.value)
         except OverflowError:  # an integer too large for a float
             value = math.inf
         if not math.isfinite(value):
             raise GrammarError(
-                f"numeric literal outside float range in {source!r}"
+                f"numeric literal outside float range in {shown}"
             )
         node.value = value
     else:
         raise GrammarError(
-            f"disallowed syntax ({type(node).__name__}) in {source!r}"
+            f"disallowed syntax ({type(node).__name__}) in {shown}"
         )
 
 
@@ -148,15 +149,16 @@ class CompiledExpression:
 
 def parse_expression(source: str, dim: int = 1) -> CompiledExpression:
     """Parse one component expression against the grammar for ``dim`` axes."""
+    shown = clipped_repr(source)
     if not isinstance(source, str) or not source.strip():
-        raise GrammarError(f"expression must be a nonempty string, got {source!r}")
+        raise GrammarError(f"expression must be a nonempty string, got {shown}")
     allowed = set(variable_names(dim))
     try:
         tree = ast.parse(source, mode="eval")
-        _validate(tree.body, allowed, source)
+        _validate(tree.body, allowed, shown)
         code = compile(tree, "<coupled-map>", "eval")
     except SyntaxError as exc:
-        raise GrammarError(f"unparseable expression {source!r}: {exc.msg}") from exc
+        raise GrammarError(f"unparseable expression {shown}: {exc.msg}") from exc
     except (RecursionError, MemoryError):
         # parsing, validating and compiling all recurse, and CPython's
         # parser reports its own depth limit as a MemoryError

@@ -24,8 +24,11 @@ them too: reading stored data is not sharing a kernel); a box validates its
 sample once and tabulates it with numpy, so a map that leaves the box
 anywhere on the sample raises ``EscapeError`` before any scan starts. The
 mixed-monotonicity scan compares whole rows of images as numpy masks, a
-block of about 2**16 cells at a time; the contraction scan and the chain
-search are plain loops over point indices.
+block of about 2**16 cells at a time, over the covering pairs first and over
+every comparable pair only when a covering pair fails. The chainability
+check takes every hop count from one min-plus closure over whole arrays.
+Only the contraction scan and ``find_epsilon_chain``, which needs the path
+and not just its length, are plain loops over point indices.
 
 Every violated verdict carries a witness that can be re-checked with a single
 direct evaluation. Enumeration orders are fixed (lexicographic in point
@@ -51,6 +54,7 @@ from .spaces import (
     FiniteSpace,
     Point,
     Space,
+    _covers,
     _first_in_blocks,
     point_jsonable,
 )
@@ -295,31 +299,47 @@ def check_mixed_monotone(
     First branch: x1 <= x2 must give F(x1, y) <= F(x2, y) for every y.
     Second branch: y1 <= y2 must give F(x, y1) >= F(x, y2) for every x.
     An affine box map with A, B >= 0 holds with no scan.
+
+    The image order is transitive, so both branches hold on every
+    comparable pair once they hold on every covering pair x1 < x2 (no point
+    strictly between): the covering pairs are checked first, and only a
+    failure there runs the scan over every comparable pair, which reports
+    the first violation in its own order.
     """
     aff = _affine(cmap)
     if aff is not None and aff.mixed_monotone:
         return HypothesisReport("mixed-monotone", HOLDS, details={"mode": "exact"})
     tab = _map_tables(cmap, plan)
+    if _first_monotone_violation(tab, *np.nonzero(_covers(tab.L))):
+        n = len(tab.pts)
+        # the comparable pairs a1 <= a2, a1 != a2, in lexicographic order
+        hit = _first_monotone_violation(
+            tab, *np.nonzero(tab.L & ~np.eye(n, dtype=bool))
+        )
+        return _monotone_violation(tab, cmap, *hit)
+    return tab.report(
+        "mixed-monotone", sample_size=tab.sample_size, sample_seed=tab.sample_seed
+    )
+
+
+def _first_monotone_violation(tab: _Tables, a1: np.ndarray, a2: np.ndarray):
+    """(branch, a1, a2, other) of the first violation over the ordered pairs
+    a1[p] < a2[p], first branch before second, else None."""
     F, leq = tab.images, tab.LI
     n = len(tab.pts)
-    strict = tab.L & ~np.eye(n, dtype=bool)
-    # the comparable pairs a1 <= a2, a1 != a2, in lexicographic order
-    a1, a2 = np.nonzero(strict)
     # rows (x1, x2), columns y
     if hit := _first_in_blocks(
         lambda r: ~leq(F[a1[r]], F[a2[r]]), len(a1), n, _BLOCK
     ):
         p, y = hit
-        return _monotone_violation(tab, cmap, "first-argument", a1[p], a2[p], y)
+        return "first-argument", a1[p], a2[p], y
     # rows x, columns (y1, y2)
     if hit := _first_in_blocks(
         lambda r: ~leq(F[r][:, a2], F[r][:, a1]), n, len(a1), _BLOCK
     ):
         x, p = hit
-        return _monotone_violation(tab, cmap, "second-argument", a1[p], a2[p], x)
-    return tab.report(
-        "mixed-monotone", sample_size=tab.sample_size, sample_seed=tab.sample_seed
-    )
+        return "second-argument", a1[p], a2[p], x
+    return None
 
 
 def _monotone_violation(tab: _Tables, cmap, branch, a1, a2, other):
@@ -408,12 +428,26 @@ def _contraction_report(tab: _Tables, epsilon, lambda_hat, violated, quad, teste
     )
 
 
-def _epsilon_adjacency(tab: _Tables, epsilon):
+def _epsilon_edges(tab: _Tables, epsilon) -> np.ndarray:
     # edge i -> j iff pts[i] <= pts[j] and their distance is below epsilon;
     # hops of a chain
     edges = tab.L & (tab.D < epsilon)
     np.fill_diagonal(edges, False)
-    return [row.nonzero()[0].tolist() for row in edges]
+    return edges
+
+
+def _hop_counts(edges: np.ndarray) -> np.ndarray:
+    """Fewest edges from i to j for every pair of points, and n where no
+    path leads from i to j: a min-plus closure over each intermediate point
+    k in turn (Floyd-Warshall), one whole-matrix pass per k. Entries stay
+    below 2n, so the smallest unsigned type holding 2n carries them."""
+    n = len(edges)
+    small = np.min_scalar_type(2 * n).type
+    H = np.where(edges, small(1), small(n))
+    np.fill_diagonal(H, 0)
+    for k in range(n):
+        np.minimum(H, H[:, k, None] + H[k], out=H)
+    return H
 
 
 def _bfs(adj: list[list[int]], src: int) -> tuple[list, list]:
@@ -457,7 +491,7 @@ def find_epsilon_chain(
     tab = _space_tables(space, candidates, extra=(a, b))
     cand = tab.pts
     index = {p: i for i, p in enumerate(cand)}
-    adj = _epsilon_adjacency(tab, epsilon)
+    adj = [row.nonzero()[0].tolist() for row in _epsilon_edges(tab, epsilon)]
     src, dst = index[a], index[b]
     hops, parent = _bfs(adj, src)
     if hops[dst] is None:
@@ -488,30 +522,33 @@ def check_epsilon_chainable(
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     tab = _space_tables(space, candidates)
-    cand, L = tab.pts, tab.L
-    adj = _epsilon_adjacency(tab, epsilon)
-    table: dict[tuple[Point, Point], int] = {}
-    unreachable: list[tuple[Point, Point]] = []
-    for i, p in enumerate(cand):
-        hops, _ = _bfs(adj, i)
-        for j in L[i].nonzero()[0].tolist():
-            q = cand[j]
-            if hops[j] is None:
-                unreachable.append((p, q))
-            else:
-                table[(p, q)] = hops[j]
-    max_n = max(table.values(), default=0)
+    cand = tab.pts
+    hops = _hop_counts(_epsilon_edges(tab, epsilon))
+    # the comparable pairs in row-major order, which chain_n keeps
+    i, j = np.nonzero(tab.L)
+    h = hops[i, j]
+    found = h < len(cand)
+    table = dict(zip(_point_pairs(tab, i[found], j[found]), h[found].tolist()))
+    unreachable = tuple(_point_pairs(tab, i[~found], j[~found]))
     details = {
         "epsilon": epsilon,
-        "max_n": max_n,
+        "max_n": max(table.values(), default=0),
         "chain_n": table,
-        "unreachable": tuple(unreachable),
+        "unreachable": unreachable,
         "candidates": len(cand),
     }
     witness = None
     if unreachable:
         witness = [point_jsonable(p) for p in unreachable[0]]
     return tab.report("epsilon-chainable", witness, details=details)
+
+
+def _point_pairs(tab: _Tables, i: np.ndarray, j: np.ndarray) -> Iterable:
+    """The point pairs (pts[i[p]], pts[j[p]])."""
+    i, j = i.tolist(), j.tolist()
+    if not tab.exhaustive:  # else the points are the indices themselves
+        i, j = map(tab.pts.__getitem__, i), map(tab.pts.__getitem__, j)
+    return zip(i, j)
 
 
 def check_seed(cmap: CoupledMap, x0: Point, y0: Point) -> HypothesisReport:

@@ -33,13 +33,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, EscapeError, InvalidInstanceError
+from .errors import DomainError, EscapeError, InvalidInstanceError, clipped_repr
 from .mappings import CoupledMap, ExpressionMap, TableMap, expression_map
 from .spaces import (
     BoxSpace,
     FiniteSpace,
     Point,
     Space,
+    _covers,
     is_finite_number,
     point_jsonable,
 )
@@ -78,20 +79,20 @@ def _require(data: dict, key: str, kind, where: str):
     if kind is float:
         if not is_finite_number(value):
             raise InvalidInstanceError(
-                f"must be a finite number, got {value!r}",
+                f"must be a finite number, got {clipped_repr(value)}",
                 field=field,
             )
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidInstanceError(
-                f"must be an integer, got {value!r}",
+                f"must be an integer, got {clipped_repr(value)}",
                 field=field,
             )
         return value
     if not isinstance(value, kind):
         raise InvalidInstanceError(
-            f"must be {kind.__name__}, got {value!r}",
+            f"must be {kind.__name__}, got {clipped_repr(value)}",
             field=field,
         )
     return value
@@ -113,13 +114,13 @@ def _closure(n: int, pairs) -> np.ndarray:
                 or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)
             ):
                 raise InvalidInstanceError(
-                    f"entries must be [i, j] index pairs, got {pair!r}",
+                    f"entries must be [i, j] index pairs, got {clipped_repr(pair)}",
                     field="space.order_pairs",
                 )
             i, j = pair
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidInstanceError(
-                    f"order pair {pair!r} is out of range for {n} points",
+                    f"order pair {clipped_repr(pair)} is out of range for {n} points",
                     field="space.order_pairs",
                     witness=pair,
                 )
@@ -195,12 +196,12 @@ def parse_point(space: Space, raw, where: str) -> Point:
                 return space.labels.index(raw)
             except ValueError:
                 raise InvalidInstanceError(
-                    f"unknown point label {raw!r}", field=where,
+                    f"unknown point label {clipped_repr(raw)}", field=where,
                     witness=raw,
                 ) from None
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise InvalidInstanceError(
-                f"must be an index or label, got {raw!r}", field=where
+                f"must be an index or label, got {clipped_repr(raw)}", field=where
             )
         pt: Point = raw
     elif is_finite_number(raw):
@@ -209,7 +210,7 @@ def parse_point(space: Space, raw, where: str) -> Point:
         pt = tuple(float(v) for v in raw)
     else:
         raise InvalidInstanceError(
-            f"must be a finite coordinate or coordinate list, got {raw!r}",
+            f"must be a finite coordinate or coordinate list, got {clipped_repr(raw)}",
             field=where,
         )
     try:
@@ -291,7 +292,7 @@ def parse_instance(data) -> Instance:
         space, grid_step = _parse_box_space(space_data)
     else:
         raise InvalidInstanceError(
-            f"must be 'finite' or 'box', got {kind!r}",
+            f"must be 'finite' or 'box', got {clipped_repr(kind)}",
             field="space.kind",
         )
     map_data = _require(data, "map", dict, "document")
@@ -302,7 +303,7 @@ def parse_instance(data) -> Instance:
         cmap = _parse_expression_map(space, map_data)
     else:
         raise InvalidInstanceError(
-            f"must be 'table' or 'expression', got {map_kind!r}",
+            f"must be 'table' or 'expression', got {clipped_repr(map_kind)}",
             field="map.kind",
         )
     seeds = _require(data, "seeds", dict, "document")
@@ -391,8 +392,7 @@ def load_instance(path) -> Instance:
 
 def _covering_pairs(L: np.ndarray) -> list[list[int]]:
     # transitive reduction: i < j with no k strictly between
-    strict = L & ~np.eye(len(L), dtype=bool)
-    return np.argwhere(strict & ~(strict @ strict)).tolist()
+    return np.argwhere(_covers(L)).tolist()
 
 
 def instance_document(inst: Instance) -> dict:
@@ -457,7 +457,11 @@ def canonical_json(doc) -> bytes:
     A list of numbers, booleans and nulls, or a list of nonempty such
     lists, is encoded by one C-encoder call and laid out with
     ``str.replace``: none of those values can hold a comma, so every ", "
-    is an item boundary. Everything else is laid out recursively.
+    is an item boundary. A 2-D integer ndarray is written as ``json.dumps``
+    writes its ``.tolist()``, by filling one ``%d`` row template per row;
+    any other ndarray is refused as ``json.dumps`` refuses it, so a bool or
+    float array never prints as integers. Everything else is laid out
+    recursively.
     """
     try:
         return (_layout(doc, "\n") + "\n").encode("utf-8")
@@ -478,6 +482,8 @@ def _layout(o, nl: str) -> str:
             f"{_encode(_key(k))}: {_layout(v, inner)}" for k, v in items
         ) + nl + "}"
     if not isinstance(o, (list, tuple)):
+        if isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype.kind in "iu":
+            return _int_rows(o, nl)
         return _encode(o)
     if not o:
         return "[]"
@@ -494,6 +500,18 @@ def _layout(o, nl: str) -> str:
         body = body.replace(", ", "," + row)
         return "[" + inner + "[" + row + body + inner + "]" + nl + "]"
     return "[" + inner + ("," + inner).join(_layout(v, inner) for v in o) + nl + "]"
+
+
+def _int_rows(a: np.ndarray, nl: str) -> str:
+    """The (k, m) integer array ``a`` as ``_layout`` lays out ``a.tolist()``."""
+    k, m = a.shape
+    if not k:
+        return "[]"
+    inner = nl + "  "
+    row = inner + "  "
+    template = "[" + row + ("," + row).join(["%d"] * m) + inner + "]" if m else "[]"
+    body = ("," + inner).join([template] * k) % tuple(a.ravel().tolist())
+    return "[" + inner + body + nl + "]"
 
 
 def _key(k) -> str:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from .errors import EscapeError, InvalidInstanceError
+from .errors import EscapeError, InvalidInstanceError, clipped_repr
 from .expressions import CompiledExpression, parse_expression
 from .spaces import BoxPoint, BoxSpace, FiniteSpace, Point
 
@@ -62,7 +62,8 @@ class TableMap:
                         or not 0 <= v < n
                     ):
                         raise InvalidInstanceError(
-                            f"map table entry [{i}][{j}] = {v!r} is not a point index",
+                            f"map table entry [{i}][{j}] = {clipped_repr(v)} "
+                            "is not a point index",
                             field="table", witness=(i, j),
                         )
         T.setflags(write=False)

@@ -1,15 +1,21 @@
 """Independent cross-checks for finite instances.
 
 Everything here recomputes what ``hypotheses`` and ``solver`` produce, but
-through a different route: numpy array sweeps instead of Python loops, and
-boolean matrix frontier expansion instead of hand-rolled BFS. The contraction
-sweep visits only order-admissible quadruples (u <= x, y <= v), in blocks of
-a fixed size, so its memory does not grow with n^4. Agreement between the two
-routes is the core equivalence guarantee, so this module must not import from
-``hypotheses`` beyond the shared report type, and must not share loop code
-with it. Both routes read the space's read-only ``D`` and ``L`` and the
-map's ``T`` without a copy: reading stored data is not sharing a kernel,
-and the sweeps below are this module's own.
+through a different route: block array sweeps where the checking route loops
+over quadruples, and boolean matrix frontier expansion, one product per hop
+level, where it takes a min-plus closure of hop counts over each
+intermediate point. The contraction sweep visits only order-admissible
+quadruples (u <= x, y <= v), in blocks of a fixed size, so its memory does
+not grow with n^4. Agreement between the two routes is the core equivalence
+guarantee, so this module must not import from ``hypotheses`` beyond the
+shared report type, and must not share a kernel with it. Both routes read
+the space's read-only ``D`` and ``L`` and the map's ``T`` without a copy:
+reading stored data is not sharing a kernel, and the sweeps below are this
+module's own.
+
+The fixed pairs and the chain table are returned as read-only integer
+arrays, one row per pair, and stay arrays until ``canonical_json`` writes
+them.
 
 Enumeration order is pinned to match: quadruples (x, u, y, v) are scanned
 with x outermost and v innermost, row-major, and the first violation (or the
@@ -29,13 +35,19 @@ from .mappings import TableMap
 _BLOCK = 1 << 16  # quadruples per sweep block, rounded to whole (x, u) rows
 
 
-def all_coupled_fixed_points(cmap: TableMap) -> list[tuple[int, int]]:
-    """Every pair (x, y) with F(x, y) = x and F(y, x) = y, row-major."""
+def all_coupled_fixed_points(cmap: TableMap) -> np.ndarray:
+    """Every pair (x, y) with F(x, y) = x and F(y, x) = y, as the rows of a
+    read-only (k, 2) intp array in row-major order."""
     T = cmap.T
     n = T.shape[0]
     fixed_first = T == np.arange(n)[:, None]  # F(x, y) == x
     mask = fixed_first & fixed_first.T  # F(y, x) == y
-    return list(map(tuple, np.argwhere(mask).tolist()))
+    return _read_only(np.argwhere(mask))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def exhaustive_contraction_check(cmap: TableMap, epsilon: float) -> ContractivityReport:
@@ -100,12 +112,14 @@ def exhaustive_contraction_check(cmap: TableMap, epsilon: float) -> Contractivit
 
 def min_chain_table(
     space, epsilon: float
-) -> tuple[dict[tuple[int, int], int], list[tuple[int, int]], int]:
+) -> tuple[np.ndarray, list[tuple[int, int]], int]:
     """Minimal ascending-chain hop counts via boolean frontier expansion.
 
-    Returns (table over comparable pairs, unreachable comparable pairs,
-    max hop count); the table's keys and the unreachable list run in
-    row-major order. Edges are p -> q with p <= q and d(p, q) < epsilon.
+    Returns (table, unreachable comparable pairs, max hop count). The table
+    is a read-only (k, 3) intp array with one row (i, j, hops) per
+    comparable pair i <= j that a chain links; its rows and the unreachable
+    list run in row-major order. Edges are p -> q with p <= q and
+    d(p, q) < epsilon.
     Row i of the frontier holds the nodes first reached from i at the
     current level; one boolean matrix product per level advances every
     source at once, for at most n - 1 levels.
@@ -128,16 +142,16 @@ def min_chain_table(
     pairs = np.argwhere(L)  # comparable pairs, row-major
     h = hops[L]
     found = h >= 0
-    table = dict(zip(map(tuple, pairs[found].tolist()), h[found].tolist()))
+    table = _read_only(np.column_stack((pairs[found], h[found])))
     unreachable = list(map(tuple, pairs[~found].tolist()))
     max_n = int(h.max(initial=0))
     return table, unreachable, max_n
 
 
 class OracleReport(NamedTuple):
-    fixed_points: list[tuple[int, int]]
+    fixed_points: np.ndarray  # (k, 2) rows (x, y)
     contraction: ContractivityReport
-    chain_table: dict[tuple[int, int], int]
+    chain_table: np.ndarray  # (k, 3) rows (i, j, hops)
     unreachable: list[tuple[int, int]]
     max_chain_n: int
 

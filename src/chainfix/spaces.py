@@ -34,7 +34,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, InvalidInstanceError, SamplingError
+from .errors import DomainError, InvalidInstanceError, SamplingError, clipped_repr
 
 FinitePoint = int
 BoxPoint = tuple[float, ...]
@@ -78,6 +78,14 @@ def _first_in_blocks(
     return None
 
 
+def _covers(L: np.ndarray) -> np.ndarray:
+    """Mask of the covering pairs of the order ``L``: i < j with no k
+    strictly between. One float32 BLAS product counts the k."""
+    strict = L & ~np.eye(len(L), dtype=bool)
+    S = strict.astype(np.float32)
+    return strict & ~((S @ S) > 0)
+
+
 def _check_metric(d: Sequence[Sequence[float]]) -> np.ndarray:
     """The distances as float64, once every metric axiom holds on them."""
     types = set(map(type, chain.from_iterable(d)))
@@ -99,8 +107,8 @@ def _check_metric(d: Sequence[Sequence[float]]) -> np.ndarray:
                     is_finite_number(v) and abs(v) <= _MAX_EXACT_INT
                 ):
                     raise InvalidInstanceError(
-                        f"distance d[{i}][{j}] = {v!r} is not a finite float or "
-                        f"an integer within 2**52",
+                        f"distance d[{i}][{j}] = {clipped_repr(v)} is not a "
+                        "finite float or an integer within 2**52",
                         field="distance_matrix", witness=(i, j),
                     )
         D = np.array(d, dtype=float)

@@ -94,7 +94,9 @@ def test_oracle_equivalence(pool):
         assert con.pairs_tested == orc.contraction.pairs_tested, seed
         assert con.vacuous == orc.contraction.vacuous, seed
         ch = suite["epsilon-chainable"].details
-        assert ch["chain_n"] == orc.chain_table, seed
+        assert list(ch["chain_n"].items()) == [
+            ((i, j), h) for i, j, h in orc.chain_table.tolist()
+        ], seed
         assert list(ch["unreachable"]) == orc.unreachable, seed
         assert ch["max_n"] == orc.max_chain_n, seed
     assert elapsed < TIME_BUDGET_S
@@ -190,11 +192,13 @@ def test_fixed_point_counts(pool, f1_path, chain4_path):
             unique_checked += 1
     assert unique_checked >= 5
     inst = load_instance(chain4_path)
-    assert oracle_report(inst.cmap, inst.params.epsilon).fixed_points == [(0, 0)]
+    assert oracle_report(inst.cmap, inst.params.epsilon).fixed_points.tolist() == [
+        [0, 0]
+    ]
     f1 = load_instance(f1_path)
     f1_suite = run_hypothesis_suite(f1)
     orc = oracle_report(f1.cmap, f1.params.epsilon)
-    assert orc.fixed_points == [(0, 0), (0, 1), (1, 0)]
+    assert orc.fixed_points.tolist() == [[0, 0], [0, 1], [1, 0]]
     con = f1_suite["uniform-local-contraction"]
     assert con.violated and con.mode == "exhaustive"
     assert con.witness == (1, 0, 0, 0)
@@ -271,7 +275,7 @@ def test_pair_bounds_certification_forces_diagonal_uniqueness(pool):
         cfg = build_config(inst, suite)
         res = picard_solve(inst.cmap, inst.x0, inst.y0, cfg)
         assert res.converged, seed
-        fp = orc.fixed_points[0]
+        fp = tuple(orc.fixed_points[0].tolist())
         assert (res.x, res.y) == fp, seed
 
 

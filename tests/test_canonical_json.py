@@ -3,12 +3,14 @@
 ``instances.canonical_json`` lays lists of numbers out from one C-encoder
 call; its output must be ``json.dumps(doc, indent=2, sort_keys=True,
 allow_nan=False) + "\\n"`` byte for byte, on arbitrary documents and on
-every document the command line prints.
+every document the command line prints. A 2-D integer ndarray, as the
+oracle hands over its tables, is written as its ``.tolist()`` would be.
 """
 
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +94,53 @@ def test_empty_containers_and_keys():
         reference({(1, 2): 0})
     with pytest.raises(TypeError, match="keys must be str"):
         canonical_json({(1, 2): 0})
+
+
+int_arrays = st.builds(
+    lambda shape, dtype, seed: np.random.default_rng(seed)
+    .integers(-(10**6), 10**6, size=shape, endpoint=True).astype(dtype),
+    st.sampled_from([(0, 2), (0, 3), (1, 1), (2, 0)])
+    | st.tuples(st.integers(1, 40), st.sampled_from([2, 3])),
+    st.sampled_from([np.int32, np.int64, np.intp, np.uint8]),
+    st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(int_arrays, documents, st.sampled_from(["top", "value", "nested"]))
+def test_integer_array_matches_its_list(a, doc, where):
+    def place(x):
+        return {"top": x, "value": {"a": doc, "t": x},
+                "nested": [doc, {"x": [x, doc]}]}[where]
+
+    assert canonical_json(place(a)) == reference(place(a.tolist()))
+
+
+def test_integer_array_extremes_and_views():
+    for a in (
+        np.array([[-(2**63), 2**63 - 1]], dtype=np.int64),
+        np.array([[2**64 - 1, 0, 7]], dtype=np.uint64),
+        np.array([[-(2**31)], [2**31 - 1]], dtype=np.int32),
+        np.arange(12, dtype=np.intp).reshape(4, 3)[::-2, ::2],  # not contiguous
+        np.argwhere(np.eye(3, dtype=bool)),
+    ):
+        doc = {"rows": a}
+        assert canonical_json(doc) == reference({"rows": a.tolist()})
+
+
+@pytest.mark.parametrize("a", [
+    np.ones((2, 2), dtype=bool),
+    np.ones((2, 2), dtype=float),
+    np.ones((2, 2), dtype=np.float32),
+    np.arange(3),  # only 2-D integer arrays are laid out
+    np.arange(8).reshape(2, 2, 2),
+], ids=["bool", "float64", "float32", "1-d", "3-d"])
+def test_other_arrays_never_print_as_integers(a):
+    for doc in (a, {"t": a}):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            reference(doc)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            canonical_json(doc)
 
 
 def cli_output(capsysbinary, *argv) -> bytes:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -110,6 +111,64 @@ class TestExitCodes:
         assert err == (
             "error: map.formula: expression of 100001 characters nests too deeply\n"
         )
+
+    @pytest.mark.parametrize("formula", [
+        "(" * 3000 + "x",
+        "(" * 300000 + "x" + ")" * 300000,
+    ], ids=["3001-characters", "300000-parentheses"])
+    def test_oversized_formula_gets_one_short_line(self, capsys, tmp_path, formula):
+        # the message repeats the start of the formula and its length, not
+        # the whole formula
+        doc = {
+            "schema_version": 1,
+            "space": {"kind": "box", "dimension": 1, "lower": [0], "upper": [1]},
+            "map": {"kind": "expression", "formula": formula},
+            "seeds": {"x0": 0, "y0": 1},
+            "parameters": {"epsilon": 0.6},
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert re.match(r"error: map\.formula: ", err)
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode("utf-8")) < 300
+        assert f"({len(repr(formula))} characters)" in err
+
+    @pytest.mark.parametrize("edit, start", [
+        (lambda d, v: d.update(schema_version=v),
+         "error: schema_version: must be an integer, got "),
+        (lambda d, v: d["seeds"].update(x0=v),
+         "error: seeds.x0: unknown point label "),
+        (lambda d, v: d["space"]["distance_matrix"][0].__setitem__(1, v),
+         "error: space.distance_matrix: distance d[0][1] = "),
+        (lambda d, v: d["map"]["table"][1].__setitem__(0, v),
+         "error: map.table: map table entry [1][0] = "),
+    ], ids=["schema-version", "label", "distance", "table-entry"])
+    def test_oversized_value_gets_one_short_line(self, capsys, tmp_path, f1_path,
+                                                 edit, start):
+        doc = json.loads(open(f1_path).read())
+        edit(doc, "v" * 100000)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(start + f"'{'v' * 79}... (100002 characters)")
+        assert err.count("\n") == 1 and len(err) < 300
+
+    @pytest.mark.parametrize("argv", [
+        ("chain", "l1", "--from", "x" * 100000, "--to", "1"),
+        ("chain", "f1", "--from", "a", "--to", "b", "--eps", "x" * 100000),
+        ("chain", "f1", "--from", "a", "--to", "b", "--eps", "0" * 100000),
+        ("verify-lemma", "f1", "--horizon", "9" * 100000),
+    ], ids=["coordinates", "eps-not-a-number", "eps-zero", "horizon"])
+    def test_oversized_argument_is_clipped(self, capsys, instance_dir, argv):
+        command, name, *rest = argv
+        code, out, err = run(capsys, command, str(instance_dir / f"{name}.json"),
+                             *rest)
+        assert (code, out) == (2, "")
+        assert "(100002 characters)" in err
+        assert len(err) < 1000  # argparse adds its usage line
 
     def test_schema_violation_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -10,12 +10,20 @@ its plain form is decided from its coefficients without a scan); on
 generated finite tables, the same mixed-monotonicity verdict and witness, and the same contraction report as the finite index
 loop below. The box map's array tabulation is checked against ``apply`` by
 ``repr``, escapes included.
+
+Mixed monotonicity is decided on covering pairs first, so cases whose first
+violation lies on a non-covering pair pin that the full scan still reports
+it. The chainability check takes whole arrays; ``reference_chainable`` is
+the per-source breadth-first loop it replaced, and both must give the same
+verdict, witness, ``max_n``, unreachable pairs and ``chain_n`` items in
+order, on finite spaces, explicit candidate lists and box samples.
 """
 
 import random
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +35,7 @@ from chainfix.hypotheses import (
     SAMPLED,
     VIOLATED,
     SamplingPlan,
+    check_epsilon_chainable,
     check_mixed_monotone,
     estimate_contraction,
     sample_points,
@@ -398,3 +407,113 @@ def test_finite_contraction_matches_index_loop(case):
     assert (rep.verdict, rep.witness, repr(rep.lambda_hat), rep.pairs_tested,
             rep.vacuous) == (verdict, witness, repr(lam), tested, vacuous)
     assert rep.mode == "exhaustive"
+
+
+@pytest.mark.parametrize("table", [
+    # first branch: (0, 1) passes, (0, 2) fails before the covering pair (1, 2)
+    [[1] * 3, [2] * 3, [0] * 3],
+    # second branch: (y1, y2) = (0, 1) passes, (0, 2) fails first
+    [[1, 0, 2]] * 3,
+], ids=["first-argument", "second-argument"])
+def test_first_violation_on_a_non_covering_pair(table):
+    # on the chain 0 < 1 < 2 only (0, 1) and (1, 2) are covering pairs, so
+    # the covering check finds (1, 2) and the full scan must report (0, 2)
+    cmap = TableMap(finite_space(3, "chain", random.Random(0)), table)
+    rep = check_mixed_monotone(cmap)
+    ref = reference_mixed_monotone(cmap, SamplingPlan())
+    assert (rep.verdict, rep.witness) == (ref["verdict"], ref["witness"])
+    names = ("x1", "x2") if rep.witness["branch"] == "first-argument" else ("y1", "y2")
+    assert [rep.witness[k] for k in names] == [0, 2]
+
+
+def test_box_first_violation_on_a_non_covering_pair():
+    # f(0) = 0.5, f(0.5) = 1, f(1) = 0 on the grid 0 < 0.5 < 1
+    cmap = expression_map(BoxSpace((0.0,), (1.0,)),
+                          "min(1, max(0, 0.5 + x - 3*max(0, x - 0.5)))")
+    plan = SamplingPlan(grid_step=0.5)
+    rep = check_mixed_monotone(cmap, plan)
+    ref = reference_mixed_monotone(cmap, plan)
+    assert {"verdict": rep.verdict, "witness": rep.witness,
+            "sample_size": rep.sample_size, "sample_seed": rep.sample_seed} == ref
+    assert (rep.witness["x1"], rep.witness["x2"]) == (0.0, 1.0)
+
+
+def reference_chainable(space, epsilon, candidates=None):
+    """The chainability check as it was written before it took whole
+    arrays: one breadth-first search per source point, then the comparable
+    targets of that source in index order."""
+    tab = hypotheses._space_tables(space, candidates)
+    cand = tab.pts
+    edges = tab.L & (tab.D < epsilon)
+    np.fill_diagonal(edges, False)
+    adj = [row.nonzero()[0].tolist() for row in edges]
+    table, unreachable = {}, []
+    for i, p in enumerate(cand):
+        hops, _ = hypotheses._bfs(adj, i)
+        for j in tab.L[i].nonzero()[0].tolist():
+            q = cand[j]
+            if hops[j] is None:
+                unreachable.append((p, q))
+            else:
+                table[(p, q)] = hops[j]
+    witness = None
+    if unreachable:
+        witness = [point_jsonable(p) for p in unreachable[0]]
+    verdict = SAMPLED
+    if tab.exhaustive:
+        verdict = HOLDS if witness is None else VIOLATED
+    return (verdict, witness, max(table.values(), default=0), tuple(unreachable),
+            list(table.items()))
+
+
+@st.composite
+def chainable_cases(draw):
+    # points on a line at small integer positions; 0.1 lies below every
+    # nonzero distance, so no two points are linked
+    epsilon = draw(st.sampled_from([0.1, 0.6, 1.0, 2.5, 100.0]))
+    if draw(st.booleans()):
+        dim = draw(st.sampled_from([1, 2]))
+        space = BoxSpace((0.0,) * dim, (1.0,) * dim)
+        plan = SamplingPlan(grid_step=draw(st.sampled_from([0.5, 0.25])),
+                            random_count=draw(st.integers(0, 3)),
+                            seed=draw(st.integers(0, 5)))
+        return space, epsilon / 4, sample_points(space, plan)
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["chain", "random", "antichain"]))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([1, 0.5, 0.25]))
+    pos = sorted(draw(st.sets(st.integers(0, 9), min_size=n, max_size=n)))
+    space = finite_space(n, kind, rng, [p * scale for p in pos])
+    candidates = None
+    if draw(st.booleans()):  # an explicit list, repeats and all
+        candidates = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    return space, epsilon, candidates
+
+
+@given(chainable_cases())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_whole_array_chainability_matches_bfs_loop(case):
+    space, epsilon, candidates = case
+    rep = check_epsilon_chainable(space, epsilon, candidates)
+    d = rep.details
+    assert (rep.verdict, rep.witness, d["max_n"], d["unreachable"],
+            list(d["chain_n"].items())) == reference_chainable(
+                space, epsilon, candidates)
+
+
+@pytest.mark.parametrize("n", [127, 128, 130])
+def test_chainability_hop_counts_past_eight_bits(n):
+    # a chain at unit spacing: with epsilon 1.5 the hops from i to j are
+    # j - i, up to n - 1, so two of them add up past 255 from n = 128 on
+    idx = range(n)
+    space = FiniteSpace(
+        tuple(f"p{i}" for i in idx),
+        tuple(tuple(abs(i - j) for j in idx) for i in idx),
+        np.triu(np.ones((n, n), dtype=bool)),
+    )
+    for epsilon in (1.5, 0.5):
+        rep = check_epsilon_chainable(space, epsilon)
+        d = rep.details
+        assert (rep.verdict, rep.witness, d["max_n"], d["unreachable"],
+                list(d["chain_n"].items())) == reference_chainable(space, epsilon)
+    assert check_epsilon_chainable(space, 1.5).details["max_n"] == n - 1
