@@ -21,8 +21,10 @@ points under test into index-addressed arrays: the order and the distances
 between points, and F over every pair of points. A finite space hands over
 its own read-only ``L``, ``D`` and ``T`` without a copy (the oracle reads
 them too: reading stored data is not sharing a kernel); a box validates its
-sample once and tabulates it with numpy, so a map that leaves the box
-anywhere on the sample raises ``EscapeError`` before any scan starts. The
+sample and tabulates it with numpy for each check, so a map that leaves the
+box anywhere on the sample raises ``EscapeError`` before any scan starts,
+and a sample whose tables would pass a fixed byte budget raises
+``SamplingError`` before any table is built. The
 mixed-monotonicity scan compares whole rows of images as numpy masks, a
 block of about 2**16 cells at a time, over the covering pairs first and over
 every comparable pair only when a covering pair fails. The chainability
@@ -67,6 +69,9 @@ VIOLATED = "violated"
 SAMPLED = "undetermined-sampled"
 
 _BLOCK = 1 << 16  # cells per block of a whole-row scan
+# most bytes the tables of one box sample may take: the order (1 byte), the
+# distance (8) and, for a map check, the image (8 per axis) of each pair
+_TABLE_BYTES = 1 << 24
 
 
 class SamplingPlan(NamedTuple):
@@ -251,7 +256,9 @@ def _space_tables(
     space: Space,
     candidates: Optional[Sequence[Point]],
     extra: Iterable[Point] = (),
+    image_bytes: int = 0,
 ) -> _Tables:
+    # ``image_bytes``: what a map check adds per pair, counted in the budget
     if candidates is None:
         if isinstance(space, BoxSpace):
             raise DomainError("box spaces need an explicit candidate point list")
@@ -264,6 +271,12 @@ def _space_tables(
     if isinstance(space, FiniteSpace):
         sub = np.ix_(cand, cand)
         return _Tables(cand, space.L[sub], space.D[sub], False)
+    need = len(cand) ** 2 * (9 + image_bytes)
+    if need > _TABLE_BYTES:
+        raise SamplingError(
+            f"a sample of {len(cand)} points needs {need} bytes of tables, "
+            f"over the budget of {_TABLE_BYTES}", field="space.grid_step",
+        )
     P = np.array(cand, dtype=float).reshape(len(cand), space.dim)
     leq = np.ones((len(cand),) * 2, dtype=bool)
     dist = 0.0
@@ -284,7 +297,8 @@ def _map_tables(cmap: CoupledMap, plan: SamplingPlan | None) -> _Tables:
         tab = _space_tables(space, None)
         return tab._replace(images=cmap.T, LI=lambda A, B: space.L[A, B])
     plan = plan or SamplingPlan()
-    tab = _space_tables(space, sample_points(space, plan))  # validates each point
+    # validates each point, and refuses a sample whose tables pass the budget
+    tab = _space_tables(space, sample_points(space, plan), image_bytes=8 * space.dim)
     return tab._replace(
         images=cmap.tabulate(tab.pts, tab.pts), LI=_box_leq,
         sample_size=len(tab.pts), sample_seed=plan.seed,

@@ -6,8 +6,15 @@ of nonzero width. The exact route must never call a hypothesis proven where
 the sampled scan of the same values (written as ``min(f, f)``, which has no
 affine form) finds a violation, and the sampled ``lambda_hat`` may exceed
 the exact one only by the rounding allowance ``rounding_allowance`` argues.
+
+``affine_form`` bounds its rounding error in upward-rounded float64;
+``reference_affine_form`` computes the same bound in exact rationals, and
+the two must agree on everything but that bound, which may only be larger,
+and by less than a factor 1 + 2**-40.
 """
 
+import ast
+import hashlib
 import inspect
 import json
 import math
@@ -16,11 +23,12 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chainfix.cli import run_cli
-from chainfix.affine import AffineMap, affine_form
+from chainfix.affine import AffineForm, AffineMap, affine_form, affine_map
+from chainfix.errors import GrammarError
 from chainfix.expressions import parse_expression, variable_names
 from chainfix.hypotheses import (
     HOLDS,
@@ -39,6 +47,100 @@ from chainfix.spaces import BoxSpace
 UNIT = Fraction(2) ** -53  # float64 unit roundoff
 
 
+def reference_affine_form(expr, bounds, seen=None) -> AffineForm | None:
+    """``affine_form`` with every quantity, its rounding bound included, in
+    exact rationals: an operation whose exact result is z returns
+    z(1 + d) + e with |d| <= 2**-53 and |e| <= 2**-1074, and each node
+    carries a bound on its operands' accumulated error. When ``seen`` is a
+    dict, each z is appended to ``seen["z"]`` and each |divisor| to
+    ``seen["divisor"]``."""
+    seen = {} if seen is None else seen
+    reach = {v: max(abs(Fraction(lo)), abs(Fraction(hi)))
+             for v, (lo, hi) in bounds.items()}
+    tiny = Fraction(2) ** -1074
+    top = Fraction(sys.float_info.max)
+
+    class NotAffine(Exception):
+        pass
+
+    def size(coef, const) -> Fraction:
+        # the largest |exact value| on the box
+        return abs(const) + sum(abs(k) * reach[v] for v, k in coef.items())
+
+    def scaled(coef, q):
+        return {v: k * q for v, k in coef.items()} if q else {}
+
+    def rounded(coef, const, error):
+        z = size(coef, const) + error
+        seen.setdefault("z", []).append(z)
+        if z > top:
+            raise NotAffine  # the result may round to an infinity
+        return coef, const, error + UNIT * z + tiny
+
+    def walk(node):
+        if isinstance(node, ast.Name):
+            return {node.id: Fraction(1)}, Fraction(0), Fraction(0)
+        if isinstance(node, ast.Constant):
+            return {}, Fraction(node.value), Fraction(0)
+        if isinstance(node, ast.UnaryOp):
+            coef, const, error = walk(node.operand)
+            if isinstance(node.op, ast.USub):
+                return scaled(coef, -1), -const, error
+            return coef, const, error
+        if not isinstance(node, ast.BinOp):
+            raise NotAffine  # a min, max or abs call
+        (ca, ka, ea), (cb, kb, eb) = walk(node.left), walk(node.right)
+        if isinstance(node.op, (ast.Add, ast.Sub)):
+            sign = 1 if isinstance(node.op, ast.Add) else -1
+            coef = dict(ca)
+            for v, k in cb.items():
+                coef[v] = coef.get(v, 0) + sign * k
+            coef = {v: k for v, k in coef.items() if k}
+            return rounded(coef, ka + sign * kb, ea + eb)
+        if isinstance(node.op, ast.Mult):
+            if cb:
+                (ca, ka, ea), (cb, kb, eb) = (cb, kb, eb), (ca, ka, ea)
+            if cb:
+                raise NotAffine  # both factors read a variable
+            error = size(ca, ka) * eb + abs(kb) * ea + ea * eb
+            return rounded(scaled(ca, kb), ka * kb, error)
+        seen.setdefault("divisor", []).append(abs(kb))
+        margin = abs(kb) - eb
+        if margin <= 0:
+            raise NotAffine
+        error = (ea * abs(kb) + size(ca, ka) * eb) / (abs(kb) * margin)
+        return rounded(scaled(ca, 1 / kb), ka / kb, error)
+
+    try:
+        coef, const, error = walk(expr.tree)
+    except NotAffine:
+        return None
+    ends = [
+        (k * Fraction(bounds[v][0]), k * Fraction(bounds[v][1]))
+        for v, k in coef.items()
+    ]
+    low = const + sum(map(min, ends)) - error
+    high = const + sum(map(max, ends)) + error
+    return AffineForm(coef, const, error, low, high)
+
+
+def reference_affine_map(cmap: ExpressionMap) -> AffineMap | None:
+    """``affine_map`` over ``reference_affine_form``."""
+    k = cmap.space.dim
+    names = variable_names(k)
+    axes = list(zip(cmap.space.lower, cmap.space.upper))
+    bounds = dict(zip(names, axes * 2))
+    A, B, c = [], [], []
+    for expr, (lo, hi) in zip(cmap.components, axes):
+        form = reference_affine_form(expr, bounds)
+        if form is None or not lo <= form.low <= form.high <= hi:
+            return None
+        A.append(tuple(form.coef.get(v, 0) for v in names[:k]))
+        B.append(tuple(-form.coef.get(v, 0) for v in names[k:]))
+        c.append(form.const)
+    return AffineMap(tuple(A), tuple(B), tuple(c))
+
+
 def box_bounds(space: BoxSpace) -> dict:
     axes = list(zip(space.lower, space.upper))
     return dict(zip(variable_names(space.dim), axes * 2))
@@ -48,20 +150,20 @@ def rounding_allowance(cmap: ExpressionMap, plan: SamplingPlan, lam: float) -> F
     """How far above ``lam`` the sampled scan's ratio can round.
 
     The scan takes r = 2 d(F(x,y), F(u,v)) / (d(x,u) + d(y,v)) on computed
-    images. Each computed component i lies within e_i (``affine_form``'s
-    bound) of its exact value, so the image distance grows by at most
-    2 sum(e_i) before rounding, and the exact ratio by at most
-    4 sum(e_i) / s, where s >= g, the smallest positive distance between two
-    sample points. The image distance is k rounded subtractions and k - 1
-    rounded additions of nonnegative terms, the denominator 2k + 1 more,
-    and the quotient one: every one of them moves its value by a factor
-    within [1 - u, 1 + u]. So r <= (lam + 4 sum(e_i) / g) * rho with
+    images. Each computed component i lies within e_i (the exact bound of
+    ``reference_affine_form``) of its exact value, so the image distance
+    grows by at most 2 sum(e_i) before rounding, and the exact ratio by at
+    most 4 sum(e_i) / s, where s >= g, the smallest positive distance
+    between two sample points. The image distance is k rounded subtractions
+    and k - 1 rounded additions of nonnegative terms, the denominator 2k + 1
+    more, and the quotient one: every one of them moves its value by a
+    factor within [1 - u, 1 + u]. So r <= (lam + 4 sum(e_i) / g) * rho with
     rho = (1 + u)^(2k) / (1 - u)^(2k + 1).
     """
     space = cmap.space
     k = space.dim
     bounds = box_bounds(space)
-    error = sum(affine_form(c, bounds).error for c in cmap.components)
+    error = sum(reference_affine_form(c, bounds).error for c in cmap.components)
     pts = sample_points(space, plan)
     gap = min(
         d for p in pts for q in pts
@@ -106,17 +208,22 @@ class TestAffineForm:
         assert cmap.affine == AffineMap(
             A=((2 * q, 0), (0, q)), B=((q, 0), (0, q)), c=(3 * q, 4 * q))
 
-    def test_form_nested_deeper_than_the_walk_is_left_to_the_scan(self):
-        expr = parse_expression("x" + "+0" * 200)
+    @pytest.mark.parametrize("depth", [200, 600])
+    def test_nested_form_is_read_whatever_the_stack_depth(self, depth):
+        # the walk keeps its own stack, so a formula the parser accepts is
+        # read the same way with little room left on the caller's stack
+        expr = parse_expression("x" + "+0" * depth)
+        bounds = {"x": (0.0, 1.0), "y": (0.0, 1.0)}
+        expected = affine_form(expr, bounds)
         limit = sys.getrecursionlimit()
-        # room for the caller's frames, but not for 200 nested additions
-        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
         try:
-            form = affine_form(expr, {"x": (0.0, 1.0), "y": (0.0, 1.0)})
+            form = affine_form(expr, bounds)
         finally:
             sys.setrecursionlimit(limit)
-        assert form is None
-        assert affine_form(expr, {"x": (0.0, 1.0), "y": (0.0, 1.0)}) is not None
+        assert form == expected
+        assert (form.coef, form.const) == ({"x": 1}, 0)
+        assert form.error >= reference_affine_form(expr, bounds).error
 
     def test_literals_are_the_floats_evaluation_reads(self):
         form = affine_form(parse_expression("0.1*x"),
@@ -275,3 +382,176 @@ def test_exact_route_never_contradicts_the_scan(case):
             assert Fraction(scan.lambda_hat) <= Fraction(rep.lambda_hat) + allowance
     else:
         assert rep == scan
+
+
+# literals: dyadic, non-dyadic, zero and near the top of the float range
+LITERALS = ("0", "0.5", "2", "8", "0.1", "0.3", "3", "0.7", "1e-3",
+            "1e300", "1e308", "1.7976931348623157e308")
+
+
+@st.composite
+def affine_sources(draw, names, depth=3):
+    """A formula in the affine grammar: sums, differences, unary minus,
+    products with a factor that reads no variable, and division by a
+    constant subexpression."""
+    def constant(d):
+        if d == 0 or draw(st.booleans()):
+            return draw(st.sampled_from(LITERALS))
+        a, b = constant(d - 1), constant(d - 1)
+        return f"({a} {draw(st.sampled_from('+-*/'))} {b})"
+
+    def affine(d):
+        if d == 0:
+            return draw(st.sampled_from(names + LITERALS))
+        kind = draw(st.sampled_from(["+", "-", "*", "/", "neg", "leaf"]))
+        if kind == "leaf":
+            return affine(0)
+        if kind == "neg":
+            return f"-({affine(d - 1)})"
+        if kind in "+-":
+            return f"({affine(d - 1)} {kind} {affine(d - 1)})"
+        factor = constant(d - 1)
+        if kind == "/":
+            return f"({affine(d - 1)}) / {factor}"
+        pair = (factor, affine(d - 1))
+        return "({}) * ({})".format(*(pair if draw(st.booleans()) else pair[::-1]))
+
+    return affine(depth)
+
+
+def assert_matches_reference(expr, bounds) -> bool:
+    """Whether ``affine_form`` reads ``expr`` as the reference does; False
+    only where the reference comes within 2**-40 of the float range."""
+    seen = {}
+    form, ref = affine_form(expr, bounds), reference_affine_form(expr, bounds, seen)
+    if ref is None:
+        assert form is None, expr.source  # the float bounds are the larger
+        return True
+    if form is None:
+        # the float bounds lie a few units in the last place above the
+        # rational ones, so they may refuse what only just fits
+        assert max(seen["z"]) > Fraction(sys.float_info.max) * (1 - Fraction(2) ** -40)
+        return False
+    assert (form.coef, form.const) == (ref.coef, ref.const)
+    assert form.error >= ref.error
+    if min(seen.get("divisor", [1])) >= Fraction(2) ** -1022:
+        # a divisor below the normal range keeps fewer bits as a float
+        assert form.error <= ref.error * (1 + Fraction(2) ** -40)
+    assert form.low == ref.low - (form.error - ref.error)
+    assert form.high == ref.high + (form.error - ref.error)
+    return True
+
+
+@pytest.mark.parametrize("source", [
+    "(2*x - y + 3)/8", "x/3*3", "(0.1+0.2)*x", "x*(0.1+0.2)", "x - x",
+    "(x - x)*y", "(x - x)*0.5*1e300*1e300", "0*x", "-(x - 0.3*y)/0.7",
+    "x/(0.1+0.2)", "x/1e-300", "(x + 0.1)*(0.2 + 0.3)",
+    "(x - x + 0.5)*(1e300 - 1e300 + 0.5)", "1.7976931348623157e308*x",
+    "1e308*x*10", "x/(1e-200*1e-100)", "-x", "+x", "x*y", "min(x, y)",
+])
+@pytest.mark.parametrize("box", [((0.0, 1.0), (0.0, 1.0)),
+                                 ((-1.0, 0.5), (0.0, 0.0))])
+def test_form_against_the_rational_reference(source, box):
+    assert_matches_reference(parse_expression(source), dict(zip("xy", box)))
+
+
+@st.composite
+def affine_documents(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    names = variable_names(dim)
+    lower = [draw(st.sampled_from([0.0, -1.0, 0.5, -0.25])) for _ in range(dim)]
+    upper = [lo + draw(st.sampled_from([0.0, 1.0, 0.5, 3.0])) for lo in lower]
+    sources = [draw(affine_sources(names)) for _ in range(dim)]
+    return BoxSpace(tuple(lower), tuple(upper)), sources
+
+
+@given(affine_documents())
+@example((BoxSpace((0.0,), (1.0,)), ["x/3*3"]))
+@example((BoxSpace((0.0,), (1.0,)), ["(x + 2*y)/3/3"]))
+@example((BoxSpace((0.0, 0.0), (1.0, 1.0)), ["(0.1+0.2)*x1/3", "-(x2 - y1)/7 + 0.5"]))
+@example((BoxSpace((0.0,), (0.0,)), ["x / (1.7976931348623157e308 - (0 + 0.5))"]))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_float_bound_against_the_rational_reference(case):
+    space, sources = case
+    try:
+        cmap = expression_map(space, sources)
+    except GrammarError:  # a denominator that evaluates to zero
+        assume(False)
+    bounds = box_bounds(space)
+    if not all([assert_matches_reference(e, bounds) for e in cmap.components]):
+        return
+    got, ref = affine_map(cmap), reference_affine_map(cmap)
+    assert got == ref  # the same closure decision, A, B and c
+    if ref is not None:
+        assert got.lambda_hat(space) == ref.lambda_hat(space)
+
+
+def box_document(formulas, step=0.25):
+    return {
+        "schema_version": 1,
+        "space": {"kind": "box", "dimension": 2, "lower": [0, 0],
+                  "upper": [1, 1], "grid_step": step},
+        "map": {"kind": "expression", "formula": formulas},
+        "seeds": {"x0": [0, 0], "y0": [1, 1]},
+        "parameters": {"epsilon": 0.6, "lambda_claimed": 0.9,
+                       "tolerance": 1e-10, "max_iterations": 80},
+    }
+
+
+BOX_DOCUMENTS = {
+    "affine": box_document([
+        "0.0731*x1 + 0.1045*x2 - 0.0567*y1 - 0.0988*y2 + 0.4125",
+        "0.0212*x1 + 0.0874*x2 - 0.1093*y1 - 0.0305*y2 + 0.5518"]),
+    "affine-div": box_document([
+        "(0.31*x1 + 0.12*x2 - 0.2*y1 - 0.05*y2 + 1.1)/3",
+        "-(0.07*y1 - 0.11*x1 - 0.05*x2 + 0.09*y2) + 0.1/0.3"]),
+    "minmax": box_document([
+        "max(0.1*x1 + 0.05*x2 - 0.1*y1 + 0.3, 0.08*x1 - 0.02*y2 + 0.35)",
+        "min(0.1*x2 - 0.1*y2 + 0.5, 0.12*x1 + 0.04*x2 - 0.03*y1 + 0.45)"]),
+}
+
+# sha256 of stdout and the exit code of `check` and `solve` on each document,
+# written as NAME.json and read by that relative path; taken from the program
+# that bounded the affine rounding in exact rationals
+BOX_DIGESTS = {
+    "l1-0.0625": (
+        "3acac82e9e46c1673c4ebe96a59e8659551a6262ff596203b38505685a69456c",
+        "8fee696c218be3997c5737a4479f9549629361dbd79845ca024546b3812cc0b2"),
+    "l1-0.25": (
+        "a0e9ad78669153524332bdf6034fdf6e5d539beab6eb75a6afc49913db9c07b2",
+        "35a4dfc8bf2bc90d417a1d1ac28924f3300a385b06b5bd78e0d21054168e3e07"),
+    "l2d-0.0625": (
+        "f66330ddfe09cd9f09463a00954c406ded48e126284125aa857573e011e2da7d",
+        "9f85fc39994154e7927eac6a37006a88cafaff4ef2ace37bd9cc9eb5b732173b"),
+    "l2d-0.25": (
+        "cb1c86221a2610133b14ca31a2d0396a87851276ce8b7dfdc07bd87ace0a55f9",
+        "3b47d70184ffb85e828c9da1d40aa5d5106808ba8da44d135e0ee1f50fa8f274"),
+    "affine": (
+        "0ee3452e38701a2d423355f4e522cdcb2009cebcacc3d204c8e7d47958a6bccd",
+        "685aa733d4ca59c6fd9a3689d8c7701b29f40265e3d2159ebc36966f6717fc06"),
+    "affine-div": (
+        "078dad60c570d59a743384ee1438bc48a5a004a329c74f7926ba54d6f21d5dae",
+        "6dc8828751001a02aabef38a79f7f0b94033f16af3c4afad38f75f2644947823"),
+    "minmax": (
+        "0502171884d6d7b01fe8146d00ced000b5d2e6829f44041b5f176a8f75fee453",
+        "65a71ebdf7c84619e252ec24f2d2f56c94617d72f030c1be6603a8626fb20fa4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOX_DIGESTS))
+def test_box_check_and_solve_keep_their_bytes(
+    name, instance_dir, capsysbinary, monkeypatch, tmp_path
+):
+    if name in BOX_DOCUMENTS:
+        doc = BOX_DOCUMENTS[name]
+    else:
+        stem, step = name.split("-")
+        doc = json.loads((instance_dir / f"{stem}.json").read_text())
+        doc["space"]["grid_step"] = float(step)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    digests = []
+    for command in ("check", "solve"):
+        assert run_cli([command, f"{name}.json"]) == 0
+        digests.append(hashlib.sha256(capsysbinary.readouterr().out).hexdigest())
+    assert tuple(digests) == BOX_DIGESTS[name]

@@ -609,6 +609,32 @@ def test_grid_over_the_cap_exits_two_before_it_is_built(tmp_path, dim, step):
 
 
 @pytest.mark.parametrize("command", ["check", "solve", "verify-lemma"])
+@pytest.mark.parametrize("formula", [
+    ["(2*x1 - y1 + 3)/8", "(x2 - y2 + 4)/8"],  # decided from its coefficients
+    ["min(x1, y1)", "max(x2, y2)"],  # scanned on the sample
+])
+def test_sample_too_large_to_tabulate_exits_two(tmp_path, command, formula):
+    # a step of 0.01 puts 10,201 points on the grid, under its cap, but the
+    # tables of the 10,209-point sample would need about 0.9 GB
+    doc = {
+        "schema_version": 1,
+        "space": {"kind": "box", "dimension": 2, "lower": [0, 0],
+                  "upper": [1, 1], "grid_step": 0.01},
+        "map": {"kind": "expression", "formula": formula},
+        "seeds": {"x0": [0, 0], "y0": [1, 1]},
+        "parameters": {"epsilon": 0.6},
+    }
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(doc))
+    proc = run_fresh(command, str(path))
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.startswith(
+        "error: space.grid_step: a sample of 10209 points needs ")
+    assert "bytes of tables, over the budget of 16777216" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "verify-lemma"])
 @pytest.mark.parametrize("name", ["f1", "l2d"])
 def test_fresh_call_does_not_load_numpy_ma(instance_dir, command, name):
     # numpy.ma costs about 14 ms to import; np.unique and np.isin pull it in

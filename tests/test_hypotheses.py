@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainfix import hypotheses
 from chainfix.errors import DomainError, SamplingError
 from chainfix.hypotheses import (
     HOLDS,
@@ -75,6 +76,31 @@ class TestSamplePoints:
         box = BoxSpace((0.0,), (19999.0,))
         pts = sample_points(box, SamplingPlan(grid_step=1.0))
         assert pts == [(float(k),) for k in range(20000)]
+
+    @pytest.mark.parametrize("check", [
+        lambda box, pts: check_epsilon_chainable(box, 0.6, pts),
+        lambda box, pts: check_pair_bounds(box, pts),
+        lambda box, pts: find_epsilon_chain(box, pts[0], pts[1], 0.6, pts),
+    ])
+    def test_sample_tables_within_the_byte_budget(self, monkeypatch, check):
+        # order and distance tables take 9 bytes per pair of sample points
+        monkeypatch.setattr(hypotheses, "_TABLE_BYTES", 9 * 10**2)
+        box = BoxSpace((0.0,), (1.0,))
+        check(box, [(k / 9,) for k in range(10)])  # 10 points: at the budget
+        with pytest.raises(SamplingError) as exc:
+            check(box, [(k / 10,) for k in range(11)])
+        assert str(exc.value) == (
+            "a sample of 11 points needs 1089 bytes of tables, over the budget of 900")
+        assert exc.value.field == "space.grid_step"
+
+    def test_map_tables_count_the_images(self, monkeypatch):
+        # a 2-D map adds two float64 coordinates per pair: 25 bytes in all
+        monkeypatch.setattr(hypotheses, "_TABLE_BYTES", 25 * 9**2)
+        box = BoxSpace((0.0, 0.0), (1.0, 1.0))
+        cmap = expression_map(box, ["min(x1, y1)", "min(x2, y2)"])
+        assert check_mixed_monotone(cmap, GRID).sample_size == 9
+        with pytest.raises(SamplingError, match="a sample of 10 points needs 2500 "):
+            check_mixed_monotone(cmap, GRID._replace(random_count=1))
 
     def test_grid_includes_both_endpoints(self):
         box = BoxSpace((0.0,), (1.0,))
