@@ -63,7 +63,6 @@ from .solver import (
     collapse_check,
     decay_bound,
     picard_solve,
-    residual,
     verify_decay_bound,
 )
 from .spaces import BoxSpace, FiniteSpace
@@ -119,7 +118,6 @@ __all__ = [
     "oracle_report",
     "parse_instance",
     "picard_solve",
-    "residual",
     "run_hypothesis_suite",
     "sample_points",
     "uncertified",

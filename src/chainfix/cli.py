@@ -38,13 +38,7 @@ from .instances import (
 )
 from .mappings import TableMap
 from .oracle import oracle_report
-from .pipeline import (
-    SUITE_ORDER,
-    build_config,
-    candidate_points,
-    run_hypothesis_suite,
-    uncertified,
-)
+from .pipeline import SUITE_ORDER, _configure, candidate_points, run_hypothesis_suite
 from .solver import (
     SolveResult,
     below_bound,
@@ -136,7 +130,7 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     suite = run_hypothesis_suite(inst)
-    cfg = build_config(inst, suite)
+    cfg, reasons = _configure(inst, suite)
     result = picard_solve(inst.cmap, inst.x0, inst.y0, cfg)
     collapse = collapse_check(
         result,
@@ -164,7 +158,7 @@ def cmd_solve(args) -> int:
             "epsilon": cfg.epsilon,
             "chain_n": cfg.chain_n,
             "lambda_certified": cfg.lambda_certified,
-            "uncertified": list(uncertified(inst, suite)),
+            "uncertified": list(reasons),
         },
         "hypotheses": _suite_doc(suite),
         "violated": _violated(suite),
@@ -276,8 +270,7 @@ def cmd_oracle(args) -> int:
 def cmd_verify_lemma(args) -> int:
     inst = load_instance(args.instance)
     suite = run_hypothesis_suite(inst)
-    cfg = build_config(inst, suite)
-    reasons = uncertified(inst, suite)
+    cfg, reasons = _configure(inst, suite)
     fx = inst.cmap.apply(inst.x0, inst.y0)
     fy = inst.cmap.apply(inst.y0, inst.x0)
     chain_up = chain_down = None

@@ -11,6 +11,18 @@ outside the grammar is rejected up front and the validated tree is compiled
 once, so repeated evaluation is a plain ``eval`` of a code object with no
 builtins in scope.
 
+A formula may nest at most ``MAX_DEPTH`` expressions along any path of its
+tree, counting the leaf: ``x`` has depth 1, ``x + 0`` and ``-x`` depth 2,
+and ``x + 0 + ... + 0`` with N additions depth N + 1. The rule is checked
+by one walk that keeps its own list of nodes, a level at a time, before
+anything recurses over the tree, so whether a formula is accepted never
+depends on how deep the caller's own stack is. The limit leaves room for
+validating and compiling an accepted tree from a caller 500 frames deep
+under the default recursion limit. The text of an expression holds each
+child's text and at least one character more (an operator, a parenthesis,
+a comma or a name), so a tree is no deeper than its source is long, and a
+source of at most ``MAX_DEPTH`` characters is accepted without the walk.
+
 Every numeric literal is rewritten to a float at parse time, and a literal
 outside float range is a ``GrammarError``, so evaluation is float64
 arithmetic throughout. The same code object therefore evaluates Python
@@ -54,6 +66,7 @@ _FUNCS = {
 _SCOPE = {"__builtins__": {}, **_FUNCS}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 _UNARY = (ast.USub, ast.UAdd)
+MAX_DEPTH = 200  # most expressions nested along one path of a formula's tree
 
 
 def variable_names(dim: int) -> tuple[str, ...]:
@@ -63,6 +76,22 @@ def variable_names(dim: int) -> tuple[str, ...]:
     xs = tuple(f"x{i}" for i in range(1, dim + 1))
     ys = tuple(f"y{i}" for i in range(1, dim + 1))
     return xs + ys
+
+
+def _too_deep(root: ast.expr) -> bool:
+    """Whether some path of the tree holds more than MAX_DEPTH expressions;
+    walked one level at a time, so it never recurses."""
+    level = [root]
+    for _ in range(MAX_DEPTH):
+        level = [
+            child
+            for node in level
+            for child in ast.iter_child_nodes(node)
+            if isinstance(child, ast.expr)
+        ]
+        if not level:
+            return False
+    return True
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -153,16 +182,20 @@ def parse_expression(source: str, dim: int = 1) -> CompiledExpression:
     if not isinstance(source, str) or not source.strip():
         raise GrammarError(f"expression must be a nonempty string, got {shown}")
     allowed = set(variable_names(dim))
+    too_deep = GrammarError(
+        f"expression of {len(source)} characters nests too deeply "
+        f"(the limit is {MAX_DEPTH} levels)"
+    )
     try:
         tree = ast.parse(source, mode="eval")
-        _validate(tree.body, allowed, shown)
-        code = compile(tree, "<coupled-map>", "eval")
     except SyntaxError as exc:
         raise GrammarError(f"unparseable expression {shown}: {exc.msg}") from exc
     except (RecursionError, MemoryError):
-        # parsing, validating and compiling all recurse, and CPython's
-        # parser reports its own depth limit as a MemoryError
-        raise GrammarError(
-            f"expression of {len(source)} characters nests too deeply"
-        ) from None
+        # a tree far past the limit: CPython's parser stops on its own
+        # stack, and reports its depth limit as a MemoryError
+        raise too_deep from None
+    if len(source) > MAX_DEPTH and _too_deep(tree.body):
+        raise too_deep
+    _validate(tree.body, allowed, shown)
+    code = compile(tree, "<coupled-map>", "eval")
     return CompiledExpression(source=source, code=code, tree=tree.body)

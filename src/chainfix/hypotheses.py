@@ -21,16 +21,25 @@ points under test into index-addressed arrays: the order and the distances
 between points, and F over every pair of points. A finite space hands over
 its own read-only ``L``, ``D`` and ``T`` without a copy (the oracle reads
 them too: reading stored data is not sharing a kernel); a box validates its
-sample and tabulates it with numpy for each check, so a map that leaves the
-box anywhere on the sample raises ``EscapeError`` before any scan starts,
-and a sample whose tables would pass a fixed byte budget raises
-``SamplingError`` before any table is built. The
+sample and tabulates it with numpy, so a map that leaves the box anywhere
+on the sample raises ``EscapeError`` before any scan starts, and a sample
+whose tables would pass a fixed byte budget raises ``SamplingError`` before
+any table is built. The two map checks each tabulate F over the sample.
+The three space checks, passed the suite's sample
+(``pipeline.candidate_points``), share one validation of its points, one
+pair of order and distance tables and one set of bound matrices, each
+built on first use; any other candidate list is validated and tabulated
+by the check it is passed to. The
 mixed-monotonicity scan compares whole rows of images as numpy masks, a
 block of about 2**16 cells at a time, over the covering pairs first and over
 every comparable pair only when a covering pair fails. The chainability
 check takes every hop count from one min-plus closure over whole arrays.
 Only the contraction scan and ``find_epsilon_chain``, which needs the path
 and not just its length, are plain loops over point indices.
+
+The chainability report's per-pair hop table, ``details["chain_n"]``, is a
+read-only mapping built on first read; its ``max_n`` comes straight from
+the hop counts.
 
 Every violated verdict carries a witness that can be re-checked with a single
 direct evaluation. Enumeration orders are fixed (lexicographic in point
@@ -43,9 +52,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Mapping
+from functools import cached_property
 from operator import sub
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -252,6 +263,30 @@ class _Tables(NamedTuple):
         return HypothesisReport(hypothesis, verdict, witness, **fields)
 
 
+class _SharedSample(list):
+    """A box sample that several space checks read: the checks that are
+    passed it share one validation of its points, one set of order and
+    distance tables, and one set of ``_bound_matrices``, each built on first
+    use. A sample over the table budget is therefore refused by the first
+    check that needs its tables, with the message a plain list gets."""
+
+    def __init__(self, space: Space, pts: Iterable[Point]):
+        super().__init__(pts)
+        self.space = space
+
+    @cached_property
+    def tables(self) -> _Tables:
+        return _space_tables(self.space, list(self))
+
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _bound_matrices(self.tables)
+
+
+def _shared(space: Space, candidates) -> bool:
+    return isinstance(candidates, _SharedSample) and candidates.space is space
+
+
 def _space_tables(
     space: Space,
     candidates: Optional[Sequence[Point]],
@@ -264,6 +299,8 @@ def _space_tables(
             raise DomainError("box spaces need an explicit candidate point list")
         # extra points are points of the space, hence already listed
         return _Tables(space.points(), space.L, space.D, True)
+    if _shared(space, candidates) and not extra:
+        return candidates.tables
     cand = list(candidates)
     for p in cand:
         space.validate_point(p)
@@ -300,7 +337,7 @@ def _map_tables(cmap: CoupledMap, plan: SamplingPlan | None) -> _Tables:
     # validates each point, and refuses a sample whose tables pass the budget
     tab = _space_tables(space, sample_points(space, plan), image_bytes=8 * space.dim)
     return tab._replace(
-        images=cmap.tabulate(tab.pts, tab.pts), LI=_box_leq,
+        images=cmap._tabulate(tab.pts, tab.pts), LI=_box_leq,
         sample_size=len(tab.pts), sample_seed=plan.seed,
     )
 
@@ -527,7 +564,8 @@ def check_epsilon_chainable(
     Violated when some comparable pair admits no chain at all (the witness is
     the first such pair in index order); otherwise the report carries the
     largest minimal n, which is what the decay bound consumes. The full
-    per-pair table is kept in ``details["chain_n"]``.
+    per-pair table is kept in ``details["chain_n"]``, a read-only mapping
+    built on first read.
 
     On candidate sets (boxes, or an explicit list) a missing link is not
     conclusive: the space may hold waypoints the sample lacks, so the verdict
@@ -536,20 +574,20 @@ def check_epsilon_chainable(
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     tab = _space_tables(space, candidates)
-    cand = tab.pts
+    n = len(tab.pts)
     hops = _hop_counts(_epsilon_edges(tab, epsilon))
     # the comparable pairs in row-major order, which chain_n keeps
     i, j = np.nonzero(tab.L)
     h = hops[i, j]
-    found = h < len(cand)
-    table = dict(zip(_point_pairs(tab, i[found], j[found]), h[found].tolist()))
-    unreachable = tuple(_point_pairs(tab, i[~found], j[~found]))
+    found = h < n
+    pts = None if tab.exhaustive else tab.pts
+    unreachable = tuple(_point_pairs(pts, i[~found], j[~found]))
     details = {
         "epsilon": epsilon,
-        "max_n": max(table.values(), default=0),
-        "chain_n": table,
+        "max_n": int(h[found].max(initial=0)),
+        "chain_n": _ChainTable(pts, i[found], j[found], h[found]),
         "unreachable": unreachable,
-        "candidates": len(cand),
+        "candidates": n,
     }
     witness = None
     if unreachable:
@@ -557,12 +595,40 @@ def check_epsilon_chainable(
     return tab.report("epsilon-chainable", witness, details=details)
 
 
-def _point_pairs(tab: _Tables, i: np.ndarray, j: np.ndarray) -> Iterable:
-    """The point pairs (pts[i[p]], pts[j[p]])."""
+def _point_pairs(pts: Sequence[Point] | None, i: np.ndarray, j: np.ndarray):
+    """The point pairs (pts[i[p]], pts[j[p]]); with ``pts`` None the points
+    are the indices themselves (a whole finite space)."""
     i, j = i.tolist(), j.tolist()
-    if not tab.exhaustive:  # else the points are the indices themselves
-        i, j = map(tab.pts.__getitem__, i), map(tab.pts.__getitem__, j)
+    if pts is not None:
+        i, j = map(pts.__getitem__, i), map(pts.__getitem__, j)
     return zip(i, j)
+
+
+class _ChainTable(Mapping):
+    """``details["chain_n"]``: the fewest hops for each linked comparable
+    pair, keyed by point pair in row-major order. It is read-only and built
+    on first read, since ``as_dict`` leaves it out and only library callers
+    read it."""
+
+    def __init__(self, pts, i: np.ndarray, j: np.ndarray, hops: np.ndarray):
+        self._args = pts, i, j, hops
+
+    @cached_property
+    def _table(self) -> dict:
+        pts, i, j, hops = self._args
+        return dict(zip(_point_pairs(pts, i, j), hops.tolist()))
+
+    def __getitem__(self, pair):
+        return self._table[pair]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._table!r})"
 
 
 def check_seed(cmap: CoupledMap, x0: Point, y0: Point) -> HypothesisReport:
@@ -596,6 +662,14 @@ def _bound_matrices(tab: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return M, (F @ F.T) > 0, (F.T @ F) > 0
 
 
+def _bound_tables(space: Space, candidates) -> tuple[_Tables, tuple]:
+    """The tables of the points under test and their ``_bound_matrices``."""
+    if _shared(space, candidates):
+        return candidates.tables, candidates.bounds
+    tab = _space_tables(space, candidates)
+    return tab, _bound_matrices(tab)
+
+
 def check_common_comparable(
     space: Space, candidates: Optional[Sequence[Point]] = None
 ) -> HypothesisReport:
@@ -613,10 +687,9 @@ def check_common_comparable(
     patterns decide the verdict in O(s^2) memory. The witness is the first
     failing quadruple in (x, y, u, v) row-major order.
     """
-    tab = _space_tables(space, candidates)
+    tab, (M, UB, LB) = _bound_tables(space, candidates)
     cand = tab.pts
     s = len(cand)
-    M, UB, LB = _bound_matrices(tab)
     # bit k of code[x, u] is fact k about (x, u); it selects relation k
     # among the (y, v) relations
     facts = (M, M.T, UB, LB)
@@ -660,9 +733,8 @@ def check_pair_bounds(
     space: Space, candidates: Optional[Sequence[Point]] = None
 ) -> HypothesisReport:
     """Every two candidate points must have a common upper or lower bound."""
-    tab = _space_tables(space, candidates)
+    tab, (_, upper, lower) = _bound_tables(space, candidates)
     cand = tab.pts
-    _, upper, lower = _bound_matrices(tab)
     bad = np.argwhere(~(upper | lower))
     witness = None
     if bad.size:

@@ -5,7 +5,11 @@ Their iterates are ``solver.picard_solve``'s: the coupled recursion
     F^0(x, y) = x,    F^(m+1)(x, y) = F(F^m(x, y), F^m(y, x))
 
 so the pair (F^m(x, y), F^m(y, x)) advances by one simultaneous update per
-step and a whole trajectory costs O(m) applications.
+step and a whole trajectory costs O(m) applications. ``apply`` validates
+its two points; the solver validates its start points once and steps with
+the unchecked ``_apply``, whose images are valid points by construction (a
+table holds point indices, and an expression map refuses an image outside
+the box with ``EscapeError``).
 
 An expression map whose components are all affine also exposes its exact
 coefficients, ``ExpressionMap.affine`` (see ``chainfix.affine``), once they
@@ -81,6 +85,10 @@ class TableMap:
     def apply(self, x: Point, y: Point) -> Point:
         self.space.validate_point(x)
         self.space.validate_point(y)
+        return self._apply(x, y)
+
+    def _apply(self, x: Point, y: Point) -> Point:
+        # ``apply`` at two points the caller has already validated
         return int(self.T[x, y])
 
 
@@ -125,6 +133,11 @@ class ExpressionMap:
     def apply(self, x: Point, y: Point) -> Point:
         self.space.validate_point(x)
         self.space.validate_point(y)
+        return self._apply(x, y)
+
+    def _apply(self, x: Point, y: Point) -> Point:
+        # ``apply`` at two points the caller has already validated; the
+        # image is still tested against the box
         env = _env(x, y)
         out = tuple(c.evaluate(env) for c in self.components)
         if not self.space.contains(out):
@@ -141,6 +154,10 @@ class ExpressionMap:
         """
         for p in (*xs, *ys):
             self.space.validate_point(p)
+        return self._tabulate(xs, ys)
+
+    def _tabulate(self, xs: Sequence[BoxPoint], ys: Sequence[BoxPoint]) -> np.ndarray:
+        # ``tabulate`` over points the caller has already validated
         k = self.space.dim
         X = np.array(xs, dtype=float).reshape(len(xs), k)
         Y = np.array(ys, dtype=float).reshape(len(ys), k)

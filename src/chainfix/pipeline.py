@@ -1,7 +1,10 @@
 """The library pipeline: run the six hypothesis checks, then configure the solver.
 
 A box is sampled once with the default plan and every check sees the same
-points; on a finite space every check enumerates the whole space.
+points; the three space checks (chainability, common comparability and
+pair bounds) also share one validation of those points, one set of order
+and distance tables and one set of bound matrices. On a finite space every
+check enumerates the whole space.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 from .hypotheses import (
     HOLDS,
     SamplingPlan,
+    _SharedSample,
     check_common_comparable,
     check_epsilon_chainable,
     check_mixed_monotone,
@@ -36,9 +40,12 @@ def default_plan(inst: Instance) -> SamplingPlan:
 
 
 def candidate_points(inst: Instance, plan: SamplingPlan | None = None):
+    """The box sample every space check reads, validated and tabulated once
+    for all of them; None on a finite space."""
     if isinstance(inst.space, FiniteSpace):
         return None  # checks enumerate the whole space themselves
-    return sample_points(inst.space, plan or default_plan(inst))
+    pts = sample_points(inst.space, plan or default_plan(inst))
+    return _SharedSample(inst.space, pts)
 
 
 def run_hypothesis_suite(inst: Instance) -> dict:
@@ -83,15 +90,22 @@ def uncertified(inst: Instance, suite: dict) -> tuple[str, ...]:
 
 def build_config(inst: Instance, suite: dict) -> SolveConfig:
     """Solve configuration from the instance parameters plus what was certified."""
+    return _configure(inst, suite)[0]
+
+
+def _configure(inst: Instance, suite: dict) -> tuple[SolveConfig, tuple[str, ...]]:
+    # build_config's configuration and the ``uncertified`` names it rests on
+    reasons = uncertified(inst, suite)
     chainable = suite["epsilon-chainable"]
     chain_n = None
     if chainable.passed:
         chain_n = max(chainable.details["max_n"], 1)
-    return SolveConfig(
+    cfg = SolveConfig(
         residual_tolerance=inst.params.tolerance,
         max_iterations=inst.params.max_iterations,
         lam=_factor(inst, suite["uniform-local-contraction"]),
         epsilon=inst.params.epsilon,
         chain_n=chain_n,
-        lambda_certified=not uncertified(inst, suite),
+        lambda_certified=not reasons,
     )
+    return cfg, reasons

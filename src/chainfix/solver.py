@@ -17,6 +17,14 @@ is visible in the trace. Whether the bound is certified is decided once, by
 ``SolveConfig.lambda_certified``; otherwise the bound is advisory (a grid
 cannot prove the hypotheses on a continuum), so the numbers are reported but
 a breach is not an error.
+
+``picard_solve`` and ``verify_decay_bound`` validate their start points
+once. Every later point is an image of the map, which is a point of the
+space by construction (an expression map still tests each image against
+the box and raises ``EscapeError`` outside it), so the loops step with the
+maps' unchecked ``_apply`` and measure with the spaces' unchecked
+``_distance``: the same arithmetic in the same term order as the public
+``apply`` and ``distance``, so every value is bitwise what they give.
 """
 
 from __future__ import annotations
@@ -104,11 +112,6 @@ class SolveResult(NamedTuple):
         return (self.x, self.y)
 
 
-def residual(cmap: CoupledMap, x: Point, y: Point) -> float:
-    d = cmap.space.distance
-    return d(x, cmap.apply(x, y)) + d(y, cmap.apply(y, x))
-
-
 def decay_bound(chain_n: int, lam: float, epsilon: float, m: int) -> float:
     """Certified ceiling 2 * n * lam**m * epsilon on the m-th iteration step."""
     if chain_n < 1:
@@ -142,7 +145,8 @@ def picard_solve(
     space = cmap.space
     space.validate_point(x0)
     space.validate_point(y0)
-    d = space.distance
+    # every later iterate is an image, valid by construction
+    step, d = cmap._apply, space._distance
     trace: list[TraceRow] = []
     bounds: list[BoundRow] = []
     x, y = x0, y0
@@ -152,8 +156,8 @@ def picard_solve(
         if m:
             x, y, prev_step = fx, fy, r
         try:
-            fx = cmap.apply(x, y)
-            fy = cmap.apply(y, x)
+            fx = step(x, y)
+            fy = step(y, x)
         except EscapeError:
             status, r = DIVERGED, math.inf
         else:
@@ -217,7 +221,8 @@ def verify_decay_bound(
     c, e = descending
     for p in (a, b, c, e):
         space.validate_point(p)
-    d = space.distance
+    # every later point is an image, valid by construction
+    step, d = cmap._apply, space._distance
     rows: list[BoundRow] = []
     escaped_at = None
     observed = d(a, c) + d(b, e)
@@ -227,8 +232,8 @@ def verify_decay_bound(
         if m == horizon:
             break
         try:
-            a, b = cmap.apply(a, b), cmap.apply(b, a)
-            c, e = cmap.apply(c, e), cmap.apply(e, c)
+            a, b = step(a, b), step(b, a)
+            c, e = step(c, e), step(e, c)
         except EscapeError:
             escaped_at = m + 1
             break
@@ -261,9 +266,11 @@ def collapse_check(
     otherwise when every two points of the space have a common upper or
     lower bound (mode "pair-bounds"). The gap allowance is twice the
     residual tolerance: each component sits within tolerance of the limit,
-    so the pair is within 2 * tolerance of the diagonal.
+    so the pair is within 2 * tolerance of the diagonal. ``x0`` and ``y0``
+    are the seeds ``result`` was iterated from, which ``picard_solve`` has
+    validated, so they are compared without validating them again.
     """
-    comparable = space.leq(x0, y0) or space.leq(y0, x0)
+    comparable = space._leq(x0, y0) or space._leq(y0, x0)
     mode = "comparable-seeds" if comparable else "pair-bounds"
     applicable = comparable or pair_bounds
     tol = 2.0 * residual_tolerance

@@ -2,7 +2,9 @@
 
 A point of a finite space is an integer index into its label list; a point of
 a box is a tuple of coordinates. Both kinds expose the same query surface
-(``distance``, ``leq``) so everything downstream stays generic.
+(``distance``, ``leq``) so everything downstream stays generic. Both
+queries validate their points; ``_distance`` and ``_leq`` give the same
+values without validating, for loops whose points are known to be valid.
 
 Finite spaces are validated eagerly: every metric axiom (zero diagonal,
 symmetry, positivity, triangle inequality) and order axiom (reflexivity,
@@ -30,6 +32,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import sub
 from typing import Sequence, Union
 
 import numpy as np
@@ -250,11 +253,19 @@ class FiniteSpace:
     def distance(self, p: Point, q: Point) -> float:
         self.validate_point(p)
         self.validate_point(q)
+        return self._distance(p, q)
+
+    def _distance(self, p: Point, q: Point) -> float:
+        # ``distance`` of two points the caller has already validated
         return self.dist[p][q]
 
     def leq(self, p: Point, q: Point) -> bool:
         self.validate_point(p)
         self.validate_point(q)
+        return self._leq(p, q)
+
+    def _leq(self, p: Point, q: Point) -> bool:
+        # ``leq`` of two points the caller has already validated
         return bool(self.L[p, q])
 
 
@@ -346,11 +357,19 @@ class BoxSpace:
     def distance(self, p: Point, q: Point) -> float:
         self.validate_point(p)
         self.validate_point(q)
-        return sum(abs(a - b) for a, b in zip(p, q))
+        return self._distance(p, q)
+
+    def _distance(self, p: Point, q: Point) -> float:
+        # ``distance`` of two points the caller has already validated
+        return sum(map(abs, map(sub, p, q)))
 
     def leq(self, p: Point, q: Point) -> bool:
         self.validate_point(p)
         self.validate_point(q)
+        return self._leq(p, q)
+
+    def _leq(self, p: Point, q: Point) -> bool:
+        # ``leq`` of two points the caller has already validated
         return all(a <= b for a, b in zip(p, q))
 
 

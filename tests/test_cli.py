@@ -109,7 +109,8 @@ class TestExitCodes:
         code, out, err = run(capsys, "check", str(path))
         assert (code, out) == (2, "")
         assert err == (
-            "error: map.formula: expression of 100001 characters nests too deeply\n"
+            "error: map.formula: expression of 100001 characters nests too deeply "
+            "(the limit is 200 levels)\n"
         )
 
     @pytest.mark.parametrize("formula", [

@@ -1,7 +1,11 @@
+import ast
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainfix.errors import GrammarError
-from chainfix.expressions import parse_expression, variable_names
+from chainfix.expressions import MAX_DEPTH, parse_expression, variable_names
 
 
 def test_variable_names_one_dim():
@@ -116,3 +120,67 @@ def test_formula_nested_too_deeply_is_a_grammar_error(source):
     with pytest.raises(GrammarError, match="nests too deeply") as info:
         parse_expression(source, dim=1)
     assert info.value.field == "formula"
+
+
+def _deeper(frames, fn):
+    """fn() called from ``frames`` more frames down the stack."""
+    return fn() if frames == 0 else _deeper(frames - 1, fn)
+
+
+def _outcome(source):
+    try:
+        expr = parse_expression(source, dim=1)
+    except GrammarError as exc:
+        return "refused", str(exc)
+    return "accepted", expr.evaluate({"x": 0.25, "y": 0.5})
+
+
+# a formula of each depth: "x" after N "+0", or after N minus signs, has
+# depth N + 1, each "-min(" adds two levels, and "x/(...)" one level above
+# its constant denominator
+@pytest.mark.parametrize("build", [
+    lambda depth: "x" + "+0" * (depth - 1),
+    lambda depth: "-" * (depth - 1) + "x",
+    lambda depth: "-" * ((depth - 1) % 2) + "-min(" * ((depth - 1) // 2) + "x"
+    + ", y)" * ((depth - 1) // 2),
+    lambda depth: "x/(1" + "+0" * (depth - 2) + ")",
+], ids=["sum", "unary-minus", "nested-min", "denominator"])
+def test_depth_limit_is_the_same_from_any_caller(build):
+    at_limit, past_limit = build(MAX_DEPTH), build(MAX_DEPTH + 1)
+    for frames in (0, 500):
+        assert _deeper(frames, lambda: _outcome(at_limit))[0] == "accepted"
+        assert _deeper(frames, lambda: _outcome(past_limit)) == (
+            "refused",
+            f"expression of {len(past_limit)} characters nests too deeply "
+            f"(the limit is {MAX_DEPTH} levels)",
+        )
+
+
+def _depth(node):
+    return 1 + max(
+        (_depth(c) for c in ast.iter_child_nodes(node) if isinstance(c, ast.expr)),
+        default=0,
+    )
+
+
+formulas = st.recursive(
+    st.sampled_from(["x", "y", "0", "1.5"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map("".join),
+        inner.map(lambda a: "-" + a),
+        inner.map(lambda a: f"({a})"),
+        inner.map(lambda a: f"abs({a})"),
+        inner.map(lambda a: f"{a}/2"),
+        st.tuples(st.sampled_from(["min", "max"]), inner, inner).map(
+            lambda t: f"{t[0]}({t[1]},{t[2]})"),
+    ),
+    max_leaves=40,
+)
+
+
+@given(formulas)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_tree_is_no_deeper_than_its_source_is_long(source):
+    # why a source of at most MAX_DEPTH characters skips the depth walk
+    assert _depth(ast.parse(source, mode="eval").body) <= len(source)
+    parse_expression(source, dim=1)

@@ -31,7 +31,7 @@ PUBLIC = {
     "build_config", "run_hypothesis_suite", "uncertified",
     # solver
     "BoundRow", "CollapseVerdict", "DecayReport", "SolveConfig", "SolveResult",
-    "TraceRow", "collapse_check", "decay_bound", "picard_solve", "residual",
+    "TraceRow", "collapse_check", "decay_bound", "picard_solve",
     "verify_decay_bound",
 }
 

@@ -1,0 +1,362 @@
+"""The work a box solve does once, against the work it replaced.
+
+The suite's sample (``pipeline.candidate_points``) is validated and
+tabulated once for the three space checks, while a plain list of the same
+points takes the validate-and-build path in every check: both must give
+equal reports, with the ``chain_n`` items in the same order, and a sample
+over the table budget must be refused by the same check with the same
+message. ``picard_solve`` and ``verify_decay_bound`` validate their start
+points once and then step unchecked: their results must be bitwise (by
+``repr``) what a loop through the validating ``apply`` and ``distance``
+gives, escapes included. ``chain_n`` is read-only, built on first read, and
+as a dict it is the table the benchmark's gate compares with the oracle's.
+"""
+
+import math
+import random
+import traceback
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chainfix.errors import EscapeError, SamplingError
+from chainfix.hypotheses import (
+    _SharedSample,
+    check_common_comparable,
+    check_epsilon_chainable,
+    check_pair_bounds,
+    sample_points,
+)
+from chainfix.instances import generate_finite_instance, load_instance, parse_instance
+from chainfix.mappings import expression_map
+from chainfix.oracle import min_chain_table
+from chainfix.pipeline import (
+    build_config,
+    candidate_points,
+    default_plan,
+    run_hypothesis_suite,
+)
+from chainfix.solver import (
+    CONVERGED,
+    DIVERGED,
+    EXHAUSTED,
+    BoundRow,
+    DecayReport,
+    SolveConfig,
+    SolveResult,
+    TraceRow,
+    below_bound,
+    decay_bound,
+    picard_solve,
+    verify_decay_bound,
+)
+from chainfix.spaces import BoxSpace
+
+SPACE_CHECKS = ("epsilon-chainable", "common-comparable", "pair-bounds")
+
+
+def space_reports(space, epsilon, candidates):
+    """The three space checks on one candidate list, and chain_n in order."""
+    reports = (
+        check_epsilon_chainable(space, epsilon, candidates),
+        check_common_comparable(space, candidates),
+        check_pair_bounds(space, candidates),
+    )
+    return reports, list(reports[0].details["chain_n"].items())
+
+
+def assert_suite_matches_plain_list(inst):
+    suite = run_hypothesis_suite(inst)
+    plain = sample_points(inst.space, default_plan(inst))
+    shared = tuple(suite[name] for name in SPACE_CHECKS)
+    expected = space_reports(inst.space, inst.params.epsilon, plain)
+    assert (shared, list(shared[0].details["chain_n"].items())) == expected
+    assert space_reports(
+        inst.space, inst.params.epsilon, candidate_points(inst)
+    ) == expected
+
+
+def box_doc(dim, formulas, step, epsilon):
+    corner = (lambda v: v) if dim == 1 else (lambda v: [v] * dim)
+    return {
+        "schema_version": 1,
+        "space": {"kind": "box", "dimension": dim, "lower": [0] * dim,
+                  "upper": [1] * dim, "grid_step": step},
+        "map": {"kind": "expression",
+                "formula": formulas[0] if dim == 1 else formulas},
+        "seeds": {"x0": corner(0), "y0": corner(1)},
+        "parameters": {"epsilon": epsilon, "tolerance": 1e-10,
+                       "max_iterations": 60},
+    }
+
+
+def coef(lo, hi):
+    return st.integers(round(lo * 100), round(hi * 100)).map(lambda k: k / 100)
+
+
+@st.composite
+def affine_terms(draw, dim):
+    # x-coefficients a >= 0, y-coefficients b >= 0 with sum(a) + sum(b) <=
+    # 0.8, and c inside [sum(b), 1 - sum(a)]: the unit box maps into itself
+    xs = ["x"] if dim == 1 else ["x1", "x2"]
+    ys = ["y"] if dim == 1 else ["y1", "y2"]
+    a = [draw(coef(0, 0.4 / dim)) for _ in xs]
+    b = [draw(coef(0, 0.4 / dim)) for _ in ys]
+    c = draw(coef(sum(b) + 0.01, 1 - sum(a) - 0.01))
+    terms = [f"{k}*{n}" for k, n in zip(a, xs)] + [f"-{k}*{n}" for k, n in zip(b, ys)]
+    return " + ".join(terms + [str(c)]).replace("+ -", "- ")
+
+
+@st.composite
+def box_instances(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["affine", "min", "max"]))
+    formulas = []
+    for _ in range(dim):
+        first = draw(affine_terms(dim))
+        formulas.append(
+            first if kind == "affine"
+            else f"{kind}({first}, {draw(affine_terms(dim))})"
+        )
+    step = draw(st.sampled_from([0.5, 0.25] if dim == 2 else [0.25, 0.125]))
+    epsilon = draw(st.sampled_from([0.05, 0.3, 0.6, 1.5]))
+    return parse_instance(box_doc(dim, formulas, step, epsilon))
+
+
+class TestSharedSample:
+    @pytest.mark.parametrize("name", ["l1", "l2d"])
+    def test_shipped_boxes(self, instance_dir, name):
+        assert_suite_matches_plain_list(load_instance(instance_dir / f"{name}.json"))
+
+    @given(box_instances())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_generated_box_maps(self, inst):
+        assert_suite_matches_plain_list(inst)
+
+    @given(st.integers(0, 200), st.integers(2, 12), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_generated_finite_instances(self, seed, size, rng):
+        # an explicit candidate list, repeats and all, shared or plain
+        inst = generate_finite_instance(seed, size)
+        cand = [rng.randrange(size) for _ in range(rng.randint(1, 2 * size))]
+        eps = inst.params.epsilon
+        assert space_reports(
+            inst.space, eps, _SharedSample(inst.space, cand)
+        ) == space_reports(inst.space, eps, cand)
+
+    def test_shared_tables_are_built_once(self, l2d_path):
+        inst = load_instance(l2d_path)
+        cand = candidate_points(inst)
+        with mock.patch.object(
+            BoxSpace, "validate_point", autospec=True,
+            side_effect=BoxSpace.validate_point,
+        ) as validate:
+            space_reports(inst.space, inst.params.epsilon, cand)
+            space_reports(inst.space, inst.params.epsilon, cand)
+        assert validate.call_count == len(cand)
+
+    def test_another_space_gets_its_own_tables(self, l2d_path):
+        # a sample of one box passed with another box is validated against
+        # that other box, as a plain list would be
+        inst = load_instance(l2d_path)
+        cand = candidate_points(inst)
+        small = BoxSpace((0.0, 0.0), (0.5, 0.5))
+        for check in (check_common_comparable, check_pair_bounds):
+            with pytest.raises(Exception) as shared:
+                check(small, cand)
+            with pytest.raises(Exception) as plain:
+                check(small, list(cand))
+            assert (type(shared.value), str(shared.value)) == (
+                type(plain.value), str(plain.value))
+
+
+def refusing_check(exc_info) -> str:
+    """The check function a SamplingError was raised in."""
+    names = [frame.name for frame in traceback.extract_tb(exc_info.tb)]
+    return next(name for name in names if name.startswith(("check_", "estimate_")))
+
+
+class TestOverBudgetSample:
+    # 37 x 37 grid points and 8 draws: 1377 points need 17,065,161 bytes
+    # of order and distance tables, over the budget of 2**24
+    STEP = 1 / 36
+
+    def test_affine_map_is_refused_by_the_chainability_check(self):
+        inst = parse_instance(box_doc(
+            2, ["0.25*x1 - 0.25*y1 + 0.5", "0.25*x2 - 0.25*y2 + 0.5"],
+            self.STEP, 0.6,
+        ))
+        with pytest.raises(SamplingError) as suite:
+            run_hypothesis_suite(inst)
+        assert refusing_check(suite) == "check_epsilon_chainable"
+        plain = sample_points(inst.space, default_plan(inst))
+        with pytest.raises(SamplingError) as direct:
+            check_epsilon_chainable(inst.space, 0.6, plain)
+        assert str(suite.value) == str(direct.value)
+        assert suite.value.field == direct.value.field == "space.grid_step"
+        assert "1377 points needs 17065161 bytes" in str(suite.value)
+        # nothing was kept from the refusal: a later check refuses again
+        cand = candidate_points(inst)
+        for check in (check_common_comparable, check_pair_bounds):
+            with pytest.raises(SamplingError) as again:
+                check(inst.space, cand)
+            assert str(again.value) == str(direct.value)
+
+    def test_min_max_map_is_refused_by_the_monotonicity_check(self):
+        inst = parse_instance(box_doc(
+            2, ["min(0.25*x1 - 0.25*y1 + 0.5, 0.5)", "0.25*x2 - 0.25*y2 + 0.5"],
+            self.STEP, 0.6,
+        ))
+        with pytest.raises(SamplingError) as suite:
+            run_hypothesis_suite(inst)
+        assert refusing_check(suite) == "check_mixed_monotone"
+        assert "1377 points needs 47403225 bytes" in str(suite.value)
+
+
+def reference_picard(cmap, x0, y0, cfg):
+    """picard_solve as a loop through the validating apply and distance."""
+    d = cmap.space.distance
+    trace, bounds = [], []
+    x, y = x0, y0
+    r = prev_step = None
+    status = EXHAUSTED
+    for m in range(cfg.max_iterations + 1):
+        if m:
+            x, y, prev_step = fx, fy, r
+        try:
+            fx = cmap.apply(x, y)
+            fy = cmap.apply(y, x)
+        except EscapeError:
+            status, r = DIVERGED, math.inf
+        else:
+            r = d(x, fx) + d(y, fy)
+            if cfg.can_bound:
+                bounds.append(
+                    BoundRow(m, r, decay_bound(cfg.chain_n, cfg.lam, cfg.epsilon, m)))
+            if r <= cfg.residual_tolerance:
+                status = CONVERGED
+        trace.append(TraceRow(m, x, y, r, prev_step))
+        if status != EXHAUSTED:
+            break
+    return SolveResult(status, x, y, m, r, d(x, y), tuple(trace), tuple(bounds))
+
+
+def reference_decay(cmap, ascending, descending, cfg, horizon):
+    """verify_decay_bound (with no chains) through the validating calls."""
+    n, lam, eps = cfg.chain_n, cfg.lam, cfg.epsilon
+    have_bound = n is not None and lam is not None and eps is not None
+    (a, b), (c, e) = ascending, descending
+    d = cmap.space.distance
+    rows, escaped_at = [], None
+    observed = d(a, c) + d(b, e)
+    for m in range(horizon + 1):
+        rows.append(BoundRow(m, observed, decay_bound(n, lam, eps, m)
+                             if have_bound else math.nan))
+        if m == horizon:
+            break
+        try:
+            a, b = cmap.apply(a, b), cmap.apply(b, a)
+            c, e = cmap.apply(c, e), cmap.apply(e, c)
+        except EscapeError:
+            escaped_at = m + 1
+            break
+        observed = d(a, c) + d(b, e)
+    return DecayReport(tuple(rows), below_bound(rows) if have_bound else None,
+                       rows[-1].observed, n, escaped_at)
+
+
+def assert_iteration_matches_reference(cmap, x0, y0, cfg, horizon=30):
+    assert repr(picard_solve(cmap, x0, y0, cfg)) == repr(
+        reference_picard(cmap, x0, y0, cfg))
+    try:
+        ends = ((x0, y0), (cmap.apply(x0, y0), cmap.apply(y0, x0)))
+    except EscapeError:
+        ends = ((x0, y0), (y0, x0))
+    assert repr(verify_decay_bound(cmap, *ends, cfg, horizon=horizon)) == repr(
+        reference_decay(cmap, *ends, cfg, horizon))
+
+
+class TestIterationIsBitwiseTheValidatingLoop:
+    @pytest.mark.parametrize("name", ["l1", "l2d", "f1", "chain4", "antichain2"])
+    def test_shipped_instances(self, instance_dir, name):
+        inst = load_instance(instance_dir / f"{name}.json")
+        cfg = build_config(inst, run_hypothesis_suite(inst))
+        assert_iteration_matches_reference(inst.cmap, inst.x0, inst.y0, cfg)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generated_finite_instances(self, seed):
+        inst = generate_finite_instance(seed, 16)
+        cfg = build_config(inst, run_hypothesis_suite(inst))
+        assert_iteration_matches_reference(inst.cmap, inst.x0, inst.y0, cfg)
+
+    @given(box_instances(), st.integers(1, 60))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_generated_box_maps(self, inst, max_iterations):
+        cfg = SolveConfig(max_iterations=max_iterations, lam=0.9, epsilon=0.6,
+                          chain_n=3)
+        assert_iteration_matches_reference(inst.cmap, inst.x0, inst.y0, cfg)
+
+    @pytest.mark.parametrize("formula, x0, y0", [
+        # leaves [0, 1] within a few steps
+        ("x + y", (0.5,), (0.75,)),
+        # x0 = 0 is mapped onto 0.45, whose image leaves the box
+        ("0.45 + 1000*max(0, 0.001 - abs(x - 0.45))", (0.0,), (1.0,)),
+    ], ids=["sum", "spike"])
+    def test_a_map_that_leaves_the_box_on_its_orbit(self, formula, x0, y0):
+        cmap = expression_map(BoxSpace((0.0,), (1.0,)), formula)
+        cfg = SolveConfig(lam=0.5, epsilon=0.6, chain_n=2)
+        result = picard_solve(cmap, x0, y0, cfg)
+        assert result.status == DIVERGED
+        assert_iteration_matches_reference(cmap, x0, y0, cfg)
+
+    def test_start_points_are_validated_once(self, l2d_path):
+        inst = load_instance(l2d_path)
+        cfg = SolveConfig(max_iterations=40)
+        with mock.patch.object(
+            BoxSpace, "validate_point", autospec=True,
+            side_effect=BoxSpace.validate_point,
+        ) as validate:
+            result = picard_solve(inst.cmap, inst.x0, inst.y0, cfg)
+            assert validate.call_count == 2
+            verify_decay_bound(inst.cmap, (result.x, result.y),
+                               (result.y, result.x), cfg, horizon=20)
+            assert validate.call_count == 6
+
+
+class TestChainTable:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 8])
+    def test_dict_is_the_table_the_gate_compares(self, seed):
+        inst = generate_finite_instance(seed, 24)
+        eps = inst.params.epsilon
+        details = check_epsilon_chainable(inst.space, eps).details
+        table, unreachable, max_n = min_chain_table(inst.space, eps)
+        assert dict(details["chain_n"]) == {
+            (i, j): h for i, j, h in table.tolist()}
+        assert sorted(details["unreachable"]) == sorted(map(tuple, unreachable))
+        assert details["max_n"] == max_n
+        assert type(details["max_n"]) is int
+
+    def test_read_only_and_built_on_first_read(self, chain4_path):
+        inst = load_instance(chain4_path)
+        chain_n = check_epsilon_chainable(inst.space, inst.params.epsilon).details[
+            "chain_n"]
+        assert "_table" not in vars(chain_n)
+        assert list(chain_n.items())[:2] == [((0, 0), 0), ((0, 1), 1)]
+        assert "_table" in vars(chain_n)
+        with pytest.raises(TypeError):
+            chain_n[(0, 0)] = 5
+        with pytest.raises(TypeError):
+            del chain_n[(0, 0)]
+        assert chain_n[(0, 0)] == 0
+        assert not hasattr(chain_n, "update")
+
+    def test_max_n_needs_no_table(self, chain4_path):
+        inst = load_instance(chain4_path)
+        rep = check_epsilon_chainable(inst.space, inst.params.epsilon)
+        assert rep.details["max_n"] == max(rep.details["chain_n"].values())
+        rng = random.Random(0)
+        cand = [rng.randrange(4) for _ in range(6)]
+        rep = check_epsilon_chainable(inst.space, inst.params.epsilon, cand)
+        assert rep.details["max_n"] == max(rep.details["chain_n"].values())

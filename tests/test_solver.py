@@ -27,10 +27,16 @@ from chainfix.solver import (
     collapse_check,
     decay_bound,
     picard_solve,
-    residual,
     verify_decay_bound,
 )
 from chainfix.spaces import BoxSpace
+
+
+def residual(cmap, x, y):
+    """The coupled residual d(x, F(x, y)) + d(y, F(y, x)), through the
+    validating public ``apply`` and ``distance``."""
+    d = cmap.space.distance
+    return d(x, cmap.apply(x, y)) + d(y, cmap.apply(y, x))
 
 
 def solve_instance(path):
