@@ -2,9 +2,10 @@
 
 A component built from ``+ - *`` and division by constants, with no
 ``min``, ``max`` or ``abs``, is affine in the box coordinates. Its
-coefficients are read here as exact rationals over the literals' float
-values, together with a bound on how far float64 evaluation can stray from
-them on the box. From A and B alone:
+coefficients are read here, in one pass over the post-order that
+``chainfix.expressions`` keeps from checking it, as exact rationals over
+the literals' float values, together with a bound on how far float64
+evaluation can stray from them on the box. From A and B alone:
 
 * mixed monotonicity holds when A, B >= 0;
 * the contraction ratio's supremum over the whole box is
@@ -230,9 +231,9 @@ def affine_form(
 
     ``error`` is the module's rounding bound, computed in upward-rounded
     float64 and so never below the same bound in exact rationals; ``low``
-    and ``high`` widen the exact range over the box by it. The tree is
-    walked with an explicit stack, so how deeply a formula nests never
-    changes the answer.
+    and ``high`` widen the exact range over the box by it. It folds the
+    parser's post-order of the tree in one loop, so how deeply a formula
+    nests never changes the answer.
     """
     reach = {v: max(abs(lo), abs(hi)) for v, (lo, hi) in bounds.items()}
 
@@ -308,38 +309,28 @@ def affine_form(
         const = a.const / kb if a.cmag else a.const
         return rounded(coef, terms, const, _div(a.cmag, floor), error)
 
-    def walk(root: ast.expr) -> _Node:
-        # postorder with an explicit stack: ``done`` holds each finished
-        # operand in left-to-right order until its parent takes it
-        todo, done = [(root, False)], []
-        while todo:
-            n, ready = todo.pop()
+    if any(isinstance(n, ast.Call) for n in expr.postorder):
+        return None  # a min, max or abs call
+    done = []  # each finished operand, until its parent takes it
+    try:
+        for n in expr.postorder:
             if isinstance(n, ast.Name):
                 r = reach[n.id]
                 done.append(_Node({n.id: _ONE}, {n.id: r}, _NIL, 0.0, r, _ZERO))
             elif isinstance(n, ast.Constant):
                 m = abs(n.value)
                 done.append(_Node({}, {}, Fraction(n.value), m, m, _ZERO))
-            elif ready and isinstance(n, ast.UnaryOp):
+            elif isinstance(n, ast.UnaryOp):
                 if isinstance(n.op, ast.USub):
                     a = done.pop()
                     done.append(a._replace(coef={v: -k for v, k in a.coef.items()},
                                            const=-a.const))
-            elif ready:
+            else:
                 b = done.pop()
                 done.append(combine(n.op, done.pop(), b))
-            elif isinstance(n, ast.UnaryOp):
-                todo += [(n, True), (n.operand, False)]
-            elif isinstance(n, ast.BinOp):
-                todo += [(n, True), (n.right, False), (n.left, False)]
-            else:
-                raise _NotAffine  # a min, max or abs call
-        return done.pop()
-
-    try:
-        top = walk(expr.tree)
     except (_NotAffine, OverflowError):
         return None
+    top = done.pop()
     e, t = top.error
     error = Fraction(e) + Fraction(t) / 2**1074 if t else Fraction(e)
     low = high = top.const

@@ -2,26 +2,26 @@
 
 Accepted syntax: infix ``+ - * /``, unary minus, parentheses, numeric
 literals, the calls ``min``/``max``/``abs``, and the coordinate variables
-``x``, ``y`` (one dimension) or ``x1..xk``, ``y1..yk``. Division is
-restricted to nonzero constant denominators so an expression is total on its
-whole box.
+``x``, ``y`` (one dimension) or ``x1..xk``, ``y1..yk``. A denominator must
+be a constant, reading no variable and holding no call, and its value may
+be neither zero nor NaN, so an expression is total on its whole box.
 
-Parsing reuses Python's ``ast`` with a strict node whitelist; anything
-outside the grammar is rejected up front and the validated tree is compiled
-once, so repeated evaluation is a plain ``eval`` of a code object with no
-builtins in scope.
+Parsing reuses Python's ``ast``. One walk, on a stack of its own, enters
+each node once and checks it against a strict whitelist; on leaving a node
+it records the subtree's float value, or that the subtree reads a name, so
+a division is decided from its denominator's record and checking costs time
+linear in the formula's length. The walk's post-order is kept for
+``chainfix.affine``. The tree is compiled once, so repeated evaluation is a
+plain ``eval`` of a code object with no builtins in scope.
 
 A formula may nest at most ``MAX_DEPTH`` expressions along any path of its
 tree, counting the leaf: ``x`` has depth 1, ``x + 0`` and ``-x`` depth 2,
-and ``x + 0 + ... + 0`` with N additions depth N + 1. The rule is checked
-by one walk that keeps its own list of nodes, a level at a time, before
-anything recurses over the tree, so whether a formula is accepted never
+and ``x + 0 + ... + 0`` with N additions depth N + 1. The walk refuses a
+node past the limit on entering it and holds any other fault until it ends,
+so the depth is reported first, and whether a formula is accepted never
 depends on how deep the caller's own stack is. The limit leaves room for
-validating and compiling an accepted tree from a caller 500 frames deep
-under the default recursion limit. The text of an expression holds each
-child's text and at least one character more (an operator, a parenthesis,
-a comma or a name), so a tree is no deeper than its source is long, and a
-source of at most ``MAX_DEPTH`` characters is accepted without the walk.
+compiling an accepted tree from a caller 500 frames deep under the default
+recursion limit.
 
 Every numeric literal is rewritten to a float at parse time, and a literal
 outside float range is a ``GrammarError``, so evaluation is float64
@@ -64,7 +64,8 @@ _FUNCS = {
     "abs": abs,
 }
 _SCOPE = {"__builtins__": {}, **_FUNCS}
-_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,  # eval's float arithmetic
+           ast.Mult: operator.mul, ast.Div: operator.truediv}
 _UNARY = (ast.USub, ast.UAdd)
 MAX_DEPTH = 200  # most expressions nested along one path of a formula's tree
 
@@ -78,94 +79,104 @@ def variable_names(dim: int) -> tuple[str, ...]:
     return xs + ys
 
 
-def _too_deep(root: ast.expr) -> bool:
-    """Whether some path of the tree holds more than MAX_DEPTH expressions;
-    walked one level at a time, so it never recurses."""
-    level = [root]
-    for _ in range(MAX_DEPTH):
-        level = [
-            child
-            for node in level
-            for child in ast.iter_child_nodes(node)
-            if isinstance(child, ast.expr)
-        ]
-        if not level:
-            return False
-    return True
-
-
-def _names(node: ast.AST) -> set[str]:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-def _const_value(node: ast.expr) -> float:
-    expr = ast.fix_missing_locations(ast.Expression(body=node))
-    return eval(compile(expr, "<denominator>", "eval"), {"__builtins__": {}}, {})
-
-
-def _validate(node: ast.expr, allowed: set[str], shown: str) -> None:
-    # rewrites each literal to a float as it goes; ``shown`` names the
-    # source in messages
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
-        _validate(node.left, allowed, shown)
-        _validate(node.right, allowed, shown)
-        if isinstance(node.op, ast.Div):
-            if _names(node.right):
-                raise GrammarError(
-                    f"division denominator must be a constant in {shown}"
-                )
-            if _const_value(node.right) == 0:
-                raise GrammarError(f"division by zero constant in {shown}")
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARY):
-        _validate(node.operand, allowed, shown)
-    elif isinstance(node, ast.Call):
-        if (
-            not isinstance(node.func, ast.Name)
-            or node.func.id not in _FUNCS
-            or node.keywords
-        ):
-            raise GrammarError(
-                f"only plain min/max/abs calls are allowed in {shown}"
-            )
-        if node.func.id == "abs" and len(node.args) != 1:
-            raise GrammarError(f"abs takes exactly one argument in {shown}")
-        if node.func.id in ("min", "max") and len(node.args) < 2:
-            raise GrammarError(
-                f"{node.func.id} needs at least two arguments in {shown}"
-            )
-        for arg in node.args:
-            _validate(arg, allowed, shown)
+def _fault(node: ast.expr, allowed: set[str], shown: str) -> str | None:
+    """Why ``node`` itself lies outside the grammar, or None; a literal is
+    rewritten to a float. ``shown`` names the source in messages."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        return None
+    if isinstance(node, ast.Call):
+        name = node.func.id if isinstance(node.func, ast.Name) else None
+        if name not in _FUNCS or node.keywords:
+            return f"only plain min/max/abs calls are allowed in {shown}"
+        if name == "abs" and len(node.args) != 1:
+            return f"abs takes exactly one argument in {shown}"
+        if name != "abs" and len(node.args) < 2:
+            return f"{name} needs at least two arguments in {shown}"
     elif isinstance(node, ast.Name):
         if node.id not in allowed:
-            raise GrammarError(
-                f"unknown variable {node.id!r} in {shown}; "
-                f"allowed: {', '.join(sorted(allowed))}"
-            )
+            names = ", ".join(sorted(allowed))
+            return f"unknown variable {node.id!r} in {shown}; allowed: {names}"
     elif isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
-            raise GrammarError(f"non-numeric literal {node.value!r} in {shown}")
+            return f"non-numeric literal {node.value!r} in {shown}"
         try:
             value = float(node.value)
         except OverflowError:  # an integer too large for a float
             value = math.inf
         if not math.isfinite(value):
-            raise GrammarError(
-                f"numeric literal outside float range in {shown}"
-            )
+            return f"numeric literal outside float range in {shown}"
         node.value = value
+    elif not (isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARY)):
+        return f"disallowed syntax ({type(node).__name__}) in {shown}"
+    return None
+
+
+def _leave(node: ast.expr, folded: list, shown: str) -> str | None:
+    """Replace the records of ``node``'s operands on ``folded`` by its own:
+    its float value when it reads no name, else None. Returns why a
+    division's denominator is refused, or None."""
+    if isinstance(node, ast.Call):
+        folded[len(folded) - len(node.args):] = [None]  # the callee counts as a name
+    elif isinstance(node, ast.UnaryOp):
+        if folded[-1] is not None and isinstance(node.op, ast.USub):
+            folded[-1] = -folded[-1]
     else:
-        raise GrammarError(
-            f"disallowed syntax ({type(node).__name__}) in {shown}"
-        )
+        b = folded.pop()
+        if isinstance(node.op, ast.Div):
+            if b is None:
+                return f"division denominator must be a constant in {shown}"
+            if b == 0:
+                return f"division by zero constant in {shown}"
+            if b != b:
+                return f"division by NaN constant in {shown}"
+        a = folded[-1]
+        folded[-1] = None if a is None or b is None else _BINOPS[type(node.op)](a, b)
+    return None
+
+
+def _check(root: ast.expr, allowed: set[str], shown: str, too_deep: GrammarError):
+    """Every node of ``root`` but a call's callee, in post-order, once one
+    walk on an explicit stack has checked the tree: it raises ``too_deep``
+    on entering a node past ``MAX_DEPTH``, and the first other fault in
+    left-to-right order once every node is known to be within the limit."""
+    post, folded, fault = [], [], None  # folded: a record per finished operand
+    todo = [(root, 1)]  # (node, depth); depth 0 marks leaving the node
+    while todo:
+        node, depth = todo.pop()
+        if not depth:
+            fault = fault or _leave(node, folded, shown)
+            post.append(node)
+            continue
+        if depth > MAX_DEPTH:
+            raise too_deep
+        fault = fault or _fault(node, allowed, shown)
+        depth += 1
+        if fault:  # only the depth is left to check
+            children = ast.iter_child_nodes(node)
+            todo += [(c, depth) for c in children if isinstance(c, ast.expr)]
+        elif isinstance(node, ast.BinOp):
+            todo += [(node, 0), (node.right, depth), (node.left, depth)]
+        elif isinstance(node, ast.UnaryOp):
+            todo += [(node, 0), (node.operand, depth)]
+        elif isinstance(node, ast.Call):  # each argument is as deep as the callee
+            todo += [(node, 0), *[(arg, depth) for arg in reversed(node.args)]]
+        else:  # a name or a literal, left as soon as it is entered
+            post.append(node)
+            folded.append(node.value if isinstance(node, ast.Constant) else None)
+    if fault:
+        raise GrammarError(fault)
+    return tuple(post)
 
 
 @dataclass(frozen=True)
 class CompiledExpression:
-    """A validated expression; ``tree`` and ``code`` are derived from ``source``."""
+    """A validated expression; every other field is derived from ``source``."""
 
     source: str
     code: object = field(compare=False, repr=False)
     tree: ast.expr = field(compare=False, repr=False)  # validated; literals are floats
+    # every node of ``tree`` but a call's callee, each after its operands
+    postorder: tuple[ast.expr, ...] = field(compare=False, repr=False)
 
     def evaluate(self, env: dict) -> float | np.ndarray:
         """The value at one point, or elementwise when ``env`` holds
@@ -181,7 +192,6 @@ def parse_expression(source: str, dim: int = 1) -> CompiledExpression:
     shown = clipped_repr(source)
     if not isinstance(source, str) or not source.strip():
         raise GrammarError(f"expression must be a nonempty string, got {shown}")
-    allowed = set(variable_names(dim))
     too_deep = GrammarError(
         f"expression of {len(source)} characters nests too deeply "
         f"(the limit is {MAX_DEPTH} levels)"
@@ -194,8 +204,6 @@ def parse_expression(source: str, dim: int = 1) -> CompiledExpression:
         # a tree far past the limit: CPython's parser stops on its own
         # stack, and reports its depth limit as a MemoryError
         raise too_deep from None
-    if len(source) > MAX_DEPTH and _too_deep(tree.body):
-        raise too_deep
-    _validate(tree.body, allowed, shown)
+    post = _check(tree.body, set(variable_names(dim)), shown, too_deep)
     code = compile(tree, "<coupled-map>", "eval")
-    return CompiledExpression(source=source, code=code, tree=tree.body)
+    return CompiledExpression(source, code, tree.body, post)

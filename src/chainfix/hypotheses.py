@@ -69,6 +69,7 @@ from .spaces import (
     Space,
     _covers,
     _first_in_blocks,
+    _min_plus_closure,
     point_jsonable,
 )
 
@@ -489,16 +490,13 @@ def _epsilon_edges(tab: _Tables, epsilon) -> np.ndarray:
 
 def _hop_counts(edges: np.ndarray) -> np.ndarray:
     """Fewest edges from i to j for every pair of points, and n where no
-    path leads from i to j: a min-plus closure over each intermediate point
-    k in turn (Floyd-Warshall), one whole-matrix pass per k. Entries stay
-    below 2n, so the smallest unsigned type holding 2n carries them."""
+    path leads from i to j. Entries of the min-plus closure stay below 2n,
+    so the smallest unsigned type holding 2n carries them."""
     n = len(edges)
     small = np.min_scalar_type(2 * n).type
     H = np.where(edges, small(1), small(n))
     np.fill_diagonal(H, 0)
-    for k in range(n):
-        np.minimum(H, H[:, k, None] + H[k], out=H)
-    return H
+    return _min_plus_closure(H)
 
 
 def _bfs(adj: list[list[int]], src: int) -> tuple[list, list]:

@@ -41,6 +41,7 @@ from .spaces import (
     Point,
     Space,
     _covers,
+    _min_plus_closure,
     is_finite_number,
     point_jsonable,
 )
@@ -561,9 +562,7 @@ def generate_finite_instance(seed: int, size: int | None = None) -> Instance:
             w = float(rng.randint(1, 5))
             if adj[i][j]:
                 W[i, j] = W[j, i] = w
-    # Floyd-Warshall; pass k leaves row and column k as they were
-    for k in range(n):
-        W = np.minimum(W, W[:, k, None] + W[None, k, :])
+    _min_plus_closure(W)  # shortest paths
     reached = np.isfinite(W)
     cap = max(W[reached].max(), 1.0)
     dist = np.where(reached, W, cap).tolist()

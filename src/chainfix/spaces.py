@@ -89,6 +89,15 @@ def _covers(L: np.ndarray) -> np.ndarray:
     return strict & ~((S @ S) > 0)
 
 
+def _min_plus_closure(M: np.ndarray) -> np.ndarray:
+    """``M`` closed in place under min-plus paths, for a zero diagonal and
+    no negative entry: a whole-matrix pass per intermediate point k in turn
+    (Floyd-Warshall), each leaving row and column k as they were."""
+    for k in range(len(M)):
+        np.minimum(M, M[:, k, None] + M[k], out=M)
+    return M
+
+
 def _check_metric(d: Sequence[Sequence[float]]) -> np.ndarray:
     """The distances as float64, once every metric axiom holds on them."""
     types = set(map(type, chain.from_iterable(d)))

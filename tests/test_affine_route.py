@@ -14,6 +14,7 @@ and by less than a factor 1 + 2**-40.
 """
 
 import ast
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -484,6 +485,43 @@ def test_float_bound_against_the_rational_reference(case):
     assert got == ref  # the same closure decision, A, B and c
     if ref is not None:
         assert got.lambda_hat(space) == ref.lambda_hat(space)
+
+
+def stack_postorder(root):
+    """The nodes that ``affine_form`` took in turn when it walked the tree
+    on a stack of its own: each after its operands, up to a call, where it
+    gave up."""
+    todo, done = [(root, False)], []
+    while todo:
+        n, ready = todo.pop()
+        if ready or isinstance(n, (ast.Name, ast.Constant)):
+            done.append(n)
+        elif isinstance(n, ast.UnaryOp):
+            todo += [(n, True), (n.operand, False)]
+        elif isinstance(n, ast.BinOp):
+            todo += [(n, True), (n.right, False), (n.left, False)]
+        else:
+            return done + [n]  # a min, max or abs call
+    return done
+
+
+@given(affine_documents())
+@example((BoxSpace((0.0,), (1.0,)), ["min(x, -(y*2)/3)"]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_post_order_gives_the_stack_walks_form(case):
+    # each node is combined as before, so the form read from the parser's
+    # post-order equals the one read in the stack walk's order
+    space, sources = case
+    bounds = box_bounds(space)
+    for source in sources:
+        try:
+            expr = parse_expression(source, space.dim)
+        except GrammarError:  # a denominator that is zero or NaN
+            assume(False)
+        stacked = dataclasses.replace(expr, postorder=stack_postorder(expr.tree))
+        if not any(isinstance(n, ast.Call) for n in stacked.postorder):
+            assert list(map(id, expr.postorder)) == list(map(id, stacked.postorder))
+        assert affine_form(expr, bounds) == affine_form(stacked, bounds)
 
 
 def box_document(formulas, step=0.25):

@@ -113,6 +113,23 @@ class TestExitCodes:
             "(the limit is 200 levels)\n"
         )
 
+    def test_nan_denominator_names_the_formula(self, capsys, tmp_path):
+        # refused when parsed, not later as a map value that leaves the box
+        formula = "x/((1e308*10)-(1e308*10))"
+        doc = {
+            "schema_version": 1,
+            "space": {"kind": "box", "dimension": 1, "lower": [0], "upper": [1],
+                      "grid_step": 0.5},
+            "map": {"kind": "expression", "formula": formula},
+            "seeds": {"x0": 0, "y0": 1},
+            "parameters": {"epsilon": 0.6},
+        }
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: map.formula: division by NaN constant in {formula!r}\n"
+
     @pytest.mark.parametrize("formula", [
         "(" * 3000 + "x",
         "(" * 300000 + "x" + ")" * 300000,
