@@ -95,10 +95,11 @@ def _fault(node: ast.expr, allowed: set[str], shown: str) -> str | None:
     elif isinstance(node, ast.Name):
         if node.id not in allowed:
             names = ", ".join(sorted(allowed))
-            return f"unknown variable {node.id!r} in {shown}; allowed: {names}"
+            return (f"unknown variable {clipped_repr(node.id)} in {shown}; "
+                    f"allowed: {names}")
     elif isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
-            return f"non-numeric literal {node.value!r} in {shown}"
+            return f"non-numeric literal {clipped_repr(node.value)} in {shown}"
         try:
             value = float(node.value)
         except OverflowError:  # an integer too large for a float

@@ -3,10 +3,14 @@
 Finite spaces are checked exhaustively, so verdicts are conclusive. Boxes are
 checked on a deterministic sample (a coordinate grid plus seeded uniform
 draws), so a clean pass is reported as ``undetermined-sampled``: sampling can
-falsify a universally quantified hypothesis but never prove it. Three
+falsify a universally quantified hypothesis but never prove it. Four
 exceptions are conclusive everywhere:
 
 * ``check_seed`` evaluates two concrete applications, nothing more;
+* ``check_pair_bounds`` and ``check_common_comparable``, given no
+  candidate list, hold on a whole box with ``mode: "exact"``: a box is
+  closed under componentwise max and min, which supply the bounds and the
+  comparable product points they ask for;
 * a chain returned by ``find_epsilon_chain`` is a genuine certificate, valid
   in the full space even when its waypoints came from a grid;
 * an affine box map, F(x, y) = A x - B y + c (``ExpressionMap.affine``,
@@ -24,18 +28,14 @@ them too: reading stored data is not sharing a kernel); a box validates its
 sample and tabulates it with numpy, so a map that leaves the box anywhere
 on the sample raises ``EscapeError`` before any scan starts, and a sample
 whose tables would pass a fixed byte budget raises ``SamplingError`` before
-any table is built. The two map checks each tabulate F over the sample.
-The three space checks, passed the suite's sample
-(``pipeline.candidate_points``), share one validation of its points, one
-pair of order and distance tables and one set of bound matrices, each
-built on first use; any other candidate list is validated and tabulated
-by the check it is passed to. The
-mixed-monotonicity scan compares whole rows of images as numpy masks, a
-block of about 2**16 cells at a time, over the covering pairs first and over
-every comparable pair only when a covering pair fails. The chainability
-check takes every hop count from one min-plus closure over whole arrays.
-Only the contraction scan and ``find_epsilon_chain``, which needs the path
-and not just its length, are plain loops over point indices.
+any table is built. The two map checks each tabulate F over the sample,
+and every space check given a candidate list validates and tabulates it
+itself. The mixed-monotonicity scan compares whole rows of images as numpy
+masks, a block of about 2**16 cells at a time, over the covering pairs
+first and over every comparable pair only when a covering pair fails. The
+chainability check takes every hop count from one min-plus closure over
+whole arrays. Only the contraction scan and ``find_epsilon_chain``, which
+needs the path and not just its length, are plain loops over point indices.
 
 The chainability report's per-pair hop table, ``details["chain_n"]``, is a
 read-only mapping built on first read; its ``max_n`` comes straight from
@@ -56,7 +56,7 @@ from collections.abc import Mapping
 from functools import cached_property
 from operator import sub
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -264,48 +264,18 @@ class _Tables(NamedTuple):
         return HypothesisReport(hypothesis, verdict, witness, **fields)
 
 
-class _SharedSample(list):
-    """A box sample that several space checks read: the checks that are
-    passed it share one validation of its points, one set of order and
-    distance tables, and one set of ``_bound_matrices``, each built on first
-    use. A sample over the table budget is therefore refused by the first
-    check that needs its tables, with the message a plain list gets."""
-
-    def __init__(self, space: Space, pts: Iterable[Point]):
-        super().__init__(pts)
-        self.space = space
-
-    @cached_property
-    def tables(self) -> _Tables:
-        return _space_tables(self.space, list(self))
-
-    @cached_property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _bound_matrices(self.tables)
-
-
-def _shared(space: Space, candidates) -> bool:
-    return isinstance(candidates, _SharedSample) and candidates.space is space
-
-
 def _space_tables(
-    space: Space,
-    candidates: Optional[Sequence[Point]],
-    extra: Iterable[Point] = (),
-    image_bytes: int = 0,
+    space: Space, candidates: Optional[Sequence[Point]], image_bytes: int = 0
 ) -> _Tables:
     # ``image_bytes``: what a map check adds per pair, counted in the budget
     if candidates is None:
         if isinstance(space, BoxSpace):
             raise DomainError("box spaces need an explicit candidate point list")
-        # extra points are points of the space, hence already listed
         return _Tables(space.points(), space.L, space.D, True)
-    if _shared(space, candidates) and not extra:
-        return candidates.tables
     cand = list(candidates)
     for p in cand:
         space.validate_point(p)
-    cand = list(dict.fromkeys([*cand, *extra]))
+    cand = list(dict.fromkeys(cand))
     if isinstance(space, FiniteSpace):
         sub = np.ix_(cand, cand)
         return _Tables(cand, space.L[sub], space.D[sub], False)
@@ -537,7 +507,9 @@ def find_epsilon_chain(
         raise DomainError("chain endpoints must satisfy a <= b")
     if a == b:
         return Chain((a,), epsilon)
-    tab = _space_tables(space, candidates, extra=(a, b))
+    if candidates is not None:
+        candidates = [*candidates, a, b]
+    tab = _space_tables(space, candidates)
     cand = tab.pts
     index = {p: i for i, p in enumerate(cand)}
     adj = [row.nonzero()[0].tolist() for row in _epsilon_edges(tab, epsilon)]
@@ -660,14 +632,6 @@ def _bound_matrices(tab: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return M, (F @ F.T) > 0, (F.T @ F) > 0
 
 
-def _bound_tables(space: Space, candidates) -> tuple[_Tables, tuple]:
-    """The tables of the points under test and their ``_bound_matrices``."""
-    if _shared(space, candidates):
-        return candidates.tables, candidates.bounds
-    tab = _space_tables(space, candidates)
-    return tab, _bound_matrices(tab)
-
-
 def check_common_comparable(
     space: Space, candidates: Optional[Sequence[Point]] = None
 ) -> HypothesisReport:
@@ -675,8 +639,12 @@ def check_common_comparable(
 
     Product points are ordered pairs of candidates under the product order
     (first component ascending, second descending). Exhaustive on finite
-    spaces. On box grids even a failure is reported as sampled: a missing
-    grid witness says nothing about the full box.
+    spaces. On a whole box (no candidate list) it holds, reported with
+    ``mode: "exact"``: a box is a product of intervals, so with (x, y) and
+    (u, v) it contains (max(x, u), min(y, v)), taken componentwise, and
+    that product point lies above both. On a box candidate list even a
+    failure is reported as sampled: a missing witness among the candidates
+    says nothing about the full box.
 
     The order is transitive, so (x, y) and (u, v) share such a point iff they
     are comparable themselves (x <= u and v <= y, or u <= x and y <= v), or
@@ -685,7 +653,12 @@ def check_common_comparable(
     patterns decide the verdict in O(s^2) memory. The witness is the first
     failing quadruple in (x, y, u, v) row-major order.
     """
-    tab, (M, UB, LB) = _bound_tables(space, candidates)
+    if candidates is None and isinstance(space, BoxSpace):
+        return HypothesisReport(
+            "common-comparable", HOLDS, details={"mode": "exact"}
+        )
+    tab = _space_tables(space, candidates)
+    M, UB, LB = _bound_matrices(tab)
     cand = tab.pts
     s = len(cand)
     # bit k of code[x, u] is fact k about (x, u); it selects relation k
@@ -730,8 +703,17 @@ def check_common_comparable(
 def check_pair_bounds(
     space: Space, candidates: Optional[Sequence[Point]] = None
 ) -> HypothesisReport:
-    """Every two candidate points must have a common upper or lower bound."""
-    tab, (_, upper, lower) = _bound_tables(space, candidates)
+    """Every two candidate points must have a common upper or lower bound.
+
+    On a whole box (no candidate list) it holds, reported with ``mode:
+    "exact"``: the componentwise max of two box points lies in the box and
+    above both. A box candidate list is checked among its own points, and
+    its verdict stays sampled.
+    """
+    if candidates is None and isinstance(space, BoxSpace):
+        return HypothesisReport("pair-bounds", HOLDS, details={"mode": "exact"})
+    tab = _space_tables(space, candidates)
+    _, upper, lower = _bound_matrices(tab)
     cand = tab.pts
     bad = np.argwhere(~(upper | lower))
     witness = None

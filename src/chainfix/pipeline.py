@@ -1,10 +1,9 @@
 """The library pipeline: run the six hypothesis checks, then configure the solver.
 
-A box is sampled once with the default plan and every check sees the same
-points; the three space checks (chainability, common comparability and
-pair bounds) also share one validation of those points, one set of order
-and distance tables and one set of bound matrices. On a finite space every
-check enumerates the whole space.
+On a box, the two map checks and the chainability check each read the
+sample of the default plan; pair bounds and common comparability are
+decided on the whole box from its shape, with no sample. On a finite space
+every check enumerates the whole space.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 from .hypotheses import (
     HOLDS,
     SamplingPlan,
-    _SharedSample,
     check_common_comparable,
     check_epsilon_chainable,
     check_mixed_monotone,
@@ -40,12 +38,11 @@ def default_plan(inst: Instance) -> SamplingPlan:
 
 
 def candidate_points(inst: Instance, plan: SamplingPlan | None = None):
-    """The box sample every space check reads, validated and tabulated once
-    for all of them; None on a finite space."""
+    """The box sample of ``plan``, by default ``default_plan``, that the
+    chainability check and chain searches read; None on a finite space."""
     if isinstance(inst.space, FiniteSpace):
         return None  # checks enumerate the whole space themselves
-    pts = sample_points(inst.space, plan or default_plan(inst))
-    return _SharedSample(inst.space, pts)
+    return sample_points(inst.space, plan or default_plan(inst))
 
 
 def run_hypothesis_suite(inst: Instance) -> dict:
@@ -58,8 +55,8 @@ def run_hypothesis_suite(inst: Instance) -> dict:
         "uniform-local-contraction": estimate_contraction(inst.cmap, eps, plan),
         "epsilon-chainable": check_epsilon_chainable(inst.space, eps, cand),
         "seed-condition": check_seed(inst.cmap, inst.x0, inst.y0),
-        "common-comparable": check_common_comparable(inst.space, cand),
-        "pair-bounds": check_pair_bounds(inst.space, cand),
+        "common-comparable": check_common_comparable(inst.space),
+        "pair-bounds": check_pair_bounds(inst.space),
     }
 
 

@@ -255,7 +255,7 @@ class FiniteSpace:
     def validate_point(self, p: Point) -> None:
         if not isinstance(p, int) or not 0 <= p < len(self.labels):
             raise DomainError(
-                f"invalid finite point {p!r}: expected an index in "
+                f"invalid finite point {clipped_repr(p)}: expected an index in "
                 f"[0, {len(self.labels)})"
             )
 
@@ -349,7 +349,8 @@ class BoxSpace:
     def validate_point(self, p: Point) -> None:
         if not isinstance(p, tuple) or len(p) != self.dim:
             raise DomainError(
-                f"invalid box point {p!r}: expected a {self.dim}-tuple of reals"
+                f"invalid box point {clipped_repr(p)}: expected a {self.dim}-tuple "
+                "of reals"
             )
         for i, (v, lo, hi) in enumerate(zip(p, self.lower, self.upper)):
             if not lo <= v <= hi:

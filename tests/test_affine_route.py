@@ -550,29 +550,31 @@ BOX_DOCUMENTS = {
 
 # sha256 of stdout and the exit code of `check` and `solve` on each document,
 # written as NAME.json and read by that relative path; taken from the program
-# that bounded the affine rounding in exact rationals
+# that bounded the affine rounding in exact rationals, except that
+# pair-bounds and common-comparable now hold on the whole box with mode
+# "exact" where that program reported them sampled
 BOX_DIGESTS = {
     "l1-0.0625": (
-        "3acac82e9e46c1673c4ebe96a59e8659551a6262ff596203b38505685a69456c",
-        "8fee696c218be3997c5737a4479f9549629361dbd79845ca024546b3812cc0b2"),
+        "087cc52f3571af1840b9bcaca2225f448de5ebbe449b67ca2c9318251586af32",
+        "344605825b1109a438d4894bb1a69f2382e9360ad3be5544e6fcd3a772b56ee4"),
     "l1-0.25": (
-        "a0e9ad78669153524332bdf6034fdf6e5d539beab6eb75a6afc49913db9c07b2",
-        "35a4dfc8bf2bc90d417a1d1ac28924f3300a385b06b5bd78e0d21054168e3e07"),
+        "c00b20fc30a1945fdab886b6c6d35df11330df4de629eab0b359ecaee5bf7192",
+        "c8ddd6f718186b2f0c3e9db6033f15048dfecfa4aa846f8c9989fafb2b2b077b"),
     "l2d-0.0625": (
-        "f66330ddfe09cd9f09463a00954c406ded48e126284125aa857573e011e2da7d",
-        "9f85fc39994154e7927eac6a37006a88cafaff4ef2ace37bd9cc9eb5b732173b"),
+        "e3b1cd44c68a03e58f7db0983465eee02f006abad6b64d65929ba990f2d1fd3e",
+        "f20110cc16d6231e6a981914f486232edefa34b97f9863f2db23acc9527d31b1"),
     "l2d-0.25": (
-        "cb1c86221a2610133b14ca31a2d0396a87851276ce8b7dfdc07bd87ace0a55f9",
-        "3b47d70184ffb85e828c9da1d40aa5d5106808ba8da44d135e0ee1f50fa8f274"),
+        "c735d5a3e597e37237912fdea3344c8e45205410c29b4d42674f0867115863aa",
+        "72a152b3efdebf7897d09ca305958f32676448796488e652034b6cd01cce3e23"),
     "affine": (
-        "0ee3452e38701a2d423355f4e522cdcb2009cebcacc3d204c8e7d47958a6bccd",
-        "685aa733d4ca59c6fd9a3689d8c7701b29f40265e3d2159ebc36966f6717fc06"),
+        "99255fe5ee2c5fd67677b4fbf54cfb07e93829c3041865b058cdd52fdadabc5a",
+        "67705b66649f4f6d470f77c81e8445cb09077b6695cf30cde19509bf4abf95d5"),
     "affine-div": (
-        "078dad60c570d59a743384ee1438bc48a5a004a329c74f7926ba54d6f21d5dae",
-        "6dc8828751001a02aabef38a79f7f0b94033f16af3c4afad38f75f2644947823"),
+        "b659912629c1d2186fb9d70117c4070c6f891eabe67099e8c35f8d8f75eca74b",
+        "7a783e50df7e4f5df4f0ff37dfff451189de6dcf062c19e11a86aa1b59d8abff"),
     "minmax": (
-        "0502171884d6d7b01fe8146d00ced000b5d2e6829f44041b5f176a8f75fee453",
-        "65a71ebdf7c84619e252ec24f2d2f56c94617d72f030c1be6603a8626fb20fa4"),
+        "3382216222f0e257b08f08a34c2e02a8d856bb18dd6a67740212d641ba981377",
+        "e03fc843be236262cd5f5851d5f3a21b93a8b4f0ed84b1faa027f9f96d0bdb2e"),
 }
 
 

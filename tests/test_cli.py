@@ -153,6 +153,49 @@ class TestExitCodes:
         assert len(err.encode("utf-8")) < 300
         assert f"({len(repr(formula))} characters)" in err
 
+    @pytest.mark.parametrize("formula, start", [
+        ('x+"' + "a" * 300000 + '"', "non-numeric literal 'aaa"),
+        ("x+b'" + "a" * 300000 + "'", "non-numeric literal b'aaa"),
+        ("x+" + "v" * 300000, "unknown variable 'vvv"),
+    ], ids=["string-literal", "bytes-literal", "name"])
+    def test_oversized_literal_or_name_gets_one_short_line(
+        self, capsys, tmp_path, formula, start
+    ):
+        # both the offending node and the formula are clipped
+        doc = {
+            "schema_version": 1,
+            "space": {"kind": "box", "dimension": 1, "lower": [0], "upper": [1]},
+            "map": {"kind": "expression", "formula": formula},
+            "seeds": {"x0": 0, "y0": 1},
+            "parameters": {"epsilon": 0.6},
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: map.formula: {start}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode("utf-8")) < 300
+        assert f"({len(repr(formula))} characters)" in err
+
+    @pytest.mark.parametrize("name, x0, start, length", [
+        # repr((0.0,) * 100000): "0.0, " per coordinate, less the last ", "
+        ("l1", [0] * 100000, "invalid box point (0.0, 0.0, ", 500000),
+        ("f1", 10**4000, "invalid finite point 1000", 4001),
+    ], ids=["box-coordinates", "finite-index"])
+    def test_oversized_seed_gets_one_short_line(
+        self, capsys, tmp_path, instance_dir, name, x0, start, length
+    ):
+        doc = json.loads((instance_dir / f"{name}.json").read_text())
+        doc["seeds"]["x0"] = x0
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: seeds.x0: {start}")
+        assert err.count("\n") == 1 and len(err.encode("utf-8")) < 300
+        assert f"({length} characters)" in err
+
     @pytest.mark.parametrize("edit, start", [
         (lambda d, v: d.update(schema_version=v),
          "error: schema_version: must be an integer, got "),
@@ -381,6 +424,27 @@ class TestSolve:
         assert doc["status"] == "converged"
         assert doc["violated"] == ["uniform-local-contraction"]
         assert doc["collapse"]["verdict"] == "violated"  # stuck at gap 1
+
+    def test_box_with_incomparable_seeds_checks_collapse(self, capsys, tmp_path):
+        # (0, 1) and (1, 0) are incomparable, so collapse rests on pair
+        # bounds, which a box has
+        doc = {
+            "schema_version": 1,
+            "space": {"kind": "box", "dimension": 2, "lower": [0, 0],
+                      "upper": [1, 1], "grid_step": 0.25},
+            "map": {"kind": "expression",
+                    "formula": ["(2*x1 - y1 + 3)/8", "(2*x2 - y2 + 3)/8"]},
+            "seeds": {"x0": [0, 1], "y0": [1, 0]},
+            "parameters": {"epsilon": 0.6},
+        }
+        path = tmp_path / "incomparable.json"
+        path.write_text(json.dumps(doc))
+        _, out, _ = run(capsys, "solve", str(path))
+        doc = json.loads(out)
+        assert doc["status"] == "converged"
+        assert doc["hypotheses"]["pair-bounds"]["verdict"] == "holds"
+        assert doc["collapse"]["mode"] == "pair-bounds"
+        assert doc["collapse"]["verdict"] == "holds"
 
     def test_trace_jsonl_shape(self, capsys, l1_path, tmp_path):
         trace = tmp_path / "t.jsonl"

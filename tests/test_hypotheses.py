@@ -333,6 +333,21 @@ class TestSeedCondition:
         assert rep.verdict == HOLDS  # not "undetermined-sampled"
 
 
+@st.composite
+def boxes_with_corner_lists(draw):
+    """A box of 1 to 3 dimensions, possibly flat on some axes, and a
+    shuffled list of its points, repeats allowed, that holds both corners."""
+    dim = draw(st.integers(1, 3))
+    lower = draw(st.lists(st.floats(-10, 10), min_size=dim, max_size=dim))
+    widths = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 7.25]) | st.floats(0, 10),
+                           min_size=dim, max_size=dim))
+    box = BoxSpace(tuple(lower), tuple(lo + w for lo, w in zip(lower, widths)))
+    coords = [st.floats(lo, hi) for lo, hi in zip(box.lower, box.upper)]
+    pts = draw(st.lists(st.tuples(*coords), max_size=12))
+    pts = draw(st.permutations([*pts, box.lower, box.upper]))
+    return box, pts
+
+
 class TestProductStructure:
     def test_chain_has_common_comparable_and_pair_bounds(self, chain4_path):
         inst = load_instance(chain4_path)
@@ -366,6 +381,31 @@ class TestProductStructure:
         cand = sample_points(box, SamplingPlan(grid_step=0.5))
         assert check_common_comparable(box, cand).verdict == SAMPLED
         assert check_pair_bounds(box, cand).verdict == SAMPLED
+
+    @pytest.mark.parametrize("check, name", [
+        (check_common_comparable, "common-comparable"),
+        (check_pair_bounds, "pair-bounds"),
+    ])
+    def test_whole_box_holds_exactly(self, check, name):
+        # a box is closed under componentwise max and min, so no sample is
+        # drawn and the report carries no sample fields
+        box = BoxSpace((0.0, -1.0, 2.0), (1.0, 3.0, 2.0))
+        assert check(box).as_dict() == {
+            "hypothesis": name, "verdict": HOLDS, "witness": None,
+            "sample_seed": None, "sample_size": None, "mode": "exact",
+        }
+
+    @given(boxes_with_corner_lists())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_exact_box_verdicts_never_contradict_a_sample(self, case):
+        # any list holding both corners has the upper corner above every
+        # point and (upper, lower) above every product point
+        box, pts = case
+        for check in (check_common_comparable, check_pair_bounds):
+            assert check(box).verdict == HOLDS
+            rep = check(box, pts)
+            assert (rep.verdict, rep.witness) == (SAMPLED, None)
+            assert rep.sample_size == len(set(pts))
 
 
 @pytest.mark.parametrize("call", [

@@ -1,7 +1,10 @@
 """The decay bound's certification policy, `pipeline.uncertified`."""
 
+from unittest import mock
+
 import pytest
 
+from chainfix import hypotheses
 from chainfix.hypotheses import HOLDS
 from chainfix.instances import generate_finite_instance, load_instance
 from chainfix.pipeline import build_config, run_hypothesis_suite, uncertified
@@ -73,3 +76,18 @@ def test_unproven_chainability():
     suite = run_hypothesis_suite(inst)
     assert suite["epsilon-chainable"].verdict != HOLDS
     assert uncertified(inst, suite) == ("epsilon-chainable",)
+
+
+@pytest.mark.parametrize("name", ["l1", "l2d"])
+def test_box_space_hypotheses_are_exact(instance_dir, name):
+    # pair bounds and common comparability are read off the box's shape,
+    # with no bound matrices over a sample
+    inst = load_instance(instance_dir / f"{name}.json")
+    with mock.patch.object(hypotheses, "_bound_matrices",
+                           wraps=hypotheses._bound_matrices) as bounds:
+        suite = run_hypothesis_suite(inst)
+    assert bounds.call_count == 0
+    for hypothesis in ("common-comparable", "pair-bounds"):
+        report = suite[hypothesis]
+        assert (report.verdict, report.details["mode"]) == (HOLDS, "exact")
+        assert report.sample_size is None

@@ -1,13 +1,11 @@
 """The work a box solve does once, against the work it replaced.
 
-The suite's sample (``pipeline.candidate_points``) is validated and
-tabulated once for the three space checks, while a plain list of the same
-points takes the validate-and-build path in every check: both must give
-equal reports, with the ``chain_n`` items in the same order, and a sample
-over the table budget must be refused by the same check with the same
-message. ``picard_solve`` and ``verify_decay_bound`` validate their start
-points once and then step unchecked: their results must be bitwise (by
-``repr``) what a loop through the validating ``apply`` and ``distance``
+The suite's chainability report on a box must equal the report for a plain
+list of the sample's points, with the ``chain_n`` items in the same order,
+and a sample over the table budget must be refused by the same check with
+the same message. ``picard_solve`` and ``verify_decay_bound`` validate their
+start points once and then step unchecked: their results must be bitwise
+(by ``repr``) what a loop through the validating ``apply`` and ``distance``
 gives, escapes included. ``chain_n`` is read-only, built on first read, and
 as a dict it is the table the benchmark's gate compares with the oracle's.
 """
@@ -23,7 +21,6 @@ from hypothesis import strategies as st
 
 from chainfix.errors import EscapeError, SamplingError
 from chainfix.hypotheses import (
-    _SharedSample,
     check_common_comparable,
     check_epsilon_chainable,
     check_pair_bounds,
@@ -32,12 +29,7 @@ from chainfix.hypotheses import (
 from chainfix.instances import generate_finite_instance, load_instance, parse_instance
 from chainfix.mappings import expression_map
 from chainfix.oracle import min_chain_table
-from chainfix.pipeline import (
-    build_config,
-    candidate_points,
-    default_plan,
-    run_hypothesis_suite,
-)
+from chainfix.pipeline import build_config, default_plan, run_hypothesis_suite
 from chainfix.solver import (
     CONVERGED,
     DIVERGED,
@@ -54,28 +46,14 @@ from chainfix.solver import (
 )
 from chainfix.spaces import BoxSpace
 
-SPACE_CHECKS = ("epsilon-chainable", "common-comparable", "pair-bounds")
-
-
-def space_reports(space, epsilon, candidates):
-    """The three space checks on one candidate list, and chain_n in order."""
-    reports = (
-        check_epsilon_chainable(space, epsilon, candidates),
-        check_common_comparable(space, candidates),
-        check_pair_bounds(space, candidates),
-    )
-    return reports, list(reports[0].details["chain_n"].items())
-
 
 def assert_suite_matches_plain_list(inst):
-    suite = run_hypothesis_suite(inst)
+    suite = run_hypothesis_suite(inst)["epsilon-chainable"]
     plain = sample_points(inst.space, default_plan(inst))
-    shared = tuple(suite[name] for name in SPACE_CHECKS)
-    expected = space_reports(inst.space, inst.params.epsilon, plain)
-    assert (shared, list(shared[0].details["chain_n"].items())) == expected
-    assert space_reports(
-        inst.space, inst.params.epsilon, candidate_points(inst)
-    ) == expected
+    direct = check_epsilon_chainable(inst.space, inst.params.epsilon, plain)
+    assert suite == direct
+    assert list(suite.details["chain_n"].items()) == list(
+        direct.details["chain_n"].items())
 
 
 def box_doc(dim, formulas, step, epsilon):
@@ -135,42 +113,6 @@ class TestSharedSample:
     def test_generated_box_maps(self, inst):
         assert_suite_matches_plain_list(inst)
 
-    @given(st.integers(0, 200), st.integers(2, 12), st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_generated_finite_instances(self, seed, size, rng):
-        # an explicit candidate list, repeats and all, shared or plain
-        inst = generate_finite_instance(seed, size)
-        cand = [rng.randrange(size) for _ in range(rng.randint(1, 2 * size))]
-        eps = inst.params.epsilon
-        assert space_reports(
-            inst.space, eps, _SharedSample(inst.space, cand)
-        ) == space_reports(inst.space, eps, cand)
-
-    def test_shared_tables_are_built_once(self, l2d_path):
-        inst = load_instance(l2d_path)
-        cand = candidate_points(inst)
-        with mock.patch.object(
-            BoxSpace, "validate_point", autospec=True,
-            side_effect=BoxSpace.validate_point,
-        ) as validate:
-            space_reports(inst.space, inst.params.epsilon, cand)
-            space_reports(inst.space, inst.params.epsilon, cand)
-        assert validate.call_count == len(cand)
-
-    def test_another_space_gets_its_own_tables(self, l2d_path):
-        # a sample of one box passed with another box is validated against
-        # that other box, as a plain list would be
-        inst = load_instance(l2d_path)
-        cand = candidate_points(inst)
-        small = BoxSpace((0.0, 0.0), (0.5, 0.5))
-        for check in (check_common_comparable, check_pair_bounds):
-            with pytest.raises(Exception) as shared:
-                check(small, cand)
-            with pytest.raises(Exception) as plain:
-                check(small, list(cand))
-            assert (type(shared.value), str(shared.value)) == (
-                type(plain.value), str(plain.value))
-
 
 def refusing_check(exc_info) -> str:
     """The check function a SamplingError was raised in."""
@@ -197,11 +139,10 @@ class TestOverBudgetSample:
         assert str(suite.value) == str(direct.value)
         assert suite.value.field == direct.value.field == "space.grid_step"
         assert "1377 points needs 17065161 bytes" in str(suite.value)
-        # nothing was kept from the refusal: a later check refuses again
-        cand = candidate_points(inst)
+        # the other space checks refuse a list of the same points too
         for check in (check_common_comparable, check_pair_bounds):
             with pytest.raises(SamplingError) as again:
-                check(inst.space, cand)
+                check(inst.space, plain)
             assert str(again.value) == str(direct.value)
 
     def test_min_max_map_is_refused_by_the_monotonicity_check(self):
