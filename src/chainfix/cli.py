@@ -283,13 +283,8 @@ def cmd_verify_lemma(args) -> int:
             inst.space, fy, inst.y0, inst.params.epsilon, cand
         )
     report = verify_decay_bound(
-        inst.cmap,
-        (inst.x0, inst.y0),
-        (fx, fy),
-        cfg,
-        horizon=args.horizon,
-        chain_up=chain_up,
-        chain_down=chain_down,
+        inst.cmap, (inst.x0, inst.y0), cfg, horizon=args.horizon,
+        chain_up=chain_up, chain_down=chain_down,
     )
     advisory = not cfg.lambda_certified
     doc = {

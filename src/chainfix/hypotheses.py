@@ -648,10 +648,11 @@ def check_common_comparable(
 
     The order is transitive, so (x, y) and (u, v) share such a point iff they
     are comparable themselves (x <= u and v <= y, or u <= x and y <= v), or
-    UB[x, u] and LB[y, v], or LB[x, u] and UB[y, v]. The four facts about
-    (x, u) select which (y, v) relations count, so at most 16 distinct s x s
-    patterns decide the verdict in O(s^2) memory. The witness is the first
-    failing quadruple in (x, y, u, v) row-major order.
+    UB[x, u] and LB[y, v], or LB[x, u] and UB[y, v]. So a 4-bit code of
+    facts about (x, u) and one of relations about (y, v) decide the pair,
+    and a 16 x 16 table of disjoint codes decides the verdict in O(s^2)
+    memory. The witness is the first failing quadruple in (x, y, u, v)
+    row-major order.
     """
     if candidates is None and isinstance(space, BoxSpace):
         return HypothesisReport(
@@ -661,36 +662,25 @@ def check_common_comparable(
     M, UB, LB = _bound_matrices(tab)
     cand = tab.pts
     s = len(cand)
-    # bit k of code[x, u] is fact k about (x, u); it selects relation k
-    # among the (y, v) relations
-    facts = (M, M.T, UB, LB)
-    relations = (M.T, M, LB, UB)
-    code = np.zeros((s, s), dtype=np.uint8)
-    for k, fact in enumerate(facts):
-        code[fact] |= 1 << k
-    # which codes occur, found without sorting or copying code
-    present = np.zeros(16, dtype=bool)
-    present[code] = True
-    failing = {}  # code -> unlinked (y, v) pattern
-    for c in np.flatnonzero(present).tolist():
-        linked = np.zeros((s, s), dtype=bool)
-        for k, rel in enumerate(relations):
-            if c >> k & 1:
-                linked |= rel
-        if not linked.all():
-            failing[c] = ~linked
+    # bit k of code[x, u] is fact k about (x, u) and bit k of rel[y, v] is
+    # relation k about (y, v); the two pairs are linked iff code & rel != 0
+    m, mt, ub, lb = (a.view(np.uint8) for a in (M, M.T, UB, LB))
+    code = m | mt << 1 | ub << 2 | lb << 3
+    rel = mt | m << 1 | lb << 2 | ub << 3
+    unlinked = (np.arange(16)[:, None] & np.arange(16)) == 0
+    present = np.zeros(16, dtype=bool)  # which relation codes occur
+    present[rel] = True
+    bad_xu = (unlinked & present).any(axis=1)[code]
     witness = None
-    if failing:
-        is_failing = np.zeros(16, dtype=bool)
-        is_failing[list(failing)] = True
-        bad_xu = is_failing[code]
+    if bad_xu.any():
         x = int(np.argmax(bad_xu.any(axis=1)))
-        us = np.flatnonzero(bad_xu[x])
-        # bad_y[i, y]: some v leaves (x, y) and (us[i], v) unlinked
-        bad_y = np.array([failing[c].any(axis=1) for c in code[x, us].tolist()])
-        y = int(np.argmax(bad_y.any(axis=0)))
-        u = int(us[np.argmax(bad_y[:, y])])
-        v = int(np.argmax(failing[int(code[x, u])][y]))
+        occurs = np.zeros((s, 16), dtype=bool)  # occurs[y, r]: some rel[y, v] == r
+        occurs[np.arange(s)[:, None], rel] = True
+        # bad[u, y]: some v leaves (x, y) and (u, v) unlinked
+        bad = unlinked[code[x]] @ occurs.T
+        y = int(np.argmax(bad.any(axis=0)))
+        u = int(np.argmax(bad[:, y]))
+        v = int(np.argmax(unlinked[code[x, u], rel[y]]))
         witness = {
             "pair1": [point_jsonable(cand[x]), point_jsonable(cand[y])],
             "pair2": [point_jsonable(cand[u]), point_jsonable(cand[v])],

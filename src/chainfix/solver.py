@@ -18,17 +18,20 @@ is visible in the trace. Whether the bound is certified is decided once, by
 cannot prove the hypotheses on a continuum), so the numbers are reported but
 a breach is not an error.
 
-``picard_solve`` and ``verify_decay_bound`` validate their start points
-once. Every later point is an image of the map, which is a point of the
-space by construction (an expression map still tests each image against
-the box and raises ``EscapeError`` outside it), so the loops step with the
-maps' unchecked ``_apply`` and measure with the spaces' unchecked
-``_distance``: the same arithmetic in the same term order as the public
-``apply`` and ``distance``, so every value is bitwise what they give.
+``picard_solve`` and ``verify_decay_bound`` read one orbit, ``_orbit``.
+It validates the seeds once. Every later point is an image of the map, which
+is a point of the space by construction (an expression map still tests each
+image against the box and raises ``EscapeError`` outside it), so the orbit
+steps with the maps' unchecked ``_apply`` and measures with the spaces'
+unchecked ``_distance``: the same arithmetic in the same term order as the
+public ``apply`` and ``distance``, so every value is bitwise what they give.
+The decay lemma's second stream, launched at F(x0, y0), is that orbit one
+step ahead, so its gap is the residual and it is never stepped on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -126,8 +129,31 @@ def decay_bound(chain_n: int, lam: float, epsilon: float, m: int) -> float:
 
 
 def below_bound(rows) -> bool:
-    """The lemma's strict ceiling: every observed step lies below its bound."""
-    return all(row.observed < row.bound for row in rows)
+    """The lemma's strict ceiling: every observed step lies below its bound.
+
+    A step of exactly 0 always does: the exact bound is positive for every
+    m, even where its float has underflowed to 0.0.
+    """
+    return all(row.observed < row.bound or row.observed == 0 for row in rows)
+
+
+def _orbit(cmap: CoupledMap, x0: Point, y0: Point):
+    """Yield (m, x_m, y_m, r_m), r_m = d(x_m, x_{m+1}) + d(y_m, y_{m+1}),
+    along the coupled orbit of (x0, y0); it ends at the first m whose image
+    F(x_m, y_m) leaves the box, with r_m None, and otherwise never."""
+    space = cmap.space
+    space.validate_point(x0)
+    space.validate_point(y0)
+    step, d = cmap._apply, space._distance
+    x, y = x0, y0
+    for m in itertools.count():
+        try:
+            fx, fy = step(x, y), step(y, x)
+        except EscapeError:
+            yield m, x, y, None
+            return
+        yield m, x, y, d(x, fx) + d(y, fy)
+        x, y = fx, fy
 
 
 def picard_solve(
@@ -142,26 +168,14 @@ def picard_solve(
     residual of row m is inf, since the step out of the box has no length.
     """
     cfg = config or SolveConfig()
-    space = cmap.space
-    space.validate_point(x0)
-    space.validate_point(y0)
-    # every later iterate is an image, valid by construction
-    step, d = cmap._apply, space._distance
     trace: list[TraceRow] = []
     bounds: list[BoundRow] = []
-    x, y = x0, y0
-    r = prev_step = None
+    prev_step = None
     status = EXHAUSTED
-    for m in range(cfg.max_iterations + 1):
-        if m:
-            x, y, prev_step = fx, fy, r
-        try:
-            fx = step(x, y)
-            fy = step(y, x)
-        except EscapeError:
+    for m, x, y, r in _orbit(cmap, x0, y0):
+        if r is None:
             status, r = DIVERGED, math.inf
         else:
-            r = d(x, fx) + d(y, fy)
             if cfg.can_bound:
                 bounds.append(
                     BoundRow(m, r, decay_bound(cfg.chain_n, cfg.lam, cfg.epsilon, m))
@@ -169,9 +183,11 @@ def picard_solve(
             if r <= cfg.residual_tolerance:
                 status = CONVERGED
         trace.append(TraceRow(m, x, y, r, prev_step))
-        if status != EXHAUSTED:
+        if status != EXHAUSTED or m == cfg.max_iterations:
             break
-    return SolveResult(status, x, y, m, r, d(x, y), tuple(trace), tuple(bounds))
+        prev_step = r
+    gap = cmap.space._distance(x, y)
+    return SolveResult(status, x, y, m, r, gap, tuple(trace), tuple(bounds))
 
 
 class DecayReport(NamedTuple):
@@ -184,63 +200,44 @@ class DecayReport(NamedTuple):
 
 def verify_decay_bound(
     cmap: CoupledMap,
-    ascending: tuple[Point, Point],
-    descending: tuple[Point, Point],
+    seeds: tuple[Point, Point],
     config: SolveConfig,
     horizon: int = 50,
     *,
     chain_up: Chain | None = None,
     chain_down: Chain | None = None,
 ) -> DecayReport:
-    """Track the pair-metric gap between two iterate streams against the bound.
+    """Track the gap between the lemma's two iterate streams against the bound.
 
-    ``ascending`` starts the stream launched at the chain's lower end and
-    ``descending`` the one at its upper end; the observed quantity at step m
-    is d(x_m, x'_m) + d(y_m, y'_m). The report only tracks the numbers;
+    The lemma launches one stream at the seeds (x0, y0) and one at their
+    image F(x0, y0), which is the first stream a step ahead, so the observed
+    gap at step m is the orbit's residual. The report only tracks the numbers;
     whether the bound is certified is ``pipeline.uncertified``'s decision.
     The chain length is the longer of the two chains when either is given,
-    else ``config.chain_n``. If an iterate leaves the box at step m, the rows
-    stop at m - 1, ``escaped_at`` is m, and ``all_below_bound`` judges the
-    rows before the escape.
+    else ``config.chain_n``. If F(x_m, y_m) leaves the box, the rows stop at
+    m - 1, ``escaped_at`` is m, and ``all_below_bound`` judges the rows
+    before the escape; when the seeds' own image leaves the box there is no
+    second stream, and ``EscapeError`` is raised.
     """
     if not isinstance(horizon, int) or horizon < 0:
         raise DomainError(f"horizon must be a nonnegative integer, got {horizon!r}")
-    space = cmap.space
-    n: int | None
-    if chain_up is not None or chain_down is not None:
-        n = max(
-            chain_up.n if chain_up is not None else 0,
-            chain_down.n if chain_down is not None else 0,
-            1,
-        )
-    else:
-        n = config.chain_n
+    chains = [c.n for c in (chain_up, chain_down) if c is not None]
+    n = max(*chains, 1) if chains else config.chain_n
     lam, eps = config.lam, config.epsilon
     have_bound = n is not None and lam is not None and eps is not None
-    a, b = ascending
-    c, e = descending
-    for p in (a, b, c, e):
-        space.validate_point(p)
-    # every later point is an image, valid by construction
-    step, d = cmap._apply, space._distance
     rows: list[BoundRow] = []
     escaped_at = None
-    observed = d(a, c) + d(b, e)
-    for m in range(horizon + 1):
+    for m, _, _, observed in _orbit(cmap, *seeds):
+        if observed is None:
+            if not m:
+                raise EscapeError("the seeds' image leaves the box", witness=seeds)
+            escaped_at = m
+            break
         bound = decay_bound(n, lam, eps, m) if have_bound else math.nan
         rows.append(BoundRow(m, observed, bound))
         if m == horizon:
             break
-        try:
-            a, b = step(a, b), step(b, a)
-            c, e = step(c, e), step(e, c)
-        except EscapeError:
-            escaped_at = m + 1
-            break
-        observed = d(a, c) + d(b, e)
-    all_below = None
-    if have_bound:
-        all_below = below_bound(rows)
+    all_below = below_bound(rows) if have_bound else None
     return DecayReport(tuple(rows), all_below, rows[-1].observed, n, escaped_at)
 
 

@@ -120,10 +120,8 @@ def test_decay_bound(pool, l1_path, l2d_path, chain4_path):
     fast = 0
     for name, inst, cfg in targets:
         assert cfg.can_bound, name
-        fx = inst.cmap.apply(inst.x0, inst.y0)
-        fy = inst.cmap.apply(inst.y0, inst.x0)
         rep = verify_decay_bound(
-            inst.cmap, (inst.x0, inst.y0), (fx, fy), cfg, horizon=50
+            inst.cmap, (inst.x0, inst.y0), cfg, horizon=50
         )
         assert rep.escaped_at is None, name
         assert len(rep.rows) == 51, name

@@ -598,6 +598,16 @@ class TestVerifyLemma:
         assert doc["rows"] == [[0, 1.0, 1.2]]
         assert doc["final_observed"] == 1.0
 
+    def test_zero_gap_stays_below_an_underflowed_bound(self, capsys, chain4_path):
+        # the streams meet at the fixed point, and from m = 1838 the float
+        # bound 2 n lam^m eps is 0.0; a gap of exactly 0 is still below it
+        code, out, _ = run(capsys, "verify-lemma", chain4_path, "--horizon", "2000")
+        assert code == 0
+        doc = strict_json(out)
+        assert (doc["advisory"], doc["uncertified"]) == (False, [])
+        assert doc["all_below_bound"] is True
+        assert doc["rows"][1838][1:] == [0.0, 0.0]
+        assert doc["rows"][1837][2] > 0.0
 
     @pytest.mark.parametrize("horizon, reason", [
         ("-3", f"must lie in [0, {MAX_ITERATIONS}]"),

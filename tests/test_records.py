@@ -45,7 +45,7 @@ def records(chain4_path):
         inst,
         oracle_report(inst.cmap, inst.params.epsilon),
         res,
-        verify_decay_bound(inst.cmap, (0, 3), (3, 0), cfg, horizon=3),
+        verify_decay_bound(inst.cmap, (0, 3), cfg, horizon=3),
         collapse_check(res, inst.space, x0=inst.x0, y0=inst.y0,
                        pair_bounds=True, residual_tolerance=1e-10),
     ]

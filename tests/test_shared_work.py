@@ -3,11 +3,13 @@
 The suite's chainability report on a box must equal the report for a plain
 list of the sample's points, with the ``chain_n`` items in the same order,
 and a sample over the table budget must be refused by the same check with
-the same message. ``picard_solve`` and ``verify_decay_bound`` validate their
-start points once and then step unchecked: their results must be bitwise
-(by ``repr``) what a loop through the validating ``apply`` and ``distance``
-gives, escapes included. ``chain_n`` is read-only, built on first read, and
-as a dict it is the table the benchmark's gate compares with the oracle's.
+the same message. ``picard_solve`` and ``verify_decay_bound`` walk one orbit
+that validates its seeds once and then steps unchecked: their results must
+be bitwise (by ``repr``) what a loop through the validating ``apply`` and
+``distance`` gives, escapes included; for the decay check that loop steps
+the lemma's two streams, the second launched at the seeds' image.
+``chain_n`` is read-only, built on first read, and as a dict it is the
+table the benchmark's gate compares with the oracle's.
 """
 
 import math
@@ -212,11 +214,14 @@ def assert_iteration_matches_reference(cmap, x0, y0, cfg, horizon=30):
     assert repr(picard_solve(cmap, x0, y0, cfg)) == repr(
         reference_picard(cmap, x0, y0, cfg))
     try:
-        ends = ((x0, y0), (cmap.apply(x0, y0), cmap.apply(y0, x0)))
+        image = (cmap.apply(x0, y0), cmap.apply(y0, x0))
     except EscapeError:
-        ends = ((x0, y0), (y0, x0))
-    assert repr(verify_decay_bound(cmap, *ends, cfg, horizon=horizon)) == repr(
-        reference_decay(cmap, *ends, cfg, horizon))
+        with pytest.raises(EscapeError, match="seeds' image"):
+            verify_decay_bound(cmap, (x0, y0), cfg, horizon=horizon)
+        return
+    # the second stream of the two-stream reference starts at the image
+    assert repr(verify_decay_bound(cmap, (x0, y0), cfg, horizon=horizon)) == repr(
+        reference_decay(cmap, (x0, y0), image, cfg, horizon))
 
 
 class TestIterationIsBitwiseTheValidatingLoop:
@@ -261,9 +266,31 @@ class TestIterationIsBitwiseTheValidatingLoop:
         ) as validate:
             result = picard_solve(inst.cmap, inst.x0, inst.y0, cfg)
             assert validate.call_count == 2
-            verify_decay_bound(inst.cmap, (result.x, result.y),
-                               (result.y, result.x), cfg, horizon=20)
-            assert validate.call_count == 6
+            verify_decay_bound(inst.cmap, (result.x, result.y), cfg, horizon=20)
+            assert validate.call_count == 4
+
+    @pytest.mark.parametrize("horizon", [0, 1, 7, 30])
+    def test_decay_applies_the_map_twice_per_step(self, l2d_path, horizon):
+        # rows 0..horizon need the orbit up to iterate horizon + 1
+        inst = load_instance(l2d_path)
+        cfg = SolveConfig(lam=0.5, epsilon=0.6, chain_n=2)
+        with mock.patch.object(
+            type(inst.cmap), "_apply", autospec=True,
+            side_effect=type(inst.cmap)._apply,
+        ) as step:
+            rep = verify_decay_bound(inst.cmap, (inst.x0, inst.y0), cfg, horizon)
+        assert len(rep.rows) == horizon + 1
+        assert step.call_count == 2 * (horizon + 1)
+
+    def test_seeds_whose_image_leaves_the_box(self):
+        # F(0.75, 0.5) = 1.25: the lemma's second stream has no start
+        cmap = expression_map(BoxSpace((0.0,), (1.0,)), "x + y")
+        cfg = SolveConfig(lam=0.5, epsilon=0.6, chain_n=2)
+        with pytest.raises(EscapeError, match="seeds' image") as exc:
+            verify_decay_bound(cmap, ((0.75,), (0.5,)), cfg, horizon=5)
+        assert exc.value.witness == ((0.75,), (0.5,))
+        with pytest.raises(EscapeError):
+            cmap.apply((0.75,), (0.5,))
 
 
 class TestChainTable:

@@ -154,12 +154,9 @@ class TestDecayReport:
         inst = load_instance(chain4_path)
         suite = run_hypothesis_suite(inst)
         cfg = build_config(inst, suite)
-        fx = inst.cmap.apply(inst.x0, inst.y0)
-        fy = inst.cmap.apply(inst.y0, inst.x0)
         rep = verify_decay_bound(
             inst.cmap,
             (inst.x0, inst.y0),
-            (fx, fy),
             cfg,
             horizon=20,
         )
@@ -181,9 +178,7 @@ class TestDecayReport:
         box = BoxSpace((0.0,), (1.0,))
         cmap = expression_map(box, ["0.45 + 1000*max(0, 0.001 - abs(x - 0.45))"])
         cfg = SolveConfig(lam=0.5, epsilon=0.6, chain_n=1)
-        rep = verify_decay_bound(
-            cmap, ((0.0,), (1.0,)), ((0.45,), (0.45,)), cfg, horizon=5
-        )
+        rep = verify_decay_bound(cmap, ((0.0,), (1.0,)), cfg, horizon=5)
         assert rep.escaped_at == 1
         assert [row.m for row in rep.rows] == [0]
         assert rep.final_observed == rep.rows[0].observed == 1.0
@@ -194,21 +189,24 @@ class TestDecayReport:
         inst = load_instance(chain4_path)
         pair = (inst.x0, inst.y0)
         with pytest.raises(DomainError, match="horizon"):
-            verify_decay_bound(inst.cmap, pair, pair, SolveConfig(), horizon)
+            verify_decay_bound(inst.cmap, pair, SolveConfig(), horizon)
 
     def test_observed_equal_to_bound_is_not_below(self):
         # the lemma's ceiling is strict: eta_m < 2 n lam^m eps
         assert below_bound([BoundRow(0, 1.0, 2.0)]) is True
         assert below_bound([BoundRow(0, 1.0, 2.0), BoundRow(1, 0.5, 0.5)]) is False
 
+    def test_zero_gap_is_below_an_underflowed_bound(self):
+        # 2 n lam^m eps is positive for every m, though its float reaches 0.0
+        assert decay_bound(4, 0.5, 1.0, 1100) == 0.0
+        assert below_bound([BoundRow(1100, 0.0, 0.0)]) is True
+        assert below_bound([BoundRow(0, 1.0, 2.0), BoundRow(1, 0.0, 0.0)]) is True
+        assert below_bound([BoundRow(1100, 5e-324, 0.0)]) is False
+
     def test_no_bound_without_lambda(self, chain4_path):
         inst = load_instance(chain4_path)
         cfg = SolveConfig()  # no lam, epsilon, chain_n
-        fx = inst.cmap.apply(inst.x0, inst.y0)
-        fy = inst.cmap.apply(inst.y0, inst.x0)
-        rep = verify_decay_bound(
-            inst.cmap, (inst.x0, inst.y0), (fx, fy), cfg, horizon=5
-        )
+        rep = verify_decay_bound(inst.cmap, (inst.x0, inst.y0), cfg, horizon=5)
         assert rep.all_below_bound is None
         assert all(math.isnan(r.bound) for r in rep.rows)
 
