@@ -2,8 +2,9 @@
 
 The package splits into layers: ``spaces`` and ``mappings`` model the ground
 objects, ``hypotheses`` checks the assumptions the theory needs (with
-conclusive verdicts on finite spaces and, from its coefficients, for an
-affine box map; sampled ones otherwise on boxes), ``solver``
+conclusive verdicts on finite spaces, from a box's shape for its space
+hypotheses, and from its coefficients for an affine box map; sampled ones
+otherwise for a box map), ``solver``
 runs the coupled iteration with a certified step-decay bound, ``oracle``
 recomputes everything on finite instances through an independent vectorized
 route, ``pipeline`` chains the checks into a solver configuration, and

@@ -38,7 +38,7 @@ from .instances import (
 )
 from .mappings import TableMap
 from .oracle import oracle_report
-from .pipeline import SUITE_ORDER, _configure, candidate_points, run_hypothesis_suite
+from .pipeline import SUITE_ORDER, _configure, run_hypothesis_suite
 from .solver import (
     SolveResult,
     below_bound,
@@ -231,8 +231,7 @@ def cmd_chain(args) -> int:
     eps = args.eps if args.eps is not None else inst.params.epsilon
     src = _cli_point(inst.space, args.src, "--from")
     dst = _cli_point(inst.space, args.dst, "--to")
-    cand = candidate_points(inst)
-    chain = find_epsilon_chain(inst.space, src, dst, eps, cand)
+    chain = find_epsilon_chain(inst.space, src, dst, eps)
     if chain is None:
         doc = {"found": False, "epsilon": eps, "n": None, "points": None}
     else:
@@ -275,13 +274,9 @@ def cmd_verify_lemma(args) -> int:
     fy = inst.cmap.apply(inst.y0, inst.x0)
     chain_up = chain_down = None
     if "seed-condition" not in reasons:
-        cand = candidate_points(inst)
-        chain_up = find_epsilon_chain(
-            inst.space, inst.x0, fx, inst.params.epsilon, cand
-        )
-        chain_down = find_epsilon_chain(
-            inst.space, fy, inst.y0, inst.params.epsilon, cand
-        )
+        eps = inst.params.epsilon
+        chain_up = find_epsilon_chain(inst.space, inst.x0, fx, eps)
+        chain_down = find_epsilon_chain(inst.space, fy, inst.y0, eps)
     report = verify_decay_bound(
         inst.cmap, (inst.x0, inst.y0), cfg, horizon=args.horizon,
         chain_up=chain_up, chain_down=chain_down,

@@ -1,18 +1,21 @@
 """Checks for the hypotheses behind the coupled fixed point machinery.
 
-Finite spaces are checked exhaustively, so verdicts are conclusive. Boxes are
-checked on a deterministic sample (a coordinate grid plus seeded uniform
-draws), so a clean pass is reported as ``undetermined-sampled``: sampling can
-falsify a universally quantified hypothesis but never prove it. Four
-exceptions are conclusive everywhere:
+Finite spaces are checked exhaustively, so verdicts are conclusive. On a
+box, what is not decided below is checked on a deterministic sample (a
+coordinate grid plus seeded uniform draws), so a clean pass is reported as
+``undetermined-sampled``: sampling can falsify a universally quantified
+hypothesis but never prove it. Conclusive on a box:
 
 * ``check_seed`` evaluates two concrete applications, nothing more;
-* ``check_pair_bounds`` and ``check_common_comparable``, given no
-  candidate list, hold on a whole box with ``mode: "exact"``: a box is
-  closed under componentwise max and min, which supply the bounds and the
-  comparable product points they ask for;
-* a chain returned by ``find_epsilon_chain`` is a genuine certificate, valid
-  in the full space even when its waypoints came from a grid;
+* ``check_pair_bounds`` and ``check_common_comparable`` hold with ``mode:
+  "exact"``: a box is closed under componentwise max and min, which supply
+  the bounds and the comparable product points they ask for;
+* ``check_epsilon_chainable`` holds with ``mode: "exact"``: under the L1
+  metric the gaps of an ascending chain from a to b add up to d(a, b), so
+  no chain has fewer than floor(d(a, b)/epsilon) + 1 hops, and the straight
+  segment cut into that many equal steps, which ``find_epsilon_chain``
+  returns, has no more; a count above ``instances.MAX_ITERATIONS`` is
+  refused with ``DomainError`` before any waypoint is built;
 * an affine box map, F(x, y) = A x - B y + c (``ExpressionMap.affine``,
   see ``chainfix.affine``), is decided from its exact coefficients where
   they prove a hypothesis: mixed monotonicity when A, B >= 0, and uniform
@@ -20,26 +23,23 @@ exceptions are conclusive everywhere:
   supremum over the whole box is below 1. What they do not prove is
   scanned on the sample as before.
 
-Both kinds of space run the same scans. A private tabulation step turns the
-points under test into index-addressed arrays: the order and the distances
-between points, and F over every pair of points. A finite space hands over
-its own read-only ``L``, ``D`` and ``T`` without a copy (the oracle reads
-them too: reading stored data is not sharing a kernel); a box validates its
-sample and tabulates it with numpy, so a map that leaves the box anywhere
-on the sample raises ``EscapeError`` before any scan starts, and a sample
-whose tables would pass a fixed byte budget raises ``SamplingError`` before
-any table is built. The two map checks each tabulate F over the sample,
-and every space check given a candidate list validates and tabulates it
-itself. The mixed-monotonicity scan compares whole rows of images as numpy
-masks, a block of about 2**16 cells at a time, over the covering pairs
-first and over every comparable pair only when a covering pair fails. The
-chainability check takes every hop count from one min-plus closure over
-whole arrays. Only the contraction scan and ``find_epsilon_chain``, which
-needs the path and not just its length, are plain loops over point indices.
-
-The chainability report's per-pair hop table, ``details["chain_n"]``, is a
-read-only mapping built on first read; its ``max_n`` comes straight from
-the hop counts.
+So only the two map checks read a box sample. A private tabulation step
+turns the points under test into index-addressed arrays: the order and the
+distances between points, and F over every pair of points. A finite space
+hands over its own read-only ``L``, ``D`` and ``T`` without a copy (the
+oracle reads them too: reading stored data is not sharing a kernel); a box
+validates its sample and tabulates it with numpy, so a map that leaves the
+box anywhere on the sample raises ``EscapeError`` before any scan starts,
+and a sample whose tables would pass a fixed byte budget raises
+``SamplingError`` before any table is built. The mixed-monotonicity scan
+compares whole rows of images as numpy masks, a block of about 2**16 cells
+at a time, over the covering pairs first and over every comparable pair
+only when a covering pair fails. On a finite space the chainability check
+takes every hop count from one min-plus closure over whole arrays, and its
+per-pair table, ``details["chain_n"]``, is a read-only mapping built on
+first read. Only the contraction scan and the finite
+``find_epsilon_chain``, which needs the path and not just its length, are
+plain loops over point indices.
 
 Every violated verdict carries a witness that can be re-checked with a single
 direct evaluation. Enumeration orders are fixed (lexicographic in point
@@ -51,16 +51,18 @@ quadruple returns a ``vacuous`` report rather than raising.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from collections.abc import Mapping
 from functools import cached_property
 from operator import sub
 from types import MappingProxyType
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, SamplingError
+from .errors import DomainError, SamplingError, clipped_repr
+from .instances import MAX_ITERATIONS
 from .mappings import CoupledMap, ExpressionMap, TableMap
 from .spaces import (
     BoxSpace,
@@ -81,9 +83,7 @@ VIOLATED = "violated"
 SAMPLED = "undetermined-sampled"
 
 _BLOCK = 1 << 16  # cells per block of a whole-row scan
-# most bytes the tables of one box sample may take: the order (1 byte), the
-# distance (8) and, for a map check, the image (8 per axis) of each pair
-_TABLE_BYTES = 1 << 24
+_TABLE_BYTES = 1 << 24  # most bytes the tables of one box sample may take
 
 
 class SamplingPlan(NamedTuple):
@@ -115,11 +115,8 @@ class HypothesisReport(NamedTuple):
             "sample_size": self.sample_size,
         }
         for key, value in self.details.items():
-            if key == "chain_n":
-                continue  # raw tuple-keyed table; summarized by max_n
-            if key == "unreachable":
-                value = [[point_jsonable(p), point_jsonable(q)] for p, q in value]
-            out[key] = value
+            if key != "chain_n":  # raw tuple-keyed table; summarized by max_n
+                out[key] = value
         return out
 
 
@@ -238,7 +235,8 @@ class _Rows(dict):
 
 
 class _Tables(NamedTuple):
-    """The points under test, addressed by index.
+    """The points under test, addressed by index: a whole finite space, or a
+    box sample (then ``sample_size`` is set).
 
     ``L[i, j]`` is pts[i] <= pts[j] and ``D[i, j]`` is d(pts[i], pts[j]), as
     boolean and float64 arrays. Map checks add ``images[i, j]`` =
@@ -250,49 +248,10 @@ class _Tables(NamedTuple):
     pts: Sequence[Point]
     L: np.ndarray
     D: np.ndarray
-    exhaustive: bool
     images: np.ndarray | None = None
     LI: object = None
     sample_size: int | None = None
     sample_seed: int | None = None
-
-    def report(self, hypothesis: str, witness=None, **fields) -> HypothesisReport:
-        """Conclusive on a whole finite space, else ``undetermined-sampled``."""
-        verdict = SAMPLED
-        if self.exhaustive:
-            verdict = HOLDS if witness is None else VIOLATED
-        return HypothesisReport(hypothesis, verdict, witness, **fields)
-
-
-def _space_tables(
-    space: Space, candidates: Optional[Sequence[Point]], image_bytes: int = 0
-) -> _Tables:
-    # ``image_bytes``: what a map check adds per pair, counted in the budget
-    if candidates is None:
-        if isinstance(space, BoxSpace):
-            raise DomainError("box spaces need an explicit candidate point list")
-        return _Tables(space.points(), space.L, space.D, True)
-    cand = list(candidates)
-    for p in cand:
-        space.validate_point(p)
-    cand = list(dict.fromkeys(cand))
-    if isinstance(space, FiniteSpace):
-        sub = np.ix_(cand, cand)
-        return _Tables(cand, space.L[sub], space.D[sub], False)
-    need = len(cand) ** 2 * (9 + image_bytes)
-    if need > _TABLE_BYTES:
-        raise SamplingError(
-            f"a sample of {len(cand)} points needs {need} bytes of tables, "
-            f"over the budget of {_TABLE_BYTES}", field="space.grid_step",
-        )
-    P = np.array(cand, dtype=float).reshape(len(cand), space.dim)
-    leq = np.ones((len(cand),) * 2, dtype=bool)
-    dist = 0.0
-    for axis in P.T:
-        leq &= axis[:, None] <= axis
-        # |d0| + |d1| + ... in BoxSpace.distance's order, so values agree bitwise
-        dist = dist + abs(axis[:, None] - axis)
-    return _Tables(cand, leq, dist, False)
 
 
 def _box_leq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -301,15 +260,31 @@ def _box_leq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _map_tables(cmap: CoupledMap, plan: SamplingPlan | None) -> _Tables:
     space = cmap.space
-    if isinstance(cmap, TableMap):
-        tab = _space_tables(space, None)
-        return tab._replace(images=cmap.T, LI=lambda A, B: space.L[A, B])
+    if isinstance(cmap, TableMap):  # the whole space, as its stored arrays
+        L = space.L
+        return _Tables(space.points(), L, space.D, cmap.T, lambda A, B: L[A, B])
     plan = plan or SamplingPlan()
-    # validates each point, and refuses a sample whose tables pass the budget
-    tab = _space_tables(space, sample_points(space, plan), image_bytes=8 * space.dim)
-    return tab._replace(
-        images=cmap._tabulate(tab.pts, tab.pts), LI=_box_leq,
-        sample_size=len(tab.pts), sample_seed=plan.seed,
+    pts = sample_points(space, plan)
+    for p in pts:
+        space.validate_point(p)
+    # the order (1 byte), the distance (8) and the image (8 per axis) of
+    # each pair, refused before any table is built
+    need = len(pts) ** 2 * (9 + 8 * space.dim)
+    if need > _TABLE_BYTES:
+        raise SamplingError(
+            f"a sample of {len(pts)} points needs {need} bytes of tables, "
+            f"over the budget of {_TABLE_BYTES}", field="space.grid_step",
+        )
+    P = np.array(pts, dtype=float).reshape(len(pts), space.dim)
+    leq = np.ones((len(pts),) * 2, dtype=bool)
+    dist = 0.0
+    for axis in P.T:
+        leq &= axis[:, None] <= axis
+        # |d0| + |d1| + ... in BoxSpace.distance's order, so values agree bitwise
+        dist = dist + abs(axis[:, None] - axis)
+    return _Tables(
+        pts, leq, dist, cmap._tabulate(pts, pts), _box_leq,
+        sample_size=len(pts), sample_seed=plan.seed,
     )
 
 
@@ -339,8 +314,9 @@ def check_mixed_monotone(
             tab, *np.nonzero(tab.L & ~np.eye(n, dtype=bool))
         )
         return _monotone_violation(tab, cmap, *hit)
-    return tab.report(
-        "mixed-monotone", sample_size=tab.sample_size, sample_seed=tab.sample_seed
+    return HypothesisReport(
+        "mixed-monotone", HOLDS if tab.sample_size is None else SAMPLED,
+        sample_size=tab.sample_size, sample_seed=tab.sample_seed,
     )
 
 
@@ -443,17 +419,17 @@ def _affine(cmap: CoupledMap) -> AffineMap | None:
 
 def _contraction_report(tab: _Tables, epsilon, lambda_hat, violated, quad, tested):
     witness = None if quad is None else tuple(tab.pts[i] for i in quad)
-    mode = "exhaustive" if tab.exhaustive else "sampled"
+    mode = "exhaustive" if tab.sample_size is None else "sampled"
     return ContractivityReport(
         epsilon, lambda_hat, violated, witness, tested, mode, vacuous=tested == 0,
         sample_size=tab.sample_size, sample_seed=tab.sample_seed,
     )
 
 
-def _epsilon_edges(tab: _Tables, epsilon) -> np.ndarray:
-    # edge i -> j iff pts[i] <= pts[j] and their distance is below epsilon;
-    # hops of a chain
-    edges = tab.L & (tab.D < epsilon)
+def _epsilon_edges(space: FiniteSpace, epsilon) -> np.ndarray:
+    # edge i -> j iff i <= j and their distance is below epsilon; hops of a
+    # chain
+    edges = space.L & (space.D < epsilon)
     np.fill_diagonal(edges, False)
     return edges
 
@@ -486,18 +462,16 @@ def _bfs(adj: list[list[int]], src: int) -> tuple[list, list]:
 
 
 def find_epsilon_chain(
-    space: Space,
-    a: Point,
-    b: Point,
-    epsilon: float,
-    candidates: Optional[Sequence[Point]] = None,
+    space: Space, a: Point, b: Point, epsilon: float
 ) -> Chain | None:
     """Minimum-hop ascending chain from a to b with every gap below epsilon.
 
-    Runs a breadth-first search over the candidate points (all points of a
-    finite space by default; a declared grid for boxes, with a and b always
-    added), so the returned chain has minimal n over those waypoints and
-    never repeats a point. Returns None when no chain exists.
+    On a finite space, a breadth-first search over all its points, so the
+    chain never repeats a point; None when no chain exists. On a box, the
+    segment from a to b in ``_box_hops`` equal steps, each coordinate
+    rounded once from its exact value, so the waypoints ascend, stay in
+    [a, b] and end at b itself; one step more only when rounding pushes a
+    gap to epsilon.
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
@@ -507,71 +481,98 @@ def find_epsilon_chain(
         raise DomainError("chain endpoints must satisfy a <= b")
     if a == b:
         return Chain((a,), epsilon)
-    if candidates is not None:
-        candidates = [*candidates, a, b]
-    tab = _space_tables(space, candidates)
-    cand = tab.pts
-    index = {p: i for i, p in enumerate(cand)}
-    adj = [row.nonzero()[0].tolist() for row in _epsilon_edges(tab, epsilon)]
-    src, dst = index[a], index[b]
-    hops, parent = _bfs(adj, src)
-    if hops[dst] is None:
+    if isinstance(space, BoxSpace):
+        return _segment(space, a, b, epsilon)
+    adj = [row.nonzero()[0].tolist() for row in _epsilon_edges(space, epsilon)]
+    hops, parent = _bfs(adj, a)
+    if hops[b] is None:
         return None
-    path = [dst]
-    while path[-1] != src:
+    path = [b]
+    while path[-1] != a:
         path.append(parent[path[-1]])
-    path.reverse()
-    return Chain(tuple(cand[i] for i in path), epsilon)
+    return Chain(tuple(reversed(path)), epsilon)
 
 
-def check_epsilon_chainable(
-    space: Space,
-    epsilon: float,
-    candidates: Optional[Sequence[Point]] = None,
-) -> HypothesisReport:
-    """Minimal chain length for every comparable candidate pair.
+def _box_hops(a, b, epsilon) -> int:
+    """floor(d(a, b)/epsilon) + 1 for box points a <= b, in exact rationals
+    from the floats; 0 when a == b. A count over the cap is refused."""
+    from fractions import Fraction  # exact rationals serve only boxes
 
-    Violated when some comparable pair admits no chain at all (the witness is
-    the first such pair in index order); otherwise the report carries the
-    largest minimal n, which is what the decay bound consumes. The full
-    per-pair table is kept in ``details["chain_n"]``, a read-only mapping
-    built on first read.
+    d = sum(map(Fraction, b)) - sum(map(Fraction, a))
+    n = 0
+    if d:
+        n = 1 if epsilon == math.inf else int(d / Fraction(epsilon)) + 1
+    _check_hops(n, epsilon)
+    return n
 
-    On candidate sets (boxes, or an explicit list) a missing link is not
-    conclusive: the space may hold waypoints the sample lacks, so the verdict
-    stays ``undetermined-sampled`` with the failing pair recorded.
+
+def _check_hops(n: int, epsilon) -> None:
+    if n > MAX_ITERATIONS:
+        raise DomainError(
+            f"epsilon {epsilon!r} needs chains of {n} hops, "
+            f"over the cap of {MAX_ITERATIONS}"
+        )
+
+
+def _segment(space: BoxSpace, a, b, epsilon) -> Chain:
+    n = _box_hops(a, b, epsilon)
+    ends = [p.as_integer_ratio() + q.as_integer_ratio() for p, q in zip(a, b)]
+    for hops in (n, n + 1):
+        _check_hops(hops, epsilon)
+        # (a (hops - k) + b k) / hops, one correctly rounded int division
+        # per coordinate: rounding is monotone, so the points ascend
+        mid = [
+            tuple((an * bd * (hops - k) + bn * ad * k) / (ad * bd * hops)
+                  for an, ad, bn, bd in ends)
+            for k in range(1, hops)
+        ]
+        pts = (a, *mid, b)
+        if all(space._distance(p, q) < epsilon for p, q in zip(pts, pts[1:])):
+            return Chain(pts, epsilon)
+    raise DomainError(
+        f"float rounding leaves no chain of {n} or {n + 1} equal steps "
+        f"from {clipped_repr(a)} to {clipped_repr(b)} at epsilon {epsilon!r}"
+    )
+
+
+def check_epsilon_chainable(space: Space, epsilon: float) -> HypothesisReport:
+    """Minimal chain length for every comparable pair.
+
+    On a finite space, violated when some comparable pair admits no chain
+    at all (the witness is the first such pair in index order); otherwise
+    the report carries the largest minimal n, which is what the decay bound
+    consumes. The full per-pair table is kept in ``details["chain_n"]``, a
+    read-only mapping built on first read.
+
+    On a box it holds, with ``mode: "exact"``, and ``max_n`` is
+    ``_box_hops`` from the lower to the upper corner, the farthest pair.
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-    tab = _space_tables(space, candidates)
-    n = len(tab.pts)
-    hops = _hop_counts(_epsilon_edges(tab, epsilon))
+    if isinstance(space, BoxSpace):
+        max_n = _box_hops(space.lower, space.upper, epsilon)
+        return HypothesisReport("epsilon-chainable", HOLDS, details={
+            "mode": "exact", "epsilon": epsilon, "max_n": max_n,
+        })
+    n = space.size
+    hops = _hop_counts(_epsilon_edges(space, epsilon))
     # the comparable pairs in row-major order, which chain_n keeps
-    i, j = np.nonzero(tab.L)
+    i, j = np.nonzero(space.L)
     h = hops[i, j]
     found = h < n
-    pts = None if tab.exhaustive else tab.pts
-    unreachable = tuple(_point_pairs(pts, i[~found], j[~found]))
+    unreachable = tuple(zip(i[~found].tolist(), j[~found].tolist()))
     details = {
         "epsilon": epsilon,
         "max_n": int(h[found].max(initial=0)),
-        "chain_n": _ChainTable(pts, i[found], j[found], h[found]),
+        "chain_n": _ChainTable(i[found], j[found], h[found]),
         "unreachable": unreachable,
         "candidates": n,
     }
-    witness = None
     if unreachable:
-        witness = [point_jsonable(p) for p in unreachable[0]]
-    return tab.report("epsilon-chainable", witness, details=details)
-
-
-def _point_pairs(pts: Sequence[Point] | None, i: np.ndarray, j: np.ndarray):
-    """The point pairs (pts[i[p]], pts[j[p]]); with ``pts`` None the points
-    are the indices themselves (a whole finite space)."""
-    i, j = i.tolist(), j.tolist()
-    if pts is not None:
-        i, j = map(pts.__getitem__, i), map(pts.__getitem__, j)
-    return zip(i, j)
+        return HypothesisReport(
+            "epsilon-chainable", VIOLATED, list(unreachable[0]), details=details
+        )
+    return HypothesisReport("epsilon-chainable", HOLDS, details=details)
 
 
 class _ChainTable(Mapping):
@@ -580,13 +581,13 @@ class _ChainTable(Mapping):
     on first read, since ``as_dict`` leaves it out and only library callers
     read it."""
 
-    def __init__(self, pts, i: np.ndarray, j: np.ndarray, hops: np.ndarray):
-        self._args = pts, i, j, hops
+    def __init__(self, i: np.ndarray, j: np.ndarray, hops: np.ndarray):
+        self._args = i, j, hops
 
     @cached_property
     def _table(self) -> dict:
-        pts, i, j, hops = self._args
-        return dict(zip(_point_pairs(pts, i, j), hops.tolist()))
+        i, j, hops = (a.tolist() for a in self._args)
+        return dict(zip(zip(i, j), hops))
 
     def __getitem__(self, pair):
         return self._table[pair]
@@ -624,27 +625,22 @@ def check_seed(cmap: CoupledMap, x0: Point, y0: Point) -> HypothesisReport:
     return HypothesisReport("seed-condition", VIOLATED, witness)
 
 
-def _bound_matrices(tab: _Tables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The order M[p, q] = p <= q over the points under test, and which pairs
-    share a common upper bound (UB) or a common lower bound (LB) among them."""
-    M = tab.L
+def _common_bounds(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which pairs of points share a common upper bound (UB) or a common
+    lower bound (LB) under the order M[p, q] = p <= q of a finite space."""
     F = M.astype(np.float32)
-    return M, (F @ F.T) > 0, (F.T @ F) > 0
+    return (F @ F.T) > 0, (F.T @ F) > 0
 
 
-def check_common_comparable(
-    space: Space, candidates: Optional[Sequence[Point]] = None
-) -> HypothesisReport:
+def check_common_comparable(space: Space) -> HypothesisReport:
     """Every two product points must share a product point comparable to both.
 
-    Product points are ordered pairs of candidates under the product order
+    Product points are ordered pairs of points under the product order
     (first component ascending, second descending). Exhaustive on finite
-    spaces. On a whole box (no candidate list) it holds, reported with
-    ``mode: "exact"``: a box is a product of intervals, so with (x, y) and
-    (u, v) it contains (max(x, u), min(y, v)), taken componentwise, and
-    that product point lies above both. On a box candidate list even a
-    failure is reported as sampled: a missing witness among the candidates
-    says nothing about the full box.
+    spaces. On a box it holds, reported with ``mode: "exact"``: a box is a
+    product of intervals, so with (x, y) and (u, v) it contains
+    (max(x, u), min(y, v)), taken componentwise, and that product point
+    lies above both.
 
     The order is transitive, so (x, y) and (u, v) share such a point iff they
     are comparable themselves (x <= u and v <= y, or u <= x and y <= v), or
@@ -654,14 +650,13 @@ def check_common_comparable(
     memory. The witness is the first failing quadruple in (x, y, u, v)
     row-major order.
     """
-    if candidates is None and isinstance(space, BoxSpace):
+    if isinstance(space, BoxSpace):
         return HypothesisReport(
             "common-comparable", HOLDS, details={"mode": "exact"}
         )
-    tab = _space_tables(space, candidates)
-    M, UB, LB = _bound_matrices(tab)
-    cand = tab.pts
-    s = len(cand)
+    M = space.L
+    UB, LB = _common_bounds(M)
+    s = len(M)
     # bit k of code[x, u] is fact k about (x, u) and bit k of rel[y, v] is
     # relation k about (y, v); the two pairs are linked iff code & rel != 0
     m, mt, ub, lb = (a.view(np.uint8) for a in (M, M.T, UB, LB))
@@ -681,34 +676,24 @@ def check_common_comparable(
         y = int(np.argmax(bad.any(axis=0)))
         u = int(np.argmax(bad[:, y]))
         v = int(np.argmax(unlinked[code[x, u], rel[y]]))
-        witness = {
-            "pair1": [point_jsonable(cand[x]), point_jsonable(cand[y])],
-            "pair2": [point_jsonable(cand[u]), point_jsonable(cand[v])],
-        }
-    return tab.report(
-        "common-comparable", witness, sample_size=None if tab.exhaustive else s
+        witness = {"pair1": [x, y], "pair2": [u, v]}
+    return HypothesisReport(
+        "common-comparable", HOLDS if witness is None else VIOLATED, witness
     )
 
 
-def check_pair_bounds(
-    space: Space, candidates: Optional[Sequence[Point]] = None
-) -> HypothesisReport:
-    """Every two candidate points must have a common upper or lower bound.
+def check_pair_bounds(space: Space) -> HypothesisReport:
+    """Every two points must have a common upper or lower bound.
 
-    On a whole box (no candidate list) it holds, reported with ``mode:
+    Exhaustive on finite spaces. On a box it holds, reported with ``mode:
     "exact"``: the componentwise max of two box points lies in the box and
-    above both. A box candidate list is checked among its own points, and
-    its verdict stays sampled.
+    above both.
     """
-    if candidates is None and isinstance(space, BoxSpace):
+    if isinstance(space, BoxSpace):
         return HypothesisReport("pair-bounds", HOLDS, details={"mode": "exact"})
-    tab = _space_tables(space, candidates)
-    _, upper, lower = _bound_matrices(tab)
-    cand = tab.pts
+    upper, lower = _common_bounds(space.L)
     bad = np.argwhere(~(upper | lower))
-    witness = None
-    if bad.size:
-        witness = [point_jsonable(cand[int(v)]) for v in bad[0]]
-    return tab.report(
-        "pair-bounds", witness, sample_size=None if tab.exhaustive else len(cand)
+    witness = bad[0].tolist() if bad.size else None
+    return HypothesisReport(
+        "pair-bounds", HOLDS if witness is None else VIOLATED, witness
     )

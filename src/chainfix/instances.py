@@ -52,7 +52,18 @@ MAX_POINTS = 64
 # step applies the map and records a row, so the count bounds time and memory.
 MAX_ITERATIONS = 100_000
 
-_TOP_KEYS = {"schema_version", "space", "map", "seeds", "parameters", "declared_flags"}
+# the keys each object of a document may hold; any other is refused
+_KEYS = {
+    "document": {"schema_version", "space", "map", "seeds", "parameters",
+                 "declared_flags"},
+    "finite space": {"kind", "points", "distance_matrix", "order_pairs"},
+    "box space": {"kind", "dimension", "lower", "upper", "grid_step"},
+    "table map": {"kind", "table"},
+    "expression map": {"kind", "formula"},
+    "seeds": {"x0", "y0"},
+    "parameters": {"epsilon", "tolerance", "max_iterations", "lambda_claimed"},
+    "declared_flags": {"order_limit_closure"},
+}
 
 
 class Parameters(NamedTuple):
@@ -97,6 +108,19 @@ def _require(data: dict, key: str, kind, where: str):
             field=field,
         )
     return value
+
+
+def _known_keys(data: dict, kind: str) -> None:
+    """Refuse a key of ``data`` that a ``kind`` object does not hold, naming
+    the first in sorted order as the field (under the object's own key, the
+    last word of ``kind``)."""
+    unknown = sorted(set(data) - _KEYS[kind])
+    if unknown:
+        top = kind == "document"
+        raise InvalidInstanceError(
+            f"unknown {'top-level' if top else kind} fields: {clipped_repr(unknown)}",
+            field=unknown[0] if top else f"{kind.split()[-1]}.{unknown[0]}",
+        )
 
 
 def _closure(n: int, pairs) -> np.ndarray:
@@ -154,6 +178,7 @@ def _require_rows(data: dict, key: str, where: str) -> list:
 
 
 def _parse_finite_space(data: dict) -> FiniteSpace:
+    _known_keys(data, "finite space")
     labels = _require(data, "points", list, "space")
     if len(labels) > MAX_POINTS:
         raise InvalidInstanceError(
@@ -166,6 +191,7 @@ def _parse_finite_space(data: dict) -> FiniteSpace:
 
 
 def _parse_box_space(data: dict) -> tuple[BoxSpace, float | None]:
+    _known_keys(data, "box space")
     dim = _require(data, "dimension", int, "space")
     if dim < 1:
         raise InvalidInstanceError(f"must be at least 1, got {dim}",
@@ -226,6 +252,7 @@ def _parse_table_map(space, data: dict) -> TableMap:
     if not isinstance(space, FiniteSpace):
         raise InvalidInstanceError("table maps require a finite space",
                                    field="map.kind")
+    _known_keys(data, "table map")
     table = _require_rows(data, "table", "map")
     return _build("map", TableMap, space, table)
 
@@ -234,6 +261,7 @@ def _parse_expression_map(space, data: dict) -> ExpressionMap:
     if not isinstance(space, BoxSpace):
         raise InvalidInstanceError("expression maps require a box space",
                                    field="map.kind")
+    _known_keys(data, "expression map")
     formula = data.get("formula")
     if not isinstance(formula, (str, list)):
         raise InvalidInstanceError(
@@ -271,12 +299,7 @@ def parse_instance(data) -> Instance:
         raise InvalidInstanceError(
             f"instance document must be a JSON object, got {type(data).__name__}"
         )
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise InvalidInstanceError(
-            f"unknown top-level fields: {sorted(unknown)}",
-            field=sorted(unknown)[0],
-        )
+    _known_keys(data, "document")
     version = _require(data, "schema_version", int, "document")
     if version != SCHEMA_VERSION:
         raise InvalidInstanceError(
@@ -308,9 +331,11 @@ def parse_instance(data) -> Instance:
             field="map.kind",
         )
     seeds = _require(data, "seeds", dict, "document")
+    _known_keys(seeds, "seeds")
     x0 = parse_point(space, seeds.get("x0"), "seeds.x0")
     y0 = parse_point(space, seeds.get("y0"), "seeds.y0")
     params_data = _require(data, "parameters", dict, "document")
+    _known_keys(params_data, "parameters")
     epsilon = _require(params_data, "epsilon", float, "parameters")
     if epsilon <= 0:
         raise InvalidInstanceError(
@@ -346,6 +371,7 @@ def parse_instance(data) -> Instance:
     if not isinstance(flags, dict):
         raise InvalidInstanceError("must be an object",
                                    field="declared_flags")
+    _known_keys(flags, "declared_flags")
     closure_flag = flags.get("order_limit_closure", True)
     if not isinstance(closure_flag, bool):
         raise InvalidInstanceError(

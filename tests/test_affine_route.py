@@ -305,15 +305,18 @@ def test_shipped_affine_maps_against_their_scan(instance_dir, name, sampled):
 
 
 def test_affine_solve_builds_no_table(capsys, l2d_path):
-    # every map hypothesis is decided from the coefficients, and the load
-    # check is skipped, so F is never tabulated over pairs of points
-    with mock.patch.object(ExpressionMap, "_tabulate", side_effect=AssertionError):
+    # every map hypothesis is decided from the coefficients, every space
+    # hypothesis from the box, and the load check is skipped, so F is never
+    # tabulated over pairs of points, no sample is drawn, and the bound is
+    # certified
+    with mock.patch.object(ExpressionMap, "_tabulate", side_effect=AssertionError), \
+            mock.patch("chainfix.hypotheses.sample_points", side_effect=AssertionError):
         code = run_cli(["solve", l2d_path])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["status"] == "converged"
-    assert doc["config"]["uncertified"] == ["epsilon-chainable"]
-    for name in ("mixed-monotone", "uniform-local-contraction"):
+    assert doc["config"]["uncertified"] == []
+    for name in ("mixed-monotone", "uniform-local-contraction", "epsilon-chainable"):
         assert (doc["hypotheses"][name]["verdict"],
                 doc["hypotheses"][name]["mode"]) == (HOLDS, "exact")
 
@@ -551,30 +554,31 @@ BOX_DOCUMENTS = {
 # sha256 of stdout and the exit code of `check` and `solve` on each document,
 # written as NAME.json and read by that relative path; taken from the program
 # that bounded the affine rounding in exact rationals, except that
-# pair-bounds and common-comparable now hold on the whole box with mode
-# "exact" where that program reported them sampled
+# pair-bounds, common-comparable and epsilon-chainable now hold on the whole
+# box with mode "exact" where that program reported them sampled, so an
+# affine map's solve lists nothing as uncertified
 BOX_DIGESTS = {
     "l1-0.0625": (
-        "087cc52f3571af1840b9bcaca2225f448de5ebbe449b67ca2c9318251586af32",
-        "344605825b1109a438d4894bb1a69f2382e9360ad3be5544e6fcd3a772b56ee4"),
+        "a0dae55b1952d99966fe9ebb2cb6e497ea9df9df9a16e753a0415b8e835403db",
+        "832ced6a6dc3c01ec2b7df1f8600f4f550f6ee85e945ca9909ba587cfa7a3b54"),
     "l1-0.25": (
-        "c00b20fc30a1945fdab886b6c6d35df11330df4de629eab0b359ecaee5bf7192",
-        "c8ddd6f718186b2f0c3e9db6033f15048dfecfa4aa846f8c9989fafb2b2b077b"),
+        "058bbe615cce9d63765b639ec03ed57cf8416118f7518cd67f73f6cbb7ce78aa",
+        "8d5b844be63445e0a32a7e5761c2b034dfa0f70d1e0aa19d54ee6dcf12a240cb"),
     "l2d-0.0625": (
-        "e3b1cd44c68a03e58f7db0983465eee02f006abad6b64d65929ba990f2d1fd3e",
-        "f20110cc16d6231e6a981914f486232edefa34b97f9863f2db23acc9527d31b1"),
+        "17a7a120dc0e1fd5878632e3e96d2e0b7d34cdef6aaaa431323dcd1348de225b",
+        "7770807df27cbd56923a951538a15be1d7e399fe94f525a3b56c6e688cf1bc0b"),
     "l2d-0.25": (
-        "c735d5a3e597e37237912fdea3344c8e45205410c29b4d42674f0867115863aa",
-        "72a152b3efdebf7897d09ca305958f32676448796488e652034b6cd01cce3e23"),
+        "bd0aeaca53226f7112d059bae034b947c6c23ac413f816f708fa3c01bdbea485",
+        "321f54276f064a0478eae7f58419b20bcf9d6180ea5b98b02f49d16d04128531"),
     "affine": (
-        "99255fe5ee2c5fd67677b4fbf54cfb07e93829c3041865b058cdd52fdadabc5a",
-        "67705b66649f4f6d470f77c81e8445cb09077b6695cf30cde19509bf4abf95d5"),
+        "54b55181cb2cfd095a01ab7967b5b4006bc771d896f9fa2949c2a72103dff0fb",
+        "fd585d3b2e281d5f759d232d82be7865346c5b85d0445a88cc35318d7dce98c9"),
     "affine-div": (
-        "b659912629c1d2186fb9d70117c4070c6f891eabe67099e8c35f8d8f75eca74b",
-        "7a783e50df7e4f5df4f0ff37dfff451189de6dcf062c19e11a86aa1b59d8abff"),
+        "552cefe5cbcfa5cf41d71edccb9f37515c9a24aaa43c22ad3d25cd16727d41ac",
+        "9a8018e4ea66e21b230adfedd1a559b49e7ede3da7705be8646f6bbf722887d7"),
     "minmax": (
-        "3382216222f0e257b08f08a34c2e02a8d856bb18dd6a67740212d641ba981377",
-        "e03fc843be236262cd5f5851d5f3a21b93a8b4f0ed84b1faa027f9f96d0bdb2e"),
+        "aa3fc4a040f4169f5a73edda280e8bc4dce19211b40f195cb39695e27574cd2b",
+        "036fe71005c7302fe4c1963bf6c5c6d8e55adbd493532456758d7fbf4c4f844f"),
 }
 
 

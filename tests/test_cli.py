@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import re
 import resource
 import subprocess
@@ -404,7 +405,8 @@ class TestSolve:
         assert doc["gap"] <= 2e-10
         assert doc["config"]["lam"] == 0.5
         assert doc["config"]["chain_n"] == 4
-        assert doc["bound"]["advisory"] is True
+        assert doc["config"]["uncertified"] == []
+        assert doc["bound"]["advisory"] is False
         assert doc["bound"]["all_below"] is True
         assert doc["collapse"]["verdict"] == "holds"
 
@@ -582,11 +584,14 @@ class TestVerifyLemma:
         assert doc["uncertified"] == []
         assert doc["rows"][0] == [0, 8, 20.0]
 
-    def test_l1_advisory(self, capsys, l1_path):
+    def test_l1_certified(self, capsys, l1_path):
+        # every hypothesis is proven from the coefficients and the box, so
+        # the bound is certified and a miss would exit 1
         code, out, _ = run(capsys, "verify-lemma", l1_path, "--horizon", "10")
         assert code == 0
         doc = json.loads(out)
-        assert doc["advisory"] is True
+        assert (doc["advisory"], doc["uncertified"]) == (False, [])
+        assert doc["chain_n"] == 2
         assert doc["all_below_bound"] is True
         assert doc["escaped_at"] is None
 
@@ -701,13 +706,17 @@ def test_grid_over_the_cap_exits_two_before_it_is_built(tmp_path, dim, step):
 
 
 @pytest.mark.parametrize("command", ["check", "solve", "verify-lemma"])
-@pytest.mark.parametrize("formula", [
-    ["(2*x1 - y1 + 3)/8", "(x2 - y2 + 4)/8"],  # decided from its coefficients
-    ["min(x1, y1)", "max(x2, y2)"],  # scanned on the sample
+@pytest.mark.parametrize("formula, exit_code", [
+    # decided from its coefficients and the box, so no table is built
+    (["(2*x1 - y1 + 3)/8", "(x2 - y2 + 4)/8"], 0),
+    (["min(x1, y1)", "max(x2, y2)"], 2),  # scanned on the sample
+    # its contraction scan would stop at the first quadruple
+    (["min(1, max(0, 0.5 + x1 - y1))", "min(1, max(0, 0.5 + x2 - y2))"], 2),
 ])
-def test_sample_too_large_to_tabulate_exits_two(tmp_path, command, formula):
+def test_sample_too_large_to_tabulate_exits_two(tmp_path, command, formula,
+                                                exit_code):
     # a step of 0.01 puts 10,201 points on the grid, under its cap, but the
-    # tables of the 10,209-point sample would need about 0.9 GB
+    # tables of the 10,209-point sample would need about 2.6 GB
     doc = {
         "schema_version": 1,
         "space": {"kind": "box", "dimension": 2, "lower": [0, 0],
@@ -719,6 +728,10 @@ def test_sample_too_large_to_tabulate_exits_two(tmp_path, command, formula):
     path = tmp_path / "fine.json"
     path.write_text(json.dumps(doc))
     proc = run_fresh(command, str(path))
+    if exit_code == 0:
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)
+        return
     assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
     assert proc.stderr.startswith(
         "error: space.grid_step: a sample of 10209 points needs ")
@@ -738,3 +751,34 @@ def test_fresh_call_does_not_load_numpy_ma(instance_dir, command, name):
     assert proc.returncode in (0, 1), proc.stderr
     assert json.loads(proc.stdout)
     assert proc.stderr == "[]\n"
+
+
+@pytest.mark.parametrize("where, key", [
+    ("space", "grid_stp"), ("parameters", "tolerence"), ("declared_flags", "closure"),
+])
+def test_misspelled_key_exits_two_naming_it(capsys, tmp_path, l1_path, where, key):
+    doc = json.loads(pathlib.Path(l1_path).read_text())
+    doc[where][key] = 1
+    path = tmp_path / "misspelled.json"
+    path.write_text(json.dumps(doc))
+    for command in ("check", "solve", "verify-lemma"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {where}.{key}: unknown ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("chain", "--from", "0", "--to", "1", "--eps", "1e-9"), ("check",),
+])
+def test_hop_count_over_the_cap_exits_two(capsys, tmp_path, l1_path, command):
+    # the float 1e-9 lies just above 10**-9, so [0, 1] needs 10**9 hops; no
+    # waypoint is built
+    doc = json.loads(pathlib.Path(l1_path).read_text())
+    doc["parameters"]["epsilon"] = 1e-9
+    path = tmp_path / "fine-epsilon.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err == ("error: epsilon 1e-09 needs chains of 1000000000 hops, "
+                   f"over the cap of {MAX_ITERATIONS}\n")

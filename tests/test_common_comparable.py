@@ -1,12 +1,12 @@
 """Common-comparability against the dense product-order reference.
 
 The reference below is the check the factorised one replaced: it builds the
-s^2 x s^2 comparability matrix of the product order over the candidates and
+s^2 x s^2 comparability matrix of the product order over the points and
 squares it, so two product points are linked when some product point is
 comparable to both. That costs O(s^4) memory, so it only runs here, on small
 inputs. On random posets (transitive closures of random DAGs with shuffled
-labels) and on 1-D and 2-D box candidate lists, both must give the same
-verdict, witness and sample size.
+labels) both must give the same verdict and witness. A box is decided from
+its shape (``tests/test_hypotheses.py``).
 """
 
 import random
@@ -15,20 +15,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainfix.hypotheses import (
-    HOLDS,
-    SAMPLED,
-    VIOLATED,
-    SamplingPlan,
-    check_common_comparable,
-    sample_points,
-)
-from chainfix.spaces import BoxSpace, FiniteSpace, point_jsonable
+from chainfix.hypotheses import HOLDS, VIOLATED, check_common_comparable
+from chainfix.spaces import FiniteSpace
 
 
-def reference_common_comparable(space, candidates=None):
-    exhaustive = candidates is None
-    cand = list(space.points()) if exhaustive else list(dict.fromkeys(candidates))
+def reference_common_comparable(space):
+    cand = list(space.points())
     s = len(cand)
     M = np.array([[space.leq(p, q) for q in cand] for p in cand], dtype=bool)
     below = M[:, None, :, None] & M.T[None, :, None, :]
@@ -40,14 +32,8 @@ def reference_common_comparable(space, candidates=None):
     if bad.size:
         pi, pj = divmod(int(bad[0][0]), s)
         qi, qj = divmod(int(bad[0][1]), s)
-        witness = {
-            "pair1": [point_jsonable(cand[pi]), point_jsonable(cand[pj])],
-            "pair2": [point_jsonable(cand[qi]), point_jsonable(cand[qj])],
-        }
-    verdict = SAMPLED
-    if exhaustive:
-        verdict = HOLDS if witness is None else VIOLATED
-    return verdict, witness, None if exhaustive else s
+        witness = {"pair1": [cand[pi], cand[pj]], "pair2": [cand[qi], cand[qj]]}
+    return HOLDS if witness is None else VIOLATED, witness
 
 
 @st.composite
@@ -70,33 +56,18 @@ def random_posets(draw):
     rng.shuffle(perm)
     order = [[bool(L[perm[i], perm[j]]) for j in range(n)] for i in range(n)]
     dist = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
-    return FiniteSpace.from_lists([f"p{i}" for i in range(n)], dist, order), None
-
-
-@st.composite
-def box_candidates(draw):
-    """A grid on a 1-D or 2-D box, or a subset of it plus seeded draws."""
-    dim = draw(st.integers(1, 2))
-    box = BoxSpace((0.0,) * dim, (1.0,) * dim)
-    step = draw(st.sampled_from([0.5, 1 / 3, 0.25]))
-    pts = sample_points(box, SamplingPlan(grid_step=step))
-    if draw(st.booleans()):
-        keep = draw(st.lists(st.sampled_from(pts), min_size=1, max_size=10))
-        pts = keep + box.uniform_points(draw(st.integers(0, 3)),
-                                        draw(st.integers(0, 99)))
-    return box, pts
+    return FiniteSpace.from_lists([f"p{i}" for i in range(n)], dist, order)
 
 
 def test_matches_matmul_reference():
     verdicts = []
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(random_posets() | box_candidates())
-    def check(case):
-        space, cand = case
-        rep = check_common_comparable(space, cand)
-        verdict, witness, size = reference_common_comparable(space, cand)
-        assert (rep.verdict, rep.witness, rep.sample_size) == (verdict, witness, size)
+    @given(random_posets())
+    def check(space):
+        rep = check_common_comparable(space)
+        verdict, witness = reference_common_comparable(space)
+        assert (rep.verdict, rep.witness, rep.sample_size) == (verdict, witness, None)
         verdicts.append(witness is None)
 
     check()
@@ -104,13 +75,14 @@ def test_matches_matmul_reference():
     assert 0.1 <= holds <= 0.9, f"{holds:.0%} of {len(verdicts)} cases hold"
 
 
-def test_large_candidate_list_stays_within_square_memory():
-    # 401 grid points: the product-order matrix would need 401^4 float32
-    # entries (over 100 GB); the factorised check needs s x s tables only
-    box = BoxSpace((0.0,), (1.0,))
-    cand = sample_points(box, SamplingPlan(grid_step=0.0025))
-    assert len(cand) == 401
-    rep = check_common_comparable(box, cand)
-    assert rep.verdict == SAMPLED
-    assert rep.witness is None
-    assert rep.sample_size == 401
+def test_large_space_stays_within_square_memory():
+    # a chain of 401 points: the product-order matrix would need 401^4
+    # float32 entries (over 100 GB); the factorised check needs s x s tables
+    n = 401
+    space = FiniteSpace(
+        tuple(f"p{i}" for i in range(n)),
+        tuple(tuple(abs(i - j) for j in range(n)) for i in range(n)),
+        np.triu(np.ones((n, n), dtype=bool)),
+    )
+    rep = check_common_comparable(space)
+    assert (rep.verdict, rep.witness) == (HOLDS, None)

@@ -30,14 +30,19 @@ DOCUMENTS = {name: json.loads((INSTANCES / f"{name}.json").read_text())
              for name in NAMES}
 COMMANDS = (("check",), ("solve",), ("oracle",), ("verify-lemma",),
             ("verify-lemma", "--horizon", "3000"))
-# generous: the slowest case, at the table budget, takes about 1.5 s on a
-# shared 2-vCPU machine, and a mutated field alone about 10 ms
+# generous: the slowest case, check, solve and verify-lemma at the table
+# budget, takes about 3 s on a shared 2-vCPU machine, and a mutated field
+# alone about 10 ms
 CASE_SECONDS = 15.0
 DELETE = object()
 
-# a 1-D box sample is its grid plus 8 seeded draws, and its tables take 9
-# bytes per pair of points: 1365 points fit in 2**24 bytes, 1366 do not
-AT_BUDGET, PAST_BUDGET = 1 / 1356, 1 / 1357
+# a 1-D box sample is its grid plus 8 seeded draws, and a map check's tables
+# take 17 bytes per pair of points: 993 points fit in 2**24 bytes, 994 do not
+AT_BUDGET, PAST_BUDGET = 1 / 984, 1 / 985
+# l1's map, affine, reads no sample; this one is mixed monotone but not
+# affine, so the map checks tabulate it, and its contraction scan stops at
+# the first quadruple
+CLAMP = "min(1, max(0, 0.5 + x - y))"
 
 SPECIAL = [
     None, True, False, "", "x", "y", "x*y", "max(x, y)", "1/0", "a",
@@ -99,6 +104,13 @@ def mutated(name, path, value):
     return doc
 
 
+def clamped(step):
+    """l1 with the map ``CLAMP`` on a grid of ``step``."""
+    doc = mutated("l1", ("space", "grid_step"), step)
+    doc["map"]["formula"] = CLAMP
+    return doc
+
+
 def strict_json(text):
     def reject(constant):
         raise ValueError(f"non-finite {constant} in output")
@@ -153,11 +165,10 @@ def test_one_mutated_field(capsys, doc_path, target, value):
 
 
 @pytest.mark.parametrize("doc, commands, check_exit, message", [
-    (mutated("l1", ("space", "grid_step"), AT_BUDGET), [("check",)], 0, ""),
-    (mutated("l1", ("space", "grid_step"), PAST_BUDGET), COMMANDS, 2,
-     "a sample of 1366 points needs 16793604 bytes"),
-    (mutated("l1", ("space", "grid_step"), 1 / (GRID_CAP - 1)), COMMANDS, 2,
-     "a sample of 20008 points needs"),
+    (clamped(AT_BUDGET), [("check",)], 1, ""),
+    (clamped(PAST_BUDGET), COMMANDS, 2,
+     "a sample of 994 points needs 16796612 bytes"),
+    (clamped(1 / (GRID_CAP - 1)), COMMANDS, 2, "a sample of 20008 points needs"),
     (mutated("l1", ("space", "grid_step"), 1 / GRID_CAP), COMMANDS, 2,
      f"grid of {GRID_CAP + 1} points exceeds the cap"),
     (mutated("f1", ("parameters", "max_iterations"), MAX_ITERATIONS),
@@ -175,3 +186,14 @@ def test_values_at_and_past_the_limits(capsys, doc_path, doc, commands,
         capsys, doc_path, doc, commands)
     assert code == check_exit
     assert message in err
+
+
+@pytest.mark.parametrize("step", [AT_BUDGET, PAST_BUDGET], ids=["at", "past"])
+def test_commands_agree_on_the_table_budget(capsys, doc_path, step):
+    # check, solve and verify-lemma read the same sample, so at the budget
+    # none of them refuses it, and one grid step past it all three refuse
+    # it with the same line
+    results = assert_every_command_exits_cleanly(
+        capsys, doc_path, clamped(step), [("check",), ("solve",), ("verify-lemma",)])
+    refused = [err for code, err in results if code == 2]
+    assert refused == ([] if step == AT_BUDGET else [results[0][1]] * 3)

@@ -13,9 +13,13 @@ Key frozen values, each computed before the implementation ran:
 """
 
 import itertools
+import json
+import math
+import runpy
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainfix import hypotheses
@@ -35,9 +39,15 @@ from chainfix.hypotheses import (
     find_epsilon_chain,
     sample_points,
 )
-from chainfix.instances import generate_finite_instance, load_instance
+from chainfix.instances import (
+    MAX_ITERATIONS,
+    generate_finite_instance,
+    load_instance,
+    parse_instance,
+)
 from chainfix.mappings import TableMap, expression_map
 from chainfix.oracle import exhaustive_contraction_check, min_chain_table
+from chainfix.pipeline import default_plan
 from chainfix.solver import SolveConfig, decay_bound
 from chainfix.spaces import BoxSpace, FiniteSpace
 
@@ -78,19 +88,18 @@ class TestSamplePoints:
         assert pts == [(float(k),) for k in range(20000)]
 
     @pytest.mark.parametrize("check", [
-        lambda box, pts: check_epsilon_chainable(box, 0.6, pts),
-        lambda box, pts: check_pair_bounds(box, pts),
-        lambda box, pts: find_epsilon_chain(box, pts[0], pts[1], 0.6, pts),
+        check_mixed_monotone, lambda cmap, plan: estimate_contraction(cmap, 0.6, plan),
     ])
     def test_sample_tables_within_the_byte_budget(self, monkeypatch, check):
-        # order and distance tables take 9 bytes per pair of sample points
-        monkeypatch.setattr(hypotheses, "_TABLE_BYTES", 9 * 10**2)
-        box = BoxSpace((0.0,), (1.0,))
-        check(box, [(k / 9,) for k in range(10)])  # 10 points: at the budget
+        # a 1-D map check takes 17 bytes per pair of sample points: the
+        # order (1), the distance (8) and the image (8)
+        monkeypatch.setattr(hypotheses, "_TABLE_BYTES", 17 * 10**2)
+        cmap = expression_map(BoxSpace((0.0,), (1.0,)), "min(x, 1 - y)")
+        check(cmap, SamplingPlan(grid_step=1 / 9))  # 10 points: at the budget
         with pytest.raises(SamplingError) as exc:
-            check(box, [(k / 10,) for k in range(11)])
+            check(cmap, SamplingPlan(grid_step=1 / 10))
         assert str(exc.value) == (
-            "a sample of 11 points needs 1089 bytes of tables, over the budget of 900")
+            "a sample of 11 points needs 2057 bytes of tables, over the budget of 1700")
         assert exc.value.field == "space.grid_step"
 
     def test_map_tables_count_the_images(self, monkeypatch):
@@ -234,11 +243,21 @@ class TestChains:
 
     def test_four_hops_across_unit_interval(self):
         box = BoxSpace((0.0,), (1.0,))
-        cand = sample_points(box, SamplingPlan(grid_step=0.25))
-        ch = find_epsilon_chain(box, (0.0,), (1.0,), 0.3, cand)
+        ch = find_epsilon_chain(box, (0.0,), (1.0,), 0.3)
         assert ch.n == 4
         assert ch.points == ((0.0,), (0.25,), (0.5,), (0.75,), (1.0,))
         ch.validate(box)
+
+    def test_box_chain_between_coarse_floats(self):
+        # near 1e10 one ulp is 1.9e-06, so the exact 4 steps of 2.4e-06
+        # round to gaps of up to two ulps, 5 steps of one ulp each pass, and
+        # below one ulp no two distinct floats are close enough
+        box = BoxSpace((1e10,), (1e10 + 1e-5,))
+        ch = find_epsilon_chain(box, box.lower, box.upper, 3e-6)
+        assert ch.n == 5
+        ch.validate(box)
+        with pytest.raises(DomainError, match="rounding leaves no chain of 7 or 8 "):
+            find_epsilon_chain(box, box.lower, box.upper, 1.5e-6)
 
     def test_no_chain_when_gap_too_wide(self):
         sp = chain_space(2, scale=2.0)
@@ -307,13 +326,34 @@ class TestChainable:
         assert rep.verdict == VIOLATED
         assert rep.witness == [0, 1]
 
-    def test_box_candidates_never_conclusively_violate(self):
+    @pytest.mark.parametrize("upper, epsilon, max_n", [
+        ((1.0,), 0.4, 3), ((1.0,), 0.5, 3), ((1.0, 1.0), 0.6, 4),
+        ((0.0, 0.0), 0.1, 0), ((1.0, 0.0), 1e300, 1), ((1.0, 0.0), math.inf, 1),
+    ])
+    def test_whole_box_holds_exactly(self, upper, epsilon, max_n):
+        # floor(diam / epsilon) + 1 hops from corner to corner, none on a
+        # one-point box; no sample is drawn
+        box = BoxSpace((0.0,) * len(upper), upper)
+        assert check_epsilon_chainable(box, epsilon).as_dict() == {
+            "hypothesis": "epsilon-chainable", "verdict": HOLDS, "witness": None,
+            "sample_seed": None, "sample_size": None, "mode": "exact",
+            "epsilon": epsilon, "max_n": max_n,
+        }
+
+    @pytest.mark.parametrize("call", [
+        lambda box, eps: check_epsilon_chainable(box, eps),
+        lambda box, eps: find_epsilon_chain(box, (0.0,), (1.0,), eps),
+    ], ids=["chainable", "find-chain"])
+    def test_hop_count_over_the_cap_is_refused(self, call):
+        # 1/99999.5 needs 100,000 hops across [0, 1], the cap; 1/100000.5
+        # needs one more
         box = BoxSpace((0.0,), (1.0,))
-        cand = [(0.0,), (1.0,)]  # gap 1.0, no waypoints
-        rep = check_epsilon_chainable(box, 0.4, cand)
-        assert rep.verdict == SAMPLED
-        assert rep.witness == [0.0, 1.0]
-        assert rep.details["unreachable"]
+        call(box, 1 / 99999.5)
+        eps = 1 / 100000.5
+        with pytest.raises(DomainError) as exc:
+            call(box, eps)
+        assert str(exc.value) == (
+            f"epsilon {eps!r} needs chains of 100001 hops, over the cap of 100000")
 
 
 class TestSeedCondition:
@@ -376,12 +416,6 @@ class TestProductStructure:
         cc = check_common_comparable(sp)
         assert cc.verdict == VIOLATED
 
-    def test_box_grid_verdicts_stay_sampled(self):
-        box = BoxSpace((0.0,), (1.0,))
-        cand = sample_points(box, SamplingPlan(grid_step=0.5))
-        assert check_common_comparable(box, cand).verdict == SAMPLED
-        assert check_pair_bounds(box, cand).verdict == SAMPLED
-
     @pytest.mark.parametrize("check, name", [
         (check_common_comparable, "common-comparable"),
         (check_pair_bounds, "pair-bounds"),
@@ -399,13 +433,19 @@ class TestProductStructure:
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_exact_box_verdicts_never_contradict_a_sample(self, case):
         # any list holding both corners has the upper corner above every
-        # point and (upper, lower) above every product point
+        # point and (upper, lower) above every product point, so the list
+        # as a finite space under the box's order (and the discrete metric,
+        # which neither check reads) holds too
         box, pts = case
+        pts = list(dict.fromkeys(pts))
+        n = len(pts)
+        sample = FiniteSpace.from_lists(
+            range(n), [[int(i != j) for j in range(n)] for i in range(n)],
+            [[box.leq(p, q) for q in pts] for p in pts],
+        )
         for check in (check_common_comparable, check_pair_bounds):
             assert check(box).verdict == HOLDS
-            rep = check(box, pts)
-            assert (rep.verdict, rep.witness) == (SAMPLED, None)
-            assert rep.sample_size == len(set(pts))
+            assert (check(sample).verdict, check(sample).witness) == (HOLDS, None)
 
 
 @pytest.mark.parametrize("call", [
@@ -424,3 +464,84 @@ def test_nan_epsilon_is_rejected(call):
     cmap = TableMap(space, ((0, 0, 0), (1, 1, 1), (2, 2, 2)))
     with pytest.raises(DomainError, match="epsilon must be positive"):
         call(cmap, float("nan"))
+
+
+def sampled_hops(box, pts, a, epsilon):
+    """Fewest hops from a to each point of a sample holding a, as boxes were
+    searched before they were decided from their shape: a breadth-first
+    search asking ``leq`` and ``distance`` of every pair of sample points."""
+    hops, frontier = {a: 0}, [a]
+    while frontier:
+        step = {}
+        for p in frontier:
+            for q in pts:
+                if q not in hops and box.leq(p, q) and box.distance(p, q) < epsilon:
+                    step[q] = hops[p] + 1
+        hops.update(step)
+        frontier = list(step)
+    return hops
+
+
+def exact_hops(a, b, epsilon):
+    d = sum(map(Fraction, b)) - sum(map(Fraction, a))
+    return math.floor(d / Fraction(epsilon)) + 1 if d else 0
+
+
+@st.composite
+def box_chain_cases(draw):
+    """A box of 1 to 3 dimensions, possibly flat on some axes, two of its
+    points a <= b, an epsilon (at times their distance over a whole number
+    of hops, where rounding decides), and seeded draws from the box."""
+    box, _ = draw(boxes_with_corner_lists())
+    a = tuple(draw(st.floats(lo, hi)) for lo, hi in zip(box.lower, box.upper))
+    b = tuple(draw(st.floats(lo, hi)) for lo, hi in zip(a, box.upper))
+    d = box.distance(a, b)
+    epsilon = draw(st.floats(0.01, 20) | st.integers(1, 40).map(lambda k: d / k))
+    assume(epsilon > 0)
+    draws = box.uniform_points(draw(st.integers(0, 24)), draw(st.integers(0, 99)))
+    return box, a, b, epsilon, draws
+
+
+class TestBoxChains:
+    @given(box_chain_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_segment_is_a_shortest_chain(self, case):
+        box, a, b, epsilon, draws = case
+        ch = find_epsilon_chain(box, a, b, epsilon)
+        ch.validate(box)
+        assert (ch.points[0], ch.points[-1]) == (a, b)
+        n = exact_hops(a, b, epsilon)
+        assert ch.n in (n, n + 1)
+        if exact_hops(box.lower, box.upper, epsilon) > MAX_ITERATIONS:
+            with pytest.raises(DomainError, match="over the cap"):
+                check_epsilon_chainable(box, epsilon)
+        else:
+            assert check_epsilon_chainable(box, epsilon).details["max_n"] >= n
+        # no sampled chain is shorter than the exact count
+        found = sampled_hops(box, list(dict.fromkeys([a, *draws, b])), a, epsilon)
+        assert found.get(b, n) >= n
+
+    @pytest.mark.parametrize("seed", [5, 31])
+    def test_exact_max_n_bounds_every_sampled_count(self, instance_dir, seed):
+        # the documents of the box benchmark, the shipped l1 and l2d, and l1
+        # without its grid, whose 8 draws found at most 3 hops where 4 are
+        # needed
+        root = instance_dir.parent
+        box_documents = runpy.run_path(str(root / "perfbench" / "workloads.py"))[
+            "box_documents"]
+        docs = box_documents(seed, root)
+        for name in ("l1", "l2d"):
+            docs[f"{name}-shipped"] = json.loads((instance_dir / f"{name}.json").read_text())
+        docs["l1-no-grid"] = json.loads(json.dumps(docs["l1-shipped"]))
+        del docs["l1-no-grid"]["space"]["grid_step"]
+        for name, doc in docs.items():
+            inst = parse_instance(doc)
+            eps = inst.params.epsilon
+            pts = sample_points(inst.space, default_plan(inst))
+            sampled = max(max(sampled_hops(inst.space, pts, p, eps).values())
+                          for p in pts)
+            max_n = check_epsilon_chainable(inst.space, eps).details["max_n"]
+            assert max_n == exact_hops(inst.space.lower, inst.space.upper, eps)
+            assert sampled <= max_n, name
+        assert (sampled, max_n) == (3, 4)
+

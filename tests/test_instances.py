@@ -107,6 +107,27 @@ class TestRejections:
             parse_instance(doc)
         assert "surprise" in str(exc.value)
 
+    @pytest.mark.parametrize("make, path, message", [
+        (box_doc, ("space", "grid_stp"), "unknown box space fields: ['grid_stp']"),
+        (finite_doc, ("space", "grid_step"),
+         "unknown finite space fields: ['grid_step']"),
+        (finite_doc, ("map", "formula"), "unknown table map fields: ['formula']"),
+        (box_doc, ("map", "tabel"), "unknown expression map fields: ['tabel']"),
+        (box_doc, ("seeds", "z0"), "unknown seeds fields: ['z0']"),
+        (box_doc, ("parameters", "tolerence"),
+         "unknown parameters fields: ['tolerence']"),
+        (finite_doc, ("declared_flags", "order_limit"),
+         "unknown declared_flags fields: ['order_limit']"),
+    ])
+    def test_rejects_unknown_nested_field(self, make, path, message):
+        # a misspelled key would otherwise drop what it sets: "grid_stp"
+        # the grid, "tolerence" the tolerance
+        doc = make()
+        doc[path[0]][path[1]] = 1
+        with pytest.raises(InvalidInstanceError) as exc:
+            parse_instance(doc)
+        assert (exc.value.field, str(exc.value)) == (".".join(path), message)
+
     def test_rejects_wrong_schema_version(self):
         doc = finite_doc()
         doc["schema_version"] = 2

@@ -11,14 +11,16 @@ from chainfix.pipeline import build_config, run_hypothesis_suite, uncertified
 
 
 def certified_reference(inst, suite) -> bool:
-    # the conjunction build_config evaluated before the policy had a name
+    # the conjunction build_config evaluated before the policy had a name,
+    # where a conclusive contraction report was an exhaustive one; one read
+    # from an affine map's coefficients (mode "exact") is conclusive too
     c = suite["uniform-local-contraction"]
     lam = inst.params.lambda_claimed
     if lam is None and not c.violated and c.lambda_hat is not None:
         lam = c.lambda_hat if c.lambda_hat > 0.0 else 0.5
     return (
         not c.violated
-        and c.mode == "exhaustive"
+        and c.mode in ("exhaustive", "exact")
         and not c.vacuous
         and lam is not None
         and c.lambda_hat is not None
@@ -46,10 +48,10 @@ def test_empty_exactly_when_the_old_conjunction_holds(instance_dir):
     ("chain4", ()),
     ("antichain2", ("uniform-local-contraction",)),  # vacuous scan
     ("f1", ("uniform-local-contraction",)),  # violated
-    # affine: both map hypotheses hold from the coefficients, and a box
-    # proves chainability only on its sample
-    ("l1", ("epsilon-chainable",)),
-    ("l2d", ("epsilon-chainable",)),
+    # affine: both map hypotheses hold from the coefficients, and
+    # chainability from the box
+    ("l1", ()),
+    ("l2d", ()),
 ])
 def test_shipped_instances(instance_dir, name, expected):
     inst = load_instance(instance_dir / f"{name}.json")
@@ -80,14 +82,13 @@ def test_unproven_chainability():
 
 @pytest.mark.parametrize("name", ["l1", "l2d"])
 def test_box_space_hypotheses_are_exact(instance_dir, name):
-    # pair bounds and common comparability are read off the box's shape,
-    # with no bound matrices over a sample
+    # pair bounds, common comparability and chainability are read off the
+    # box's shape, with no sample drawn
     inst = load_instance(instance_dir / f"{name}.json")
-    with mock.patch.object(hypotheses, "_bound_matrices",
-                           wraps=hypotheses._bound_matrices) as bounds:
+    with mock.patch.object(hypotheses, "sample_points",
+                           side_effect=AssertionError):
         suite = run_hypothesis_suite(inst)
-    assert bounds.call_count == 0
-    for hypothesis in ("common-comparable", "pair-bounds"):
+    for hypothesis in ("common-comparable", "pair-bounds", "epsilon-chainable"):
         report = suite[hypothesis]
         assert (report.verdict, report.details["mode"]) == (HOLDS, "exact")
         assert report.sample_size is None

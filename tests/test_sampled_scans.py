@@ -16,7 +16,8 @@ violation lies on a non-covering pair pin that the full scan still reports
 it. The chainability check takes whole arrays; ``reference_chainable`` is
 the per-source breadth-first loop it replaced, and both must give the same
 verdict, witness, ``max_n``, unreachable pairs and ``chain_n`` items in
-order, on finite spaces, explicit candidate lists and box samples.
+order, on finite spaces (a box is decided from its shape, see
+``tests/test_hypotheses.py``).
 """
 
 import random
@@ -438,32 +439,24 @@ def test_box_first_violation_on_a_non_covering_pair():
     assert (rep.witness["x1"], rep.witness["x2"]) == (0.0, 1.0)
 
 
-def reference_chainable(space, epsilon, candidates=None):
+def reference_chainable(space, epsilon):
     """The chainability check as it was written before it took whole
     arrays: one breadth-first search per source point, then the comparable
     targets of that source in index order."""
-    tab = hypotheses._space_tables(space, candidates)
-    cand = tab.pts
-    edges = tab.L & (tab.D < epsilon)
+    edges = space.L & (space.D < epsilon)
     np.fill_diagonal(edges, False)
     adj = [row.nonzero()[0].tolist() for row in edges]
     table, unreachable = {}, []
-    for i, p in enumerate(cand):
-        hops, _ = hypotheses._bfs(adj, i)
-        for j in tab.L[i].nonzero()[0].tolist():
-            q = cand[j]
-            if hops[j] is None:
+    for p in space.points():
+        hops, _ = hypotheses._bfs(adj, p)
+        for q in space.L[p].nonzero()[0].tolist():
+            if hops[q] is None:
                 unreachable.append((p, q))
             else:
-                table[(p, q)] = hops[j]
-    witness = None
-    if unreachable:
-        witness = [point_jsonable(p) for p in unreachable[0]]
-    verdict = SAMPLED
-    if tab.exhaustive:
-        verdict = HOLDS if witness is None else VIOLATED
-    return (verdict, witness, max(table.values(), default=0), tuple(unreachable),
-            list(table.items()))
+                table[(p, q)] = hops[q]
+    witness = list(unreachable[0]) if unreachable else None
+    return (HOLDS if witness is None else VIOLATED, witness,
+            max(table.values(), default=0), tuple(unreachable), list(table.items()))
 
 
 @st.composite
@@ -471,34 +464,22 @@ def chainable_cases(draw):
     # points on a line at small integer positions; 0.1 lies below every
     # nonzero distance, so no two points are linked
     epsilon = draw(st.sampled_from([0.1, 0.6, 1.0, 2.5, 100.0]))
-    if draw(st.booleans()):
-        dim = draw(st.sampled_from([1, 2]))
-        space = BoxSpace((0.0,) * dim, (1.0,) * dim)
-        plan = SamplingPlan(grid_step=draw(st.sampled_from([0.5, 0.25])),
-                            random_count=draw(st.integers(0, 3)),
-                            seed=draw(st.integers(0, 5)))
-        return space, epsilon / 4, sample_points(space, plan)
-    n = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["chain", "random", "antichain"]))
     rng = random.Random(draw(st.integers(0, 2**16)))
     scale = draw(st.sampled_from([1, 0.5, 0.25]))
-    pos = sorted(draw(st.sets(st.integers(0, 9), min_size=n, max_size=n)))
-    space = finite_space(n, kind, rng, [p * scale for p in pos])
-    candidates = None
-    if draw(st.booleans()):  # an explicit list, repeats and all
-        candidates = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
-    return space, epsilon, candidates
+    pos = sorted(draw(st.sets(st.integers(0, 14), min_size=n, max_size=n)))
+    return finite_space(n, kind, rng, [p * scale for p in pos]), epsilon
 
 
 @given(chainable_cases())
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_whole_array_chainability_matches_bfs_loop(case):
-    space, epsilon, candidates = case
-    rep = check_epsilon_chainable(space, epsilon, candidates)
+    space, epsilon = case
+    rep = check_epsilon_chainable(space, epsilon)
     d = rep.details
     assert (rep.verdict, rep.witness, d["max_n"], d["unreachable"],
-            list(d["chain_n"].items())) == reference_chainable(
-                space, epsilon, candidates)
+            list(d["chain_n"].items())) == reference_chainable(space, epsilon)
 
 
 @pytest.mark.parametrize("n", [127, 128, 130])

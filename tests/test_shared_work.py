@@ -1,9 +1,8 @@
 """The work a box solve does once, against the work it replaced.
 
-The suite's chainability report on a box must equal the report for a plain
-list of the sample's points, with the ``chain_n`` items in the same order,
-and a sample over the table budget must be refused by the same check with
-the same message. ``picard_solve`` and ``verify_decay_bound`` walk one orbit
+A box sample over the table budget must be refused by the first map check
+that reads it, and an affine map, which reads no sample, builds no table.
+``picard_solve`` and ``verify_decay_bound`` walk one orbit
 that validates its seeds once and then steps unchecked: their results must
 be bitwise (by ``repr``) what a loop through the validating ``apply`` and
 ``distance`` gives, escapes included; for the decay check that loop steps
@@ -13,7 +12,6 @@ table the benchmark's gate compares with the oracle's.
 """
 
 import math
-import random
 import traceback
 from unittest import mock
 
@@ -22,16 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainfix.errors import EscapeError, SamplingError
-from chainfix.hypotheses import (
-    check_common_comparable,
-    check_epsilon_chainable,
-    check_pair_bounds,
-    sample_points,
-)
+from chainfix.hypotheses import HOLDS, check_epsilon_chainable
 from chainfix.instances import generate_finite_instance, load_instance, parse_instance
-from chainfix.mappings import expression_map
+from chainfix.mappings import ExpressionMap, expression_map
 from chainfix.oracle import min_chain_table
-from chainfix.pipeline import build_config, default_plan, run_hypothesis_suite
+from chainfix.pipeline import build_config, run_hypothesis_suite
 from chainfix.solver import (
     CONVERGED,
     DIVERGED,
@@ -47,15 +40,6 @@ from chainfix.solver import (
     verify_decay_bound,
 )
 from chainfix.spaces import BoxSpace
-
-
-def assert_suite_matches_plain_list(inst):
-    suite = run_hypothesis_suite(inst)["epsilon-chainable"]
-    plain = sample_points(inst.space, default_plan(inst))
-    direct = check_epsilon_chainable(inst.space, inst.params.epsilon, plain)
-    assert suite == direct
-    assert list(suite.details["chain_n"].items()) == list(
-        direct.details["chain_n"].items())
 
 
 def box_doc(dim, formulas, step, epsilon):
@@ -105,17 +89,6 @@ def box_instances(draw):
     return parse_instance(box_doc(dim, formulas, step, epsilon))
 
 
-class TestSharedSample:
-    @pytest.mark.parametrize("name", ["l1", "l2d"])
-    def test_shipped_boxes(self, instance_dir, name):
-        assert_suite_matches_plain_list(load_instance(instance_dir / f"{name}.json"))
-
-    @given(box_instances())
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_generated_box_maps(self, inst):
-        assert_suite_matches_plain_list(inst)
-
-
 def refusing_check(exc_info) -> str:
     """The check function a SamplingError was raised in."""
     names = [frame.name for frame in traceback.extract_tb(exc_info.tb)]
@@ -123,29 +96,36 @@ def refusing_check(exc_info) -> str:
 
 
 class TestOverBudgetSample:
-    # 37 x 37 grid points and 8 draws: 1377 points need 17,065,161 bytes
-    # of order and distance tables, over the budget of 2**24
+    # a 1-D map check takes 17 bytes per pair of sample points: 985 grid
+    # points and 8 draws (993 points, 16,762,833 bytes) fit in 2**24 bytes,
+    # and 986 grid points and 8 draws do not
+    AT_BUDGET, PAST_BUDGET = 1 / 984, 1 / 985
+    # mixed monotone, and its contraction scan stops at the first quadruple
+    CLAMP = "min(1, max(0, 0.5 + x - y))"
+    # 37 x 37 grid points and 8 draws: 1377 points
     STEP = 1 / 36
 
-    def test_affine_map_is_refused_by_the_chainability_check(self):
+    def test_map_checks_at_and_past_the_budget(self):
+        suite = run_hypothesis_suite(
+            parse_instance(box_doc(1, [self.CLAMP], self.AT_BUDGET, 0.6)))
+        assert suite["mixed-monotone"].sample_size == 993
+        contraction = suite["uniform-local-contraction"]
+        assert (contraction.violated, contraction.pairs_tested) == (True, 1)
+        with pytest.raises(SamplingError) as past:
+            run_hypothesis_suite(
+                parse_instance(box_doc(1, [self.CLAMP], self.PAST_BUDGET, 0.6)))
+        assert refusing_check(past) == "check_mixed_monotone"
+        assert past.value.field == "space.grid_step"
+        assert "994 points needs 16796612 bytes" in str(past.value)
+
+    def test_affine_map_builds_no_table(self):
         inst = parse_instance(box_doc(
             2, ["0.25*x1 - 0.25*y1 + 0.5", "0.25*x2 - 0.25*y2 + 0.5"],
             self.STEP, 0.6,
         ))
-        with pytest.raises(SamplingError) as suite:
-            run_hypothesis_suite(inst)
-        assert refusing_check(suite) == "check_epsilon_chainable"
-        plain = sample_points(inst.space, default_plan(inst))
-        with pytest.raises(SamplingError) as direct:
-            check_epsilon_chainable(inst.space, 0.6, plain)
-        assert str(suite.value) == str(direct.value)
-        assert suite.value.field == direct.value.field == "space.grid_step"
-        assert "1377 points needs 17065161 bytes" in str(suite.value)
-        # the other space checks refuse a list of the same points too
-        for check in (check_common_comparable, check_pair_bounds):
-            with pytest.raises(SamplingError) as again:
-                check(inst.space, plain)
-            assert str(again.value) == str(direct.value)
+        with mock.patch.object(ExpressionMap, "_tabulate", side_effect=AssertionError):
+            suite = run_hypothesis_suite(inst)
+        assert {rep.verdict for rep in suite.values()} == {HOLDS}
 
     def test_min_max_map_is_refused_by_the_monotonicity_check(self):
         inst = parse_instance(box_doc(
@@ -323,8 +303,4 @@ class TestChainTable:
     def test_max_n_needs_no_table(self, chain4_path):
         inst = load_instance(chain4_path)
         rep = check_epsilon_chainable(inst.space, inst.params.epsilon)
-        assert rep.details["max_n"] == max(rep.details["chain_n"].values())
-        rng = random.Random(0)
-        cand = [rng.randrange(4) for _ in range(6)]
-        rep = check_epsilon_chainable(inst.space, inst.params.epsilon, cand)
         assert rep.details["max_n"] == max(rep.details["chain_n"].values())

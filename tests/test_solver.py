@@ -168,10 +168,13 @@ class TestDecayReport:
 
     def test_uncertified_hypotheses_are_listed(self, l1_path):
         # the affine map proves monotonicity and contraction from its
-        # coefficients; the box proves chainability only on its sample
+        # coefficients (lambda_hat 0.5) and the box proves chainability, so
+        # only a claimed factor below 0.5 is listed
         inst = load_instance(l1_path)
-        reasons = uncertified(inst, run_hypothesis_suite(inst))
-        assert reasons == ("epsilon-chainable",)
+        assert uncertified(inst, run_hypothesis_suite(inst)) == ()
+        low = inst._replace(params=inst.params._replace(lambda_claimed=0.4))
+        reasons = uncertified(low, run_hypothesis_suite(low))
+        assert reasons == ("uniform-local-contraction",)
 
     def test_escape_stops_the_rows(self):
         # F jumps out of [0, 1] only near x = 0.45, where (0, 1) lands

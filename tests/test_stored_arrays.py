@@ -213,9 +213,6 @@ class TestReadWithoutCopy:
         assert np.shares_memory(tab.L, space.L)
         assert np.shares_memory(tab.D, space.D)
         assert np.shares_memory(tab.images, cmap.T)
-        tab = hypotheses._space_tables(space, None)
-        assert np.shares_memory(tab.L, space.L)
-        assert np.shares_memory(tab.D, space.D)
 
     @pytest.mark.parametrize("sweep, names", [
         (lambda cmap, eps: exhaustive_contraction_check(cmap, eps), "DLT"),
