@@ -5,13 +5,17 @@ from __future__ import annotations
 _SHOWN = 80  # characters of an offending value that a message repeats
 
 
-def clipped_repr(value) -> str:
-    """``repr(value)``; past ``_SHOWN`` characters, its start and its length,
-    so a message about a huge value stays one short line."""
-    text = repr(value)
+def clipped(text: str) -> str:
+    """``text``; past ``_SHOWN`` characters, its start and its length, so a
+    message about a huge value stays one short line."""
     if len(text) <= _SHOWN:
         return text
     return f"{text[:_SHOWN]}... ({len(text)} characters)"
+
+
+def clipped_repr(value) -> str:
+    """``repr(value)``, clipped."""
+    return clipped(repr(value))
 
 
 class ChainfixError(Exception):

@@ -38,8 +38,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .errors import GrammarError, clipped_repr
 
 
@@ -48,8 +47,8 @@ def _first_wins(beats):
     # it beats it strictly, so min(0.0, -0.0) is 0.0 (np.minimum gives -0.0)
     def pick(first, *rest):
         for v in rest:
-            wins = beats(v, first)
-            if isinstance(wins, np.ndarray):
+            wins = beats(v, first)  # a bool at one point; numpy is not asked
+            if type(wins) is not bool and isinstance(wins, np.ndarray):
                 first = np.where(wins, v, first)
             elif wins:
                 first = v
@@ -185,6 +184,8 @@ class CompiledExpression:
         expression reads no variable). Array callers choose how numpy
         reports overflow and invalid operations."""
         value = eval(self.code, _SCOPE, env)
+        if type(value) is float:  # one point; numpy is not asked
+            return value
         return value if isinstance(value, np.ndarray) else float(value)
 
 

@@ -59,8 +59,7 @@ from operator import sub
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .errors import DomainError, SamplingError, clipped_repr
 from .instances import MAX_ITERATIONS
 from .mappings import CoupledMap, ExpressionMap, TableMap

@@ -31,9 +31,14 @@ import json
 import random
 from typing import NamedTuple
 
-import numpy as np
-
-from .errors import DomainError, EscapeError, InvalidInstanceError, clipped_repr
+from ._lazy import numpy as np
+from .errors import (
+    DomainError,
+    EscapeError,
+    InvalidInstanceError,
+    clipped,
+    clipped_repr,
+)
 from .mappings import CoupledMap, ExpressionMap, TableMap, expression_map
 from .spaces import (
     BoxSpace,
@@ -117,9 +122,10 @@ def _known_keys(data: dict, kind: str) -> None:
     unknown = sorted(set(data) - _KEYS[kind])
     if unknown:
         top = kind == "document"
+        key = clipped(unknown[0])
         raise InvalidInstanceError(
             f"unknown {'top-level' if top else kind} fields: {clipped_repr(unknown)}",
-            field=unknown[0] if top else f"{kind.split()[-1]}.{unknown[0]}",
+            field=key if top else f"{kind.split()[-1]}.{key}",
         )
 
 
@@ -509,7 +515,10 @@ def _layout(o, nl: str) -> str:
             f"{_encode(_key(k))}: {_layout(v, inner)}" for k, v in items
         ) + nl + "}"
     if not isinstance(o, (list, tuple)):
-        if isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype.kind in "iu":
+        if (
+            not isinstance(o, (str, int, float, type(None)))  # numpy is not asked
+            and isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype.kind in "iu"
+        ):
             return _int_rows(o, nl)
         return _encode(o)
     if not o:

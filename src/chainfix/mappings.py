@@ -23,8 +23,7 @@ from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Sequence, Union
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .errors import EscapeError, InvalidInstanceError, clipped_repr
 from .expressions import CompiledExpression, parse_expression
 from .spaces import BoxPoint, BoxSpace, FiniteSpace, Point

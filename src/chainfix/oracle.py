@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .errors import DomainError
 from .hypotheses import ContractivityReport
 from .mappings import TableMap

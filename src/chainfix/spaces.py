@@ -35,8 +35,7 @@ from itertools import chain
 from operator import sub
 from typing import Sequence, Union
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .errors import DomainError, InvalidInstanceError, SamplingError, clipped_repr
 
 FinitePoint = int

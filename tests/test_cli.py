@@ -1,5 +1,6 @@
 """Exit codes, JSON shapes, and byte determinism of the command line."""
 
+import ast
 import json
 import os
 import pathlib
@@ -751,6 +752,77 @@ def test_fresh_call_does_not_load_numpy_ma(instance_dir, command, name):
     assert proc.returncode in (0, 1), proc.stderr
     assert json.loads(proc.stdout)
     assert proc.stderr == "[]\n"
+
+
+# prints, at exit, the numpy submodules the child has executed; the lazy
+# `numpy` entry itself is in sys.modules before any numpy code runs
+NUMPY_PROBE = ("import atexit, sys\n"
+               "atexit.register(lambda: print(sorted(m for m in sys.modules "
+               "if m.startswith('numpy.')), file=sys.stderr))\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check",), ("solve",), ("solve", "--trace", "{tmp}/t.jsonl"),
+    ("solve", "--trace", "{tmp}/t.csv", "--trace-format", "csv"),
+    ("verify-lemma",), ("chain", "--from", "{low}", "--to", "{high}"),
+], ids=["check", "solve", "solve-jsonl", "solve-csv", "verify-lemma", "chain"])
+@pytest.mark.parametrize("name, low, high", [("l1", "0", "1"), ("l2d", "0,0", "1,1")])
+def test_affine_box_call_loads_no_numpy(instance_dir, tmp_path, argv, name, low,
+                                        high):
+    # an affine map on a box is decided in exact rationals, so the call
+    # never reads from numpy and never executes it
+    command, *rest = (a.format(tmp=tmp_path, low=low, high=high) for a in argv)
+    proc = run_fresh(command, str(instance_dir / f"{name}.json"), *rest,
+                     probe=NUMPY_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)
+    assert proc.stderr == "[]\n"
+
+
+def test_numpy_probe_sees_a_lazy_load(f1_path):
+    # a finite space is stored as arrays, so check f1 executes numpy
+    proc = run_fresh("check", f1_path, probe=NUMPY_PROBE)
+    assert proc.returncode in (0, 1), proc.stderr
+    loaded = ast.literal_eval(proc.stderr)
+    assert {"numpy._core", "numpy.core"} & set(loaded), loaded
+
+
+def test_numpy_loaded_mid_process_prints_the_same_bytes(capsys, tmp_path, l1_path,
+                                                         f1_path):
+    # a child solves l1 without numpy, then a min/max box map (tabulated with
+    # numpy on its sample) and a finite document, loading numpy in between;
+    # each prints what this process, which imported numpy first, prints
+    doc = json.loads(pathlib.Path(l1_path).read_text())
+    doc["map"]["formula"] = "min(1, max(0, 0.5 + x - y))"
+    clamp = tmp_path / "clamp.json"
+    clamp.write_text(json.dumps(doc))
+    paths = [l1_path, str(clamp), f1_path]
+    probe = ("import sys\n"
+             "from chainfix.cli import run_cli\n"
+             "def loaded():\n"
+             "    return any(m.startswith('numpy.') for m in sys.modules)\n"
+             f"for path in {paths[:2]!r}:\n"
+             "    run_cli(['solve', path])\n"
+             "    print(loaded(), file=sys.stderr)\n"
+             "import atexit\n"
+             "atexit.register(lambda: print(loaded(), file=sys.stderr))\n")
+    proc = run_fresh("solve", f1_path, probe=probe)
+    assert proc.stderr == "False\nTrue\nTrue\n"
+    expected = "".join(run(capsys, "solve", path)[1] for path in paths)
+    assert proc.stdout == expected
+
+
+@pytest.mark.parametrize("where", [None, "space", "seeds"])
+def test_long_unknown_key_is_clipped(capsys, tmp_path, l1_path, where):
+    doc = json.loads(pathlib.Path(l1_path).read_text())
+    (doc[where] if where else doc)["k" * 300_000] = 1
+    path = tmp_path / "long-key.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    prefix = f"{where}." if where else ""
+    assert err.startswith(f"error: {prefix}{'k' * 80}... (300000 characters): unknown ")
+    assert err.count("\n") == 1 and len(err) < 300
 
 
 @pytest.mark.parametrize("where, key", [

@@ -1,6 +1,9 @@
 import ast
 import math
+import os
 import struct
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -31,6 +34,27 @@ def test_min_max_abs():
     expr = parse_expression("min(x, y) + max(x, y) - abs(x - y)", dim=1)
     # min+max-|diff| = 2*min
     assert expr.evaluate({"x": 0.75, "y": 0.25}) == 0.5
+
+
+def test_one_point_is_evaluated_without_numpy():
+    # min, max and abs at a float point settle a Python scalar, so a fresh
+    # process evaluates them without executing numpy, with the builtins' tie
+    # rule: min(0.0, -0.0) is 0.0 and max(-0.0, 0.0) is -0.0
+    code = (
+        "import sys\n"
+        "from chainfix.expressions import parse_expression\n"
+        "expr = parse_expression('min(x, y) + max(y, x) * abs(-x)', dim=1)\n"
+        "values = [expr.evaluate({'x': 0.0, 'y': -0.0}),\n"
+        "          parse_expression('min(x, y)').evaluate({'x': 0.0, 'y': -0.0}),\n"
+        "          parse_expression('max(y, x)').evaluate({'x': 0.0, 'y': -0.0}),\n"
+        "          parse_expression('2').evaluate({})]\n"
+        "print(repr(values), [m for m in sys.modules if m.startswith('numpy.')])\n"
+    )
+    src = os.path.dirname(os.path.dirname(expressions.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=20)
+    assert proc.stdout == "[0.0, 0.0, -0.0, 2.0] []\n", proc.stderr
 
 
 def test_unary_minus():

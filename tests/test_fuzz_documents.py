@@ -1,15 +1,16 @@
 """Mutated documents never crash the command line.
 
 Each case takes one of the five shipped documents and replaces or deletes
-one field or list entry: wrong types, huge, negative and tiny numbers,
-non-finite numbers, empty and nested lists, and values at and past the
-document limits (``MAX_POINTS``, ``GRID_CAP``, ``MAX_ITERATIONS`` and the
-16 MiB budget of a box sample's tables). ``check``, ``solve``, ``oracle``
-and ``verify-lemma`` (also at ``--horizon 3000``) then run in process, and
+one field or list entry, or adds an unknown key of 300,000 characters to
+one object: wrong types, huge, negative and tiny numbers, non-finite
+numbers, empty and nested lists, and values at and past the document
+limits (``MAX_POINTS``, ``GRID_CAP``, ``MAX_ITERATIONS`` and the 16 MiB
+budget of a box sample's tables). ``check``, ``solve``, ``oracle`` and
+``verify-lemma`` (also at ``--horizon 3000``) then run in process, and
 every call must return exit code 0, 1 or 2 without an exception escaping
 ``run_cli``, within a time limit per case. Exit 0 or 1 prints strict JSON
-and nothing on stderr; exit 2 prints nothing on stdout and one ``error: ``
-line on stderr.
+and nothing on stderr; exit 2 prints nothing on stdout and one short
+``error: `` line on stderr.
 """
 
 import json
@@ -34,6 +35,7 @@ COMMANDS = (("check",), ("solve",), ("oracle",), ("verify-lemma",),
 # budget, takes about 3 s on a shared 2-vCPU machine, and a mutated field
 # alone about 10 ms
 CASE_SECONDS = 15.0
+ERROR_BYTES = 500  # an error line repeats a huge value clipped, never whole
 DELETE = object()
 
 # a 1-D box sample is its grid plus 8 seeded draws, and a map check's tables
@@ -87,6 +89,16 @@ def value_at(name, path):
     return node
 
 
+# an unknown key of 300,000 characters, at the top level and in every object
+LONG_KEY = "k" * 300_000
+NEW_KEYS = [
+    (name, prefix + (LONG_KEY,))
+    for name in NAMES
+    for prefix in [()] + list(paths(DOCUMENTS[name]))
+    if isinstance(value_at(name, prefix), dict)
+]
+
+
 # a value from some shipped document keeps more mutants loadable, so that
 # they reach the solver and the decay check
 SHIPPED = st.sampled_from(PATHS).map(lambda target: value_at(*target))
@@ -97,10 +109,10 @@ def mutated(name, path, value):
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    if value is DELETE:
-        del parent[path[-1]]
-    else:
+    if value is not DELETE:
         parent[path[-1]] = value
+    elif isinstance(parent, list) or path[-1] in parent:  # a new key stays out
+        del parent[path[-1]]
     return doc
 
 
@@ -129,6 +141,7 @@ def assert_every_command_exits_cleanly(capsys, path, doc, commands=COMMANDS):
         if code == 2:
             assert out == "", command
             assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+            assert len(err) < ERROR_BYTES, (command, err[:ERROR_BYTES])
         else:
             strict_json(out)
             assert err == "", command
@@ -156,7 +169,8 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
-@given(st.sampled_from(PATHS), st.one_of(st.just(DELETE), VALUES, SHIPPED))
+@given(st.sampled_from(PATHS + NEW_KEYS),
+       st.one_of(st.just(DELETE), VALUES, SHIPPED))
 @settings(max_examples=120, deadline=None, derandomize=True,
           suppress_health_check=["function_scoped_fixture"])
 def test_one_mutated_field(capsys, doc_path, target, value):
