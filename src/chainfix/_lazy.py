@@ -1,10 +1,13 @@
-"""numpy, bound at import and executed on first attribute access.
+"""Modules bound at import and executed on first attribute access.
 
-Finite spaces, table maps, sampled box maps, ``gen`` and the oracle compute
-with numpy; a box document whose map is affine is decided in exact
-rationals and never reads from it, so a call on one starts without
-executing numpy's package code. If numpy is already imported, the imported
-module is used as it is.
+``chainfix/__init__`` registers every chainfix submodule here, so ``import
+chainfix`` runs none of them and a CLI call runs only the modules its
+command reads from. numpy is registered the same way: finite spaces, table
+maps, sampled box maps, ``gen`` and the oracle compute with it, while a box
+document whose map is affine is decided in exact rationals and never
+executes numpy's package code. A registered module is in ``sys.modules``
+(and bound on its package) before any of its code runs; a module that is
+already imported is used as it is.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ def _lazy(name: str):
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
+        package, _, attr = name.rpartition(".")
+        if package:
+            setattr(sys.modules[package], attr, module)
     return module
 
 

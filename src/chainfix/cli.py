@@ -26,35 +26,16 @@ import json
 import math
 import sys
 
+from . import hypotheses, instances, mappings, oracle, pipeline, solver, spaces
 from .errors import ChainfixError, DomainError, clipped_repr
-from .hypotheses import HOLDS, find_epsilon_chain
-from .instances import (
-    MAX_ITERATIONS,
-    canonical_json,
-    dump_instance,
-    generate_finite_instance,
-    load_instance,
-    parse_point,
-)
-from .mappings import TableMap
-from .oracle import oracle_report
-from .pipeline import SUITE_ORDER, _configure, run_hypothesis_suite
-from .solver import (
-    SolveResult,
-    below_bound,
-    collapse_check,
-    picard_solve,
-    verify_decay_bound,
-)
-from .spaces import BoxSpace, point_jsonable
 
 
 def _suite_doc(suite: dict) -> dict:
-    return {name: suite[name].as_dict() for name in SUITE_ORDER}
+    return {name: suite[name].as_dict() for name in pipeline.SUITE_ORDER}
 
 
 def _violated(suite: dict) -> list[str]:
-    return [name for name in SUITE_ORDER if not suite[name].passed]
+    return [name for name in pipeline.SUITE_ORDER if not suite[name].passed]
 
 
 def _write(path: str | None, data: bytes) -> None:
@@ -77,7 +58,7 @@ def _csv_point(pt) -> str:
     return str(pt)
 
 
-def emit_trace(result: SolveResult, fmt: str) -> bytes:
+def emit_trace(result: solver.SolveResult, fmt: str) -> bytes:
     """Iteration trace; row m's eta_step and bound describe the step into m."""
     step_bounds = {row.m: row.bound for row in result.bound_check}
     if fmt == "jsonl":
@@ -85,8 +66,8 @@ def emit_trace(result: SolveResult, fmt: str) -> bytes:
         for row in result.trace:
             doc = {
                 "m": row.m,
-                "x": point_jsonable(row.x),
-                "y": point_jsonable(row.y),
+                "x": spaces.point_jsonable(row.x),
+                "y": spaces.point_jsonable(row.y),
                 "residual": _residual(row.residual),
                 "eta_step": row.eta_step,
                 "bound": step_bounds.get(row.m - 1),
@@ -115,36 +96,36 @@ def emit_trace(result: SolveResult, fmt: str) -> bytes:
 
 
 def cmd_check(args) -> int:
-    inst = load_instance(args.instance)
-    suite = run_hypothesis_suite(inst)
+    inst = instances.load_instance(args.instance)
+    suite = pipeline.run_hypothesis_suite(inst)
     doc = {
         "instance": args.instance,
         "epsilon": inst.params.epsilon,
         "reports": _suite_doc(suite),
         "violated": _violated(suite),
     }
-    _write(args.json, canonical_json(doc))
+    _write(args.json, instances.canonical_json(doc))
     return 1 if doc["violated"] else 0
 
 
 def cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
-    suite = run_hypothesis_suite(inst)
-    cfg, reasons = _configure(inst, suite)
-    result = picard_solve(inst.cmap, inst.x0, inst.y0, cfg)
-    collapse = collapse_check(
+    inst = instances.load_instance(args.instance)
+    suite = pipeline.run_hypothesis_suite(inst)
+    cfg, reasons = pipeline._configure(inst, suite)
+    result = solver.picard_solve(inst.cmap, inst.x0, inst.y0, cfg)
+    collapse = solver.collapse_check(
         result,
         inst.space,
         x0=inst.x0,
         y0=inst.y0,
-        pair_bounds=suite["pair-bounds"].verdict == HOLDS,
+        pair_bounds=suite["pair-bounds"].verdict == hypotheses.HOLDS,
         residual_tolerance=cfg.residual_tolerance,
     )
     doc = {
         "instance": args.instance,
         "status": result.status,
         "fixed_point": (
-            {"x": point_jsonable(result.x), "y": point_jsonable(result.y)}
+            {"x": spaces.point_jsonable(result.x), "y": spaces.point_jsonable(result.y)}
             if result.converged
             else None
         ),
@@ -165,7 +146,7 @@ def cmd_solve(args) -> int:
         "bound": {
             "advisory": not cfg.lambda_certified,
             "all_below": (
-                below_bound(result.bound_check) if result.bound_check else None
+                solver.below_bound(result.bound_check) if result.bound_check else None
             ),
             "rows": [[r.m, r.observed, r.bound] for r in result.bound_check],
         },
@@ -176,7 +157,7 @@ def cmd_solve(args) -> int:
             "mode": collapse.mode,
         },
     }
-    _write(args.json, canonical_json(doc))
+    _write(args.json, instances.canonical_json(doc))
     if args.trace:
         _write(args.trace, emit_trace(result, args.trace_format))
     return 1 if doc["violated"] or not result.converged else 0
@@ -184,7 +165,7 @@ def cmd_solve(args) -> int:
 
 def _cli_point(space, text: str, what: str):
     raw = text
-    if isinstance(space, BoxSpace):
+    if isinstance(space, spaces.BoxSpace):
         try:
             raw = [float(part) for part in text.split(",")]
         except ValueError:
@@ -197,7 +178,7 @@ def _cli_point(space, text: str, what: str):
             raw = int(text)
         except ValueError:
             pass  # reported as an unknown label
-    return parse_point(space, raw, what)
+    return instances.parse_point(space, raw, what)
 
 
 def _epsilon_arg(text: str) -> float:
@@ -219,19 +200,19 @@ def _horizon_arg(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {shown}") from None
-    if not 0 <= value <= MAX_ITERATIONS:
+    if not 0 <= value <= instances.MAX_ITERATIONS:
         raise argparse.ArgumentTypeError(
-            f"must lie in [0, {MAX_ITERATIONS}], got {shown}"
+            f"must lie in [0, {instances.MAX_ITERATIONS}], got {shown}"
         )
     return value
 
 
 def cmd_chain(args) -> int:
-    inst = load_instance(args.instance)
+    inst = instances.load_instance(args.instance)
     eps = args.eps if args.eps is not None else inst.params.epsilon
     src = _cli_point(inst.space, args.src, "--from")
     dst = _cli_point(inst.space, args.dst, "--to")
-    chain = find_epsilon_chain(inst.space, src, dst, eps)
+    chain = hypotheses.find_epsilon_chain(inst.space, src, dst, eps)
     if chain is None:
         doc = {"found": False, "epsilon": eps, "n": None, "points": None}
     else:
@@ -240,17 +221,17 @@ def cmd_chain(args) -> int:
             "found": True,
             "epsilon": eps,
             "n": chain.n,
-            "points": [point_jsonable(p) for p in chain.points],
+            "points": [spaces.point_jsonable(p) for p in chain.points],
         }
-    _write(args.json, canonical_json(doc))
+    _write(args.json, instances.canonical_json(doc))
     return 0 if chain is not None else 1
 
 
 def cmd_oracle(args) -> int:
-    inst = load_instance(args.instance)
-    if not isinstance(inst.cmap, TableMap):
+    inst = instances.load_instance(args.instance)
+    if not isinstance(inst.cmap, mappings.TableMap):
         raise DomainError("the oracle is exhaustive and needs a finite instance")
-    rep = oracle_report(inst.cmap, inst.params.epsilon)
+    rep = oracle.oracle_report(inst.cmap, inst.params.epsilon)
     doc = {
         "instance": args.instance,
         "epsilon": inst.params.epsilon,
@@ -262,22 +243,22 @@ def cmd_oracle(args) -> int:
             "table": rep.chain_table,
         },
     }
-    _write(args.json, canonical_json(doc))
+    _write(args.json, instances.canonical_json(doc))
     return 1 if rep.contraction.violated or rep.unreachable else 0
 
 
 def cmd_verify_lemma(args) -> int:
-    inst = load_instance(args.instance)
-    suite = run_hypothesis_suite(inst)
-    cfg, reasons = _configure(inst, suite)
+    inst = instances.load_instance(args.instance)
+    suite = pipeline.run_hypothesis_suite(inst)
+    cfg, reasons = pipeline._configure(inst, suite)
     fx = inst.cmap.apply(inst.x0, inst.y0)
     fy = inst.cmap.apply(inst.y0, inst.x0)
     chain_up = chain_down = None
     if "seed-condition" not in reasons:
         eps = inst.params.epsilon
-        chain_up = find_epsilon_chain(inst.space, inst.x0, fx, eps)
-        chain_down = find_epsilon_chain(inst.space, fy, inst.y0, eps)
-    report = verify_decay_bound(
+        chain_up = hypotheses.find_epsilon_chain(inst.space, inst.x0, fx, eps)
+        chain_down = hypotheses.find_epsilon_chain(inst.space, fy, inst.y0, eps)
+    report = solver.verify_decay_bound(
         inst.cmap, (inst.x0, inst.y0), cfg, horizon=args.horizon,
         chain_up=chain_up, chain_down=chain_down,
     )
@@ -295,7 +276,7 @@ def cmd_verify_lemma(args) -> int:
             [m, obs, None if math.isnan(b) else b] for m, obs, b in report.rows
         ],
     }
-    _write(args.json, canonical_json(doc))
+    _write(args.json, instances.canonical_json(doc))
     if report.escaped_at is not None:
         return 1
     if report.all_below_bound is False and not advisory:
@@ -304,8 +285,8 @@ def cmd_verify_lemma(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    inst = generate_finite_instance(args.seed, args.size)
-    _write(args.out, dump_instance(inst))
+    inst = instances.generate_finite_instance(args.seed, args.size)
+    _write(args.out, instances.dump_instance(inst))
     return 0
 
 

@@ -25,11 +25,11 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 from ._lazy import numpy as np
 from .errors import EscapeError, InvalidInstanceError, clipped_repr
-from .expressions import CompiledExpression, parse_expression
 from .spaces import BoxPoint, BoxSpace, FiniteSpace, Point
 
 if TYPE_CHECKING:
     from .affine import AffineMap
+    from .expressions import CompiledExpression
 
 _BLOCK = 1 << 16  # point pairs evaluated at once by ExpressionMap.tabulate
 
@@ -187,6 +187,8 @@ CoupledMap = Union[TableMap, ExpressionMap]
 
 def expression_map(space: BoxSpace, sources: Union[str, Sequence[str]]) -> ExpressionMap:
     """Compile one expression per output coordinate (a single string for 1-D)."""
+    from .expressions import parse_expression  # for expression maps only
+
     if isinstance(sources, str):
         sources = [sources]
     components = tuple(parse_expression(s, space.dim) for s in sources)

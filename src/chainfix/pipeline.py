@@ -8,6 +8,8 @@ sample. On a finite space every check enumerates the whole space.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .hypotheses import (
     HOLDS,
     SamplingPlan,
@@ -19,7 +21,9 @@ from .hypotheses import (
     estimate_contraction,
 )
 from .instances import Instance
-from .solver import SolveConfig
+
+if TYPE_CHECKING:
+    from .solver import SolveConfig
 
 SUITE_ORDER = (
     "mixed-monotone",
@@ -80,7 +84,10 @@ def build_config(inst: Instance, suite: dict) -> SolveConfig:
 
 
 def _configure(inst: Instance, suite: dict) -> tuple[SolveConfig, tuple[str, ...]]:
-    # build_config's configuration and the ``uncertified`` names it rests on
+    # build_config's configuration and the ``uncertified`` names it rests on;
+    # the solver runs only for a command that configures it, not for ``check``
+    from .solver import SolveConfig
+
     reasons = uncertified(inst, suite)
     chainable = suite["epsilon-chainable"]
     chain_n = None

@@ -17,6 +17,21 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
+# a formula of each depth: "x" after N "+0", or after N minus signs, has
+# depth N + 1, each "-min(" adds two levels, and "x/(...)" one level above
+# its constant denominator
+@pytest.fixture(params=[
+    lambda depth: "x" + "+0" * (depth - 1),
+    lambda depth: "-" * (depth - 1) + "x",
+    lambda depth: "-" * ((depth - 1) % 2) + "-min(" * ((depth - 1) // 2) + "x"
+    + ", y)" * ((depth - 1) // 2),
+    lambda depth: "x/(1" + "+0" * (depth - 2) + ")",
+], ids=["sum", "unary-minus", "nested-min", "denominator"])
+def nested_formula(request):
+    """A 1-D formula in x and y of the depth it is called with."""
+    return request.param
+
+
 @pytest.fixture(scope="session")
 def instance_dir() -> pathlib.Path:
     return INSTANCES

@@ -787,6 +787,61 @@ def test_numpy_probe_sees_a_lazy_load(f1_path):
     assert {"numpy._core", "numpy.core"} & set(loaded), loaded
 
 
+# prints, at exit, the chainfix modules the child has run; a module that is
+# registered but never read from keeps its lazy subclass, and type() (unlike
+# an attribute read) does not run it
+MODULE_PROBE = ("import atexit, sys, types\n"
+                "atexit.register(lambda: print(sorted(m[9:] for m, v in "
+                "list(sys.modules.items()) if m.startswith('chainfix.') "
+                "and type(v) is types.ModuleType), file=sys.stderr))\n")
+STARTUP = {"_lazy", "cli", "errors"}  # what every call runs
+LOADING = {"instances", "mappings", "spaces"}  # reading a finite document
+BOX_LOADING = LOADING | {"expressions", "affine"}  # reading a box document
+# past loading the document: check runs no solver, chain and oracle run no
+# solver or pipeline, and only oracle runs the oracle
+COMMAND_RUNS = {
+    "check": {"hypotheses", "pipeline"},
+    "solve": {"hypotheses", "pipeline", "solver"},
+    "verify-lemma": {"hypotheses", "pipeline", "solver"},
+    "chain": {"hypotheses"},
+    "oracle": {"hypotheses", "oracle"},
+}
+CHAIN_ARGS = {"f1": ("--from", "a", "--to", "d"),
+              "l2d": ("--from", "0,0", "--to", "1,1")}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_RUNS))
+@pytest.mark.parametrize("name", ["f1", "l2d"])
+def test_each_command_runs_only_the_modules_it_uses(instance_dir, command, name):
+    rest = CHAIN_ARGS[name] if command == "chain" else ()
+    proc = run_fresh(command, str(instance_dir / f"{name}.json"), *rest,
+                     probe=MODULE_PROBE)
+    ran = set(ast.literal_eval(proc.stderr.splitlines()[-1]))
+    if name == "l2d" and command == "oracle":
+        # refused once the document is read, before the oracle runs
+        assert proc.returncode == 2
+        assert ran == STARTUP | BOX_LOADING
+        return
+    assert proc.returncode in (0, 1), proc.stderr
+    assert json.loads(proc.stdout)
+    # a finite document compiles neither expressions nor affine
+    loading = LOADING if name == "f1" else BOX_LOADING
+    assert ran == STARTUP | loading | COMMAND_RUNS[command]
+
+
+@pytest.mark.parametrize("argv, code, ran", [
+    # gen runs no hypotheses, solver, pipeline or oracle code
+    (("gen", "--seed", "3", "--size", "8"), 0, STARTUP | LOADING),
+    (("--help",), 0, STARTUP),
+    (("check",), 2, STARTUP),  # argparse errors
+    (("solve", "x.json", "--trace-format", "xml"), 2, STARTUP),
+], ids=["gen", "help", "missing-argument", "bad-choice"])
+def test_gen_help_and_argument_errors_run_only_what_they_use(argv, code, ran):
+    proc = run_fresh(*argv, probe=MODULE_PROBE)
+    assert proc.returncode == code, proc.stderr
+    assert set(ast.literal_eval(proc.stderr.splitlines()[-1])) == ran
+
+
 def test_numpy_loaded_mid_process_prints_the_same_bytes(capsys, tmp_path, l1_path,
                                                          f1_path):
     # a child solves l1 without numpy, then a min/max box map (tabulated with

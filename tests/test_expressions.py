@@ -164,18 +164,8 @@ def _outcome(source):
     return "accepted", expr.evaluate({"x": 0.25, "y": 0.5})
 
 
-# a formula of each depth: "x" after N "+0", or after N minus signs, has
-# depth N + 1, each "-min(" adds two levels, and "x/(...)" one level above
-# its constant denominator
-@pytest.mark.parametrize("build", [
-    lambda depth: "x" + "+0" * (depth - 1),
-    lambda depth: "-" * (depth - 1) + "x",
-    lambda depth: "-" * ((depth - 1) % 2) + "-min(" * ((depth - 1) // 2) + "x"
-    + ", y)" * ((depth - 1) // 2),
-    lambda depth: "x/(1" + "+0" * (depth - 2) + ")",
-], ids=["sum", "unary-minus", "nested-min", "denominator"])
-def test_depth_limit_is_the_same_from_any_caller(build):
-    at_limit, past_limit = build(MAX_DEPTH), build(MAX_DEPTH + 1)
+def test_depth_limit_is_the_same_from_any_caller(nested_formula):
+    at_limit, past_limit = nested_formula(MAX_DEPTH), nested_formula(MAX_DEPTH + 1)
     for frames in (0, 500):
         assert _deeper(frames, lambda: _outcome(at_limit))[0] == "accepted"
         assert _deeper(frames, lambda: _outcome(past_limit)) == (

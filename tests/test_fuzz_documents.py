@@ -4,8 +4,9 @@ Each case takes one of the five shipped documents and replaces or deletes
 one field or list entry, or adds an unknown key of 300,000 characters to
 one object: wrong types, huge, negative and tiny numbers, non-finite
 numbers, empty and nested lists, and values at and past the document
-limits (``MAX_POINTS``, ``GRID_CAP``, ``MAX_ITERATIONS`` and the 16 MiB
-budget of a box sample's tables). ``check``, ``solve``, ``oracle`` and
+limits (``MAX_POINTS``, ``GRID_CAP``, ``MAX_ITERATIONS``, the 16 MiB
+budget of a box sample's tables and a formula's ``MAX_DEPTH``).
+``check``, ``solve``, ``oracle`` and
 ``verify-lemma`` (also at ``--horizon 3000``) then run in process, and
 every call must return exit code 0, 1 or 2 without an exception escaping
 ``run_cli``, within a time limit per case. Exit 0 or 1 prints strict JSON
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainfix.cli import run_cli
+from chainfix.expressions import MAX_DEPTH
 from chainfix.instances import MAX_ITERATIONS, MAX_POINTS
 from chainfix.spaces import GRID_CAP
 
@@ -211,3 +213,24 @@ def test_commands_agree_on_the_table_budget(capsys, doc_path, step):
         capsys, doc_path, clamped(step), [("check",), ("solve",), ("verify-lemma",)])
     refused = [err for code, err in results if code == 2]
     assert refused == ([] if step == AT_BUDGET else [results[0][1]] * 3)
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1, 50_000])
+def test_formulas_at_and_past_the_depth_limit(capsys, doc_path, nested_formula,
+                                              depth):
+    # on [-1, 1] each construct maps the box into itself, so a formula at
+    # the limit loads and gets a verdict, and a deeper one is refused
+    doc = mutated("l1", ("map", "formula"), nested_formula(depth))
+    doc["space"].update(lower=[-1], upper=[1])
+    doc["seeds"] = {"x0": -1, "y0": 1}
+    results = assert_every_command_exits_cleanly(
+        capsys, doc_path, doc, [("check",), ("solve",), ("verify-lemma",)])
+    for code, err in results:
+        if depth == MAX_DEPTH:
+            assert code in (0, 1)
+        else:
+            # 50,000 nested calls are already past the Python parser's own
+            # limit on parentheses, which is reported on the same line
+            assert code == 2
+            assert err.startswith("error: map.formula: ") and "Traceback" not in err
+            assert depth > MAX_DEPTH + 1 or "nests too deeply" in err

@@ -4,7 +4,14 @@ The list is pinned name by name, so adding or deleting a public name is a
 visible API change here rather than a silent one.
 """
 
+import ast
+import os
+import pathlib
+import subprocess
+import sys
 import types
+
+import pytest
 
 import chainfix
 from chainfix.spaces import BoxSpace, FiniteSpace
@@ -42,13 +49,71 @@ def test_every_public_name_resolves_once():
         assert getattr(chainfix, name) is not None
 
 
+def _exported():
+    # public names are read from their submodules on access (PEP 562), so
+    # they are listed by dir(), not held in vars()
+    return {
+        name for name in dir(chainfix)
+        if not name.startswith("_")
+        and not isinstance(getattr(chainfix, name), types.ModuleType)
+    }
+
+
 def test_public_names_are_exactly_the_pinned_ones():
     assert set(chainfix.__all__) == PUBLIC
-    exported = {
-        name for name, value in vars(chainfix).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert exported == PUBLIC
+    assert _exported() == PUBLIC
+    for name in chainfix.__all__:
+        getattr(chainfix, name)
+    assert _exported() == PUBLIC
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        chainfix.no_such_name
+    assert not hasattr(chainfix, "solve")
+
+
+def test_star_import_binds_every_public_name():
+    scope = {}
+    exec("from chainfix import *", scope)
+    assert set(scope) - {"__builtins__"} == PUBLIC
+    assert scope["picard_solve"] is sys.modules["chainfix.solver"].picard_solve
+
+
+PATCH_PROBE = """
+import os, sys, types
+sys.path.insert(0, sys.argv[1])
+import layers
+import chainfix, chainfix.cli
+names = {m for m, _ in layers.SPANS.values()}
+names |= {t[0] for ts in layers.COUNTERS.values() for t in ts}
+print({m: m in sys.modules and (
+    "ran" if type(sys.modules[m]) is types.ModuleType else "lazy") for m in names})
+rec = layers.Recorder()
+rec.install_spans()
+chainfix.cli.run_cli(["solve", sys.argv[2], "--json", os.devnull])
+print(sorted(rec.self_s))
+"""
+
+
+def test_benchmark_patches_modules_that_have_not_run(l1_path):
+    # perfbench/layers.py finds each module it wraps through sys.modules:
+    # importing the package and the CLI registers every one of them and runs
+    # none but the CLI itself (type() is the lazy subclass until first
+    # access), and the wrappers installed then time a later call
+    root = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", PATCH_PROBE, str(root / "perfbench"), l1_path],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    states, spans = map(ast.literal_eval, proc.stdout.splitlines())
+    assert {"chainfix.cli", "chainfix.hypotheses", "chainfix.solver",
+            "chainfix.oracle", "chainfix.expressions"} <= set(states)
+    assert states == {m: "ran" if m == "chainfix.cli" else "lazy" for m in states}
+    assert {"cli.solve", "instances.parse", "hypotheses.contraction",
+            "solver.picard"} <= set(spans)
 
 
 def test_membership_is_asked_of_boxes_only():
