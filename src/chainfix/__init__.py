@@ -3,8 +3,8 @@
 The package splits into layers: ``spaces`` and ``mappings`` model the ground
 objects, ``hypotheses`` checks the assumptions the theory needs (with
 conclusive verdicts on finite spaces, from a box's shape for its space
-hypotheses, and from its coefficients for an affine box map; sampled ones
-otherwise for a box map), ``solver``
+hypotheses, and from its formula for a box map that it bounds; sampled
+ones otherwise for a box map), ``solver``
 runs the coupled iteration with a certified step-decay bound, ``oracle``
 recomputes everything on finite instances through an independent vectorized
 route, ``pipeline`` chains the checks into a solver configuration, and

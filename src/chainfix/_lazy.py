@@ -4,10 +4,10 @@
 chainfix`` runs none of them and a CLI call runs only the modules its
 command reads from. numpy is registered the same way: finite spaces, table
 maps, sampled box maps, ``gen`` and the oracle compute with it, while a box
-document whose map is affine is decided in exact rationals and never
-executes numpy's package code. A registered module is in ``sys.modules``
-(and bound on its package) before any of its code runs; a module that is
-already imported is used as it is.
+document whose map its formula decides (``chainfix.affine``) is decided in
+exact rationals and never executes numpy's package code. A registered
+module is in ``sys.modules`` (and bound on its package) before any of its
+code runs; a module that is already imported is used as it is.
 """
 
 from __future__ import annotations

@@ -1,15 +1,38 @@
-"""Exact analysis of affine box maps, F(x, y) = A x - B y + c.
+"""Box maps decided from their formula, in one fold over its post-order.
 
-A component built from ``+ - *`` and division by constants, with no
-``min``, ``max`` or ``abs``, is affine in the box coordinates. Its
-coefficients are read here, in one pass over the post-order that
-``chainfix.expressions`` keeps from checking it, as exact rationals over
-the literals' float values, together with a bound on how far float64
-evaluation can stray from them on the box. From A and B alone:
+A component built from ``+ - *``, division by constants and the calls
+``min``, ``max`` and ``abs`` is read here in one pass over the post-order
+that ``chainfix.expressions`` keeps from checking it. For each node the
+fold keeps an exact rational interval for each partial derivative, an
+exact rational enclosure of its value on the box, and a bound E on how far
+float64 evaluation can stray from that value. The intervals follow Clarke's
+generalized gradient (F. H. Clarke, *Optimization and Nonsmooth Analysis*,
+1983), which the product of a node's intervals contains:
 
-* mixed monotonicity holds when A, B >= 0;
-* the contraction ratio's supremum over the whole box is
-  2 max(column sums of |A| and of |B|), over the axes of nonzero width.
+* a variable has slope 1 on its own axis, a literal slope 0;
+* ``+`` and ``-`` add the intervals, a constant factor or divisor scales
+  them;
+* ``min`` and ``max`` take their arguments' hull, since the gradient of
+  min(f, g) lies in the convex hull of those of f and g;
+* ``abs`` keeps or flips the sign of its argument where the argument's
+  range excludes 0, else takes the hull of d and -d.
+
+A product of two factors that both read a variable is not read, and the
+sampled route decides its map. A node with no call on a variable is
+affine: its coefficients and constant are kept as exact rationals over the
+literals' float values, and its intervals are those coefficients as points.
+A call whose arguments read no variable is a constant.
+
+By Lebourg's mean value theorem, F_i(q) - F_i(p) = <z, q - p> for box
+points p, q and some z in the product of F_i's intervals (at a point
+between them inside the box, and on its faces by continuity). So, with
+c_ij = max(|lo|, |hi|) for component i and variable j:
+
+* mixed monotonicity holds when every x-interval has lo >= 0 and every
+  y-interval has hi <= 0;
+* the contraction ratio is at most 2 max(column sums of c), over the axes
+  of nonzero width. For an affine map, F(x, y) = A x - B y + c, that is
+  2 max(column sums of |A| and of |B|), the ratio's supremum, attained.
 
 The rounding bound follows the standard model of float64 arithmetic: an
 operation whose exact result is z returns z(1 + d) + e with |d| <= u = 2**-53
@@ -24,16 +47,18 @@ error. A variable or a literal has E = 0. Then:
   E' = (E_a + S_a E_b / |b|) / (|b| - E_b). This needs |b| - E_b > 0, since
   the rounded divisor then lies that far from zero.
 
-In each case the node's bound is E = E_operands + u z + 2**-1074.
+In each case the node's bound is E = E_operands + u z + 2**-1074. ``min``,
+``max`` and ``abs`` are exact in float64 and move their result no further
+than their arguments move, so their E is the largest E among the arguments.
 
-Only the affine form itself is exact: the coefficients and the constant,
-hence A, B and c (``fractions.Fraction``). S, |b| and E are evaluated in
-float64 with directed rounding. Each operation takes the float nearest its
-exact result, then steps one float up with ``math.nextafter`` when an exact
-check shows that the nearest float fell below the exact result. The check
-is Knuth's two-sum for a sum and integer ratios for a product or a
-quotient. So each step returns the smallest float at or above its exact
-result. The divisor |b| and the margin |b| - E_b are rounded down instead.
+Only the slopes, ranges and constants are exact (``fractions.Fraction``). S,
+|b| and E are evaluated in float64 with directed rounding. Each operation
+takes the float nearest its exact result, then steps one float up with
+``math.nextafter`` when an exact check shows that the nearest float fell
+below the exact result. The check is Knuth's two-sum for a sum and integer
+ratios for a product or a quotient. So each step returns the smallest float
+at or above its exact result. The divisor |b| and the margin |b| - E_b are
+rounded down instead.
 
 This is sound. Each formula above rises with every S and E and with a
 factor |b|, and falls as the divisor or the margin grows. So, by induction
@@ -43,24 +68,26 @@ rationals.
 
 Three choices keep the float bound close to the exact one:
 
-* Where a sum can cancel, a magnitude is read from the exact coefficient
+* An affine node reads S as |constant| + sum |coefficient| |reach|, and
+  where a sum can cancel, a magnitude is read from the exact coefficient
   and rounded up. A product or a quotient instead scales the magnitude its
-  operand carries.
+  operand carries. Any other node reads S from its range enclosure.
 * E is held as e + t 2**-1074, with e and t floats. So the 2**-1074 terms
   keep their exact weight instead of being rounded to the subnormal
   spacing. t moves into e once t 2**-1074 is a normal float.
 * A part of e that would fall below the normal range is counted in t.
 
-With every divisor a normal float, the float bound exceeds the rational one
-by a factor below 1 + 2**-40 (``tests/test_affine_route.py`` compares them).
-An intermediate past the float range leaves the component unread, as an
-overflow would, and so does a divisor whose margin is not positive; since
-the floats lie a little above the exact values, a component that only just
-fits the float range may be refused where exact rationals would not refuse
-it. Only where low and high are compared with the box faces is E turned
-into one exact rational, e + t 2**-1074.
+With every divisor a normal float, the float bound of an affine component
+exceeds the rational one by a factor below 1 + 2**-40
+(``tests/test_affine_route.py`` compares them). An intermediate past the
+float range leaves the component unread, as an overflow would, and so does
+a divisor whose margin is not positive; since the floats lie a little above
+the exact values, a component that only just fits the float range may be
+refused where exact rationals would not refuse it. Only where low and high
+are compared with the box faces is E turned into one exact rational,
+e + t 2**-1074.
 
-``ExpressionMap.affine`` imports this module on first use, so ``fractions``
+``ExpressionMap.form`` imports this module on first use, so ``fractions``
 (and the ``decimal`` module it loads) is never imported for a finite
 instance, and neither is this module.
 """
@@ -79,6 +106,20 @@ if TYPE_CHECKING:
     from .spaces import BoxSpace
 
 
+class Form(NamedTuple):
+    """What the fold proves about one component on a box: each partial
+    derivative lies in ``slopes[v]`` = (lo, hi), for every variable whose
+    derivative may be nonzero, and float64 evaluation stays within
+    ``error`` of the exact value and inside [``low``, ``high``]. ``const``
+    is the exact constant of an affine component, else None."""
+
+    slopes: Mapping[str, tuple[Fraction, Fraction]]
+    const: Fraction | None
+    error: Fraction
+    low: Fraction
+    high: Fraction
+
+
 class AffineForm(NamedTuple):
     """``sum(coef[v] * v) + const`` in exact rationals over the literals'
     float values. On the box it was read for, float64 evaluation stays
@@ -91,7 +132,7 @@ class AffineForm(NamedTuple):
     high: Fraction
 
 
-class _NotAffine(Exception):
+class _NotRead(Exception):
     pass
 
 
@@ -207,9 +248,30 @@ _ZERO = (0.0, 0.0)
 _ONE, _NIL = Fraction(1), Fraction(0)
 
 
+def _round_off(size: float, error):
+    """The bound of one rounded operation whose exact result is at most
+    ``size`` in magnitude and whose operands carry ``error``: z is at most
+    size + E, and the node's bound is E + u z + 2**-1074."""
+    e, t = error
+    s = _add(size, e)
+    if t:
+        _add(s, _mul(t, _TINY))  # z: OverflowError past the float range
+        t = _add(t, _mul(_UNIT, t))
+    if s * _UNIT >= _SMALL:  # exact: a power of two times a float
+        e = _add(e, s * _UNIT)
+    else:  # below the normal range: u s = (s 2**1021) 2**-1074, exactly
+        t = _add(t, math.ldexp(s, 1021))
+    return _fold(e, _add(t, 1.0))
+
+
+def _widest(p, q):
+    """A bound at least both bounds p and q."""
+    return max(p[0], q[0]), max(p[1], q[1])
+
+
 class _Node(NamedTuple):
-    """A subexpression read so far: its exact affine form, and float upper
-    bounds on |coef[v]| reach[v] (``terms``), on |const|, on their sum
+    """An affine subexpression read so far: its exact affine form, and float
+    upper bounds on |coef[v]| reach[v] (``terms``), on |const|, on their sum
     (``size``, the largest |exact value| on the box) and on its error."""
 
     coef: dict
@@ -220,40 +282,69 @@ class _Node(NamedTuple):
     error: tuple
 
 
-def affine_form(
+class _Hull(NamedTuple):
+    """A subexpression with a call on a variable in it: exact bounds (lo, hi)
+    on each partial derivative that may be nonzero, an exact enclosure
+    [low, high] of its value on the box, and float upper bounds on its
+    largest |exact value| and on its error."""
+
+    slopes: dict
+    low: Fraction
+    high: Fraction
+    size: float
+    error: tuple
+
+
+def _reads(a) -> bool:
+    return isinstance(a, _Hull) or bool(a.coef)
+
+
+def _negated(a):
+    if isinstance(a, _Node):
+        return a._replace(coef={v: -k for v, k in a.coef.items()}, const=-a.const)
+    return a._replace(slopes={v: (-hi, -lo) for v, (lo, hi) in a.slopes.items()},
+                      low=-a.high, high=-a.low)
+
+
+def _scaled(a: _Hull, q: Fraction) -> tuple:
+    """The slopes and the range of ``a`` times q."""
+    if not q:
+        return {}, _NIL, _NIL
+    slopes = {v: (lo * q, hi * q) for v, (lo, hi) in a.slopes.items()}
+    low, high = a.low * q, a.high * q
+    if q < 0:
+        slopes = {v: (hi, lo) for v, (lo, hi) in slopes.items()}
+        low, high = high, low
+    return slopes, low, high
+
+
+def _rounded_hull(slopes, low, high, error) -> _Hull:
+    # the node of one rounded operation on a subexpression with a call in it
+    size = _magnitude(max(high, -low))
+    return _Hull(slopes, low, high, size, _round_off(size, error))
+
+
+def component_form(
     expr: CompiledExpression, bounds: Mapping[str, tuple[float, float]]
-) -> AffineForm | None:
-    """``expr`` as an affine form on the box ``bounds`` (variable -> (lo, hi)),
-    or None when it is not affine (a ``min``/``max``/``abs`` call, or a
-    product of two terms that both read a variable), or when its evaluation,
-    or a bound on it, might overflow there; the sampled route then decides
-    it.
+) -> Form | None:
+    """What the fold proves about ``expr`` on the box ``bounds`` (variable ->
+    (lo, hi)), or None when it reads a product of two factors that both
+    read a variable, or when its evaluation, or a bound on it, might
+    overflow there; the sampled route then decides it.
 
     ``error`` is the module's rounding bound, computed in upward-rounded
     float64 and so never below the same bound in exact rationals; ``low``
-    and ``high`` widen the exact range over the box by it. It folds the
-    parser's post-order of the tree in one loop, so how deeply a formula
-    nests never changes the answer.
+    and ``high`` widen the exact range enclosure over the box by it. It
+    folds the parser's post-order of the tree in one loop, so how deeply a
+    formula nests never changes the answer.
     """
     reach = {v: max(abs(lo), abs(hi)) for v, (lo, hi) in bounds.items()}
 
     def rounded(coef, terms, const, cmag, error) -> _Node:
-        # the node of one rounded operation with this exact result, whose
-        # operands carry ``error``: z is at most size + E, and the node's
-        # bound is E + u z + 2**-1074
         size = cmag
         for w in terms.values():
             size = _add(size, w)
-        e, t = error
-        s = _add(size, e)
-        if t:
-            _add(s, _mul(t, _TINY))  # z: OverflowError past the float range
-            t = _add(t, _mul(_UNIT, t))
-        if s * _UNIT >= _SMALL:  # exact: a power of two times a float
-            e = _add(e, s * _UNIT)
-        else:  # below the normal range: u s = (s 2**1021) 2**-1074, exactly
-            t = _add(t, math.ldexp(s, 1021))
-        return _Node(coef, terms, const, cmag, size, _fold(e, _add(t, 1.0)))
+        return _Node(coef, terms, const, cmag, size, _round_off(size, error))
 
     def term(v: str, k: Fraction) -> float:
         r = reach[v]
@@ -264,9 +355,39 @@ def affine_form(
         except OverflowError:  # |k| is past the float range, |k| r may not be
             return _magnitude(k * Fraction(r))
 
-    def combine(op, a: _Node, b: _Node) -> _Node:
+    def span(coef, const) -> tuple[Fraction, Fraction]:
+        # the exact range of an affine form over the box
+        low = high = const
+        for v, k in coef.items():
+            lo, hi = bounds[v]
+            if k.numerator < 0:
+                lo, hi = hi, lo
+            if lo:
+                low += k * Fraction(lo)
+            if hi:
+                high += k * Fraction(hi)
+        return low, high
+
+    def hull(a) -> _Hull:
+        if isinstance(a, _Hull):
+            return a
+        slopes = {v: (k, k) for v, k in a.coef.items()}
+        return _Hull(slopes, *span(a.coef, a.const), a.size, a.error)
+
+    def combine(op, a, b):
         if isinstance(op, (ast.Add, ast.Sub)):
             plus = isinstance(op, ast.Add)
+            if isinstance(a, _Hull) or isinstance(b, _Hull):
+                a, b = hull(a), hull(b)
+                if not plus:
+                    b = _negated(b)
+                slopes = dict(a.slopes)
+                for v, (lo, hi) in b.slopes.items():
+                    if v in slopes:
+                        lo, hi = slopes[v][0] + lo, slopes[v][1] + hi
+                    slopes[v] = lo, hi
+                return _rounded_hull(slopes, a.low + b.low, a.high + b.high,
+                                     _plus(a.error, b.error))
             coef, terms = dict(a.coef), dict(a.terms)
             for v, k in b.coef.items():
                 if v not in coef:
@@ -284,15 +405,17 @@ def affine_form(
                 cmag = _magnitude(const)
             return rounded(coef, terms, const, cmag, _plus(a.error, b.error))
         if isinstance(op, ast.Mult):
-            if b.coef:
+            if _reads(b):
                 a, b = b, a
-            if b.coef:
-                raise _NotAffine  # both factors read a variable
+            if _reads(b):
+                raise _NotRead  # both factors read a variable
             kb, m = b.const, b.cmag
-            coef = {v: k * kb for v, k in a.coef.items()} if kb else {}
-            terms = {v: _mul(w, m) for v, w in a.terms.items()} if kb else {}
             error = _plus(_plus(_scale(b.error, a.size), _scale(a.error, m)),
                           _times(a.error, b.error))
+            if isinstance(a, _Hull):
+                return _rounded_hull(*_scaled(a, kb), error)
+            coef = {v: k * kb for v, k in a.coef.items()} if kb else {}
+            terms = {v: _mul(w, m) for v, w in a.terms.items()} if kb else {}
             const = a.const * kb if a.cmag else a.const
             return rounded(coef, terms, const, _mul(a.cmag, m), error)
         # division by a constant, the grammar's only kind: the rounded
@@ -301,16 +424,43 @@ def affine_form(
         floor = _magnitude(kb, up=False)
         margin = _add(_add(floor, -eb, -math.inf), -_mul(tb, _TINY), -math.inf)
         if margin <= 0:
-            raise _NotAffine
-        terms = {v: _div(w, floor) for v, w in a.terms.items()}
+            raise _NotRead
         spread = _scale(b.error, _div(a.size, floor))
         error = _scale(_plus(a.error, spread), margin, over=True)
+        if isinstance(a, _Hull):
+            return _rounded_hull(*_scaled(a, 1 / kb), error)
+        terms = {v: _div(w, floor) for v, w in a.terms.items()}
         coef = {v: k / kb for v, k in a.coef.items()}
         const = a.const / kb if a.cmag else a.const
         return rounded(coef, terms, const, _div(a.cmag, floor), error)
 
-    if any(isinstance(n, ast.Call) for n in expr.postorder):
-        return None  # a min, max or abs call
+    def call(name: str, args: list):
+        error = args[0].error
+        for a in args[1:]:
+            error = _widest(error, a.error)
+        if not any(map(_reads, args)):  # a constant, read exactly
+            ks = [a.const for a in args]
+            k = abs(ks[0]) if name == "abs" else min(ks) if name == "min" else max(ks)
+            cmag = _magnitude(k)
+            return _Node({}, {}, k, cmag, cmag, error)
+        hs = [hull(a) for a in args]
+        if name == "abs":
+            (a,) = hs
+            if a.low >= 0:
+                return a
+            if a.high <= 0:
+                return _negated(a)
+            slopes = {v: (-w, w) for v, (lo, hi) in a.slopes.items()
+                      for w in [max(-lo, hi)]}
+            return _Hull(slopes, _NIL, max(-a.low, a.high), a.size, error)
+        slopes = {}
+        for v in dict.fromkeys(v for a in hs for v in a.slopes):
+            ends = [a.slopes.get(v, (_NIL, _NIL)) for a in hs]
+            slopes[v] = min(lo for lo, _ in ends), max(hi for _, hi in ends)
+        pick = min if name == "min" else max
+        return _Hull(slopes, pick(a.low for a in hs), pick(a.high for a in hs),
+                     max(a.size for a in hs), error)
+
     done = []  # each finished operand, until its parent takes it
     try:
         for n in expr.postorder:
@@ -322,78 +472,99 @@ def affine_form(
                 done.append(_Node({}, {}, Fraction(n.value), m, m, _ZERO))
             elif isinstance(n, ast.UnaryOp):
                 if isinstance(n.op, ast.USub):
-                    a = done.pop()
-                    done.append(a._replace(coef={v: -k for v, k in a.coef.items()},
-                                           const=-a.const))
+                    done.append(_negated(done.pop()))
+            elif isinstance(n, ast.Call):
+                args = done[len(done) - len(n.args):]
+                del done[len(done) - len(n.args):]
+                done.append(call(n.func.id, args))
             else:
                 b = done.pop()
                 done.append(combine(n.op, done.pop(), b))
-    except (_NotAffine, OverflowError):
+    except (_NotRead, OverflowError):
         return None
     top = done.pop()
     e, t = top.error
     error = Fraction(e) + Fraction(t) / 2**1074 if t else Fraction(e)
-    low = high = top.const
-    for v, k in top.coef.items():
-        lo, hi = bounds[v]
-        if k.numerator < 0:
-            lo, hi = hi, lo
-        if lo:
-            low += k * Fraction(lo)
-        if hi:
-            high += k * Fraction(hi)
-    low, high = low - error, high + error
-    return AffineForm(top.coef, top.const, error, low, high)
+    const = None
+    if isinstance(top, _Node):
+        const, top = top.const, hull(top)
+    return Form(top.slopes, const, error, top.low - error, top.high + error)
 
 
-class AffineMap(NamedTuple):
-    """F(x, y) = A x - B y + c in exact rationals: component i reads x_j with
-    coefficient ``A[i][j]`` and y_j with coefficient ``-B[i][j]``."""
+def affine_form(
+    expr: CompiledExpression, bounds: Mapping[str, tuple[float, float]]
+) -> AffineForm | None:
+    """``component_form`` of an affine ``expr``, as its coefficients; None
+    when ``expr`` is not affine or the fold does not read it."""
+    form = component_form(expr, bounds)
+    if form is None or form.const is None:
+        return None
+    coef = {v: k for v, (k, _) in form.slopes.items()}
+    return AffineForm(coef, *form[1:])
 
-    A: tuple[tuple[Fraction, ...], ...]
-    B: tuple[tuple[Fraction, ...], ...]
-    c: tuple[Fraction, ...]
+
+class MapForm(NamedTuple):
+    """What the fold proves about F(x, y) on its box: component i's partial
+    derivative in x_j lies in the interval ``A[i][j]`` and its derivative
+    in y_j in minus the interval ``B[i][j]``, each a pair (lo, hi) of exact
+    rationals. For an affine map, F(x, y) = A x - B y + c, every interval
+    is the point of its coefficient."""
+
+    A: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
+    B: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
 
     @property
     def mixed_monotone(self) -> bool:
-        """A, B >= 0: F rises in x and falls in y."""
-        return all(k >= 0 for M in (self.A, self.B) for row in M for k in row)
+        """Every interval of A and B lies at or above 0: F rises in x and
+        falls in y."""
+        return all(lo >= 0 for M in (self.A, self.B) for row in M for lo, _ in row)
+
+    @property
+    def exact(self) -> bool:
+        """Every interval is a point, so F is affine and ``lambda_hat`` is
+        attained."""
+        return all(lo == hi for M in (self.A, self.B) for row in M for lo, hi in row)
 
     def lambda_hat(self, space: BoxSpace) -> float | None:
-        """2 max(column sums of |A| and of |B|) over the axes of nonzero
-        width, rounded up to a float; None when the box is a single point.
+        """2 max(column sums of max(|lo|, |hi|) over A and over B), over the
+        axes of nonzero width, rounded up to a float; None when the box is a
+        single point.
 
-        An admissible quadruple has x >= u and y <= v, so F(x, y) - F(u, v)
-        = A (x - u) + B (v - y) with both steps nonnegative. Its L1 norm is
-        convex in the steps, so over steps of a fixed total s it peaks when
-        all of s goes along one axis j, giving s times column j's sum of |A|
-        or of |B|. Any axis of nonzero width has such steps below every
-        epsilon, so this is the supremum of the ratio, attained."""
+        An admissible quadruple has x >= u and y <= v, so by the mean value
+        theorem |F_i(x, y) - F_i(u, v)| is at most the sum over j of
+        max(|lo|, |hi|) of A[i][j] times x_j - u_j plus that of B[i][j]
+        times v_j - y_j. Summed over i, that is at most the largest column
+        sum times d(x, u) + d(y, v). For an affine map the bound is the
+        supremum of the ratio, attained: all of the step along the column
+        with the largest sum gives it, and an axis of nonzero width has
+        such steps below every epsilon."""
         axes = zip(space.lower, space.upper)
         cols = [j for j, (lo, hi) in enumerate(axes) if lo < hi]
         if not cols:
             return None
         lam = 2 * max(
-            sum(abs(row[j]) for row in M) for M in (self.A, self.B) for j in cols
+            sum(max(-row[j][0], row[j][1]) for row in M)
+            for M in (self.A, self.B) for j in cols
         )
         nearest = float(lam)  # correctly rounded, so at most one step below lam
         return math.nextafter(nearest, math.inf) if lam > nearest else nearest
 
 
-def affine_map(cmap: ExpressionMap) -> AffineMap | None:
-    """The coefficients of ``cmap`` when every component is affine and its
-    float value at every pair of box points provably lies in the box,
-    clearing each face by the rounding bound of ``affine_form``; else None."""
+def map_form(cmap: ExpressionMap) -> MapForm | None:
+    """What the fold proves about ``cmap`` when it reads every component and
+    the float value of each provably lies in the box at every pair of box
+    points, clearing each face by the rounding bound; else None."""
     k = cmap.space.dim
     names = variable_names(k)
     axes = list(zip(cmap.space.lower, cmap.space.upper))
     bounds = dict(zip(names, axes * 2))
-    A, B, c = [], [], []
+    zero = (_NIL, _NIL)
+    A, B = [], []
     for expr, (lo, hi) in zip(cmap.components, axes):
-        form = affine_form(expr, bounds)
+        form = component_form(expr, bounds)
         if form is None or not lo <= form.low <= form.high <= hi:
             return None
-        A.append(tuple(form.coef.get(v, 0) for v in names[:k]))
-        B.append(tuple(-form.coef.get(v, 0) for v in names[k:]))
-        c.append(form.const)
-    return AffineMap(tuple(A), tuple(B), tuple(c))
+        slopes = [form.slopes.get(v, zero) for v in names]
+        A.append(tuple(slopes[:k]))
+        B.append(tuple((-hi, -lo) for lo, hi in slopes[k:]))
+    return MapForm(tuple(A), tuple(B))

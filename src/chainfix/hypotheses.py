@@ -16,30 +16,36 @@ hypothesis but never prove it. Conclusive on a box:
   segment cut into that many equal steps, which ``find_epsilon_chain``
   returns, has no more; a count above ``instances.MAX_ITERATIONS`` is
   refused with ``DomainError`` before any waypoint is built;
-* an affine box map, F(x, y) = A x - B y + c (``ExpressionMap.affine``,
-  see ``chainfix.affine``), is decided from its exact coefficients where
-  they prove a hypothesis: mixed monotonicity when A, B >= 0, and uniform
-  local contraction, reported with ``mode: "exact"``, when the ratio's
-  supremum over the whole box is below 1. What they do not prove is
-  scanned on the sample as before.
+* a box map built from ``+ - *``, division by constants and ``min``,
+  ``max`` and ``abs`` is decided from exact bounds on its partial
+  derivatives, read from its formula in one fold (``ExpressionMap.form``,
+  see ``chainfix.affine``), where they prove a hypothesis: mixed
+  monotonicity when every derivative in x is at least 0 and every one in y
+  at most 0, and uniform local contraction when the ratio's bound over the
+  whole box is below 1. That bound is the supremum for an affine map,
+  F(x, y) = A x - B y + c, reported with ``mode: "exact"``, and in general
+  an upper bound, reported with ``mode: "bound"``. What the bounds do not
+  prove is scanned on the sample as before.
 
 So only the two map checks read a box sample. A private tabulation step
 turns the points under test into index-addressed arrays: the order and the
 distances between points, and F over every pair of points. A finite space
 hands over its own read-only ``L``, ``D`` and ``T`` without a copy (the
 oracle reads them too: reading stored data is not sharing a kernel); a box
-validates its sample and tabulates it with numpy, so a map that leaves the
-box anywhere on the sample raises ``EscapeError`` before any scan starts,
-and a sample whose tables would pass a fixed byte budget raises
-``SamplingError`` before any table is built. The mixed-monotonicity scan
-compares whole rows of images as numpy masks, a block of about 2**16 cells
-at a time, over the covering pairs first and over every comparable pair
-only when a covering pair fails. On a finite space the chainability check
+validates its sample and tabulates it with numpy, once per map and plan
+for both checks, so a map that leaves the box anywhere on the sample
+raises ``EscapeError`` before any scan starts, and a sample whose tables
+would pass a fixed byte budget raises ``SamplingError`` before any table
+is built. The mixed-monotonicity scan compares whole rows of images as
+numpy masks, a block of about 2**16 cells at a time, over the covering
+pairs first and over every comparable pair only when a covering pair
+fails. On a finite space the chainability check
 takes every hop count from one min-plus closure over whole arrays, and its
 per-pair table, ``details["chain_n"]``, is a read-only mapping built on
 first read. Only the contraction scan and the finite
 ``find_epsilon_chain``, which needs the path and not just its length, are
-plain loops over point indices.
+plain loops over point indices; the contraction scan reads the image
+rows as Python lists as it reaches them.
 
 Every violated verdict carries a witness that can be re-checked with a single
 direct evaluation. Enumeration orders are fixed (lexicographic in point
@@ -52,12 +58,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from collections import deque
 from collections.abc import Mapping
 from functools import cached_property
 from operator import sub
 from types import MappingProxyType
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from ._lazy import numpy as np
 from .errors import DomainError, SamplingError, clipped_repr
@@ -75,7 +82,7 @@ from .spaces import (
 )
 
 if TYPE_CHECKING:
-    from .affine import AffineMap
+    from .affine import MapForm
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -126,8 +133,10 @@ class ContractivityReport(NamedTuple):
     over the tested quadruples when no ratio reached 1; on a violation the
     scan stops and ``witness`` is the first offending quadruple in
     enumeration order (``lambda_hat`` is then unknown and left None). In
-    ``mode`` "exact" nothing was scanned: ``lambda_hat`` is the supremum over
-    the whole box, read from an affine map's coefficients and rounded up.
+    ``mode`` "exact" and "bound" nothing was scanned: ``lambda_hat`` is read
+    from bounds on the map's partial derivatives and rounded up, the
+    supremum over the whole box for an affine map ("exact") and an upper
+    bound of it otherwise ("bound").
     """
 
     epsilon: float
@@ -135,7 +144,7 @@ class ContractivityReport(NamedTuple):
     violated: bool
     witness: tuple | None
     pairs_tested: int
-    mode: str  # "exhaustive" | "sampled" | "exact"
+    mode: str  # "exhaustive" | "sampled" | "exact" | "bound"
     vacuous: bool = False
     sample_size: int | None = None
     sample_seed: int | None = None
@@ -222,7 +231,8 @@ class _L1Row:
 
 
 class _Rows(dict):
-    """``rows[p][q]`` for any two box points; each row is built on first use."""
+    """``rows[key]``, built as ``row(key)`` on first use: a row of distances
+    from a box point, or a row of images."""
 
     def __init__(self, row):
         super().__init__()
@@ -257,12 +267,20 @@ def _box_leq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A <= B).all(-1)
 
 
+# box map -> (plan, the tables of its sample), so the two map checks of a
+# suite build them once; an entry goes with its map
+_SAMPLE_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _map_tables(cmap: CoupledMap, plan: SamplingPlan | None) -> _Tables:
     space = cmap.space
     if isinstance(cmap, TableMap):  # the whole space, as its stored arrays
         L = space.L
         return _Tables(space.points(), L, space.D, cmap.T, lambda A, B: L[A, B])
     plan = plan or SamplingPlan()
+    kept = _SAMPLE_TABLES.get(cmap)
+    if kept is not None and kept[0] == plan:
+        return kept[1]
     pts = sample_points(space, plan)
     for p in pts:
         space.validate_point(p)
@@ -281,10 +299,12 @@ def _map_tables(cmap: CoupledMap, plan: SamplingPlan | None) -> _Tables:
         leq &= axis[:, None] <= axis
         # |d0| + |d1| + ... in BoxSpace.distance's order, so values agree bitwise
         dist = dist + abs(axis[:, None] - axis)
-    return _Tables(
+    tab = _Tables(
         pts, leq, dist, cmap._tabulate(pts, pts), _box_leq,
         sample_size=len(pts), sample_seed=plan.seed,
     )
+    _SAMPLE_TABLES[cmap] = plan, tab
+    return tab
 
 
 def check_mixed_monotone(
@@ -294,7 +314,8 @@ def check_mixed_monotone(
 
     First branch: x1 <= x2 must give F(x1, y) <= F(x2, y) for every y.
     Second branch: y1 <= y2 must give F(x, y1) >= F(x, y2) for every x.
-    An affine box map with A, B >= 0 holds with no scan.
+    A box map whose formula bounds every derivative in x at or above 0 and
+    every one in y at or below 0 holds with no scan.
 
     The image order is transitive, so both branches hold on every
     comparable pair once they hold on every covering pair x1 < x2 (no point
@@ -302,8 +323,8 @@ def check_mixed_monotone(
     failure there runs the scan over every comparable pair, which reports
     the first violation in its own order.
     """
-    aff = _affine(cmap)
-    if aff is not None and aff.mixed_monotone:
+    form = _form(cmap)
+    if form is not None and form.mixed_monotone:
         return HypothesisReport("mixed-monotone", HOLDS, details={"mode": "exact"})
     tab = _map_tables(cmap, plan)
     if _first_monotone_violation(tab, *np.nonzero(_covers(tab.L))):
@@ -367,37 +388,40 @@ def estimate_contraction(
     distances are not both zero. Enumeration is lexicographic: (x, u) pairs
     ascending, then (y, v) pairs ascending, matching the exhaustive oracle,
     and the scan stops at the first ratio >= 1. With no admissible quadruple
-    the report is ``vacuous``, with ``lambda_hat`` 0.0 and no witness. An
-    affine box map whose exact supremum (``AffineMap.lambda_hat``) is below
-    1 is not scanned.
+    the report is ``vacuous``, with ``lambda_hat`` 0.0 and no witness. A
+    box map whose formula bounds the ratio below 1 over the whole box
+    (``MapForm.lambda_hat``) is not scanned.
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-    aff = _affine(cmap)
-    if aff is not None:
-        lam = aff.lambda_hat(cmap.space)
+    form = _form(cmap)
+    if form is not None:
+        lam = form.lambda_hat(cmap.space)
         if lam is not None and lam < 1.0:
-            return ContractivityReport(epsilon, lam, False, None, 0, "exact")
+            mode = "exact" if form.exact else "bound"
+            return ContractivityReport(epsilon, lam, False, None, 0, mode)
     tab = _map_tables(cmap, plan)
-    # the loop reads Python numbers, converted once: T[i][j] = F(pts[i], pts[j])
-    D = tab.D.tolist()
+    # the loop reads Python numbers: row T[i] of F(pts[i], pts[j]) is
+    # converted when the scan first reaches it
+    images = tab.images
     if isinstance(cmap, TableMap):  # images are point indices into D
-        T, DI = tab.images.tolist(), D
+        T = _Rows(lambda i: images[i].tolist())
+        DI = tab.D.tolist()
     else:
-        T = [list(map(tuple, row.tolist())) for row in tab.images]
+        T = _Rows(lambda i: list(map(tuple, images[i].tolist())))
         DI = _Rows(_L1Row)
-    # row-major in (x, u) with u <= x, and in (y, v) with y <= v
-    xu_pairs = list(zip(*(a.tolist() for a in np.nonzero(tab.L.T))))
-    yv_pairs = list(zip(*(a.tolist() for a in np.nonzero(tab.L))))
+    # row-major in (x, u) with u <= x, read once, and in (y, v) with
+    # y <= v, read for each (x, u); each pair with its distance
+    xu_pairs = _pairs(tab.D, tab.L.T)
+    yv_pairs = list(_pairs(tab.D, tab.L))
     best = -1.0
     best_w = None
     tested = 0
-    for x, u in xu_pairs:
-        dxu = D[x][u]
+    for x, u, dxu in xu_pairs:
         tx = T[x]
         tu = T[u]
-        for y, v in yv_pairs:
-            s = dxu + D[y][v]
+        for y, v, dyv in yv_pairs:
+            s = dxu + dyv
             if s <= 0 or not s / 2.0 < epsilon:
                 continue
             tested += 1
@@ -412,8 +436,14 @@ def estimate_contraction(
     return _contraction_report(tab, epsilon, max(best, 0.0), False, best_w, tested)
 
 
-def _affine(cmap: CoupledMap) -> AffineMap | None:
-    return cmap.affine if isinstance(cmap, ExpressionMap) else None
+def _pairs(D: np.ndarray, M: np.ndarray) -> Iterator[tuple[int, int, float]]:
+    """(i, j, D[i, j]) for the true cells of the mask M, in row-major order."""
+    i, j = np.nonzero(M)
+    return zip(i.tolist(), j.tolist(), D[i, j].tolist())
+
+
+def _form(cmap: CoupledMap) -> MapForm | None:
+    return cmap.form if isinstance(cmap, ExpressionMap) else None
 
 
 def _contraction_report(tab: _Tables, epsilon, lambda_hat, violated, quad, tested):

@@ -278,10 +278,11 @@ def _parse_expression_map(space, data: dict) -> ExpressionMap:
 
 
 def _check_box_closure(space: BoxSpace, cmap: ExpressionMap, step: float | None):
-    # the box must be mapped into itself: proven for an affine map from its
-    # coefficients, else sampled on the first 200 grid points (the rest of
-    # the grid is never built) and 32 seeded draws
-    if cmap.affine is not None:
+    # the box must be mapped into itself: proven from the formula where its
+    # range enclosure, widened by the rounding bound, lies in the box
+    # (``ExpressionMap.form``), else sampled on the first 200 grid points
+    # (the rest of the grid is never built) and 32 seeded draws
+    if cmap.form is not None:
         return
     pts = list(itertools.islice(itertools.product(*space.grid_axes(step)), 200))
     pts += space.uniform_points(32, seed=0)

@@ -11,9 +11,10 @@ the unchecked ``_apply``, whose images are valid points by construction (a
 table holds point indices, and an expression map refuses an image outside
 the box with ``EscapeError``).
 
-An expression map whose components are all affine also exposes its exact
-coefficients, ``ExpressionMap.affine`` (see ``chainfix.affine``), once they
-prove that its float image never leaves the box.
+An expression map also exposes what its formula proves on the box,
+``ExpressionMap.form`` (see ``chainfix.affine``): exact bounds on its
+partial derivatives, once they and its range prove that its float image
+never leaves the box.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import EscapeError, InvalidInstanceError, clipped_repr
 from .spaces import BoxPoint, BoxSpace, FiniteSpace, Point
 
 if TYPE_CHECKING:
-    from .affine import AffineMap
+    from .affine import MapForm
     from .expressions import CompiledExpression
 
 _BLOCK = 1 << 16  # point pairs evaluated at once by ExpressionMap.tabulate
@@ -121,13 +122,14 @@ class ExpressionMap:
         return tuple(c.source for c in self.components)
 
     @cached_property
-    def affine(self) -> AffineMap | None:
-        """The exact coefficients when every component is affine and its
-        float value at every pair of box points provably lies in the box
-        (``chainfix.affine.affine_map``); else None. Read once, on first use."""
-        from .affine import affine_map  # exact rationals, for expression maps only
+    def form(self) -> MapForm | None:
+        """Exact bounds on every partial derivative, when the formula gives
+        them and proves that the float value of every component at every
+        pair of box points lies in the box (``chainfix.affine.map_form``);
+        else None. Read once, on first use."""
+        from .affine import map_form  # exact rationals, for expression maps only
 
-        return affine_map(self)
+        return map_form(self)
 
     def apply(self, x: Point, y: Point) -> Point:
         self.space.validate_point(x)

@@ -761,19 +761,36 @@ NUMPY_PROBE = ("import atexit, sys\n"
                "if m.startswith('numpy.')), file=sys.stderr))\n")
 
 
+MIN_MAX_DOCUMENT = {
+    "schema_version": 1,
+    "space": {"kind": "box", "dimension": 2, "lower": [0, 0], "upper": [1, 1],
+              "grid_step": 0.25},
+    "map": {"kind": "expression", "formula": [
+        "max(0.1*x1 + 0.05*x2 - 0.1*y1 + 0.3, 0.08*x1 - 0.02*y2 + 0.35)",
+        "min(0.1*x2 - 0.1*y2 + 0.5, abs(0.12*x1 + 0.04*x2 - 0.03*y1 + 0.45))"]},
+    "seeds": {"x0": [0, 0], "y0": [1, 1]},
+    "parameters": {"epsilon": 0.6},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("check",), ("solve",), ("solve", "--trace", "{tmp}/t.jsonl"),
     ("solve", "--trace", "{tmp}/t.csv", "--trace-format", "csv"),
     ("verify-lemma",), ("chain", "--from", "{low}", "--to", "{high}"),
 ], ids=["check", "solve", "solve-jsonl", "solve-csv", "verify-lemma", "chain"])
-@pytest.mark.parametrize("name, low, high", [("l1", "0", "1"), ("l2d", "0,0", "1,1")])
+@pytest.mark.parametrize("name, low, high", [
+    ("l1", "0", "1"), ("l2d", "0,0", "1,1"), ("minmax", "0,0", "1,1")])
 def test_affine_box_call_loads_no_numpy(instance_dir, tmp_path, argv, name, low,
                                         high):
-    # an affine map on a box is decided in exact rationals, so the call
-    # never reads from numpy and never executes it
+    # an affine map on a box is decided in exact rationals, and so is a
+    # min/max map whose formula bounds its derivatives and its range, so
+    # the call never reads from numpy and never executes it
     command, *rest = (a.format(tmp=tmp_path, low=low, high=high) for a in argv)
-    proc = run_fresh(command, str(instance_dir / f"{name}.json"), *rest,
-                     probe=NUMPY_PROBE)
+    path = instance_dir / f"{name}.json"
+    if name == "minmax":
+        path = tmp_path / "minmax.json"
+        path.write_text(json.dumps(MIN_MAX_DOCUMENT))
+    proc = run_fresh(command, str(path), *rest, probe=NUMPY_PROBE)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)
     assert proc.stderr == "[]\n"

@@ -132,7 +132,8 @@ class TestSamplePoints:
 class TestMixedMonotone:
     def test_affine_pass_is_exact(self):
         # A = 1/4 and B = 1/8 are nonnegative, so no sample is drawn; the
-        # same values behind min are no affine form and stay sampled
+        # same values times 1 + x*x*0, a product the fold does not read,
+        # stay sampled
         box = BoxSpace((0.0,), (1.0,))
         cmap = expression_map(box, ["(2*x - y + 3)/8"])
         rep = check_mixed_monotone(cmap, GRID)
@@ -140,7 +141,7 @@ class TestMixedMonotone:
             "hypothesis": "mixed-monotone", "verdict": HOLDS, "witness": None,
             "sample_seed": None, "sample_size": None, "mode": "exact",
         }
-        wrapped = expression_map(box, ["min((2*x - y + 3)/8, (2*x - y + 3)/8)"])
+        wrapped = expression_map(box, ["(2*x - y + 3)/8 * (1 + x*x*0)"])
         rep = check_mixed_monotone(wrapped, GRID)
         assert rep.verdict == SAMPLED
         assert rep.passed
@@ -186,7 +187,7 @@ class TestContraction:
         assert (rep.lambda_hat, rep.mode, rep.pairs_tested, rep.vacuous) == (
             0.5, "exact", 0, False)
         assert (rep.witness, rep.sample_size, rep.sample_seed) == (None, None, None)
-        wrapped = expression_map(box, ["min((2*x - y + 3)/8, (2*x - y + 3)/8)"])
+        wrapped = expression_map(box, ["(2*x - y + 3)/8 * (1 + x*x*0)"])
         rep = estimate_contraction(wrapped, 0.3, plan)
         assert (rep.verdict, rep.lambda_hat, rep.mode) == (SAMPLED, 0.5, "sampled")
 

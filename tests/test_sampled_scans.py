@@ -5,8 +5,10 @@ points rather than indices and ask ``space.leq``, ``space.distance`` and
 ``cmap.apply`` about every pair. On generated box maps (affine, clamped
 min/max/abs trees, and violators such as ``x*y`` or expansive maps) both
 must give the same verdict, witness, bitwise ``lambda_hat``, quadruple count
-and sample fields (an affine map is written as ``min(f, f)`` here, since
-its plain form is decided from its coefficients without a scan); on
+and sample fields (each component is multiplied by ``1 + x*x*0``, which
+keeps its values: the fold of ``chainfix.affine`` would decide many of
+these maps without a scan, and it does not read a product of two factors
+that both read a variable); on
 generated finite tables, the same mixed-monotonicity verdict and witness, and the same contraction report as the finite index
 loop below. The box map's array tabulation is checked against ``apply`` by
 ``repr``, escapes included.
@@ -202,12 +204,12 @@ def box_maps(draw):
     violators = ["x*y", "y", "1 - x", "min(1, 2*abs(x - y))"] if dim == 1 else [
         "x1*y2", "y1", "min(1, max(0, 2*x2 - y1))", "1 - x1"]
     component = st.one_of(
-        # min(f, f) has f's values but no affine form, so it is scanned
-        affine(xs, ys).map(lambda e: f"min({e}, {e})"),
+        affine(xs, ys),
         tree(xs, ys).map(lambda e: f"min(1, max(0, {e}))"),
         st.sampled_from(violators),
     )
-    formulas = [draw(component) for _ in range(dim)]
+    # the same values as a product the fold does not read, so it is scanned
+    formulas = [f"({draw(component)}) * (1 + {xs[0]}*{xs[0]}*0)" for _ in range(dim)]
     space = BoxSpace((0.0,) * dim, (1.0,) * dim)
     step = draw(st.sampled_from([0.5, 1 / 3, 0.25] if dim == 1 else [0.5, 1 / 3]))
     plan = SamplingPlan(

@@ -1,7 +1,9 @@
 """The work a box solve does once, against the work it replaced.
 
 A box sample over the table budget must be refused by the first map check
-that reads it, and an affine map, which reads no sample, builds no table.
+that reads it. An affine map, or a min/max map whose formula proves both
+map checks, reads no sample and builds no table; a map left to the sample
+is tabulated once for both checks.
 ``picard_solve`` and ``verify_decay_bound`` walk one orbit
 that validates its seeds once and then steps unchecked: their results must
 be bitwise (by ``repr``) what a loop through the validating ``apply`` and
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainfix.errors import EscapeError, SamplingError
-from chainfix.hypotheses import HOLDS, check_epsilon_chainable
+from chainfix.hypotheses import HOLDS, SAMPLED, check_epsilon_chainable
 from chainfix.instances import generate_finite_instance, load_instance, parse_instance
 from chainfix.mappings import ExpressionMap, expression_map
 from chainfix.oracle import min_chain_table
@@ -104,6 +106,7 @@ class TestOverBudgetSample:
     CLAMP = "min(1, max(0, 0.5 + x - y))"
     # 37 x 37 grid points and 8 draws: 1377 points
     STEP = 1 / 36
+    MIN_MAX = ["min(0.25*x1 - 0.25*y1 + 0.5, 0.5)", "0.25*x2 - 0.25*y2 + 0.5"]
 
     def test_map_checks_at_and_past_the_budget(self):
         suite = run_hypothesis_suite(
@@ -127,15 +130,38 @@ class TestOverBudgetSample:
             suite = run_hypothesis_suite(inst)
         assert {rep.verdict for rep in suite.values()} == {HOLDS}
 
+    def test_min_max_map_builds_no_table(self):
+        # its formula bounds its derivatives and its range, so both map
+        # checks hold with no sample
+        inst = parse_instance(box_doc(2, self.MIN_MAX, self.STEP, 0.6))
+        with mock.patch.object(ExpressionMap, "_tabulate", side_effect=AssertionError):
+            suite = run_hypothesis_suite(inst)
+        assert {rep.verdict for rep in suite.values()} == {HOLDS}
+        assert suite["uniform-local-contraction"].mode == "bound"
+
     def test_min_max_map_is_refused_by_the_monotonicity_check(self):
+        # the same values times 1 + x1*x1*0, a product the fold does not
+        # read, are scanned
         inst = parse_instance(box_doc(
-            2, ["min(0.25*x1 - 0.25*y1 + 0.5, 0.5)", "0.25*x2 - 0.25*y2 + 0.5"],
-            self.STEP, 0.6,
+            2, [f"({f}) * (1 + x1*x1*0)" for f in self.MIN_MAX], self.STEP, 0.6,
         ))
         with pytest.raises(SamplingError) as suite:
             run_hypothesis_suite(inst)
         assert refusing_check(suite) == "check_mixed_monotone"
         assert "1377 points needs 47403225 bytes" in str(suite.value)
+
+
+def test_map_checks_share_one_tabulation():
+    # the fold does not read x*x, so both map checks scan the sample, and
+    # they read one tabulation of it (the load check tabulated its own)
+    inst = parse_instance(box_doc(
+        1, ["(0.25*x - 0.25*y + 0.5) * (1 + x*x*0)"], 0.25, 0.6))
+    with mock.patch.object(ExpressionMap, "_tabulate", autospec=True,
+                           side_effect=ExpressionMap._tabulate) as tabulate:
+        suite = run_hypothesis_suite(inst)
+    assert tabulate.call_count == 1
+    assert suite["mixed-monotone"].verdict == SAMPLED
+    assert suite["uniform-local-contraction"].verdict == SAMPLED
 
 
 def reference_picard(cmap, x0, y0, cfg):
