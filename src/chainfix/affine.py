@@ -23,6 +23,15 @@ affine: its coefficients and constant are kept as exact rationals over the
 literals' float values, and its intervals are those coefficients as points.
 A call whose arguments read no variable is a constant.
 
+So the fold keeps two kinds of node, and only a node with a call on a
+variable carries intervals and a range; an affine node's are read off its
+coefficients when a call or the end of the fold needs them. One kind that
+carries them at every node costs more: building them at each affine node
+made the fold 1.9 times slower on the 36 ``box-sampled`` benchmark maps at
+seeds 5, 7, 11 and 31 (9.5 against 18 ms for all 36), 2.1 times on a
+150-term sum and 1.35 times on 90 nested divisions of x by 3 (best of 7
+runs, on one core of a 2-vCPU Xeon VM).
+
 By Lebourg's mean value theorem, F_i(q) - F_i(p) = <z, q - p> for box
 points p, q and some z in the product of F_i's intervals (at a point
 between them inside the box, and on its faces by continuity). So, with
@@ -71,15 +80,20 @@ Three choices keep the float bound close to the exact one:
 * An affine node reads S as |constant| + sum |coefficient| |reach|, and
   where a sum can cancel, a magnitude is read from the exact coefficient
   and rounded up. A product or a quotient instead scales the magnitude its
-  operand carries. Any other node reads S from its range enclosure.
+  operand carries. Any other node reads S from its own range enclosure,
+  except an ``abs`` that keeps or flips its argument, which is that
+  argument.
 * E is held as e + t 2**-1074, with e and t floats. So the 2**-1074 terms
   keep their exact weight instead of being rounded to the subnormal
   spacing. t moves into e once t 2**-1074 is a normal float.
 * A part of e that would fall below the normal range is counted in t.
 
-With every divisor a normal float, the float bound of an affine component
-exceeds the rational one by a factor below 1 + 2**-40
-(``tests/test_affine_route.py`` compares them). An intermediate past the
+Where every magnitude that scales a bound (S_a or |b| of a product or a
+quotient) is 0 or a normal float, the float bound of every component the
+fold reads exceeds the rational one by a factor below 1 + 2**-40
+(``tests/formula_reference.py`` computes the rational one, and
+``tests/test_affine_route.py`` compares them); a magnitude below the normal
+range keeps fewer bits as a float. An intermediate past the
 float range leaves the component unread, as an overflow would, and so does
 a divisor whose margin is not positive; since the floats lie a little above
 the exact values, a component that only just fits the float range may be
@@ -110,23 +124,9 @@ class Form(NamedTuple):
     """What the fold proves about one component on a box: each partial
     derivative lies in ``slopes[v]`` = (lo, hi), for every variable whose
     derivative may be nonzero, and float64 evaluation stays within
-    ``error`` of the exact value and inside [``low``, ``high``]. ``const``
-    is the exact constant of an affine component, else None."""
+    ``error`` of the exact value and inside [``low``, ``high``]."""
 
     slopes: Mapping[str, tuple[Fraction, Fraction]]
-    const: Fraction | None
-    error: Fraction
-    low: Fraction
-    high: Fraction
-
-
-class AffineForm(NamedTuple):
-    """``sum(coef[v] * v) + const`` in exact rationals over the literals'
-    float values. On the box it was read for, float64 evaluation stays
-    within ``error`` of that value and inside [``low``, ``high``]."""
-
-    coef: Mapping[str, Fraction]  # variables with a nonzero coefficient
-    const: Fraction
     error: Fraction
     low: Fraction
     high: Fraction
@@ -265,8 +265,13 @@ def _round_off(size: float, error):
 
 
 def _widest(p, q):
-    """A bound at least both bounds p and q."""
-    return max(p[0], q[0]), max(p[1], q[1])
+    """The larger of the bounds p and q."""
+    if p < q:
+        p, q = q, p  # p has the larger e
+    if p[1] >= q[1] or p[0] - q[0] > _SMALL:  # t 2**-1074 < 2**-1022 = _SMALL
+        return p
+    gap = (Fraction(p[0]) - Fraction(q[0])) * 2**1074
+    return p if gap >= Fraction(q[1]) - Fraction(p[1]) else q
 
 
 class _Node(NamedTuple):
@@ -452,14 +457,15 @@ def component_form(
                 return _negated(a)
             slopes = {v: (-w, w) for v, (lo, hi) in a.slopes.items()
                       for w in [max(-lo, hi)]}
-            return _Hull(slopes, _NIL, max(-a.low, a.high), a.size, error)
+            high = max(-a.low, a.high)
+            return _Hull(slopes, _NIL, high, _magnitude(high), error)
         slopes = {}
         for v in dict.fromkeys(v for a in hs for v in a.slopes):
             ends = [a.slopes.get(v, (_NIL, _NIL)) for a in hs]
             slopes[v] = min(lo for lo, _ in ends), max(hi for _, hi in ends)
         pick = min if name == "min" else max
-        return _Hull(slopes, pick(a.low for a in hs), pick(a.high for a in hs),
-                     max(a.size for a in hs), error)
+        low, high = pick(a.low for a in hs), pick(a.high for a in hs)
+        return _Hull(slopes, low, high, _magnitude(max(high, -low)), error)
 
     done = []  # each finished operand, until its parent takes it
     try:
@@ -482,25 +488,10 @@ def component_form(
                 done.append(combine(n.op, done.pop(), b))
     except (_NotRead, OverflowError):
         return None
-    top = done.pop()
+    top = hull(done.pop())
     e, t = top.error
     error = Fraction(e) + Fraction(t) / 2**1074 if t else Fraction(e)
-    const = None
-    if isinstance(top, _Node):
-        const, top = top.const, hull(top)
-    return Form(top.slopes, const, error, top.low - error, top.high + error)
-
-
-def affine_form(
-    expr: CompiledExpression, bounds: Mapping[str, tuple[float, float]]
-) -> AffineForm | None:
-    """``component_form`` of an affine ``expr``, as its coefficients; None
-    when ``expr`` is not affine or the fold does not read it."""
-    form = component_form(expr, bounds)
-    if form is None or form.const is None:
-        return None
-    coef = {v: k for v, (k, _) in form.slopes.items()}
-    return AffineForm(coef, *form[1:])
+    return Form(top.slopes, error, top.low - error, top.high + error)
 
 
 class MapForm(NamedTuple):

@@ -595,7 +595,6 @@ def check_epsilon_chainable(space: Space, epsilon: float) -> HypothesisReport:
         "max_n": int(h[found].max(initial=0)),
         "chain_n": _ChainTable(i[found], j[found], h[found]),
         "unreachable": unreachable,
-        "candidates": n,
     }
     if unreachable:
         return HypothesisReport(

@@ -8,21 +8,25 @@ The bound is a supremum only when every interval is a point (mode
 ``"exact"``); otherwise the report says ``"bound"``.
 
 Wherever the fold calls a map check proven, the sampled scan of the same
-values (written as ``(f) * (1 + x*x*0)``, a product the fold does not read)
-must find no violation, and the sampled ``lambda_hat`` may exceed the
-fold's only by the rounding allowance ``rounding_allowance`` argues.
+values (``unread``, a product the fold does not read) must find no
+violation, and the sampled ``lambda_hat`` may exceed the fold's only by the
+rounding allowance ``rounding_allowance`` argues. Every float value of a
+formula the fold reads lies in [``low``, ``high``].
 """
 
 import json
+import math
+import random
 import runpy
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainfix.affine import MapForm, component_form
 from chainfix.cli import run_cli
+from chainfix.errors import GrammarError
 from chainfix.expressions import parse_expression, variable_names
 from chainfix.hypotheses import (
     HOLDS,
@@ -30,12 +34,12 @@ from chainfix.hypotheses import (
     SamplingPlan,
     check_mixed_monotone,
     estimate_contraction,
-    sample_points,
 )
 from chainfix.mappings import expression_map
 from chainfix.spaces import BoxSpace
 
-UNIT = Fraction(2) ** -53  # float64 unit roundoff
+from formula_reference import EXTREME_AXES, formula_sources, rounding_allowance, unread
+
 UNIT_BOX = {"x": (0.0, 1.0), "y": (0.0, 1.0)}
 
 
@@ -43,19 +47,11 @@ def form(source, bounds=UNIT_BOX):
     return component_form(parse_expression(source), bounds)
 
 
-def unread(cmap):
-    """``cmap`` with the same values, as products the fold does not read."""
-    x = variable_names(cmap.space.dim)[0]
-    return expression_map(cmap.space,
-                          [f"({s}) * (1 + {x}*{x}*0)" for s in cmap.sources])
-
-
 class TestRules:
     def test_min_and_max_take_the_hull(self):
         f = form("min(0.5*x - 0.25*y + 0.5, 0.25*x + 0.25)")
         assert f.slopes == {"x": (Fraction(1, 4), Fraction(1, 2)),
                             "y": (Fraction(-1, 4), 0)}
-        assert f.const is None
         # the ranges [0.25, 1] and [0.25, 0.5], widened by the rounding bound
         assert (f.low + f.error, f.high - f.error) == (Fraction(1, 4), Fraction(1, 2))
         # min and max round nothing: the bound is the larger argument's
@@ -74,9 +70,20 @@ class TestRules:
 
     def test_constant_calls_are_read_exactly(self):
         f = form("min(1, 2)*x + abs(-0.5)")
-        assert (f.slopes, f.const) == ({"x": (1, 1)}, Fraction(1, 2))
+        assert f.slopes == {"x": (1, 1)}
+        assert (f.low + f.error, f.high - f.error) == (Fraction(1, 2), Fraction(3, 2))
 
-    @pytest.mark.parametrize("source", ["x*y", "min(x, y)*x", "abs(x)*abs(y)",
+    def test_a_call_reads_its_magnitude_from_its_own_range(self):
+        # min(1e300, x) takes values in x's axis [5e-324, 1e-300] alone, and
+        # its divisor carries no rounding error, so the quotient is at most
+        # 1e-100 and adding 0.5 rounds within one ulp of 0.5
+        tiny = {"x": EXTREME_AXES[0], "y": EXTREME_AXES[0]}
+        f = form("min(1e300, x)/1e-200 + 0.5", tiny)
+        assert f.slopes == {"x": (0, 1 / Fraction(1e-200))}
+        assert 0.5 - math.ulp(0.5) < f.low < f.high < 0.5 + math.ulp(0.5)
+
+    @pytest.mark.parametrize("source", ["x*y", "(x + 1)*(y - 1)", "min(x, y)*x",
+                                        "abs(x)*abs(y)", "1e308*x*10",
                                         "1e308*max(x, 1)*10"])
     def test_unread(self, source):
         # a product of two factors that read a variable, or an overflow
@@ -118,33 +125,6 @@ class TestMapForm:
         assert cmap.form is None
         rep = check_mixed_monotone(cmap, SamplingPlan(grid_step=0.5))
         assert rep.verdict == VIOLATED
-
-
-def rounding_allowance(cmap, plan, lam: float) -> Fraction:
-    """How far above ``lam`` the sampled scan's ratio can round.
-
-    Each computed component i lies within e_i (the fold's ``error``, itself
-    an upper bound on the rational bound) of its exact value, so the image
-    distance grows by at most 2 sum(e_i) before rounding, and the exact
-    ratio, at most ``lam``, by at most 4 sum(e_i) / s, where s >= g, the
-    smallest positive distance between two sample points. The image
-    distance is k rounded subtractions and k - 1 rounded additions of
-    nonnegative terms, the denominator 2k + 1 more, and the quotient one:
-    each moves its value by a factor within [1 - u, 1 + u]. So the sampled
-    ratio is at most (lam + 4 sum(e_i) / g) rho with
-    rho = (1 + u)^(2k) / (1 - u)^(2k + 1).
-    """
-    space = cmap.space
-    k = space.dim
-    bounds = dict(zip(variable_names(k), list(zip(space.lower, space.upper)) * 2))
-    error = sum(component_form(c, bounds).error for c in cmap.components)
-    pts = sample_points(space, plan)
-    gap = min(
-        d for p in pts for q in pts
-        if (d := sum(abs(Fraction(a) - Fraction(b)) for a, b in zip(p, q))) > 0
-    )
-    rho = (1 + UNIT) ** (2 * k) / (1 - UNIT) ** (2 * k + 1)
-    return (Fraction(lam) + 4 * error / gap) * rho - Fraction(lam)
 
 
 @st.composite
@@ -223,6 +203,45 @@ def test_fold_never_contradicts_the_scan(case):
             assert Fraction(scan.lambda_hat) <= Fraction(rep.lambda_hat) + allowance
     else:
         assert rep == scan
+
+
+@st.composite
+def line_formulas(draw):
+    """An axis (a point, one of width 1 or 3/2, or one of ``EXTREME_AXES``)
+    and a formula of the whole grammar in x and y that nests at most 4
+    levels."""
+    axis = draw(st.sampled_from([(0.0, 1.0), (-1.0, 0.5), (0.25, 0.25), (0.0, 0.0),
+                                 (-3.0, -3.0), *EXTREME_AXES]))
+    return axis, draw(formula_sources(("x", "y")))
+
+
+def axis_points(lo, hi, ts):
+    # lo (1 - t) + hi t stays finite on the widest axis, where hi - lo does not
+    return [min(max(lo * (1 - t) + hi * t, lo), hi) for t in ts]
+
+
+@given(line_formulas())
+@example(((5e-324, 1e-300), "min(1e300, x)/1e-200 + 0.5"))
+@example(((0.0, 1.0), "abs(x - 0.5)*3 - max(y, 0.1)/0.3"))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_every_float_value_lies_in_the_range(case):
+    # the property that lets the load check skip its sample on a box map
+    # whose form lies inside the box
+    (lo, hi), source = case
+    try:
+        expr = parse_expression(source)
+    except GrammarError:  # a denominator that evaluates to zero
+        return
+    f = component_form(expr, {"x": (lo, hi), "y": (lo, hi)})
+    if f is None:
+        return
+    grid = axis_points(lo, hi, [i / 6 for i in range(7)])
+    rng = random.Random(source)
+    draws = zip(*(axis_points(lo, hi, [rng.random() for _ in range(16)])
+                  for _ in "xy"))
+    for x, y in [*((x, y) for x in grid for y in grid), *draws]:
+        value = expr.evaluate({"x": x, "y": y})
+        assert math.isfinite(value) and f.low <= Fraction(value) <= f.high, (x, y)
 
 
 def min_max_documents(root, seeds=(5, 7, 11, 31)):
