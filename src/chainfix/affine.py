@@ -60,14 +60,15 @@ In each case the node's bound is E = E_operands + u z + 2**-1074. ``min``,
 ``max`` and ``abs`` are exact in float64 and move their result no further
 than their arguments move, so their E is the largest E among the arguments.
 
-Only the slopes, ranges and constants are exact (``fractions.Fraction``). S,
-|b| and E are evaluated in float64 with directed rounding. Each operation
+Only the slopes, ranges and constants are exact (``fractions.Fraction``),
+and E' where the constant b carries an error, so that |b| need not be a
+float: it is computed from the exact S_a and |b| and then rounded up. Other
+S and E are evaluated in float64 with directed rounding. Each operation
 takes the float nearest its exact result, then steps one float up with
 ``math.nextafter`` when an exact check shows that the nearest float fell
 below the exact result. The check is Knuth's two-sum for a sum and integer
 ratios for a product or a quotient. So each step returns the smallest float
-at or above its exact result. The divisor |b| and the margin |b| - E_b are
-rounded down instead.
+at or above its exact result. A divisor is rounded down instead.
 
 This is sound. Each formula above rises with every S and E and with a
 factor |b|, and falls as the divisor or the margin grows. So, by induction
@@ -79,27 +80,22 @@ Three choices keep the float bound close to the exact one:
 
 * An affine node reads S as |constant| + sum |coefficient| |reach|, and
   where a sum can cancel, a magnitude is read from the exact coefficient
-  and rounded up. A product or a quotient instead scales the magnitude its
-  operand carries. Any other node reads S from its own range enclosure,
-  except an ``abs`` that keeps or flips its argument, which is that
-  argument.
+  and rounded up. So is every magnitude of a product or a quotient where a
+  float it scales lies below the normal range and so keeps fewer bits;
+  else it scales the magnitude its operand carries. Any other node reads S
+  from its range enclosure.
 * E is held as e + t 2**-1074, with e and t floats. So the 2**-1074 terms
   keep their exact weight instead of being rounded to the subnormal
   spacing. t moves into e once t 2**-1074 is a normal float.
 * A part of e that would fall below the normal range is counted in t.
 
-Where every magnitude that scales a bound (S_a or |b| of a product or a
-quotient) is 0 or a normal float, the float bound of every component the
-fold reads exceeds the rational one by a factor below 1 + 2**-40
-(``tests/formula_reference.py`` computes the rational one, and
-``tests/test_affine_route.py`` compares them); a magnitude below the normal
-range keeps fewer bits as a float. An intermediate past the
-float range leaves the component unread, as an overflow would, and so does
-a divisor whose margin is not positive; since the floats lie a little above
-the exact values, a component that only just fits the float range may be
-refused where exact rationals would not refuse it. Only where low and high
-are compared with the box faces is E turned into one exact rational,
-e + t 2**-1074.
+The float bound of every component the fold reads exceeds the rational one
+by a factor below 1 + 2**-40 (``tests/formula_reference.py`` computes it).
+An intermediate past the float range leaves the component unread, as an
+overflow would, and so does a divisor whose margin is not positive; since
+the floats lie a little above the exact values, a component that only just
+fits the float range may be refused where exact rationals would not refuse
+it.
 
 ``ExpressionMap.form`` imports this module on first use, so ``fractions``
 (and the ``decimal`` module it loads) is never imported for a finite
@@ -151,16 +147,14 @@ def _step_up(v: float) -> float:
     return v
 
 
-def _add(a: float, b: float, toward: float = math.inf) -> float:
-    """a + b rounded up, or down when ``toward`` is -inf."""
+def _add(a: float, b: float) -> float:
+    """a + b rounded up."""
     s = a + b
     if s > _TOP:
         raise OverflowError
     t = s - a
     slip = (a - (s - t)) + (b - t)  # a + b - s exactly (two-sum)
-    if slip and (slip > 0) == (toward > 0):
-        return _step_up(s) if toward > 0 else math.nextafter(s, toward)
-    return s
+    return _step_up(s) if slip > 0 else s
 
 
 def _mul(a: float, b: float) -> float:
@@ -234,16 +228,6 @@ def _scale(p, f: float, over: bool = False):
     return _fold(op(e, f), t)
 
 
-def _times(p, q):
-    """The bound p times the bound q."""
-    (ep, tp), (eq, tq) = p, q
-    if not ((ep or tp) and (eq or tq)):
-        return _ZERO
-    # ep (eq + tq 2**-1074) + tp eq 2**-1074 + (tp tq 2**-1074) 2**-1074
-    tail = _scale((0.0, tp), eq)
-    return _plus(_plus(_scale(q, ep), tail), (0.0, _mul(_mul(tp, tq), _TINY)))
-
-
 _ZERO = (0.0, 0.0)
 _ONE, _NIL = Fraction(1), Fraction(0)
 
@@ -264,39 +248,48 @@ def _round_off(size: float, error):
     return _fold(e, _add(t, 1.0))
 
 
+def _value(p) -> Fraction:
+    """The bound p as one exact rational."""
+    e, t = p
+    return Fraction(e) + Fraction(t) / 2**1074 if t else Fraction(e)
+
+
 def _widest(p, q):
-    """The larger of the bounds p and q."""
-    if p < q:
-        p, q = q, p  # p has the larger e
+    """The larger of the bounds p and q, read exactly only where the tuple
+    order may disagree: reading all exactly slowed the fold by 7%."""
+    p, q = max(p, q), min(p, q)  # p has the larger e
     if p[1] >= q[1] or p[0] - q[0] > _SMALL:  # t 2**-1074 < 2**-1022 = _SMALL
         return p
-    gap = (Fraction(p[0]) - Fraction(q[0])) * 2**1074
-    return p if gap >= Fraction(q[1]) - Fraction(p[1]) else q
+    return max(p, q, key=_value)
+
+
+def _bound(q: Fraction):
+    """The exact rational q >= 0 as a bound, rounded up."""
+    t = q * 2**1074
+    return _fold(0.0, _magnitude(t)) if t < _NORMAL else (_magnitude(q), 0.0)
 
 
 class _Node(NamedTuple):
     """An affine subexpression read so far: its exact affine form, and float
-    upper bounds on |coef[v]| reach[v] (``terms``), on |const|, on their sum
-    (``size``, the largest |exact value| on the box) and on its error."""
+    upper bounds on |coef[v]| reach[v] (``terms``), on |const| and on its
+    error."""
 
     coef: dict
     terms: dict
     const: Fraction
     cmag: float
-    size: float
     error: tuple
 
 
 class _Hull(NamedTuple):
     """A subexpression with a call on a variable in it: exact bounds (lo, hi)
     on each partial derivative that may be nonzero, an exact enclosure
-    [low, high] of its value on the box, and float upper bounds on its
-    largest |exact value| and on its error."""
+    [low, high] of its value on the box, and a float upper bound on its
+    error."""
 
     slopes: dict
     low: Fraction
     high: Fraction
-    size: float
     error: tuple
 
 
@@ -325,8 +318,7 @@ def _scaled(a: _Hull, q: Fraction) -> tuple:
 
 def _rounded_hull(slopes, low, high, error) -> _Hull:
     # the node of one rounded operation on a subexpression with a call in it
-    size = _magnitude(max(high, -low))
-    return _Hull(slopes, low, high, size, _round_off(size, error))
+    return _Hull(slopes, low, high, _round_off(_magnitude(max(high, -low)), error))
 
 
 def component_form(
@@ -349,16 +341,27 @@ def component_form(
         size = cmag
         for w in terms.values():
             size = _add(size, w)
-        return _Node(coef, terms, const, cmag, size, _round_off(size, error))
+        return _Node(coef, terms, const, cmag, _round_off(size, error))
 
     def term(v: str, k: Fraction) -> float:
         r = reach[v]
         if not r:
             return 0.0
         try:
-            return _mul(_magnitude(k), r)
+            m = _magnitude(k)
         except OverflowError:  # |k| is past the float range, |k| r may not be
-            return _magnitude(k * Fraction(r))
+            m = 0.0
+        return _mul(m, r) if m >= _SMALL else _magnitude(k * Fraction(r))
+
+    def rescaled(a: _Node, coef, const, f: float, op, error) -> _Node:
+        # a times or over f, the float of the factor or divisor; each
+        # magnitude is read from the exact coefficient where one lies below
+        # the normal range
+        if min(f, *a.terms.values(), a.cmag or _SMALL) >= _SMALL:
+            terms, cmag = {v: op(w, f) for v, w in a.terms.items()}, op(a.cmag, f)
+        else:
+            terms, cmag = {v: term(v, k) for v, k in coef.items()}, _magnitude(const)
+        return rounded(coef, terms, const, cmag, error)
 
     def span(coef, const) -> tuple[Fraction, Fraction]:
         # the exact range of an affine form over the box
@@ -377,7 +380,7 @@ def component_form(
         if isinstance(a, _Hull):
             return a
         slopes = {v: (k, k) for v, k in a.coef.items()}
-        return _Hull(slopes, *span(a.coef, a.const), a.size, a.error)
+        return _Hull(slopes, *span(a.coef, a.const), a.error)
 
     def combine(op, a, b):
         if isinstance(op, (ast.Add, ast.Sub)):
@@ -414,30 +417,40 @@ def component_form(
                 a, b = b, a
             if _reads(b):
                 raise _NotRead  # both factors read a variable
-            kb, m = b.const, b.cmag
-            error = _plus(_plus(_scale(b.error, a.size), _scale(a.error, m)),
-                          _times(a.error, b.error))
+            kb = b.const
+            if b.error == _ZERO:  # b is a float, so b.cmag = |b| exactly
+                error = _scale(a.error, b.cmag)
+            else:
+                ea, eb = _value(a.error), _value(b.error)
+                error = _bound(exact_size(a) * eb + abs(kb) * ea + ea * eb)
             if isinstance(a, _Hull):
                 return _rounded_hull(*_scaled(a, kb), error)
             coef = {v: k * kb for v, k in a.coef.items()} if kb else {}
-            terms = {v: _mul(w, m) for v, w in a.terms.items()} if kb else {}
             const = a.const * kb if a.cmag else a.const
-            return rounded(coef, terms, const, _mul(a.cmag, m), error)
+            return rescaled(a, coef, const, b.cmag, _mul, error)
         # division by a constant, the grammar's only kind: the rounded
         # divisor lies at least |kb| - E_b away from zero
-        kb, (eb, tb) = b.const, b.error
-        floor = _magnitude(kb, up=False)
-        margin = _add(_add(floor, -eb, -math.inf), -_mul(tb, _TINY), -math.inf)
-        if margin <= 0:
+        kb, eb = b.const, _value(b.error)
+        if not eb:  # b is a float, so b.cmag = |b| exactly
+            error = _scale(a.error, b.cmag, over=True)
+        elif abs(kb) <= eb:
             raise _NotRead
-        spread = _scale(b.error, _div(a.size, floor))
-        error = _scale(_plus(a.error, spread), margin, over=True)
+        elif (ratio := exact_size(a) / abs(kb)) > _TOP:
+            raise OverflowError
+        else:
+            error = _bound((_value(a.error) + eb * ratio) / (abs(kb) - eb))
         if isinstance(a, _Hull):
             return _rounded_hull(*_scaled(a, 1 / kb), error)
-        terms = {v: _div(w, floor) for v, w in a.terms.items()}
         coef = {v: k / kb for v, k in a.coef.items()}
         const = a.const / kb if a.cmag else a.const
-        return rounded(coef, terms, const, _div(a.cmag, floor), error)
+        return rescaled(a, coef, const, _magnitude(kb, up=False), _div, error)
+
+    def exact_size(a) -> Fraction:
+        # the largest |exact value| of a on the box, that S stands for
+        if isinstance(a, _Hull):
+            return max(a.high, -a.low)
+        return abs(a.const) + sum(abs(k) * Fraction(reach[v])
+                                  for v, k in a.coef.items())
 
     def call(name: str, args: list):
         error = args[0].error
@@ -446,8 +459,7 @@ def component_form(
         if not any(map(_reads, args)):  # a constant, read exactly
             ks = [a.const for a in args]
             k = abs(ks[0]) if name == "abs" else min(ks) if name == "min" else max(ks)
-            cmag = _magnitude(k)
-            return _Node({}, {}, k, cmag, cmag, error)
+            return _Node({}, {}, k, _magnitude(k), error)
         hs = [hull(a) for a in args]
         if name == "abs":
             (a,) = hs
@@ -457,25 +469,23 @@ def component_form(
                 return _negated(a)
             slopes = {v: (-w, w) for v, (lo, hi) in a.slopes.items()
                       for w in [max(-lo, hi)]}
-            high = max(-a.low, a.high)
-            return _Hull(slopes, _NIL, high, _magnitude(high), error)
+            return _Hull(slopes, _NIL, max(-a.low, a.high), error)
         slopes = {}
         for v in dict.fromkeys(v for a in hs for v in a.slopes):
             ends = [a.slopes.get(v, (_NIL, _NIL)) for a in hs]
             slopes[v] = min(lo for lo, _ in ends), max(hi for _, hi in ends)
         pick = min if name == "min" else max
         low, high = pick(a.low for a in hs), pick(a.high for a in hs)
-        return _Hull(slopes, low, high, _magnitude(max(high, -low)), error)
+        return _Hull(slopes, low, high, error)
 
     done = []  # each finished operand, until its parent takes it
     try:
         for n in expr.postorder:
             if isinstance(n, ast.Name):
                 r = reach[n.id]
-                done.append(_Node({n.id: _ONE}, {n.id: r}, _NIL, 0.0, r, _ZERO))
+                done.append(_Node({n.id: _ONE}, {n.id: r}, _NIL, 0.0, _ZERO))
             elif isinstance(n, ast.Constant):
-                m = abs(n.value)
-                done.append(_Node({}, {}, Fraction(n.value), m, m, _ZERO))
+                done.append(_Node({}, {}, Fraction(n.value), abs(n.value), _ZERO))
             elif isinstance(n, ast.UnaryOp):
                 if isinstance(n.op, ast.USub):
                     done.append(_negated(done.pop()))
@@ -489,8 +499,7 @@ def component_form(
     except (_NotRead, OverflowError):
         return None
     top = hull(done.pop())
-    e, t = top.error
-    error = Fraction(e) + Fraction(t) / 2**1074 if t else Fraction(e)
+    error = _value(top.error)
     return Form(top.slopes, error, top.low - error, top.high + error)
 
 

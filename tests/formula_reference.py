@@ -6,8 +6,9 @@ grammar, with every quantity in exact rationals: an operation whose exact
 result is z returns z(1 + d) + e with |d| <= 2**-53 and |e| <= 2**-1074, and
 each node carries the largest |exact value| S it takes on the box and a
 bound E on its operands' accumulated error. The fold computes S and E in
-float64 rounded upward, so its bound may only be the larger, and it must
-agree with the reference on the slopes and the exact ranges.
+float64 rounded upward, or rounds up an exact E, so its bound may only be
+the larger, and it must agree with the reference on the slopes and the
+exact ranges.
 """
 
 import ast
@@ -52,15 +53,13 @@ def reference_form(expr, bounds, seen=None) -> Form | None:
     is not positive, or a quantity the fold evaluates in float64 (an S, a
     rounded result z = S + E', an E, or S_a / |b| for a quotient) lies past
     the float range. When ``seen`` is a dict, each such quantity is
-    appended to ``seen["z"]``, and each magnitude that scales a bound (S_a
-    and |b| of a product or a quotient, where the other operand carries an
-    error, and every |b| of a quotient) to ``seen["scale"]``."""
+    appended to ``seen["z"]``."""
     seen = {} if seen is None else seen
     reach = {v: max(abs(Fraction(lo)), abs(Fraction(hi)))
              for v, (lo, hi) in bounds.items()}
 
-    def note(q: Fraction, kind="z") -> Fraction:
-        seen.setdefault(kind, []).append(q)
+    def note(q: Fraction) -> Fraction:
+        seen.setdefault("z", []).append(q)
         if q > TOP:
             raise _Refused
         return q
@@ -111,15 +110,14 @@ def reference_form(expr, bounds, seen=None) -> Form | None:
             return affine({}, k, error)
         if name == "abs":
             (a,) = args
-            a = a._replace(coef=None, const=None)
-            if a.low >= 0:
-                return a
-            if a.high <= 0:
-                return negated(a)
-            slopes = {v: (-w, w) for v, (lo, hi) in a.slopes.items()
-                      for w in [max(-lo, hi)]}
-            high = max(-a.low, a.high)
-            return called(slopes, NIL, high, high, error)
+            if a.low < 0 and a.high <= 0:
+                a = negated(a)
+            slopes, low, high = a.slopes, a.low, a.high
+            if low < 0:  # the hull of d and -d
+                slopes = {v: (-w, w) for v, (lo, hi) in slopes.items()
+                          for w in [max(-lo, hi)]}
+                low, high = NIL, max(-low, high)
+            return called(slopes, low, high, high, error)
         slopes = {}
         for v in dict.fromkeys(v for a in args for v in a.slopes):
             ends = [a.slopes.get(v, (NIL, NIL)) for a in args]
@@ -160,17 +158,11 @@ def reference_form(expr, bounds, seen=None) -> Form | None:
             if reads(b):
                 raise _Refused  # both factors read a variable
             m = abs(b.const)
-            if b.error:
-                note(a.size, "scale")
-            if a.error:
-                note(m, "scale")
             error = a.size * b.error + m * a.error + a.error * b.error
             return rounded(scaled(a, b.const), error)
         # division by a constant: the rounded divisor lies at least
         # |b| - E_b away from zero
-        m = note(abs(b.const), "scale")
-        if b.error:
-            note(a.size, "scale")
+        m = abs(b.const)
         margin = m - b.error
         if margin <= 0:
             raise _Refused
@@ -182,6 +174,11 @@ def reference_form(expr, bounds, seen=None) -> Form | None:
     except _Refused:
         return None
     return Form(top.slopes, top.error, top.low - top.error, top.high + top.error)
+
+
+def exact_range(form: Form) -> tuple[Fraction, Fraction]:
+    """The exact range enclosure that ``form`` widens by its error."""
+    return form.low + form.error, form.high - form.error
 
 
 def box_bounds(space) -> dict:

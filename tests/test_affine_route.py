@@ -10,8 +10,7 @@ exact one only by the rounding allowance ``rounding_allowance`` argues.
 ``component_form`` bounds its rounding error in upward-rounded float64;
 ``reference_form`` computes the same bound in exact rationals, over the
 whole grammar, and the two must agree on everything but that bound, which
-may only be larger, and by less than a factor 1 + 2**-40 wherever every
-magnitude that scales a bound is 0 or a normal float.
+may only be larger, and by less than a factor 1 + 2**-40.
 """
 
 import ast
@@ -49,6 +48,7 @@ from formula_reference import (
     EXTREME_AXES,
     TOP,
     box_bounds,
+    exact_range,
     formula_sources,
     reference_form,
     rounding_allowance,
@@ -73,10 +73,6 @@ def reference_map(cmap: ExpressionMap) -> MapForm | None:
         A.append(tuple(slopes[:k]))
         B.append(tuple((-hi, -lo) for lo, hi in slopes[k:]))
     return MapForm(tuple(A), tuple(B))
-
-
-def exact_range(form) -> tuple[Fraction, Fraction]:
-    return form.low + form.error, form.high - form.error
 
 
 class TestComponentForm:
@@ -292,11 +288,7 @@ def assert_matches_reference(expr, bounds) -> bool:
         return False
     assert form.slopes == ref.slopes, expr.source
     assert exact_range(form) == exact_range(ref), expr.source
-    assert form.error >= ref.error, expr.source
-    if all(not q or q >= Fraction(2) ** -1022 for q in seen.get("scale", [])):
-        # a factor or divisor below the normal range keeps fewer bits as a
-        # float, and the bound it scales can grow by more than its last bit
-        assert form.error <= ref.error * (1 + Fraction(2) ** -40), expr.source
+    assert ref.error <= form.error <= ref.error * (1 + Fraction(2) ** -40), expr.source
     return True
 
 
@@ -310,12 +302,19 @@ def assert_matches_reference(expr, bounds) -> bool:
     # argument, and + - * / applied to the result
     "min(x, 0.5*y + 0.25)", "max(x, y, 0.3) - abs(x - 0.5)",
     "abs(x + 1)/3", "-abs(x - 2)*0.1", "abs(x - y)*2 + 1", "0.5 - abs(-x)",
+    "abs(x - y + 3)*(0.1 + 0.2)", "abs(x - y - 3)*(0.1 + 0.2)", "abs(y) - abs(-y)",
     "(min(x, y) + 1e300) - 1e300", "max(x, 1e300)/1e-200",
     "min(1e300, x)/1e-200 + 0.5", "max(x, abs(y - 0.5))*0", "min(x, 1)*0*y",
     # constant calls
     "min(1, 2)*x + abs(-0.5)", "x*max(0.1, 0.3) - min(abs(-3), 2, 8)",
     # the larger of two bounds, one all in its tail of 2**-1074 terms
-    "min(x*2.004168360008973e-292, y*1.0020841800044864e-292)", "max(x*2.004168360008973e-292, y*1.0020841800044864e-292)*1e300",
+    "min(x*2.004168360008973e-292, y*1.0020841800044864e-292)",
+    "max(x*2.004168360008973e-292, y*1.0020841800044864e-292)*1e300",
+    # a magnitude below the normal range, which a float holds with fewer
+    # bits, scaled up later
+    "y + (5e-324*0.3)*1e300*((1e150 + 1) - 1e150)",
+    "max(y + y, y - 1e300)*((0 + 1e-200)*(0 + 1e-200))",
+    "x*0 + 5e-324*5e-324/5e-324*1e308",
 ])
 @pytest.mark.parametrize("box", [((0.0, 1.0), (0.0, 1.0)),
                                  ((-1.0, 0.5), (0.0, 0.0)),
@@ -345,7 +344,6 @@ def formula_documents(draw):
 @example((BoxSpace((0.0, 0.0), (1.0, 1.0)), ["(0.1+0.2)*x1/3", "-(x2 - y1)/7 + 0.5"]))
 @example((BoxSpace((0.0,), (0.0,)), ["x / (1.7976931348623157e308 - (0 + 0.5))"]))
 @example((BoxSpace((0.0,), (1.0,)), ["max(0.5*x - 0.25*y + 0.5, abs(x - 0.5))"]))
-@example((BoxSpace((5e-324,), (1e-300,)), ["min(1e300, x)/1e-200 + 0.5"]))
 @example((BoxSpace((0.0,), (1.0,)), ["min(x*2.004168360008973e-292, y*1.0020841800044864e-292)"]))
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_float_bound_against_the_rational_reference(case):

@@ -38,7 +38,13 @@ from chainfix.hypotheses import (
 from chainfix.mappings import expression_map
 from chainfix.spaces import BoxSpace
 
-from formula_reference import EXTREME_AXES, formula_sources, rounding_allowance, unread
+from formula_reference import (
+    EXTREME_AXES,
+    exact_range,
+    formula_sources,
+    rounding_allowance,
+    unread,
+)
 
 UNIT_BOX = {"x": (0.0, 1.0), "y": (0.0, 1.0)}
 
@@ -53,7 +59,7 @@ class TestRules:
         assert f.slopes == {"x": (Fraction(1, 4), Fraction(1, 2)),
                             "y": (Fraction(-1, 4), 0)}
         # the ranges [0.25, 1] and [0.25, 0.5], widened by the rounding bound
-        assert (f.low + f.error, f.high - f.error) == (Fraction(1, 4), Fraction(1, 2))
+        assert exact_range(f) == (Fraction(1, 4), Fraction(1, 2))
         # min and max round nothing: the bound is the larger argument's
         assert f.error == form("0.5*x - 0.25*y + 0.5").error
         assert form("max(x, 1 - y)").slopes == {"x": (0, 1), "y": (-1, 0)}
@@ -66,12 +72,12 @@ class TestRules:
     ])
     def test_abs_keeps_flips_or_hulls(self, source, slope, low, high):
         f = form(source)
-        assert (f.slopes["x"], f.low + f.error, f.high - f.error) == (slope, low, high)
+        assert (f.slopes["x"], *exact_range(f)) == (slope, low, high)
 
     def test_constant_calls_are_read_exactly(self):
         f = form("min(1, 2)*x + abs(-0.5)")
         assert f.slopes == {"x": (1, 1)}
-        assert (f.low + f.error, f.high - f.error) == (Fraction(1, 2), Fraction(3, 2))
+        assert exact_range(f) == (Fraction(1, 2), Fraction(3, 2))
 
     def test_a_call_reads_its_magnitude_from_its_own_range(self):
         # min(1e300, x) takes values in x's axis [5e-324, 1e-300] alone, and
@@ -92,7 +98,7 @@ class TestRules:
     def test_scaling_a_hull(self):
         f = form("-2*max(x, 0.5)/4")
         assert f.slopes == {"x": (Fraction(-1, 2), 0)}
-        assert (f.low + f.error, f.high - f.error) == (Fraction(-1, 2), Fraction(-1, 4))
+        assert exact_range(f) == (Fraction(-1, 2), Fraction(-1, 4))
 
 
 class TestMapForm:
