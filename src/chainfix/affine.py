@@ -60,40 +60,29 @@ In each case the node's bound is E = E_operands + u z + 2**-1074. ``min``,
 ``max`` and ``abs`` are exact in float64 and move their result no further
 than their arguments move, so their E is the largest E among the arguments.
 
-Only the slopes, ranges and constants are exact (``fractions.Fraction``),
-and E' where the constant b carries an error, so that |b| need not be a
-float: it is computed from the exact S_a and |b| and then rounded up. Other
-S and E are evaluated in float64 with directed rounding. Each operation
-takes the float nearest its exact result, then steps one float up with
-``math.nextafter`` when an exact check shows that the nearest float fell
-below the exact result. The check is Knuth's two-sum for a sum and integer
-ratios for a product or a quotient. So each step returns the smallest float
-at or above its exact result. A divisor is rounded down instead.
+Only the slopes, ranges and constants are exact (``fractions.Fraction``).
+Every S and every E is held as a count: a Python int n that stands for
+n 2**-1138, rounded up. Integer arithmetic is exact and every division or
+shift takes the ceiling, so every count is at least the exact quantity it
+stands for. Each formula above rises with every S and E and with a factor
+|b|, and falls as the divisor or the margin grows, so, by induction over
+the tree, the fold's bound is never below the bound the same formulas give
+in exact rationals.
 
-This is sound. Each formula above rises with every S and E and with a
-factor |b|, and falls as the divisor or the margin grows. So, by induction
-over the tree, each float is at least the exact quantity it stands for, and
-the float bound is never below the bound the same formulas give in exact
-rationals.
+2**-1138 is 2**64 times finer than 2**-1074, so every float is a whole
+count, and each rounded operation adds 2**64 counts to E while its
+ceilings add at most a few. An affine node reads S as |constant| +
+sum |coefficient| |reach|: a sum re-reads only the variables it merges and
+a constant that may cancel, and a product or a quotient re-reads every
+magnitude from its exact coefficients. Any other node reads S from its
+range enclosure. Where the constant b carries an error, E' is computed
+from the exact S_a and |b|.
 
-Three choices keep the float bound close to the exact one:
-
-* An affine node reads S as |constant| + sum |coefficient| |reach|, and
-  where a sum can cancel, a magnitude is read from the exact coefficient
-  and rounded up. So is every magnitude of a product or a quotient where a
-  float it scales lies below the normal range and so keeps fewer bits;
-  else it scales the magnitude its operand carries. Any other node reads S
-  from its range enclosure.
-* E is held as e + t 2**-1074, with e and t floats. So the 2**-1074 terms
-  keep their exact weight instead of being rounded to the subnormal
-  spacing. t moves into e once t 2**-1074 is a normal float.
-* A part of e that would fall below the normal range is counted in t.
-
-The float bound of every component the fold reads exceeds the rational one
-by a factor below 1 + 2**-40 (``tests/formula_reference.py`` computes it).
-An intermediate past the float range leaves the component unread, as an
+The bound of every component the fold reads exceeds the rational one by a
+factor below 1 + 2**-40 (``tests/formula_reference.py`` computes it). An
+intermediate past the float range leaves the component unread, as an
 overflow would, and so does a divisor whose margin is not positive; since
-the floats lie a little above the exact values, a component that only just
+the counts lie a little above the exact values, a component that only just
 fits the float range may be refused where exact rationals would not refuse
 it.
 
@@ -132,165 +121,50 @@ class _NotRead(Exception):
     pass
 
 
-_TOP = 1.7976931348623157e308  # the largest float
-_TINY = 5e-324  # 2**-1074, the absolute error of one rounded operation
-_UNIT = 2.0**-53
-_SMALL = 2.0**-1022  # the smallest normal float
-_NORMAL = 2.0**52  # t 2**-1074 is a normal float from here on
-_HUGE = 2.0**970  # t < 2**52 times a factor below this stays finite
-
-
-def _step_up(v: float) -> float:
-    v = math.nextafter(v, math.inf)
-    if v > _TOP:
-        raise OverflowError
-    return v
-
-
-def _add(a: float, b: float) -> float:
-    """a + b rounded up."""
-    s = a + b
-    if s > _TOP:
-        raise OverflowError
-    t = s - a
-    slip = (a - (s - t)) + (b - t)  # a + b - s exactly (two-sum)
-    return _step_up(s) if slip > 0 else s
-
-
-def _mul(a: float, b: float) -> float:
-    """a * b rounded up, for a, b >= 0."""
-    p = a * b
-    if not p or a == 1.0 or b == 1.0:
-        return _TINY if p == 0.0 and a and b else p  # exact, or an underflow
-    (n, d), (na, da), (nb, db) = (
-        p.as_integer_ratio(), a.as_integer_ratio(), b.as_integer_ratio()
-    )  # OverflowError when p is infinite
-    return _step_up(p) if n * da * db < na * nb * d else p
-
-
-def _div(a: float, b: float) -> float:
-    """a / b rounded up, for a >= 0 and b > 0."""
-    q = a / b
-    if not a or b == 1.0:
-        return q
-    (n, d), (na, da), (nb, db) = (
-        q.as_integer_ratio(), a.as_integer_ratio(), b.as_integer_ratio()
-    )
-    return _step_up(q) if n * da * nb < na * d * db else q
-
-
-def _magnitude(k: Fraction, up: bool = True) -> float:
-    """|k| rounded up, or down."""
-    n, d = abs(k.numerator), k.denominator
-    f = n / d  # correctly rounded; OverflowError past the float range
-    fn, fd = f.as_integer_ratio()
-    if up and fn * d < n * fd:
-        return _step_up(f)
-    if not up and fn * d > n * fd:
-        return math.nextafter(f, 0.0)
-    return f
-
-
-# An error bound is a pair (e, t) of floats, standing for e + t 2**-1074,
-# with 0 <= t < 2**52.
-
-
-def _fold(e: float, t: float) -> tuple[float, float]:
-    if t >= _NORMAL:  # t 2**-1074 is a normal float, so ldexp is exact
-        return _add(e, math.ldexp(t, -1074)), 0.0
-    return e, t
-
-
-def _plus(p, q):
-    if not (q[0] or q[1]):
-        return p
-    if not (p[0] or p[1]):
-        return q
-    return _fold(_add(p[0], q[0]), _add(p[1], q[1]))
-
-
-def _scale(p, f: float, over: bool = False):
-    """The bound p times f >= 0, or divided by f > 0 when ``over``."""
-    e, t = p
-    if not (e or t):
-        return p
-    op, sign = (_div, -1) if over else (_mul, 1)
-    if (f < 1 / _HUGE) if over else (f > _HUGE):
-        # t f 2**-1074 (or t / f 2**-1074) is a normal float: put it in e
-        return _add(op(e, f), op(t, math.ldexp(f, -1074 * sign))), 0.0
-    t = op(t, f)
-    if e and (e / f if over else e * f) < _SMALL:
-        # below the normal range: count it in t, scaling whichever of e
-        # and f keeps the exact ldexp finite
-        if e < 2.0**-50:
-            return _fold(0.0, _add(t, op(math.ldexp(e, 1074), f)))
-        return _fold(0.0, _add(t, op(e, math.ldexp(f, 1074 * sign))))
-    return _fold(op(e, f), t)
-
-
-_ZERO = (0.0, 0.0)
+_P = 1138  # a count n stands for n 2**-1138
+_TINY = 1 << 64  # 2**-1074, the absolute error of one rounded operation
+_TOP = (2**53 - 1) << 2109  # the largest float, (2**53 - 1) 2**971
 _ONE, _NIL = Fraction(1), Fraction(0)
 
 
-def _round_off(size: float, error):
+def _count(q: Fraction) -> int:
+    """|q| in counts, rounded up."""
+    return -((-abs(q.numerator) << _P) // q.denominator)
+
+
+def _round_off(size: int, error: int) -> int:
     """The bound of one rounded operation whose exact result is at most
     ``size`` in magnitude and whose operands carry ``error``: z is at most
     size + E, and the node's bound is E + u z + 2**-1074."""
-    e, t = error
-    s = _add(size, e)
-    if t:
-        _add(s, _mul(t, _TINY))  # z: OverflowError past the float range
-        t = _add(t, _mul(_UNIT, t))
-    if s * _UNIT >= _SMALL:  # exact: a power of two times a float
-        e = _add(e, s * _UNIT)
-    else:  # below the normal range: u s = (s 2**1021) 2**-1074, exactly
-        t = _add(t, math.ldexp(s, 1021))
-    return _fold(e, _add(t, 1.0))
-
-
-def _value(p) -> Fraction:
-    """The bound p as one exact rational."""
-    e, t = p
-    return Fraction(e) + Fraction(t) / 2**1074 if t else Fraction(e)
-
-
-def _widest(p, q):
-    """The larger of the bounds p and q, read exactly only where the tuple
-    order may disagree: reading all exactly slowed the fold by 7%."""
-    p, q = max(p, q), min(p, q)  # p has the larger e
-    if p[1] >= q[1] or p[0] - q[0] > _SMALL:  # t 2**-1074 < 2**-1022 = _SMALL
-        return p
-    return max(p, q, key=_value)
-
-
-def _bound(q: Fraction):
-    """The exact rational q >= 0 as a bound, rounded up."""
-    t = q * 2**1074
-    return _fold(0.0, _magnitude(t)) if t < _NORMAL else (_magnitude(q), 0.0)
+    z = size + error
+    error += -(-z >> 53) + _TINY
+    if max(z, error) > _TOP:
+        raise _NotRead  # past the float range
+    return error
 
 
 class _Node(NamedTuple):
-    """An affine subexpression read so far: its exact affine form, and float
-    upper bounds on |coef[v]| reach[v] (``terms``), on |const| and on its
+    """An affine subexpression read so far: its exact affine form, and
+    counts at or above |coef[v]| reach[v] (``terms``), |const| and its
     error."""
 
     coef: dict
     terms: dict
     const: Fraction
-    cmag: float
-    error: tuple
+    cmag: int
+    error: int
 
 
 class _Hull(NamedTuple):
     """A subexpression with a call on a variable in it: exact bounds (lo, hi)
     on each partial derivative that may be nonzero, an exact enclosure
-    [low, high] of its value on the box, and a float upper bound on its
+    [low, high] of its value on the box, and a count at or above its
     error."""
 
     slopes: dict
     low: Fraction
     high: Fraction
-    error: tuple
+    error: int
 
 
 def _reads(a) -> bool:
@@ -318,7 +192,7 @@ def _scaled(a: _Hull, q: Fraction) -> tuple:
 
 def _rounded_hull(slopes, low, high, error) -> _Hull:
     # the node of one rounded operation on a subexpression with a call in it
-    return _Hull(slopes, low, high, _round_off(_magnitude(max(high, -low)), error))
+    return _Hull(slopes, low, high, _round_off(_count(max(high, -low)), error))
 
 
 def component_form(
@@ -329,39 +203,27 @@ def component_form(
     read a variable, or when its evaluation, or a bound on it, might
     overflow there; the sampled route then decides it.
 
-    ``error`` is the module's rounding bound, computed in upward-rounded
-    float64 and so never below the same bound in exact rationals; ``low``
-    and ``high`` widen the exact range enclosure over the box by it. It
-    folds the parser's post-order of the tree in one loop, so how deeply a
-    formula nests never changes the answer.
+    ``error`` is the module's rounding bound, held in whole counts of
+    2**-1138 rounded up and so never below the same bound in exact
+    rationals; ``low`` and ``high`` widen the exact range enclosure over the
+    box by it. It folds the parser's post-order of the tree in one loop, so
+    how deeply a formula nests never changes the answer.
     """
-    reach = {v: max(abs(lo), abs(hi)) for v, (lo, hi) in bounds.items()}
+    # each axis's largest |value|, in counts, exactly: a float is a whole count
+    reach = {v: _count(Fraction(max(abs(lo), abs(hi))))
+             for v, (lo, hi) in bounds.items()}
+
+    def term(v: str, k: Fraction) -> int:
+        return -((-abs(k.numerator) * reach[v]) // k.denominator)
 
     def rounded(coef, terms, const, cmag, error) -> _Node:
-        size = cmag
-        for w in terms.values():
-            size = _add(size, w)
-        return _Node(coef, terms, const, cmag, _round_off(size, error))
+        return _Node(coef, terms, const, cmag,
+                     _round_off(cmag + sum(terms.values()), error))
 
-    def term(v: str, k: Fraction) -> float:
-        r = reach[v]
-        if not r:
-            return 0.0
-        try:
-            m = _magnitude(k)
-        except OverflowError:  # |k| is past the float range, |k| r may not be
-            m = 0.0
-        return _mul(m, r) if m >= _SMALL else _magnitude(k * Fraction(r))
-
-    def rescaled(a: _Node, coef, const, f: float, op, error) -> _Node:
-        # a times or over f, the float of the factor or divisor; each
-        # magnitude is read from the exact coefficient where one lies below
-        # the normal range
-        if min(f, *a.terms.values(), a.cmag or _SMALL) >= _SMALL:
-            terms, cmag = {v: op(w, f) for v, w in a.terms.items()}, op(a.cmag, f)
-        else:
-            terms, cmag = {v: term(v, k) for v, k in coef.items()}, _magnitude(const)
-        return rounded(coef, terms, const, cmag, error)
+    def reread(coef, const, error) -> _Node:
+        # a product or a quotient reads every magnitude from its coefficients
+        terms = {v: term(v, k) for v, k in coef.items()}
+        return rounded(coef, terms, const, _count(const), error)
 
     def span(coef, const) -> tuple[Fraction, Fraction]:
         # the exact range of an affine form over the box
@@ -395,7 +257,7 @@ def component_form(
                         lo, hi = slopes[v][0] + lo, slopes[v][1] + hi
                     slopes[v] = lo, hi
                 return _rounded_hull(slopes, a.low + b.low, a.high + b.high,
-                                     _plus(a.error, b.error))
+                                     a.error + b.error)
             coef, terms = dict(a.coef), dict(a.terms)
             for v, k in b.coef.items():
                 if v not in coef:
@@ -410,56 +272,52 @@ def component_form(
                 const, cmag = b.const if plus else -b.const, b.cmag
             else:
                 const = a.const + b.const if plus else a.const - b.const
-                cmag = _magnitude(const)
-            return rounded(coef, terms, const, cmag, _plus(a.error, b.error))
+                cmag = _count(const)
+            return rounded(coef, terms, const, cmag, a.error + b.error)
+        if _reads(b):  # b is then the factor that reads no variable, or
+            a, b = b, a  # the divisor, which never reads one
+        if _reads(b):
+            raise _NotRead  # both factors read a variable
+        kb, eb = b.const, b.error
         if isinstance(op, ast.Mult):
-            if _reads(b):
-                a, b = b, a
-            if _reads(b):
-                raise _NotRead  # both factors read a variable
-            kb = b.const
-            if b.error == _ZERO:  # b is a float, so b.cmag = |b| exactly
-                error = _scale(a.error, b.cmag)
+            if not eb:  # b is a float, so b.cmag = |b| 2**1138 exactly
+                error = -(-a.error * b.cmag >> _P)
             else:
-                ea, eb = _value(a.error), _value(b.error)
-                error = _bound(exact_size(a) * eb + abs(kb) * ea + ea * eb)
+                error = math.ceil(exact_size(a) * eb + abs(kb) * a.error
+                                  + Fraction(a.error * eb, 1 << _P))
             if isinstance(a, _Hull):
                 return _rounded_hull(*_scaled(a, kb), error)
             coef = {v: k * kb for v, k in a.coef.items()} if kb else {}
-            const = a.const * kb if a.cmag else a.const
-            return rescaled(a, coef, const, b.cmag, _mul, error)
+            return reread(coef, a.const * kb if a.cmag else a.const, error)
         # division by a constant, the grammar's only kind: the rounded
         # divisor lies at least |kb| - E_b away from zero
-        kb, eb = b.const, _value(b.error)
-        if not eb:  # b is a float, so b.cmag = |b| exactly
-            error = _scale(a.error, b.cmag, over=True)
-        elif abs(kb) <= eb:
+        if not eb:  # b is a float, so b.cmag = |b| 2**1138 exactly
+            error = -((-a.error << _P) // b.cmag)
+        elif abs(kb) * (1 << _P) <= eb:
             raise _NotRead
-        elif (ratio := exact_size(a) / abs(kb)) > _TOP:
-            raise OverflowError
+        elif _count(ratio := exact_size(a) / abs(kb)) > _TOP:
+            raise _NotRead
         else:
-            error = _bound((_value(a.error) + eb * ratio) / (abs(kb) - eb))
+            error = math.ceil((a.error + eb * ratio)
+                              / (abs(kb) - Fraction(eb, 1 << _P)))
         if isinstance(a, _Hull):
             return _rounded_hull(*_scaled(a, 1 / kb), error)
         coef = {v: k / kb for v, k in a.coef.items()}
-        const = a.const / kb if a.cmag else a.const
-        return rescaled(a, coef, const, _magnitude(kb, up=False), _div, error)
+        return reread(coef, a.const / kb if a.cmag else a.const, error)
 
     def exact_size(a) -> Fraction:
         # the largest |exact value| of a on the box, that S stands for
         if isinstance(a, _Hull):
             return max(a.high, -a.low)
-        return abs(a.const) + sum(abs(k) * Fraction(reach[v])
-                                  for v, k in a.coef.items())
+        terms = sum(abs(k) * reach[v] for v, k in a.coef.items())
+        return abs(a.const) + Fraction(terms, 1 << _P)
 
     def call(name: str, args: list):
-        error = args[0].error
-        for a in args[1:]:
-            error = _widest(error, a.error)
+        error = max(a.error for a in args)
         if not any(map(_reads, args)):  # a constant, read exactly
             ks = [a.const for a in args]
             k = abs(ks[0]) if name == "abs" else min(ks) if name == "min" else max(ks)
-            return _Node({}, {}, k, _magnitude(k), error)
+            return _Node({}, {}, k, _count(k), error)
         hs = [hull(a) for a in args]
         if name == "abs":
             (a,) = hs
@@ -482,10 +340,10 @@ def component_form(
     try:
         for n in expr.postorder:
             if isinstance(n, ast.Name):
-                r = reach[n.id]
-                done.append(_Node({n.id: _ONE}, {n.id: r}, _NIL, 0.0, _ZERO))
+                done.append(_Node({n.id: _ONE}, {n.id: reach[n.id]}, _NIL, 0, 0))
             elif isinstance(n, ast.Constant):
-                done.append(_Node({}, {}, Fraction(n.value), abs(n.value), _ZERO))
+                k = Fraction(n.value)
+                done.append(_Node({}, {}, k, _count(k), 0))
             elif isinstance(n, ast.UnaryOp):
                 if isinstance(n.op, ast.USub):
                     done.append(_negated(done.pop()))
@@ -496,10 +354,10 @@ def component_form(
             else:
                 b = done.pop()
                 done.append(combine(n.op, done.pop(), b))
-    except (_NotRead, OverflowError):
+    except _NotRead:
         return None
     top = hull(done.pop())
-    error = _value(top.error)
+    error = Fraction(top.error, 1 << _P)
     return Form(top.slopes, error, top.low - error, top.high + error)
 
 

@@ -500,7 +500,9 @@ def find_epsilon_chain(
     segment from a to b in ``_box_hops`` equal steps, each coordinate
     rounded once from its exact value, so the waypoints ascend, stay in
     [a, b] and end at b itself; one step more only when rounding pushes a
-    gap to epsilon.
+    gap to epsilon. A ``DomainError`` refuses a and b one float step apart
+    on one axis with epsilon at most d(a, b): no float lies strictly
+    between them, so no chain exists.
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")

@@ -5,10 +5,10 @@ the helpers that the tests of the fold share.
 grammar, with every quantity in exact rationals: an operation whose exact
 result is z returns z(1 + d) + e with |d| <= 2**-53 and |e| <= 2**-1074, and
 each node carries the largest |exact value| S it takes on the box and a
-bound E on its operands' accumulated error. The fold computes S and E in
-float64 rounded upward, or rounds up an exact E, so its bound may only be
-the larger, and it must agree with the reference on the slopes and the
-exact ranges.
+bound E on its operands' accumulated error. The fold holds S and E in
+whole counts of 2**-1138, each rounded up, so its bound may only be the
+larger, and it must agree with the reference on the slopes and the exact
+ranges.
 """
 
 import ast
@@ -50,10 +50,10 @@ class _Node(NamedTuple):
 def reference_form(expr, bounds, seen=None) -> Form | None:
     """``component_form(expr, bounds)`` in exact rationals, or None where a
     product of two factors reads a variable, a divisor's margin |b| - E_b
-    is not positive, or a quantity the fold evaluates in float64 (an S, a
-    rounded result z = S + E', an E, or S_a / |b| for a quotient) lies past
-    the float range. When ``seen`` is a dict, each such quantity is
-    appended to ``seen["z"]``."""
+    is not positive, or a quantity the fold bounds (an S, a rounded result
+    z = S + E', an E, or S_a / |b| for a quotient) lies past the float
+    range. When ``seen`` is a dict, each such quantity is appended to
+    ``seen["z"]``."""
     seen = {} if seen is None else seen
     reach = {v: max(abs(Fraction(lo)), abs(Fraction(hi)))
              for v, (lo, hi) in bounds.items()}

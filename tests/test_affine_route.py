@@ -7,10 +7,11 @@ the sampled scan of the same values (``unread``, a product the fold does
 not read) finds a violation, and the sampled ``lambda_hat`` may exceed the
 exact one only by the rounding allowance ``rounding_allowance`` argues.
 
-``component_form`` bounds its rounding error in upward-rounded float64;
-``reference_form`` computes the same bound in exact rationals, over the
-whole grammar, and the two must agree on everything but that bound, which
-may only be larger, and by less than a factor 1 + 2**-40.
+``component_form`` bounds its rounding error in whole counts of 2**-1138,
+each rounded up; ``reference_form`` computes the same bound in exact
+rationals, over the whole grammar, and the two must agree on everything but
+that bound, which may only be larger, and by less than a factor
+1 + 2**-40.
 """
 
 import ast
@@ -279,11 +280,11 @@ def assert_matches_reference(expr, bounds) -> bool:
     seen = {}
     form, ref = component_form(expr, bounds), reference_form(expr, bounds, seen)
     if ref is None:
-        assert form is None, expr.source  # the float bounds are the larger
+        assert form is None, expr.source  # the fold's bounds are the larger
         return True
     if form is None:
-        # the float bounds lie a few units in the last place above the
-        # rational ones, so they may refuse what only just fits
+        # the fold's counts lie a little above the rational bounds, so they
+        # may refuse what only just fits
         assert max(seen["z"]) > TOP * (1 - Fraction(2) ** -40), expr.source
         return False
     assert form.slopes == ref.slopes, expr.source
@@ -315,6 +316,11 @@ def assert_matches_reference(expr, bounds) -> bool:
     "y + (5e-324*0.3)*1e300*((1e150 + 1) - 1e150)",
     "max(y + y, y - 1e300)*((0 + 1e-200)*(0 + 1e-200))",
     "x*0 + 5e-324*5e-324/5e-324*1e308",
+    # a constant below 2**-1138, the counts' resolution, scaled back up
+    "x + 1e-300*1e-300", "(1e-300*1e-300)*1e300*1e300*x",
+    "(x*1e-300*1e-300 + 1e-320)*1e300*1e300",
+    "(x - x + 1e-300*1e-300)/1e-300/1e-300",
+    "abs(x*1e-300*1e-300 - 1e-310*1e-310)*1e300*1e300*1e10",
 ])
 @pytest.mark.parametrize("box", [((0.0, 1.0), (0.0, 1.0)),
                                  ((-1.0, 0.5), (0.0, 0.0)),
