@@ -353,7 +353,7 @@ def run_cli(argv=None) -> int:
     try:
         return args.func(args)
     except (ChainfixError, OSError) as exc:
-        field = getattr(exc, "field", None)  # set on InvalidInstanceError
+        field = getattr(exc, "field", None)  # the document key at fault, if any
         where = f"{field}: " if field else ""
         print(f"error: {where}{exc}", file=sys.stderr)
         return 2

@@ -52,8 +52,11 @@ class EscapeError(ChainfixError):
     """An expression map produced a value outside its box.
 
     Signals an ill-posed instance; the solver reports it as divergence.
+    ``field`` is the document key at fault, always ``map.formula``;
     ``witness`` is the pair of points (x, y) whose image left the box.
     """
+
+    field = "map.formula"
 
     def __init__(self, message: str, *, witness=None):
         super().__init__(message)

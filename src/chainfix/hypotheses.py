@@ -33,13 +33,15 @@ distances between points, and F over every pair of points. A finite space
 hands over its own read-only ``L``, ``D`` and ``T`` without a copy (the
 oracle reads them too: reading stored data is not sharing a kernel); a box
 validates its sample and tabulates it with numpy, once per map and plan
-for both checks, so a map that leaves the box anywhere on the sample
-raises ``EscapeError`` before any scan starts, and a sample whose tables
-would pass a fixed byte budget raises ``SamplingError`` before any table
-is built. The mixed-monotonicity scan compares whole rows of images as
-numpy masks, a block of about 2**16 cells at a time, over the covering
-pairs first and over every comparable pair only when a covering pair
-fails. On a finite space the chainability check
+for both checks. A sample whose tables would pass a fixed byte budget
+raises ``SamplingError`` before any table is built, and a map that leaves
+the box anywhere on the sample raises ``EscapeError`` before any scan
+starts. Reading a document evaluates no map, so these tables and
+``check_seed`` are where an escape is found; ``EscapeError`` names the
+field ``map.formula``. The mixed-monotonicity scan compares whole rows of
+images as numpy masks, a block of about 2**16 cells at a time, over the
+covering pairs first and over every comparable pair only when a covering
+pair fails. On a finite space the chainability check
 takes every hop count from one min-plus closure over whole arrays, and its
 per-pair table, ``details["chain_n"]``, is a read-only mapping built on
 first read. Only the contraction scan and the finite

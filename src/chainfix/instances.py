@@ -32,13 +32,7 @@ import random
 from typing import NamedTuple
 
 from ._lazy import numpy as np
-from .errors import (
-    DomainError,
-    EscapeError,
-    InvalidInstanceError,
-    clipped,
-    clipped_repr,
-)
+from .errors import DomainError, InvalidInstanceError, clipped, clipped_repr
 from .mappings import CoupledMap, ExpressionMap, TableMap, expression_map
 from .spaces import (
     BoxSpace,
@@ -277,25 +271,6 @@ def _parse_expression_map(space, data: dict) -> ExpressionMap:
     return _build("map", expression_map, space, formula)
 
 
-def _check_box_closure(space: BoxSpace, cmap: ExpressionMap, step: float | None):
-    # the box must be mapped into itself: proven from the formula where its
-    # range enclosure, widened by the rounding bound, lies in the box
-    # (``ExpressionMap.form``), else sampled on the first 200 grid points
-    # (the rest of the grid is never built) and 32 seeded draws
-    if cmap.form is not None:
-        return
-    pts = list(itertools.islice(itertools.product(*space.grid_axes(step)), 200))
-    pts += space.uniform_points(32, seed=0)
-    try:
-        cmap.tabulate(pts, pts)
-    except EscapeError as exc:
-        raise InvalidInstanceError(
-            f"map leaves the box: {exc}",
-            field="map.formula",
-            witness=[point_jsonable(p) for p in exc.witness],
-        ) from None
-
-
 def parse_instance(data) -> Instance:
     """Validate a decoded JSON document and build the runtime objects.
 
@@ -387,8 +362,6 @@ def parse_instance(data) -> Instance:
         )
     if isinstance(space, FiniteSpace):
         closure_flag = True  # discrete topology: limits are eventual constants
-    if isinstance(cmap, ExpressionMap):
-        _check_box_closure(space, cmap, grid_step)
     return Instance(
         space=space,
         cmap=cmap,

@@ -32,7 +32,7 @@ if TYPE_CHECKING:
     from .affine import MapForm
     from .expressions import CompiledExpression
 
-_BLOCK = 1 << 16  # point pairs evaluated at once by ExpressionMap.tabulate
+_BLOCK = 1 << 16  # point pairs evaluated at once by ExpressionMap._tabulate
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,20 +145,12 @@ class ExpressionMap:
             raise _escape(out, x, y)
         return out
 
-    def tabulate(self, xs: Sequence[BoxPoint], ys: Sequence[BoxPoint]) -> np.ndarray:
-        """F over every pair of points: ``out[i, j]`` is ``apply(xs[i], ys[j])``.
-
-        The expressions run on float64 arrays, a block of rows of about
-        2**16 pairs at a time, and give the values ``apply`` gives bit for
-        bit. The first pair in row-major order whose image leaves the box
-        raises the ``EscapeError`` that ``apply`` raises there.
-        """
-        for p in (*xs, *ys):
-            self.space.validate_point(p)
-        return self._tabulate(xs, ys)
-
     def _tabulate(self, xs: Sequence[BoxPoint], ys: Sequence[BoxPoint]) -> np.ndarray:
-        # ``tabulate`` over points the caller has already validated
+        # F over every pair of points the caller has already validated:
+        # ``out[i, j]`` is ``apply(xs[i], ys[j])``, bit for bit. The
+        # expressions run on float64 arrays, a block of rows of about 2**16
+        # pairs at a time; the first pair in row-major order whose image
+        # leaves the box raises the ``EscapeError`` that ``apply`` raises there
         k = self.space.dim
         X = np.array(xs, dtype=float).reshape(len(xs), k)
         Y = np.array(ys, dtype=float).reshape(len(ys), k)

@@ -248,24 +248,45 @@ class TestExitCodes:
         assert code == 0
 
 
-    def test_map_escaping_off_the_load_check_exits_two(self, capsys, tmp_path):
-        # the load check tries only the first 200 grid points, so the escape
-        # near y = 1 surfaces when the checks tabulate F over the sample
+    @pytest.mark.parametrize("command", ["check", "solve", "verify-lemma"])
+    @pytest.mark.parametrize("formula, step, epsilon, seeds, line", [
+        # F leaves [0, 1] only near y = 1, at the end of the sample's grid
+        ("max(0, 100*y - 98.9)", 0.004, 0.01, (0, 0),
+         "map value (1.0999999999999943,) escapes the box at x=(0.0,), y=(1.0,)"),
+        # F leaves [0, 1] only within 0.001 of x = 0.3: no sample point lies
+        # there, but the seed x0 does
+        ("x*y + 2000*max(0, 0.001 - abs(x - 0.3))", 0.5, 0.6, (0.3, 0.7),
+         "map value (2.21,) escapes the box at x=(0.3,), y=(0.7,)"),
+    ], ids=["on-the-sample", "at-the-seeds"])
+    def test_map_escape_names_the_formula(self, capsys, tmp_path, command,
+                                          formula, step, epsilon, seeds, line):
         doc = {
             "schema_version": 1,
             "space": {"kind": "box", "dimension": 1, "lower": [0],
-                      "upper": [1], "grid_step": 0.004},
-            "map": {"kind": "expression", "formula": "max(0, 100*y - 98.9)"},
-            "seeds": {"x0": 0, "y0": 0},
-            "parameters": {"epsilon": 0.01},
+                      "upper": [1], "grid_step": step},
+            "map": {"kind": "expression", "formula": formula},
+            "seeds": {"x0": seeds[0], "y0": seeds[1]},
+            "parameters": {"epsilon": epsilon},
         }
         path = tmp_path / "escape.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "check", str(path))
-        assert code == 2
-        assert out == ""
-        assert "escapes the box" in err
-        assert "Traceback" not in err
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: map.formula: {line}\n"
+
+    def test_chain_never_evaluates_the_map(self, capsys, tmp_path):
+        # x + y leaves [0, 1], but chain reads only the box and epsilon, so
+        # it prints what it prints for an affine map on the same box
+        outs = []
+        for formula in ["x + y", "(2*x - y + 3)/8"]:
+            doc = dict(ESCAPE_DOC, map={"kind": "expression", "formula": formula})
+            path = tmp_path / "chain.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "chain", str(path), "--from", "0",
+                                 "--to", "1")
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("edit, line", [
         (lambda d: d["space"]["distance_matrix"][0].__setitem__(1, 5),
@@ -296,7 +317,7 @@ class TestExitCodes:
         assert err == line
 
     @pytest.mark.parametrize("formula, reason", [
-        (f"{10**200} * {10**200} * x", "map leaves the box: map value (nan,) "),
+        (f"{10**200} * {10**200} * x", "map value (nan,) "),
         (f"x/{10**399}", "numeric literal outside float range"),
     ], ids=["huge-product", "huge-divisor"])
     def test_huge_literal_is_a_field_error(self, capsys, tmp_path, formula,
@@ -813,9 +834,11 @@ MODULE_PROBE = ("import atexit, sys, types\n"
                 "and type(v) is types.ModuleType), file=sys.stderr))\n")
 STARTUP = {"_lazy", "cli", "errors"}  # what every call runs
 LOADING = {"instances", "mappings", "spaces"}  # reading a finite document
-BOX_LOADING = LOADING | {"expressions", "affine"}  # reading a box document
+BOX_LOADING = LOADING | {"expressions"}  # reading a box document
 # past loading the document: check runs no solver, chain and oracle run no
-# solver or pipeline, and only oracle runs the oracle
+# solver or pipeline, and only oracle runs the oracle; on a box, the map
+# checks read the formula's bounds from affine, which chain never does
+BOX_CHECKS = {"check", "solve", "verify-lemma"}
 COMMAND_RUNS = {
     "check": {"hypotheses", "pipeline"},
     "solve": {"hypotheses", "pipeline", "solver"},
@@ -843,6 +866,8 @@ def test_each_command_runs_only_the_modules_it_uses(instance_dir, command, name)
     assert json.loads(proc.stdout)
     # a finite document compiles neither expressions nor affine
     loading = LOADING if name == "f1" else BOX_LOADING
+    if name == "l2d" and command in BOX_CHECKS:
+        loading = loading | {"affine"}
     assert ran == STARTUP | loading | COMMAND_RUNS[command]
 
 

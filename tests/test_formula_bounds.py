@@ -231,7 +231,7 @@ def axis_points(lo, hi, ts):
 @example(((0.0, 1.0), "abs(x - 0.5)*3 - max(y, 0.1)/0.3"))
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_every_float_value_lies_in_the_range(case):
-    # the property that lets the load check skip its sample on a box map
+    # the property that lets the map checks skip the sample on a box map
     # whose form lies inside the box
     (lo, hi), source = case
     try:

@@ -1,12 +1,13 @@
 """Schema validation, canonical serialization, deterministic generation."""
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainfix.errors import GrammarError, InvalidInstanceError
+from chainfix.errors import EscapeError, GrammarError, InvalidInstanceError
 from chainfix.instances import (
     MAX_ITERATIONS,
     dump_instance,
@@ -15,6 +16,8 @@ from chainfix.instances import (
     load_instance,
     parse_instance,
 )
+from chainfix.mappings import ExpressionMap
+from chainfix.pipeline import run_hypothesis_suite
 
 
 def finite_doc():
@@ -199,12 +202,28 @@ class TestRejections:
     def test_rejects_map_leaving_the_box(self):
         doc = box_doc()
         doc["map"]["formula"] = "x + y"
-        with pytest.raises(InvalidInstanceError) as exc:
-            parse_instance(doc)
-        # affine, but its range [0, 2] proves nothing: the load sample finds
-        # the first escape
+        # reading evaluates no map; x + y is affine, but its range [0, 2]
+        # proves nothing, so the first map check tabulates the sample and
+        # refuses the first escape
+        inst = parse_instance(doc)
+        with pytest.raises(EscapeError) as exc:
+            run_hypothesis_suite(inst)
         assert exc.value.field == "map.formula"
-        assert exc.value.witness == [0.25, 1.0]
+        assert exc.value.witness == ((0.25,), (1.0,))
+
+    def test_reading_a_box_document_evaluates_no_map(self, tmp_path):
+        # a clamp's closure is not proven from its formula, yet reading it
+        # neither tabulates the map nor runs the fold
+        doc = box_doc()
+        doc["map"]["formula"] = "min(1, max(0, 0.5 + x - y))"
+        path = tmp_path / "clamp.json"
+        path.write_text(json.dumps(doc))
+        with mock.patch.object(ExpressionMap, "_tabulate",
+                               side_effect=AssertionError), \
+                mock.patch("chainfix.affine.map_form",
+                           side_effect=AssertionError):
+            inst = load_instance(str(path))
+        assert inst.cmap.sources == ("min(1, max(0, 0.5 + x - y))",)
 
     def test_rejects_variable_denominator(self):
         doc = box_doc()

@@ -262,7 +262,7 @@ def images_by_apply(cmap, pts):
 
 def images_by_tabulate(cmap, pts):
     try:
-        table = cmap.tabulate(pts, pts)
+        table = cmap._tabulate(pts, pts)
     except EscapeError as exc:
         return str(exc), exc.witness
     return [list(map(tuple, row)) for row in table.tolist()]
@@ -310,7 +310,7 @@ def test_overflow_escapes_quietly(capfd):
     cmap = expression_map(BoxSpace((0.0,), (1.0,)), "1e308*x*10")
     pts = [(0.0,), (0.5,), (1.0,)]
     with pytest.raises(EscapeError) as info:
-        cmap.tabulate(pts, pts)
+        cmap._tabulate(pts, pts)
     assert str(info.value) == (
         "map value (inf,) escapes the box at x=(0.5,), y=(0.0,)")
     assert info.value.witness == ((0.5,), (0.0,))
