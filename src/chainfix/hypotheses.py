@@ -35,10 +35,11 @@ oracle reads them too: reading stored data is not sharing a kernel); a box
 validates its sample and tabulates it with numpy, once per map and plan
 for both checks. A sample whose tables would pass a fixed byte budget
 raises ``SamplingError`` before any table is built, and a map that leaves
-the box anywhere on the sample raises ``EscapeError`` before any scan
-starts. Reading a document evaluates no map, so these tables and
-``check_seed`` are where an escape is found; ``EscapeError`` names the
-field ``map.formula``. The mixed-monotonicity scan compares whole rows of
+the box anywhere on the sample (or, for a plan without a grid, on pairs
+among the box's first 200 corners and the sample) raises ``EscapeError``
+before any scan starts. Reading a document evaluates no map, so these
+tables and ``check_seed`` are where an escape is found; ``EscapeError``
+names the field ``map.formula``. The mixed-monotonicity scan compares whole rows of
 images as numpy masks, a block of about 2**16 cells at a time, over the
 covering pairs first and over every comparable pair only when a covering
 pair fails. On a finite space the chainability check
@@ -294,6 +295,14 @@ def _map_tables(cmap: CoupledMap, plan: SamplingPlan | None) -> _Tables:
             f"a sample of {len(pts)} points needs {need} bytes of tables, "
             f"over the budget of {_TABLE_BYTES}", field="space.grid_step",
         )
+    if plan.grid_step is None:
+        # a sample without a grid holds no corner of the box: F is first
+        # evaluated, one row at a time, over the pairs among the box's first
+        # 200 corners and the sample, so an escape there raises too; no
+        # verdict reads these values
+        ext = [*itertools.islice(itertools.product(*space.grid_axes(None)), 200), *pts]
+        for x in ext:
+            cmap._tabulate([x], ext)
     P = np.array(pts, dtype=float).reshape(len(pts), space.dim)
     leq = np.ones((len(pts),) * 2, dtype=bool)
     dist = 0.0

@@ -257,13 +257,19 @@ class TestExitCodes:
         # there, but the seed x0 does
         ("x*y + 2000*max(0, 0.001 - abs(x - 0.3))", 0.5, 0.6, (0.3, 0.7),
          "map value (2.21,) escapes the box at x=(0.3,), y=(0.7,)"),
-    ], ids=["on-the-sample", "at-the-seeds"])
+        # F leaves [0, 1] only for x above 0.999; without a grid_step the
+        # sample is 8 draws, none there, but the box's corner x = 1 is tried
+        ("0.5 + (x - y)/4 + 1000*max(0, x - 0.999)", None, 0.6, (0.2, 0.8),
+         "map value (1.7500000000000009,) escapes the box at x=(1.0,), y=(0.0,)"),
+    ], ids=["on-the-sample", "at-the-seeds", "at-a-corner"])
     def test_map_escape_names_the_formula(self, capsys, tmp_path, command,
                                           formula, step, epsilon, seeds, line):
+        space = {"kind": "box", "dimension": 1, "lower": [0], "upper": [1]}
+        if step is not None:
+            space["grid_step"] = step
         doc = {
             "schema_version": 1,
-            "space": {"kind": "box", "dimension": 1, "lower": [0],
-                      "upper": [1], "grid_step": step},
+            "space": space,
             "map": {"kind": "expression", "formula": formula},
             "seeds": {"x0": seeds[0], "y0": seeds[1]},
             "parameters": {"epsilon": epsilon},

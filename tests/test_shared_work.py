@@ -153,7 +153,7 @@ class TestOverBudgetSample:
 
 def test_map_checks_share_one_tabulation():
     # the fold does not read x*x, so both map checks scan the sample, and
-    # they read one tabulation of it (the load check tabulated its own)
+    # they read one tabulation of it (reading the document tabulates nothing)
     inst = parse_instance(box_doc(
         1, ["(0.25*x - 0.25*y + 0.5) * (1 + x*x*0)"], 0.25, 0.6))
     with mock.patch.object(ExpressionMap, "_tabulate", autospec=True,
