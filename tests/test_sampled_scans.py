@@ -22,6 +22,8 @@ order, on finite spaces (a box is decided from its shape, see
 ``tests/test_hypotheses.py``).
 """
 
+import hashlib
+import json
 import random
 import warnings
 from unittest import mock
@@ -32,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainfix import hypotheses
+from chainfix.cli import run_cli
 from chainfix.errors import EscapeError
 from chainfix.hypotheses import (
     HOLDS,
@@ -500,3 +503,75 @@ def test_chainability_hop_counts_past_eight_bits(n):
         assert (rep.verdict, rep.witness, d["max_n"], d["unreachable"],
                 list(d["chain_n"].items())) == reference_chainable(space, epsilon)
     assert check_epsilon_chainable(space, 1.5).details["max_n"] == n - 1
+
+
+def sampled_document(formula, grid_step=None):
+    """A box document on [0, 1]^k that the fold leaves to the sample: seeds
+    at the corners, epsilon 0.3, and a grid only where ``grid_step`` is set."""
+    dim = 1 if isinstance(formula, str) else len(formula)
+    corner = (lambda v: v) if dim == 1 else (lambda v: [v] * dim)
+    space = {"kind": "box", "dimension": dim, "lower": [0] * dim, "upper": [1] * dim}
+    if grid_step is not None:
+        space["grid_step"] = grid_step
+    return {"schema_version": 1, "space": space,
+            "map": {"kind": "expression", "formula": formula},
+            "seeds": {"x0": corner(0), "y0": corner(1)},
+            "parameters": {"epsilon": 0.3}}
+
+
+CLAMP = "min(1, max(0, 0.5 + x - y))"
+PRODUCT = "0.5 + 0.25*x*y"
+SAMPLED_DOCUMENTS = {
+    "clamp-0.25": sampled_document(CLAMP, 0.25),
+    "clamp": sampled_document(CLAMP),
+    "product-0.25": sampled_document(PRODUCT, 0.25),
+    "product": sampled_document(PRODUCT),
+    "2d-0.5": sampled_document(
+        ["0.4 + 0.2*x1*(1 - y2)", "0.3 + 0.1*x2 - 0.2*y1*y2"], 0.5),
+}
+
+# the exit code and the sha256 of stdout of `check`, `solve` and
+# `verify-lemma` on each document, written as NAME.json and read by that
+# relative path; the sample of a document is its grid (if any) and 8
+# uniform draws at seed 0, and these verdicts mix undetermined-sampled and
+# violated
+SAMPLED_DIGESTS = {
+    "2d-0.5": (
+        (0, "c251ef0256811b19fed0362f5b4ef725be84634f1ecf10fae81617807454b98f"),
+        (0, "94232ceb547abd55431fd6b99559563845203278f4867470402ac5388e4651b9"),
+        (0, "fa7babf12bdf935558086b60221ca302ee08815f8c84f6066781883740a723ad"),
+    ),
+    "clamp": (
+        (1, "58c42098feb95503f4e1498cf5280c428277769ea8f94f0e9fdea5b262e8787c"),
+        (1, "1b8d6b7962f7a7d44c3ed9eea134bc584a977bef1bfce794badf14df0864fcfe"),
+        (0, "72db5157614246e8fde56126c3a178c34b2d4d2ff6b847c8f24aab370dd7c5da"),
+    ),
+    "clamp-0.25": (
+        (1, "75a554e78b00ce4a6689487c51c96df100702a8409ea6cbb47fb9adbbcae2233"),
+        (1, "4c4d80903d6b5d4efa46d9a25d7f8384a76f852b99a326f0c27aa6e47a994367"),
+        (0, "f80ebfa6ead1c21b693e16abbe674e8cc1abc0f238269b67cd5ba7cbdbdfd8f6"),
+    ),
+    "product": (
+        (1, "6f046e52bb6ba1108baef53ce7d5c597e1f31f93a8b8afa1cef04a27df49a3a7"),
+        (1, "ff36e8830d6932e34ec32d4efc42b90a315d12f9a8235701419c11b2f9298231"),
+        (0, "db85c29d64c26aa06e5dd54ff615db60a23f0c35c58eb552feedf831cc54b587"),
+    ),
+    "product-0.25": (
+        (1, "9297e31c46f87995ef014a28a7d1cbda7f63525ec90f2d504724703f8fe4353a"),
+        (1, "3a48a8ede24744eaf69952f62cb8d6649b2ed5bcf0bc051a484e5c2acdee0dec"),
+        (0, "8c9be4dca2d661eab5076c8f880a9783d5ebc311e742e94e151dd1028731c632"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_DOCUMENTS))
+def test_sampled_route_keeps_its_bytes(name, capsysbinary, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.json").write_text(json.dumps(SAMPLED_DOCUMENTS[name]))
+    results = []
+    for command in ("check", "solve", "verify-lemma"):
+        code = run_cli([command, f"{name}.json"])
+        out, err = capsysbinary.readouterr()
+        assert err == b""
+        results.append((code, hashlib.sha256(out).hexdigest()))
+    assert tuple(results) == SAMPLED_DIGESTS[name]
