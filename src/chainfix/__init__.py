@@ -27,7 +27,7 @@ _SOURCE = {
     **dict.fromkeys(("ChainfixError", "DomainError", "EscapeError", "GrammarError",
                      "InvalidInstanceError", "SamplingError"), "errors"),
     **dict.fromkeys(("HOLDS", "SAMPLED", "VIOLATED", "Chain", "ContractivityReport",
-                     "HypothesisReport", "SamplingPlan", "check_common_comparable",
+                     "HypothesisReport", "check_common_comparable",
                      "check_epsilon_chainable", "check_mixed_monotone",
                      "check_pair_bounds", "check_seed", "estimate_contraction",
                      "find_epsilon_chain", "sample_points"), "hypotheses"),

@@ -64,9 +64,10 @@ class EscapeError(ChainfixError):
 
 
 class SamplingError(ChainfixError):
-    """A sampling plan produced no usable points or quadruples, or a sample
-    too large to tabulate. ``field`` names the document key that sets the
-    sample (``space.grid_step``) when that key is at fault."""
+    """A box sample that cannot be built: a grid step that is not positive,
+    a grid over its point cap, or tables over their byte budget. ``field``
+    names the document key that sets the sample (``space.grid_step``) when
+    that key is at fault."""
 
     def __init__(self, message: str, *, field: str | None = None):
         super().__init__(message)

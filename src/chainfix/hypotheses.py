@@ -1,10 +1,10 @@
 """Checks for the hypotheses behind the coupled fixed point machinery.
 
 Finite spaces are checked exhaustively, so verdicts are conclusive. On a
-box, what is not decided below is checked on a deterministic sample (a
-coordinate grid plus seeded uniform draws), so a clean pass is reported as
-``undetermined-sampled``: sampling can falsify a universally quantified
-hypothesis but never prove it. Conclusive on a box:
+box, what is not decided below is checked on a deterministic sample (its
+grid at ``grid_step``, if set, plus 8 uniform draws seeded with 0), so a
+clean pass is reported as ``undetermined-sampled``: sampling can falsify a
+universally quantified hypothesis but never prove it. Conclusive on a box:
 
 * ``check_seed`` evaluates two concrete applications, nothing more;
 * ``check_pair_bounds`` and ``check_common_comparable`` hold with ``mode:
@@ -32,10 +32,10 @@ turns the points under test into index-addressed arrays: the order and the
 distances between points, and F over every pair of points. A finite space
 hands over its own read-only ``L``, ``D`` and ``T`` without a copy (the
 oracle reads them too: reading stored data is not sharing a kernel); a box
-validates its sample and tabulates it with numpy, once per map and plan
-for both checks. A sample whose tables would pass a fixed byte budget
+validates its sample and tabulates it with numpy, once per map and grid
+step for both checks. A sample whose tables would pass a fixed byte budget
 raises ``SamplingError`` before any table is built, and a map that leaves
-the box anywhere on the sample (or, for a plan without a grid, on pairs
+the box anywhere on the sample (or, for a sample without a grid, on pairs
 among the box's first 200 corners and the sample) raises ``EscapeError``
 before any scan starts. Reading a document evaluates no map, so these
 tables and ``check_seed`` are where an escape is found; ``EscapeError``
@@ -45,10 +45,9 @@ covering pairs first and over every comparable pair only when a covering
 pair fails. On a finite space the chainability check
 takes every hop count from one min-plus closure over whole arrays, and its
 per-pair table, ``details["chain_n"]``, is a read-only mapping built on
-first read. Only the contraction scan and the finite
-``find_epsilon_chain``, which needs the path and not just its length, are
-plain loops over point indices; the contraction scan reads the image
-rows as Python lists as it reaches them.
+first read, and the finite ``find_epsilon_chain`` walks its hop counts.
+Only the contraction scan is a plain loop over point indices; it reads the
+image rows as Python lists as it reaches them.
 
 Every violated verdict carries a witness that can be re-checked with a single
 direct evaluation. Enumeration orders are fixed (lexicographic in point
@@ -62,7 +61,6 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from collections import deque
 from collections.abc import Mapping
 from functools import cached_property
 from operator import sub
@@ -93,14 +91,8 @@ SAMPLED = "undetermined-sampled"
 
 _BLOCK = 1 << 16  # cells per block of a whole-row scan
 _TABLE_BYTES = 1 << 24  # most bytes the tables of one box sample may take
-
-
-class SamplingPlan(NamedTuple):
-    """Deterministic sample description: grid resolution plus seeded draws."""
-
-    grid_step: float | None = None
-    random_count: int = 0
-    seed: int = 0
+_DRAWS = 8  # uniform draws in every box sample, after its grid
+_SEED = 0  # the seed of those draws
 
 
 class HypothesisReport(NamedTuple):
@@ -202,21 +194,17 @@ class Chain(NamedTuple):
                 )
 
 
-def sample_points(space: Space, plan: SamplingPlan | None = None) -> list[Point]:
-    """All points of a finite space; grid plus seeded uniforms on a box."""
+def sample_points(space: Space, grid_step: float | None = None) -> list[Point]:
+    """All points of a finite space; on a box, its grid at ``grid_step`` (if
+    any), then ``_DRAWS`` draws seeded with ``_SEED``, without repeats."""
     if isinstance(space, FiniteSpace):
         return list(space.points())
-    plan = plan or SamplingPlan()
     pts: list[Point] = []
-    if plan.grid_step is not None:
-        if not plan.grid_step > 0:
-            raise SamplingError(f"grid_step must be positive, got {plan.grid_step!r}")
-        pts.extend(itertools.product(*space.grid_axes(plan.grid_step)))
-    pts += space.uniform_points(plan.random_count, plan.seed)
-    if not pts:
-        raise SamplingError(
-            "sampling plan produced no points (need grid_step or random_count)"
-        )
+    if grid_step is not None:
+        if not grid_step > 0:
+            raise SamplingError(f"grid_step must be positive, got {grid_step!r}")
+        pts.extend(itertools.product(*space.grid_axes(grid_step)))
+    pts += space.uniform_points(_DRAWS, _SEED)
     return list(dict.fromkeys(pts))
 
 
@@ -270,21 +258,20 @@ def _box_leq(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A <= B).all(-1)
 
 
-# box map -> (plan, the tables of its sample), so the two map checks of a
-# suite build them once; an entry goes with its map
+# box map -> (grid step, the tables of its sample), so the two map checks
+# of a suite build them once; an entry goes with its map
 _SAMPLE_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _map_tables(cmap: CoupledMap, plan: SamplingPlan | None) -> _Tables:
+def _map_tables(cmap: CoupledMap, grid_step: float | None) -> _Tables:
     space = cmap.space
     if isinstance(cmap, TableMap):  # the whole space, as its stored arrays
         L = space.L
         return _Tables(space.points(), L, space.D, cmap.T, lambda A, B: L[A, B])
-    plan = plan or SamplingPlan()
     kept = _SAMPLE_TABLES.get(cmap)
-    if kept is not None and kept[0] == plan:
+    if kept is not None and kept[0] == grid_step:
         return kept[1]
-    pts = sample_points(space, plan)
+    pts = sample_points(space, grid_step)
     for p in pts:
         space.validate_point(p)
     # the order (1 byte), the distance (8) and the image (8 per axis) of
@@ -295,7 +282,7 @@ def _map_tables(cmap: CoupledMap, plan: SamplingPlan | None) -> _Tables:
             f"a sample of {len(pts)} points needs {need} bytes of tables, "
             f"over the budget of {_TABLE_BYTES}", field="space.grid_step",
         )
-    if plan.grid_step is None:
+    if grid_step is None:
         # a sample without a grid holds no corner of the box: F is first
         # evaluated, one row at a time, over the pairs among the box's first
         # 200 corners and the sample, so an escape there raises too; no
@@ -312,14 +299,14 @@ def _map_tables(cmap: CoupledMap, plan: SamplingPlan | None) -> _Tables:
         dist = dist + abs(axis[:, None] - axis)
     tab = _Tables(
         pts, leq, dist, cmap._tabulate(pts, pts), _box_leq,
-        sample_size=len(pts), sample_seed=plan.seed,
+        sample_size=len(pts), sample_seed=_SEED,
     )
-    _SAMPLE_TABLES[cmap] = plan, tab
+    _SAMPLE_TABLES[cmap] = grid_step, tab
     return tab
 
 
 def check_mixed_monotone(
-    cmap: CoupledMap, plan: SamplingPlan | None = None
+    cmap: CoupledMap, grid_step: float | None = None
 ) -> HypothesisReport:
     """Scan for a violation of mixed monotonicity.
 
@@ -337,7 +324,7 @@ def check_mixed_monotone(
     form = _form(cmap)
     if form is not None and form.mixed_monotone:
         return HypothesisReport("mixed-monotone", HOLDS, details={"mode": "exact"})
-    tab = _map_tables(cmap, plan)
+    tab = _map_tables(cmap, grid_step)
     if _first_monotone_violation(tab, *np.nonzero(_covers(tab.L))):
         n = len(tab.pts)
         # the comparable pairs a1 <= a2, a1 != a2, in lexicographic order
@@ -390,7 +377,7 @@ def _monotone_violation(tab: _Tables, cmap, branch, a1, a2, other):
 
 
 def estimate_contraction(
-    cmap: CoupledMap, epsilon: float, plan: SamplingPlan | None = None
+    cmap: CoupledMap, epsilon: float, grid_step: float | None = None
 ) -> ContractivityReport:
     """Supremum of the contraction ratio over admissible quadruples.
 
@@ -411,7 +398,7 @@ def estimate_contraction(
         if lam is not None and lam < 1.0:
             mode = "exact" if form.exact else "bound"
             return ContractivityReport(epsilon, lam, False, None, 0, mode)
-    tab = _map_tables(cmap, plan)
+    tab = _map_tables(cmap, grid_step)
     # the loop reads Python numbers: row T[i] of F(pts[i], pts[j]) is
     # converted when the scan first reaches it
     images = tab.images
@@ -485,35 +472,21 @@ def _hop_counts(edges: np.ndarray) -> np.ndarray:
     return _min_plus_closure(H)
 
 
-def _bfs(adj: list[list[int]], src: int) -> tuple[list, list]:
-    # hop counts from src and the node each one was first reached from
-    hops: list[int | None] = [None] * len(adj)
-    parent: list[int | None] = [None] * len(adj)
-    hops[src] = 0
-    queue = deque([src])
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if hops[j] is None:
-                hops[j] = hops[i] + 1
-                parent[j] = i
-                queue.append(j)
-    return hops, parent
-
-
 def find_epsilon_chain(
     space: Space, a: Point, b: Point, epsilon: float
 ) -> Chain | None:
     """Minimum-hop ascending chain from a to b with every gap below epsilon.
 
-    On a finite space, a breadth-first search over all its points, so the
-    chain never repeats a point; None when no chain exists. On a box, the
-    segment from a to b in ``_box_hops`` equal steps, each coordinate
-    rounded once from its exact value, so the waypoints ascend, stay in
-    [a, b] and end at b itself; one step more only when rounding pushes a
-    gap to epsilon. A ``DomainError`` refuses a and b one float step apart
-    on one axis with epsilon at most d(a, b): no float lies strictly
-    between them, so no chain exists.
+    On a finite space, a walk down the hop counts to b: each step goes to
+    the lowest-indexed point one hop closer, so the chain is the
+    lexicographically smallest shortest one; None when no chain exists. On
+    a box, the segment from a to b in ``_box_hops`` equal steps, each
+    coordinate rounded once from its exact value, so the waypoints ascend,
+    stay in [a, b] and end at b itself; one step more only when rounding
+    pushes a gap to epsilon, and where both fail, the same counts along the
+    L1 staircase, which is as long. A ``DomainError`` refuses a and b one
+    float step apart on one axis with epsilon at most d(a, b): no float
+    lies strictly between them, so no chain exists.
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
@@ -525,14 +498,15 @@ def find_epsilon_chain(
         return Chain((a,), epsilon)
     if isinstance(space, BoxSpace):
         return _segment(space, a, b, epsilon)
-    adj = [row.nonzero()[0].tolist() for row in _epsilon_edges(space, epsilon)]
-    hops, parent = _bfs(adj, a)
-    if hops[b] is None:
+    edges = _epsilon_edges(space, epsilon)
+    to_b = _hop_counts(edges)[:, b]
+    if to_b[a] >= space.size:
         return None
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    return Chain(tuple(reversed(path)), epsilon)
+    path = [a]
+    while path[-1] != b:
+        i = path[-1]
+        path.append(int(np.argmax(edges[i] & (to_b == to_b[i] - 1))))
+    return Chain(tuple(path), epsilon)
 
 
 def _box_hops(a, b, epsilon) -> int:
@@ -559,22 +533,43 @@ def _check_hops(n: int, epsilon) -> None:
 def _segment(space: BoxSpace, a, b, epsilon) -> Chain:
     n = _box_hops(a, b, epsilon)
     ends = [p.as_integer_ratio() + q.as_integer_ratio() for p, q in zip(a, b)]
-    for hops in (n, n + 1):
-        _check_hops(hops, epsilon)
-        # (a (hops - k) + b k) / hops, one correctly rounded int division
-        # per coordinate: rounding is monotone, so the points ascend
-        mid = [
-            tuple((an * bd * (hops - k) + bn * ad * k) / (ad * bd * hops)
-                  for an, ad, bn, bd in ends)
-            for k in range(1, hops)
-        ]
-        pts = (a, *mid, b)
-        if all(space._distance(p, q) < epsilon for p, q in zip(pts, pts[1:])):
-            return Chain(pts, epsilon)
+    for waypoints in (_straight, _staircase):
+        for hops in (n, n + 1):
+            _check_hops(hops, epsilon)
+            pts = (a, *waypoints(ends, hops), b)
+            if all(space._distance(p, q) < epsilon for p, q in zip(pts, pts[1:])):
+                return Chain(pts, epsilon)
     raise DomainError(
         f"float rounding leaves no chain of {n} or {n + 1} equal steps "
         f"from {clipped_repr(a)} to {clipped_repr(b)} at epsilon {epsilon!r}"
     )
+
+
+def _straight(ends, hops: int) -> list[tuple]:
+    # (a (hops - k) + b k) / hops, one correctly rounded int division per
+    # coordinate: rounding is monotone, so the points ascend
+    return [
+        tuple((an * bd * (hops - k) + bn * ad * k) / (ad * bd * hops)
+              for an, ad, bn, bd in ends)
+        for k in range(1, hops)
+    ]
+
+
+def _staircase(ends, hops: int) -> list[tuple]:
+    # the points at L1 length t = k d / hops along the path that moves axis
+    # 0 from a to b, then axis 1, and so on: axis i sits at a_i plus t less
+    # the earlier axes' gaps, clamped to [0, b_i - a_i], exact and rounded
+    # once, so the points ascend
+    from fractions import Fraction
+
+    lo = [Fraction(an, ad) for an, ad, _, _ in ends]
+    gaps = [Fraction(bn, bd) - l for l, (_, _, bn, bd) in zip(lo, ends)]
+    starts = [0, *itertools.accumulate(gaps)]
+    return [
+        tuple(float(l + min(max(starts[-1] * k / hops - c, 0), g))
+              for l, c, g in zip(lo, starts, gaps))
+        for k in range(1, hops)
+    ]
 
 
 def check_epsilon_chainable(space: Space, epsilon: float) -> HypothesisReport:

@@ -1,9 +1,10 @@
 """The library pipeline: run the six hypothesis checks, then configure the solver.
 
-On a box, only the two map checks read the sample of the default plan, and
-only where the map's formula proves nothing; chainability, pair bounds and
-common comparability are decided on the whole box from its shape, with no
-sample. On a finite space every check enumerates the whole space.
+On a box, only the two map checks read a sample, the document's grid (if
+it sets ``grid_step``) plus 8 seeded uniform draws, and only where the map's
+formula proves nothing; chainability, pair bounds and common comparability
+are decided on the whole box from its shape, with no sample. On a finite
+space every check enumerates the whole space.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from typing import TYPE_CHECKING
 
 from .hypotheses import (
     HOLDS,
-    SamplingPlan,
     check_common_comparable,
     check_epsilon_chainable,
     check_mixed_monotone,
@@ -35,19 +35,14 @@ SUITE_ORDER = (
 )
 
 
-def default_plan(inst: Instance) -> SamplingPlan:
-    return SamplingPlan(grid_step=inst.grid_step, random_count=8, seed=0)
-
-
 def run_hypothesis_suite(inst: Instance) -> dict:
     """All six hypothesis reports, keyed by hypothesis name."""
-    plan = default_plan(inst)
-    eps = inst.params.epsilon
+    cmap, eps, step = inst.cmap, inst.params.epsilon, inst.grid_step
     return {
-        "mixed-monotone": check_mixed_monotone(inst.cmap, plan),
-        "uniform-local-contraction": estimate_contraction(inst.cmap, eps, plan),
+        "mixed-monotone": check_mixed_monotone(cmap, step),
+        "uniform-local-contraction": estimate_contraction(cmap, eps, step),
         "epsilon-chainable": check_epsilon_chainable(inst.space, eps),
-        "seed-condition": check_seed(inst.cmap, inst.x0, inst.y0),
+        "seed-condition": check_seed(cmap, inst.x0, inst.y0),
         "common-comparable": check_common_comparable(inst.space),
         "pair-bounds": check_pair_bounds(inst.space),
     }

@@ -187,7 +187,7 @@ def box_bounds(space) -> dict:
     return dict(zip(variable_names(space.dim), axes * 2))
 
 
-def rounding_allowance(cmap, plan, lam: float) -> Fraction:
+def rounding_allowance(cmap, grid_step, lam: float) -> Fraction:
     """How far above ``lam`` the sampled scan's ratio can round.
 
     The scan takes r = 2 d(F(x,y), F(u,v)) / (d(x,u) + d(y,v)) on computed
@@ -205,7 +205,7 @@ def rounding_allowance(cmap, plan, lam: float) -> Fraction:
     k = space.dim
     bounds = box_bounds(space)
     error = sum(reference_form(c, bounds).error for c in cmap.components)
-    pts = sample_points(space, plan)
+    pts = sample_points(space, grid_step)
     gap = min(
         d for p in pts for q in pts
         if (d := sum(abs(Fraction(a) - Fraction(b)) for a, b in zip(p, q))) > 0

@@ -36,13 +36,11 @@ from chainfix.hypotheses import (
     HOLDS,
     SAMPLED,
     VIOLATED,
-    SamplingPlan,
     check_mixed_monotone,
     estimate_contraction,
 )
 from chainfix.instances import load_instance
 from chainfix.mappings import ExpressionMap, expression_map
-from chainfix.pipeline import default_plan
 from chainfix.spaces import BoxSpace
 
 from formula_reference import (
@@ -136,22 +134,22 @@ class TestSignsAndWidths:
         box = BoxSpace((0.0,), (1.0,))
         cmap = expression_map(box, "0.9 - 0.8*x")
         assert cmap.form is not None
-        plan = SamplingPlan(grid_step=0.5)
-        rep = check_mixed_monotone(cmap, plan)
-        assert rep == check_mixed_monotone(unread(cmap), plan)
+        step = 0.5
+        rep = check_mixed_monotone(cmap, step)
+        assert rep == check_mixed_monotone(unread(cmap), step)
         assert rep.verdict == VIOLATED
         # lambda = 1.6 is no proof, so the scan runs and stops at a violation
-        con = estimate_contraction(cmap, 0.6, plan)
-        assert con == estimate_contraction(unread(cmap), 0.6, plan)
+        con = estimate_contraction(cmap, 0.6, step)
+        assert con == estimate_contraction(unread(cmap), 0.6, step)
         assert con.mode == "sampled" and con.violated
 
     def test_mixed_signs_can_still_contract(self):
         # |A| = 0.3 and |B| = 0.1: lambda = 0.6 although A < 0
         box = BoxSpace((0.0,), (1.0,))
         cmap = expression_map(box, "0.5 - 0.3*x - 0.1*y")
-        plan = SamplingPlan(grid_step=0.25)
-        assert check_mixed_monotone(cmap, plan).verdict == VIOLATED
-        rep = estimate_contraction(cmap, 0.6, plan)
+        step = 0.25
+        assert check_mixed_monotone(cmap, step).verdict == VIOLATED
+        rep = estimate_contraction(cmap, 0.6, step)
         # 2 * 0.3 is exact in binary, so nothing is rounded
         assert (rep.verdict, rep.lambda_hat, rep.mode) == (HOLDS, 0.6, "exact")
 
@@ -160,7 +158,7 @@ class TestSignsAndWidths:
         # the float nearest to it, 0.06, so the report gives the next float
         box = BoxSpace((0.0, 0.0), (1.0, 1.0))
         cmap = expression_map(box, ["0.01*x1 + 0.5", "0.02*x1 + 0.5"])
-        rep = estimate_contraction(cmap, 0.3, SamplingPlan(grid_step=0.5))
+        rep = estimate_contraction(cmap, 0.3, 0.5)
         assert Fraction(0.06) < 2 * (Fraction(0.01) + Fraction(0.02))
         assert rep.lambda_hat == math.nextafter(0.06, 1.0)
 
@@ -168,13 +166,13 @@ class TestSignsAndWidths:
         # axis 2 is the point 0.5: its coefficient 3 never moves F
         box = BoxSpace((0.0, 0.5), (1.0, 0.5))
         cmap = expression_map(box, ["0.25*x1 + 3*x2 - 1.25", "0.5"])
-        rep = estimate_contraction(cmap, 0.3, SamplingPlan(grid_step=0.5))
+        rep = estimate_contraction(cmap, 0.3, 0.5)
         assert (rep.verdict, rep.lambda_hat, rep.mode) == (HOLDS, 0.5, "exact")
 
     def test_single_point_box_is_scanned(self):
         box = BoxSpace((0.5,), (0.5,))
         rep = estimate_contraction(expression_map(box, "0.5"), 0.3,
-                                   SamplingPlan(grid_step=0.5))
+                                   0.5)
         assert (rep.mode, rep.vacuous) == ("sampled", True)
 
 
@@ -182,12 +180,12 @@ class TestSignsAndWidths:
     ("l1", 0.500000000000014), ("l2d", 0.5000000000000002)])
 def test_shipped_affine_maps_against_their_scan(instance_dir, name, sampled):
     inst = load_instance(instance_dir / f"{name}.json")
-    plan = default_plan(inst)
-    rep = estimate_contraction(inst.cmap, inst.params.epsilon, plan)
+    step = inst.grid_step
+    rep = estimate_contraction(inst.cmap, inst.params.epsilon, step)
     assert (rep.verdict, rep.lambda_hat, rep.mode) == (HOLDS, 0.5, "exact")
-    scan = estimate_contraction(unread(inst.cmap), inst.params.epsilon, plan)
+    scan = estimate_contraction(unread(inst.cmap), inst.params.epsilon, step)
     assert (scan.verdict, scan.lambda_hat) == (SAMPLED, sampled)
-    assert 0 < scan.lambda_hat - 0.5 <= rounding_allowance(inst.cmap, plan, 0.5)
+    assert 0 < scan.lambda_hat - 0.5 <= rounding_allowance(inst.cmap, step, 0.5)
 
 
 def test_affine_solve_builds_no_table(capsys, l2d_path):
@@ -209,8 +207,8 @@ def test_affine_solve_builds_no_table(capsys, l2d_path):
 
 @st.composite
 def affine_boxes(draw):
-    """An affine map on a box whose axes have width 0 or 1, with its plan
-    and epsilon. A zero-width axis holds one value, so its component is
+    """An affine map on a box whose axes have width 0 or 1, with its grid
+    step and epsilon. A zero-width axis holds one value, so its component is
     that literal. Every other component has coefficients in hundredths, of
     either sign or all nonnegative, whose magnitudes on the axes of width 1
     sum to at most 0.3, 0.6 or 0.96, so lambda ranges up to 1.92 in 1-D and
@@ -241,34 +239,30 @@ def affine_boxes(draw):
         terms = [f"({k})*{v}" for k, v in zip(coefs, names)]
         formulas.append(" + ".join(terms) + f" + ({c})")
     space = BoxSpace(tuple(lower), tuple(upper))
-    plan = SamplingPlan(
-        grid_step=draw(st.sampled_from([0.5, 1 / 3] if dim == 2 else [0.5, 0.25])),
-        random_count=draw(st.integers(0, 3)),
-        seed=draw(st.integers(0, 5)),
-    )
+    step = draw(st.sampled_from([0.5, 1 / 3] if dim == 2 else [0.5, 0.25]))
     # 1e-9 leaves the scan vacuous on these samples
     epsilon = draw(st.sampled_from([1e-9, 0.2, 0.6, 1.5]))
-    return expression_map(space, formulas), plan, epsilon
+    return expression_map(space, formulas), step, epsilon
 
 
 @given(affine_boxes())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_exact_route_never_contradicts_the_scan(case):
-    cmap, plan, epsilon = case
+    cmap, step, epsilon = case
     assert cmap.form is not None  # the 0.01 clearance covers rounding
     scanned = unread(cmap)
-    mono, mono_scan = (check_mixed_monotone(m, plan) for m in (cmap, scanned))
+    mono, mono_scan = (check_mixed_monotone(m, step) for m in (cmap, scanned))
     if mono.details.get("mode") == "exact":
         assert mono.verdict == HOLDS
         assert mono_scan.verdict != VIOLATED
     else:
         assert mono == mono_scan
-    rep, scan = (estimate_contraction(m, epsilon, plan) for m in (cmap, scanned))
+    rep, scan = (estimate_contraction(m, epsilon, step) for m in (cmap, scanned))
     if rep.mode == "exact":
         assert rep.verdict == HOLDS and rep.lambda_hat < 1.0
         assert not scan.violated
         if not scan.vacuous:
-            allowance = rounding_allowance(cmap, plan, rep.lambda_hat)
+            allowance = rounding_allowance(cmap, step, rep.lambda_hat)
             assert Fraction(scan.lambda_hat) <= Fraction(rep.lambda_hat) + allowance
     else:
         assert rep == scan

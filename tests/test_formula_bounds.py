@@ -31,7 +31,6 @@ from chainfix.expressions import parse_expression, variable_names
 from chainfix.hypotheses import (
     HOLDS,
     VIOLATED,
-    SamplingPlan,
     check_mixed_monotone,
     estimate_contraction,
 )
@@ -108,10 +107,10 @@ class TestMapForm:
         q = Fraction(1, 8)
         assert cmap.form == MapForm(A=(((q, 2 * q),),), B=(((0, q),),))
         assert cmap.form.mixed_monotone and not cmap.form.exact
-        rep = estimate_contraction(cmap, 0.3, SamplingPlan(grid_step=0.25))
+        rep = estimate_contraction(cmap, 0.3, 0.25)
         assert (rep.verdict, rep.lambda_hat, rep.mode, rep.pairs_tested) == (
             HOLDS, 0.5, "bound", 0)
-        mono = check_mixed_monotone(cmap, SamplingPlan(grid_step=0.25))
+        mono = check_mixed_monotone(cmap, 0.25)
         assert (mono.verdict, mono.details["mode"]) == (HOLDS, "exact")
 
     def test_equal_pieces_are_exact(self):
@@ -120,7 +119,7 @@ class TestMapForm:
         box = BoxSpace((0.0,), (1.0,))
         cmap = expression_map(box, "min((2*x - y + 3)/8, (2*x - y + 3)/8)")
         assert cmap.form.exact
-        rep = estimate_contraction(cmap, 0.3, SamplingPlan(grid_step=0.25))
+        rep = estimate_contraction(cmap, 0.3, 0.25)
         assert (rep.lambda_hat, rep.mode) == (0.5, "exact")
 
     def test_range_past_a_face_is_scanned(self):
@@ -129,7 +128,7 @@ class TestMapForm:
         box = BoxSpace((0.0,), (1.0,))
         cmap = expression_map(box, "min(1, 2*abs(x - y))")
         assert cmap.form is None
-        rep = check_mixed_monotone(cmap, SamplingPlan(grid_step=0.5))
+        rep = check_mixed_monotone(cmap, 0.5)
         assert rep.verdict == VIOLATED
 
 
@@ -178,34 +177,30 @@ def min_max_boxes(draw):
     names = list(variable_names(dim))
     signed = draw(st.booleans())
     formulas = [draw(units(names, signed)) for _ in range(dim)]
-    plan = SamplingPlan(
-        grid_step=draw(st.sampled_from([0.5, 1 / 3] if dim == 2 else [0.5, 0.25])),
-        random_count=draw(st.integers(0, 3)),
-        seed=draw(st.integers(0, 5)),
-    )
+    step = draw(st.sampled_from([0.5, 1 / 3] if dim == 2 else [0.5, 0.25]))
     epsilon = draw(st.sampled_from([1e-9, 0.2, 0.6, 1.5]))
-    return expression_map(BoxSpace((0.0,) * dim, (1.0,) * dim), formulas), plan, epsilon
+    return expression_map(BoxSpace((0.0,) * dim, (1.0,) * dim), formulas), step, epsilon
 
 
 @given(min_max_boxes())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_fold_never_contradicts_the_scan(case):
-    cmap, plan, epsilon = case
+    cmap, step, epsilon = case
     assert cmap.form is not None  # the 0.01 clearance covers rounding
     scanned = unread(cmap)
-    mono, mono_scan = (check_mixed_monotone(m, plan) for m in (cmap, scanned))
+    mono, mono_scan = (check_mixed_monotone(m, step) for m in (cmap, scanned))
     if mono.details.get("mode") == "exact":
         assert mono.verdict == HOLDS and cmap.form.mixed_monotone
         assert mono_scan.verdict != VIOLATED
     else:
         assert mono == mono_scan
-    rep, scan = (estimate_contraction(m, epsilon, plan) for m in (cmap, scanned))
+    rep, scan = (estimate_contraction(m, epsilon, step) for m in (cmap, scanned))
     if rep.mode in ("exact", "bound"):
         assert rep.verdict == HOLDS and rep.lambda_hat < 1.0
         assert rep.mode == ("exact" if cmap.form.exact else "bound")
         assert not scan.violated
         if not scan.vacuous:
-            allowance = rounding_allowance(cmap, plan, rep.lambda_hat)
+            allowance = rounding_allowance(cmap, step, rep.lambda_hat)
             assert Fraction(scan.lambda_hat) <= Fraction(rep.lambda_hat) + allowance
     else:
         assert rep == scan

@@ -2,9 +2,10 @@
 
 Key frozen values, each computed before the implementation ran:
 
-* affine (2x - y + 3)/8: ratio 2|2dx - dy|/(8(dx + dy)) peaks at dy = 0
-  where it equals exactly 0.5, so the sampled supremum is 0.5 on any grid
-  holding an admissible pair with equal second components.
+* x/4 on [-1, 1]: ratio 2|dx|/(4(dx + dy)) peaks at dy = 0 where it
+  equals exactly 0.5, and float64 evaluates x/4 and its differences
+  exactly there, so the sampled supremum is 0.5 on any sample holding an
+  admissible pair with equal second components.
 * x*y on [0, 1]: rises in its second argument, so the first grid witness
   on {0, 0.5, 1} is x = 0.5, y1 = 0.0, y2 = 0.5.
 * threshold table on the 4-chain at positions 0, 1, 4, 9 (chain4): the
@@ -29,7 +30,6 @@ from chainfix.hypotheses import (
     SAMPLED,
     VIOLATED,
     Chain,
-    SamplingPlan,
     check_common_comparable,
     check_epsilon_chainable,
     check_mixed_monotone,
@@ -47,11 +47,10 @@ from chainfix.instances import (
 )
 from chainfix.mappings import TableMap, expression_map
 from chainfix.oracle import exhaustive_contraction_check, min_chain_table
-from chainfix.pipeline import default_plan
 from chainfix.solver import SolveConfig, decay_bound
 from chainfix.spaces import BoxSpace, FiniteSpace
 
-GRID = SamplingPlan(grid_step=0.5)
+GRID = 0.5  # grid step of a box sample, followed by 8 seeded draws
 
 
 def chain_space(n: int, scale: float = 1.0) -> FiniteSpace:
@@ -68,7 +67,7 @@ class TestSamplePoints:
     def test_rejects_grid_step_that_is_not_positive(self, step):
         box = BoxSpace((0.0,), (1.0,))
         with pytest.raises(SamplingError, match="grid_step must be positive"):
-            sample_points(box, SamplingPlan(grid_step=step))
+            sample_points(box, step)
 
     @pytest.mark.parametrize("upper, step, message", [
         ((20000.0,), 1.0, "grid of 20001 points exceeds the cap of 20000"),
@@ -79,54 +78,56 @@ class TestSamplePoints:
     def test_rejects_grid_over_the_cap(self, upper, step, message):
         box = BoxSpace((0.0,) * len(upper), upper)
         with pytest.raises(SamplingError) as exc:
-            sample_points(box, SamplingPlan(grid_step=step))
+            sample_points(box, step)
         assert str(exc.value) == message
 
     def test_grid_at_the_cap(self):
+        # the grid of 20,000 points, then the 8 draws, none of them on it
         box = BoxSpace((0.0,), (19999.0,))
-        pts = sample_points(box, SamplingPlan(grid_step=1.0))
-        assert pts == [(float(k),) for k in range(20000)]
+        pts = sample_points(box, 1.0)
+        assert pts == [(float(k),) for k in range(20000)] + box.uniform_points(8, 0)
 
     @pytest.mark.parametrize("check", [
-        check_mixed_monotone, lambda cmap, plan: estimate_contraction(cmap, 0.6, plan),
+        check_mixed_monotone, lambda cmap, step: estimate_contraction(cmap, 0.6, step),
     ])
     def test_sample_tables_within_the_byte_budget(self, monkeypatch, check):
         # a 1-D map check takes 17 bytes per pair of sample points: the
         # order (1), the distance (8) and the image (8)
-        monkeypatch.setattr(hypotheses, "_TABLE_BYTES", 17 * 10**2)
+        monkeypatch.setattr(hypotheses, "_TABLE_BYTES", 17 * 18**2)
         cmap = expression_map(BoxSpace((0.0,), (1.0,)), "min(x, 1 - y)")
-        check(cmap, SamplingPlan(grid_step=1 / 9))  # 10 points: at the budget
+        check(cmap, 1 / 9)  # 10 grid points and 8 draws: at the budget
         with pytest.raises(SamplingError) as exc:
-            check(cmap, SamplingPlan(grid_step=1 / 10))
+            check(cmap, 1 / 10)
         assert str(exc.value) == (
-            "a sample of 11 points needs 2057 bytes of tables, over the budget of 1700")
+            "a sample of 19 points needs 6137 bytes of tables, over the budget of 5508")
         assert exc.value.field == "space.grid_step"
 
     def test_map_tables_count_the_images(self, monkeypatch):
         # a 2-D map adds two float64 coordinates per pair: 25 bytes in all
-        monkeypatch.setattr(hypotheses, "_TABLE_BYTES", 25 * 9**2)
+        monkeypatch.setattr(hypotheses, "_TABLE_BYTES", 25 * 17**2)
         box = BoxSpace((0.0, 0.0), (1.0, 1.0))
         cmap = expression_map(box, ["min(x1, y1)", "min(x2, y2)"])
-        assert check_mixed_monotone(cmap, GRID).sample_size == 9
-        with pytest.raises(SamplingError, match="a sample of 10 points needs 2500 "):
-            check_mixed_monotone(cmap, GRID._replace(random_count=1))
+        assert check_mixed_monotone(cmap, GRID).sample_size == 17
+        with pytest.raises(SamplingError, match="a sample of 24 points needs 14400 "):
+            check_mixed_monotone(cmap, 1 / 3)
 
     def test_grid_includes_both_endpoints(self):
+        # the grid 0, 0.4, 0.8, 1 comes first, then the 8 draws
         box = BoxSpace((0.0,), (1.0,))
-        pts = sample_points(box, SamplingPlan(grid_step=0.4))
+        pts = sample_points(box, 0.4)
         assert pts[0] == (0.0,)
-        assert pts[-1] == (1.0,)
+        assert pts[-9] == (1.0,)
         assert all(box.contains(p) for p in pts)
 
     def test_random_points_are_reproducible(self):
         box = BoxSpace((0.0,), (1.0,))
-        plan = SamplingPlan(random_count=5, seed=17)
-        assert sample_points(box, plan) == sample_points(box, plan)
+        assert sample_points(box, 0.4) == sample_points(box, 0.4)
 
-    def test_empty_plan_rejected_on_box(self):
-        box = BoxSpace((0.0,), (1.0,))
-        with pytest.raises(SamplingError):
-            sample_points(box, SamplingPlan())
+    def test_box_without_grid_samples_its_draws(self):
+        box = BoxSpace((0.0, -1.0), (1.0, 1.0))
+        pts = sample_points(box)
+        assert pts == box.uniform_points(8, 0)
+        assert len(set(pts)) == 8 and all(box.contains(p) for p in pts)
 
 
 class TestMixedMonotone:
@@ -177,18 +178,18 @@ class TestMixedMonotone:
 
 class TestContraction:
     def test_affine_supremum_is_exactly_half(self):
-        # 2 * max(1/4, 1/8) over the whole box, with no quadruple scanned;
-        # the wrapped map scans its grid and meets 0.5 there too
-        box = BoxSpace((0.0,), (1.0,))
-        cmap = expression_map(box, ["(2*x - y + 3)/8"])
-        plan = SamplingPlan(grid_step=0.25)
-        rep = estimate_contraction(cmap, 0.3, plan)
+        # 2 * 1/4 over the whole box, with no quadruple scanned; the
+        # wrapped map scans its grid and draws and meets 0.5 there too
+        box = BoxSpace((-1.0,), (1.0,))
+        cmap = expression_map(box, ["x/4"])
+        step = 0.25
+        rep = estimate_contraction(cmap, 0.3, step)
         assert rep.verdict == HOLDS
         assert (rep.lambda_hat, rep.mode, rep.pairs_tested, rep.vacuous) == (
             0.5, "exact", 0, False)
         assert (rep.witness, rep.sample_size, rep.sample_seed) == (None, None, None)
-        wrapped = expression_map(box, ["(2*x - y + 3)/8 * (1 + x*x*0)"])
-        rep = estimate_contraction(wrapped, 0.3, plan)
+        wrapped = expression_map(box, ["x/4 * (1 + x*x*0)"])
+        rep = estimate_contraction(wrapped, 0.3, step)
         assert (rep.verdict, rep.lambda_hat, rep.mode) == (SAMPLED, 0.5, "sampled")
 
     def test_chain4_supremum_and_first_argmax(self, chain4_path):
@@ -532,6 +533,22 @@ class TestBoxChains:
         found = sampled_hops(box, list(dict.fromkeys([a, *draws, b])), a, epsilon)
         assert found.get(b, n) >= n
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_staircase_where_the_segment_collapses(self, dim):
+        # a and b one float step apart on every axis, at epsilon d(a, b):
+        # the segment's waypoints round onto a or b on every axis at once,
+        # so both equal-step counts fail, while the staircase moves one
+        # axis at a time
+        box = BoxSpace((0.0,) * dim, (2.0,) * dim)
+        a = (1.0,) * dim
+        b = (math.nextafter(1.0, 2.0),) * dim
+        eps = box.distance(a, b)
+        ch = find_epsilon_chain(box, a, b, eps)
+        ch.validate(box)
+        assert (ch.points[0], ch.points[-1], ch.n) == (a, b, 2)
+        if dim == 2:
+            assert ch.points[1] == (b[0], a[1])
+
     @pytest.mark.parametrize("seed", [5, 31])
     def test_exact_max_n_bounds_every_sampled_count(self, instance_dir, seed):
         # the documents of the box benchmark, the shipped l1 and l2d, and l1
@@ -548,7 +565,7 @@ class TestBoxChains:
         for name, doc in docs.items():
             inst = parse_instance(doc)
             eps = inst.params.epsilon
-            pts = sample_points(inst.space, default_plan(inst))
+            pts = sample_points(inst.space, inst.grid_step)
             sampled = max(max(sampled_hops(inst.space, pts, p, eps).values())
                           for p in pts)
             max_n = check_epsilon_chainable(inst.space, eps).details["max_n"]

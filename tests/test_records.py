@@ -13,7 +13,6 @@ from chainfix.hypotheses import (
     Chain,
     ContractivityReport,
     HypothesisReport,
-    SamplingPlan,
     find_epsilon_chain,
 )
 from chainfix.instances import Instance, Parameters, load_instance
@@ -31,13 +30,12 @@ from chainfix.solver import (
 
 @pytest.fixture(scope="module")
 def records(chain4_path):
-    """One record of each of the ten types, built the way callers build them."""
+    """One record of each of the nine types, built the way callers build them."""
     inst = load_instance(chain4_path)
     suite = run_hypothesis_suite(inst)
     cfg = build_config(inst, suite)
     res = picard_solve(inst.cmap, inst.x0, inst.y0, cfg)
     return [
-        SamplingPlan(grid_step=0.5, random_count=8, seed=3),
         suite["epsilon-chainable"],
         suite["uniform-local-contraction"],
         find_epsilon_chain(inst.space, 0, 3, inst.params.epsilon),
@@ -53,7 +51,7 @@ def records(chain4_path):
 
 def test_one_record_of_each_type(records):
     assert [type(r) for r in records] == [
-        SamplingPlan, HypothesisReport, ContractivityReport, Chain,
+        HypothesisReport, ContractivityReport, Chain,
         Parameters, Instance, OracleReport, SolveResult, DecayReport,
         CollapseVerdict,
     ]
@@ -72,15 +70,14 @@ def test_repr_lists_every_field_in_order(records):
     for r in records:
         fields = ", ".join(f"{k}={getattr(r, k)!r}" for k in r._fields)
         assert repr(r) == f"{type(r).__name__}({fields})"
-    assert repr(records[0]) == "SamplingPlan(grid_step=0.5, random_count=8, seed=3)"
-    assert repr(records[9]) == (
+    assert repr(records[8]) == (
         "CollapseVerdict(verdict='holds', gap=0, tolerance=2e-10, "
         "mode='comparable-seeds')"
     )
 
 
 def test_replace_gives_a_changed_copy(records):
-    params = records[4]
+    params = records[3]
     low = params._replace(lambda_claimed=0.5)
     assert low.lambda_claimed == 0.5
     assert params.lambda_claimed is None

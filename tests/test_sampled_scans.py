@@ -22,6 +22,7 @@ order, on finite spaces (a box is decided from its shape, see
 ``tests/test_hypotheses.py``).
 """
 
+import collections
 import hashlib
 import json
 import random
@@ -40,19 +41,20 @@ from chainfix.hypotheses import (
     HOLDS,
     SAMPLED,
     VIOLATED,
-    SamplingPlan,
     check_epsilon_chainable,
     check_mixed_monotone,
     estimate_contraction,
+    find_epsilon_chain,
     sample_points,
 )
+from chainfix.instances import generate_finite_instance
 from chainfix.mappings import TableMap, expression_map
 from chainfix.spaces import BoxSpace, FiniteSpace, point_jsonable
 
 
-def reference_mixed_monotone(cmap, plan):
+def reference_mixed_monotone(cmap, grid_step=None):
     space = cmap.space
-    pts = sample_points(space, plan)
+    pts = sample_points(space, grid_step)
     leq, f = space.leq, cmap.apply
 
     def found(branch, a1, a2, other, fa1, fa2):
@@ -97,12 +99,12 @@ def reference_mixed_monotone(cmap, plan):
             break
     verdict, witness = result
     return {"verdict": verdict, "witness": witness, "sample_size": len(pts),
-            "sample_seed": plan.seed}
+            "sample_seed": 0}
 
 
-def reference_contraction(cmap, epsilon, plan):
+def reference_contraction(cmap, epsilon, grid_step):
     space = cmap.space
-    pts = sample_points(space, plan)
+    pts = sample_points(space, grid_step)
     leq, dist, f = space.leq, space.distance, cmap.apply
     xu_pairs = [(x, u) for x in pts for u in pts if leq(u, x)]
     yv_pairs = [(y, v) for y in pts for v in pts if leq(y, v)]
@@ -130,7 +132,7 @@ def reference_contraction(cmap, epsilon, plan):
         best = 0.0  # the vacuous report the pipeline has always printed
     return {"violated": violated, "lambda_hat": best, "witness": best_w,
             "pairs_tested": tested, "vacuous": tested == 0,
-            "sample_size": len(pts), "sample_seed": plan.seed}
+            "sample_size": len(pts), "sample_seed": 0}
 
 
 def reference_finite_contraction(cmap, epsilon):
@@ -214,27 +216,23 @@ def box_maps(draw):
     # the same values as a product the fold does not read, so it is scanned
     formulas = [f"({draw(component)}) * (1 + {xs[0]}*{xs[0]}*0)" for _ in range(dim)]
     space = BoxSpace((0.0,) * dim, (1.0,) * dim)
-    step = draw(st.sampled_from([0.5, 1 / 3, 0.25] if dim == 1 else [0.5, 1 / 3]))
-    plan = SamplingPlan(
-        grid_step=step,
-        random_count=draw(st.integers(0, 3)),
-        seed=draw(st.integers(0, 5)),
-    )
+    steps = [0.5, 1 / 3, 0.25, None] if dim == 1 else [0.5, 1 / 3, None]
+    step = draw(st.sampled_from(steps))  # None: the 8 draws alone
     epsilon = draw(st.sampled_from([0.2, 0.3, 0.6, 1.5]))
-    return expression_map(space, formulas), plan, epsilon
+    return expression_map(space, formulas), step, epsilon
 
 
 @given(box_maps())
 @settings(max_examples=150, deadline=None)
 def test_tabulated_scans_match_reference(case):
-    cmap, plan, epsilon = case
-    mono = check_mixed_monotone(cmap, plan)
+    cmap, step, epsilon = case
+    mono = check_mixed_monotone(cmap, step)
     assert {
         "verdict": mono.verdict, "witness": mono.witness,
         "sample_size": mono.sample_size, "sample_seed": mono.sample_seed,
-    } == reference_mixed_monotone(cmap, plan)
-    rep = estimate_contraction(cmap, epsilon, plan)
-    ref = reference_contraction(cmap, epsilon, plan)
+    } == reference_mixed_monotone(cmap, step)
+    rep = estimate_contraction(cmap, epsilon, step)
+    ref = reference_contraction(cmap, epsilon, step)
     assert rep.mode == "sampled"
     assert {
         "violated": rep.violated, "lambda_hat": rep.lambda_hat,
@@ -247,13 +245,16 @@ def test_tabulated_scans_match_reference(case):
 
 
 def test_box_scan_without_admissible_quadruple_is_vacuous():
-    # grid gaps of 0.5 put every nonzero mean distance above epsilon = 0.2
+    # no two of the 3 grid points and 8 draws lie within 2e-9 of each
+    # other, so every nonzero mean distance is above epsilon = 1e-9
     box = BoxSpace((0.0,), (1.0,))
-    coarse = SamplingPlan(grid_step=0.5, seed=3)
-    rep = estimate_contraction(expression_map(box, "x*y"), 0.2, coarse)
+    cmap = expression_map(box, "x*y")
+    rep = estimate_contraction(cmap, 1e-9, 0.5)
     assert (rep.vacuous, rep.pairs_tested, rep.lambda_hat, rep.witness) == (
         True, 0, 0.0, None)
-    assert (rep.mode, rep.sample_size, rep.sample_seed) == ("sampled", 3, 3)
+    ref = reference_contraction(cmap, 1e-9, 0.5)
+    assert (rep.mode, rep.sample_size, rep.sample_seed) == (
+        "sampled", ref["sample_size"], ref["sample_seed"])
 
 
 def images_by_apply(cmap, pts):
@@ -291,10 +292,7 @@ def signed_box_maps(draw):
     )
     formulas = [draw(component) for _ in range(dim)]
     space = BoxSpace((-1.0,) * dim, (1.0,) * dim)
-    plan = SamplingPlan(grid_step=draw(st.sampled_from([0.5, 1.0])),
-                        random_count=draw(st.integers(0, 3)),
-                        seed=draw(st.integers(0, 5)))
-    pts = [(-0.0,) * dim, *sample_points(space, plan)]
+    pts = [(-0.0,) * dim, *sample_points(space, draw(st.sampled_from([0.5, 1.0, None])))]
     return expression_map(space, formulas), pts
 
 
@@ -365,7 +363,7 @@ def test_whole_row_scan_matches_finite_reference(cmap, block):
     # small blocks put the first violation past the first block
     with mock.patch.object(hypotheses, "_BLOCK", block):
         rep = check_mixed_monotone(cmap)
-    ref = reference_mixed_monotone(cmap, SamplingPlan())
+    ref = reference_mixed_monotone(cmap)
     assert (rep.verdict, rep.witness) == (ref["verdict"], ref["witness"])
     assert (rep.sample_size, rep.sample_seed) == (None, None)
 
@@ -426,7 +424,7 @@ def test_first_violation_on_a_non_covering_pair(table):
     # the covering check finds (1, 2) and the full scan must report (0, 2)
     cmap = TableMap(finite_space(3, "chain", random.Random(0)), table)
     rep = check_mixed_monotone(cmap)
-    ref = reference_mixed_monotone(cmap, SamplingPlan())
+    ref = reference_mixed_monotone(cmap)
     assert (rep.verdict, rep.witness) == (ref["verdict"], ref["witness"])
     names = ("x1", "x2") if rep.witness["branch"] == "first-argument" else ("y1", "y2")
     assert [rep.witness[k] for k in names] == [0, 2]
@@ -436,24 +434,45 @@ def test_box_first_violation_on_a_non_covering_pair():
     # f(0) = 0.5, f(0.5) = 1, f(1) = 0 on the grid 0 < 0.5 < 1
     cmap = expression_map(BoxSpace((0.0,), (1.0,)),
                           "min(1, max(0, 0.5 + x - 3*max(0, x - 0.5)))")
-    plan = SamplingPlan(grid_step=0.5)
-    rep = check_mixed_monotone(cmap, plan)
-    ref = reference_mixed_monotone(cmap, plan)
+    rep = check_mixed_monotone(cmap, 0.5)
+    ref = reference_mixed_monotone(cmap, 0.5)
     assert {"verdict": rep.verdict, "witness": rep.witness,
             "sample_size": rep.sample_size, "sample_seed": rep.sample_seed} == ref
     assert (rep.witness["x1"], rep.witness["x2"]) == (0.0, 1.0)
+
+
+def bfs(adj, src):
+    """Hop counts from src over the adjacency lists ``adj`` (None where no
+    path leads) and the node each one was first reached from: the search
+    the finite chain routes ran before they walked the hop table."""
+    hops = [None] * len(adj)
+    parent = [None] * len(adj)
+    hops[src] = 0
+    queue = collections.deque([src])
+    while queue:
+        i = queue.popleft()
+        for j in adj[i]:
+            if hops[j] is None:
+                hops[j] = hops[i] + 1
+                parent[j] = i
+                queue.append(j)
+    return hops, parent
+
+
+def epsilon_adjacency(space, epsilon):
+    edges = space.L & (space.D < epsilon)
+    np.fill_diagonal(edges, False)
+    return [row.nonzero()[0].tolist() for row in edges]
 
 
 def reference_chainable(space, epsilon):
     """The chainability check as it was written before it took whole
     arrays: one breadth-first search per source point, then the comparable
     targets of that source in index order."""
-    edges = space.L & (space.D < epsilon)
-    np.fill_diagonal(edges, False)
-    adj = [row.nonzero()[0].tolist() for row in edges]
+    adj = epsilon_adjacency(space, epsilon)
     table, unreachable = {}, []
     for p in space.points():
-        hops, _ = hypotheses._bfs(adj, p)
+        hops, _ = bfs(adj, p)
         for q in space.L[p].nonzero()[0].tolist():
             if hops[q] is None:
                 unreachable.append((p, q))
@@ -485,6 +504,36 @@ def test_whole_array_chainability_matches_bfs_loop(case):
     d = rep.details
     assert (rep.verdict, rep.witness, d["max_n"], d["unreachable"],
             list(d["chain_n"].items())) == reference_chainable(space, epsilon)
+
+
+@st.composite
+def chain_walk_cases(draw):
+    # generated instances at their default size and at 8 to 64 points, at
+    # their epsilon, half of it (where pairs fall apart) and three times it
+    size = draw(st.sampled_from([None, 8, 20, 40, 64]))
+    inst = generate_finite_instance(draw(st.integers(0, 10**6)), size)
+    return inst.space, inst.params.epsilon * draw(st.sampled_from([1.0, 0.5, 3.0]))
+
+
+@given(chain_walk_cases())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_finite_chain_is_the_breadth_first_path(case):
+    # a breadth-first search that visits neighbours in ascending index
+    # reaches b along the lexicographically smallest shortest path, and so
+    # does the walk down the hop table
+    space, epsilon = case
+    adj = epsilon_adjacency(space, epsilon)
+    for a in space.points():
+        hops, parent = bfs(adj, a)
+        for b in space.L[a].nonzero()[0].tolist():
+            chain = find_epsilon_chain(space, a, b, epsilon)
+            if hops[b] is None:
+                assert chain is None
+                continue
+            path = [b]
+            while path[-1] != a:
+                path.append(parent[path[-1]])
+            assert chain.points == tuple(reversed(path))
 
 
 @pytest.mark.parametrize("n", [127, 128, 130])
