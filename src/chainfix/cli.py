@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -360,4 +361,15 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    """Process entry of ``python -m chainfix`` and the ``chainfix`` script.
+
+    A call is short and frees its data by reference counting, so the
+    collector is off while it runs, and the heap is frozen before exit so
+    that the interpreter's final collections do not walk every object the
+    call loaded. ``run_cli`` leaves the collector as it is, for callers in
+    a longer process.
+    """
+    gc.disable()
+    code = run_cli(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all chainfix modules."""
+"""Exception hierarchy and message helpers shared by all chainfix modules,
+and ``Frozen``, the base of the package's validated records."""
 
 from __future__ import annotations
 
@@ -16,6 +17,36 @@ def clipped(text: str) -> str:
 def clipped_repr(value) -> str:
     """``repr(value)``, clipped."""
     return clipped(repr(value))
+
+
+class Frozen:
+    """A record whose ``__init__`` sets its attributes once, with
+    ``vars(self).update``; assigning or deleting one later raises
+    ``AttributeError``. ``_fields`` names what ``repr`` shows and, unless a
+    subclass compares otherwise, what equality and the hash read."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
 
 
 class ChainfixError(Exception):

@@ -36,10 +36,9 @@ from __future__ import annotations
 import ast
 import math
 import operator
-from dataclasses import dataclass, field
 
 from ._lazy import numpy as np
-from .errors import GrammarError, clipped_repr
+from .errors import Frozen, GrammarError, clipped_repr
 
 
 def _first_wins(beats):
@@ -168,15 +167,17 @@ def _check(root: ast.expr, allowed: set[str], shown: str, too_deep: GrammarError
     return tuple(post)
 
 
-@dataclass(frozen=True)
-class CompiledExpression:
-    """A validated expression; every other field is derived from ``source``."""
+class CompiledExpression(Frozen):
+    """A validated expression; every other field is derived from ``source``,
+    which alone is shown, compared and hashed."""
 
-    source: str
-    code: object = field(compare=False, repr=False)
-    tree: ast.expr = field(compare=False, repr=False)  # validated; literals are floats
-    # every node of ``tree`` but a call's callee, each after its operands
-    postorder: tuple[ast.expr, ...] = field(compare=False, repr=False)
+    _fields = ("source",)
+
+    def __init__(self, source: str, code, tree: ast.expr,
+                 postorder: tuple[ast.expr, ...]) -> None:
+        # tree: validated, its literals floats; postorder: every node of
+        # tree but a call's callee, each after its operands
+        vars(self).update(source=source, code=code, tree=tree, postorder=postorder)
 
     def evaluate(self, env: dict) -> float | np.ndarray:
         """The value at one point, or elementwise when ``env`` holds

@@ -19,13 +19,12 @@ never leaves the box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Sequence, Union
 
 from ._lazy import numpy as np
-from .errors import EscapeError, InvalidInstanceError, clipped_repr
+from .errors import EscapeError, Frozen, InvalidInstanceError, clipped_repr
 from .spaces import BoxPoint, BoxSpace, FiniteSpace, Point
 
 if TYPE_CHECKING:
@@ -35,16 +34,15 @@ if TYPE_CHECKING:
 _BLOCK = 1 << 16  # point pairs evaluated at once by ExpressionMap._tabulate
 
 
-@dataclass(frozen=True, eq=False)
-class TableMap:
-    """F given as an n x n table of point indices: T[x, y] = F(x, y)."""
+class TableMap(Frozen):
+    """F given as an n x n table of point indices: T[x, y] = F(x, y); the
+    table (int rows or an int array) is stored read-only as intp."""
 
-    space: FiniteSpace
-    T: np.ndarray  # given as int rows or an int array, stored read-only as intp
+    _fields = ("space", "T")
 
-    def __post_init__(self) -> None:
-        n = self.space.size
-        rows = self.T
+    def __init__(self, space: FiniteSpace, T) -> None:
+        n = space.size
+        rows = T
         if len(rows) != n or any(len(row) != n for row in rows):
             raise InvalidInstanceError(f"map table must be {n} x {n}", field="table")
         T = None
@@ -71,7 +69,7 @@ class TableMap:
                             field="table", witness=(i, j),
                         )
         T.setflags(write=False)
-        object.__setattr__(self, "T", T)
+        vars(self).update(space=space, T=T)
 
     def __eq__(self, other) -> bool:
         return (
@@ -103,19 +101,19 @@ def _env(x: BoxPoint, y: BoxPoint) -> dict[str, float]:
     return env
 
 
-@dataclass(frozen=True)
-class ExpressionMap:
+class ExpressionMap(Frozen):
     """F given componentwise by compiled expressions over box coordinates."""
 
-    space: BoxSpace
-    components: tuple[CompiledExpression, ...]
+    _fields = ("space", "components")
 
-    def __post_init__(self) -> None:
-        if len(self.components) != self.space.dim:
+    def __init__(self, space: BoxSpace,
+                 components: tuple[CompiledExpression, ...]) -> None:
+        if len(components) != space.dim:
             raise InvalidInstanceError(
-                f"expression map needs {self.space.dim} component(s), "
-                f"got {len(self.components)}", field="formula",
+                f"expression map needs {space.dim} component(s), "
+                f"got {len(components)}", field="formula",
             )
+        vars(self).update(space=space, components=components)
 
     @property
     def sources(self) -> tuple[str, ...]:

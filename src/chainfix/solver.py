@@ -33,43 +33,45 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, EscapeError
+from .errors import DomainError, EscapeError, Frozen
 from .hypotheses import Chain
 from .mappings import CoupledMap
-from .spaces import Point
+from .spaces import Point, is_finite_number
 
 CONVERGED = "converged"
 EXHAUSTED = "max-iterations-exhausted"
 DIVERGED = "diverged-from-box"
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    residual_tolerance: float = 1e-10
-    max_iterations: int = 200
-    lam: float | None = None
-    epsilon: float | None = None
-    chain_n: int | None = None
-    lambda_certified: bool = False
+class SolveConfig(Frozen):
+    """Settings of ``picard_solve`` and ``verify_decay_bound``: a finite
+    positive residual tolerance, an integer iteration cap of at least 1 (a
+    cap the iteration count never equals would leave an orbit that does not
+    converge unbounded), and the decay bound's factors, when known."""
 
-    def __post_init__(self) -> None:
-        if self.residual_tolerance <= 0:
-            raise DomainError(
-                f"residual_tolerance must be positive, got {self.residual_tolerance!r}"
-            )
-        if self.max_iterations < 1:
-            raise DomainError(
-                f"max_iterations must be at least 1, got {self.max_iterations!r}"
-            )
-        if self.lam is not None and not 0.0 < self.lam < 1.0:
-            raise DomainError(f"lam must lie in (0, 1), got {self.lam!r}")
-        if self.epsilon is not None and not self.epsilon > 0:
-            raise DomainError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.chain_n is not None and self.chain_n < 1:
-            raise DomainError(f"chain_n must be at least 1, got {self.chain_n!r}")
+    _fields = ("residual_tolerance", "max_iterations", "lam", "epsilon", "chain_n",
+               "lambda_certified")
+
+    def __init__(self, residual_tolerance: float = 1e-10, max_iterations: int = 200,
+                 lam: float | None = None, epsilon: float | None = None,
+                 chain_n: int | None = None, lambda_certified: bool = False) -> None:
+        if not (is_finite_number(residual_tolerance) and residual_tolerance > 0):
+            raise DomainError("residual_tolerance must be a finite positive number, "
+                              f"got {residual_tolerance!r}")
+        if type(max_iterations) is not int or max_iterations < 1:  # a bool is no int
+            raise DomainError("max_iterations must be an integer of at least 1, "
+                              f"got {max_iterations!r}")
+        if lam is not None and not 0.0 < lam < 1.0:
+            raise DomainError(f"lam must lie in (0, 1), got {lam!r}")
+        if epsilon is not None and not epsilon > 0:
+            raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+        if chain_n is not None and chain_n < 1:
+            raise DomainError(f"chain_n must be at least 1, got {chain_n!r}")
+        vars(self).update(residual_tolerance=residual_tolerance,
+                          max_iterations=max_iterations, lam=lam, epsilon=epsilon,
+                          chain_n=chain_n, lambda_certified=lambda_certified)
 
     @property
     def can_bound(self) -> bool:

@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import sub
 from typing import Sequence, Union
 
 from ._lazy import numpy as np
-from .errors import DomainError, InvalidInstanceError, SamplingError, clipped_repr
+from .errors import (
+    DomainError, Frozen, InvalidInstanceError, SamplingError, clipped_repr,
+)
 
 FinitePoint = int
 BoxPoint = tuple[float, ...]
@@ -178,46 +179,48 @@ def _check_order(L: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteSpace:
-    """Tabulated metric plus partial order over indexed points."""
+class FiniteSpace(Frozen):
+    """Tabulated metric plus partial order over indexed points.
 
-    labels: tuple[str, ...]
-    dist: tuple[tuple[float, ...], ...]  # as given: an int stays an int
-    L: np.ndarray  # given as n x n boolean rows or array, stored read-only
-    D: np.ndarray = field(init=False, repr=False)  # dist as read-only float64
+    ``labels`` and ``dist`` (as given: an int stays an int) are stored as
+    tuples, and the order ``L`` (n x n boolean rows or an array) as a
+    read-only copy; ``D`` is ``dist`` as read-only float64.
+    """
 
-    def __post_init__(self) -> None:
-        n = len(self.labels)
+    _fields = ("labels", "dist", "L")
+
+    def __init__(self, labels: tuple[str, ...], dist: tuple[tuple[float, ...], ...],
+                 L) -> None:
+        n = len(labels)
         if n == 0:
             raise InvalidInstanceError("finite space needs at least one point",
                                        field="points")
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise InvalidInstanceError("point labels must be distinct",
                                        field="points")
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
+        if len(dist) != n or any(len(row) != n for row in dist):
             raise InvalidInstanceError(f"distance matrix must be {n} x {n}",
                                        field="distance_matrix")
-        if len(self.L) != n or any(len(row) != n for row in self.L):
+        if len(L) != n or any(len(row) != n for row in L):
             raise InvalidInstanceError(f"order relation must be {n} x {n}",
                                        field="order_pairs")
-        if not (isinstance(self.L, np.ndarray) and self.L.dtype == bool) and not (
-            set(map(type, chain.from_iterable(self.L))) <= {bool, np.bool_}
+        if not (isinstance(L, np.ndarray) and L.dtype == bool) and not (
+            set(map(type, chain.from_iterable(L))) <= {bool, np.bool_}
         ):
             # the whole-matrix test failed: name the first entry that is no boolean
-            for i, row in enumerate(self.L):
+            for i, row in enumerate(L):
                 for j, v in enumerate(row):
                     if not isinstance(v, (bool, np.bool_)):
                         raise InvalidInstanceError(
                             f"order entry [{i}][{j}] = {v!r} is not a boolean",
                             field="order_pairs", witness=(i, j),
                         )
-        D = _check_metric(self.dist)
-        L = np.array(self.L, dtype=bool)  # a copy that no caller can write
+        D = _check_metric(dist)
+        L = np.array(L, dtype=bool)  # a copy that no caller can write
         _check_order(L)
-        for name, a in (("D", D), ("L", L)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        D.setflags(write=False)
+        L.setflags(write=False)
+        vars(self).update(labels=labels, dist=dist, L=L, D=D)
 
     def __eq__(self, other) -> bool:
         return (
@@ -277,18 +280,16 @@ class FiniteSpace:
         return bool(self.L[p, q])
 
 
-@dataclass(frozen=True)
-class BoxSpace:
+class BoxSpace(Frozen):
     """Axis-aligned box in R^k with the L1 metric and componentwise order."""
 
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
+    _fields = ("lower", "upper")
 
-    def __post_init__(self) -> None:
-        if len(self.lower) == 0 or len(self.lower) != len(self.upper):
+    def __init__(self, lower: tuple[float, ...], upper: tuple[float, ...]) -> None:
+        if len(lower) == 0 or len(lower) != len(upper):
             raise InvalidInstanceError("box bounds must be nonempty and same length",
                                        field="lower")
-        for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+        for i, (lo, hi) in enumerate(zip(lower, upper)):
             for name, v in (("lower", lo), ("upper", hi)):
                 if not is_finite_number(v):
                     raise InvalidInstanceError(
@@ -301,8 +302,8 @@ class BoxSpace:
                     f"box bounds inverted on axis {i}: {lo!r} > {hi!r}",
                     field="upper", witness=(i,),
                 )
-        object.__setattr__(self, "lower", tuple(map(float, self.lower)))
-        object.__setattr__(self, "upper", tuple(map(float, self.upper)))
+        vars(self).update(lower=tuple(map(float, lower)),
+                          upper=tuple(map(float, upper)))
 
     @property
     def dim(self) -> int:

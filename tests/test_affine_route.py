@@ -15,7 +15,6 @@ that bound, which may only be larger, and by less than a factor
 """
 
 import ast
-import dataclasses
 import hashlib
 import inspect
 import json
@@ -31,7 +30,12 @@ from hypothesis import strategies as st
 from chainfix.cli import run_cli
 from chainfix.affine import MapForm, component_form, map_form
 from chainfix.errors import GrammarError
-from chainfix.expressions import MAX_DEPTH, parse_expression, variable_names
+from chainfix.expressions import (
+    MAX_DEPTH,
+    CompiledExpression,
+    parse_expression,
+    variable_names,
+)
 from chainfix.hypotheses import (
     HOLDS,
     SAMPLED,
@@ -392,7 +396,8 @@ def test_post_order_gives_the_stack_walks_form(case):
             expr = parse_expression(source, space.dim)
         except GrammarError:  # a denominator that is zero or NaN
             assume(False)
-        stacked = dataclasses.replace(expr, postorder=stack_postorder(expr.tree))
+        stacked = CompiledExpression(expr.source, expr.code, expr.tree,
+                                     stack_postorder(expr.tree))
         assert list(map(id, expr.postorder)) == list(map(id, stacked.postorder))
         assert component_form(expr, bounds) == component_form(stacked, bounds)
 

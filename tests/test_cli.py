@@ -890,6 +890,74 @@ def test_gen_help_and_argument_errors_run_only_what_they_use(argv, code, ran):
     assert set(ast.literal_eval(proc.stderr.splitlines()[-1])) == ran
 
 
+# prints, at exit, which of dataclasses and inspect the child has imported;
+# numpy imports inspect itself, so only a call that runs no numpy can miss it
+INSPECT_PROBE = ("import atexit, sys\n"
+                 "atexit.register(lambda: print(sorted({'dataclasses', 'inspect'} "
+                 "& set(sys.modules)), file=sys.stderr))\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("check", "{l1}"), 0), (("solve", "{l2d}"), 0), (("verify-lemma", "{l1}"), 0),
+    (("chain", "{l2d}", "--from", "0,0", "--to", "1,1"), 0),
+    (("--help",), 0), (("check",), 2),
+], ids=["check", "solve", "verify-lemma", "chain", "help", "missing-argument"])
+def test_call_without_numpy_imports_no_dataclasses_or_inspect(instance_dir, argv,
+                                                              code):
+    # inspect, which dataclasses imports, takes 5-7 ms of such a call
+    args = [a.format(l1=instance_dir / "l1.json", l2d=instance_dir / "l2d.json")
+            for a in argv]
+    proc = run_fresh(*args, probe=INSPECT_PROBE)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[]"
+
+
+# an asymmetric distance matrix: d[0][1] = 5 but d[1][0] = 1
+ASYMMETRIC_DOC = {
+    "schema_version": 1,
+    "space": {"kind": "finite", "points": ["a", "b"],
+              "distance_matrix": [[0, 5], [1, 0]], "order_pairs": [[0, 1]]},
+    "map": {"kind": "table", "table": [[0, 0], [1, 1]]},
+    "seeds": {"x0": 0, "y0": 1}, "parameters": {"epsilon": 1.5},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "{l1}", "--json", "{out}/solve.json", "--trace", "{out}/t.jsonl"),
+    ("solve", "{f1}", "--json", "{out}/solve.json", "--trace", "{out}/t.csv",
+     "--trace-format", "csv"),
+    ("oracle", "{f1}"),
+    ("gen", "--seed", "3", "--size", "8", "--out", "{out}/gen.json"),
+    ("check", "{bad}"),
+], ids=["solve-jsonl", "solve-csv", "oracle", "gen", "bad-document"])
+def test_fresh_call_prints_and_writes_what_run_cli_does(capsys, instance_dir,
+                                                        tmp_path, argv):
+    # a fresh call exits through cli.main, which turns the collector off and
+    # freezes the heap before exit; nothing it prints or writes may change
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(ASYMMETRIC_DOC))
+
+    def call(fresh: bool):
+        out = tmp_path / ("fresh" if fresh else "in-process")
+        out.mkdir()
+        args = [a.format(l1=instance_dir / "l1.json", f1=instance_dir / "f1.json",
+                         bad=bad, out=out) for a in argv]
+        if fresh:
+            proc = run_fresh(*args)
+            shown = proc.returncode, proc.stdout, proc.stderr
+        else:
+            shown = run(capsys, *args)
+        return shown, {p.name: p.read_bytes() for p in out.iterdir()}
+
+    fresh = call(True)
+    assert fresh == call(False)
+    (code, stdout, stderr), files = fresh
+    if argv[0] == "check":
+        assert code == 2 and stderr.startswith("error: space.distance_matrix: ")
+    else:
+        assert code in (0, 1) and stderr == "" and (stdout or files)
+
+
 def test_numpy_loaded_mid_process_prints_the_same_bytes(capsys, tmp_path, l1_path,
                                                          f1_path):
     # a child solves l1 without numpy, then a min/max box map (tabulated with

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from chainfix.errors import DomainError
 from chainfix.instances import generate_finite_instance, load_instance
-from chainfix.mappings import expression_map
+from chainfix.mappings import TableMap, expression_map
 from chainfix.pipeline import build_config, run_hypothesis_suite, uncertified
 from chainfix.solver import (
     BoundRow,
@@ -29,7 +29,7 @@ from chainfix.solver import (
     picard_solve,
     verify_decay_bound,
 )
-from chainfix.spaces import BoxSpace
+from chainfix.spaces import BoxSpace, FiniteSpace
 
 
 def residual(cmap, x, y):
@@ -63,6 +63,30 @@ class TestDecayBound:
             decay_bound(1, 0.5, 0.0, 1)
         with pytest.raises(DomainError):
             decay_bound(1, 0.5, 0.3, -1)
+
+
+class TestSolveConfig:
+    # the 2-point antichain whose table sends (0, 0) to (1, 1) and back: its
+    # orbit never converges, so only the iteration cap stops the solve
+    ANTICHAIN = (("p", "q"), ((0, 1), (1, 0)), [[True, False], [False, True]])
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("max_iterations", 2.5, "an integer"),  # m == 2.5 never holds
+        ("max_iterations", True, "an integer"),
+        ("max_iterations", 0, "at least 1"),
+        ("residual_tolerance", math.inf, "finite positive"),  # converged at once
+        ("residual_tolerance", math.nan, "finite positive"),
+        ("residual_tolerance", 0.0, "finite positive"),
+    ])
+    def test_refuses_an_unbounded_loop(self, field, value, reason):
+        with pytest.raises(DomainError, match=f"{field} must be .*{reason}"):
+            SolveConfig(**{field: value})
+
+    def test_cap_stops_an_orbit_that_never_converges(self):
+        cmap = TableMap(FiniteSpace(*self.ANTICHAIN), [[1, 1], [0, 0]])
+        res = picard_solve(cmap, 0, 0, SolveConfig(max_iterations=3))
+        assert (res.status, res.iterations_used, res.residual) == (
+            "max-iterations-exhausted", 3, 2)
 
 
 class TestPicard:
