@@ -234,6 +234,24 @@ class _Rows(dict):
         return r
 
 
+def _index_rows(images: np.ndarray, D: np.ndarray) -> tuple[_Rows, list]:
+    """``T[i]``, row i of a table map's images, and ``DI[a]``, the distance
+    row of point a, as lists converted on first use. ``DI`` is a plain list
+    whose rows are filled as image rows are converted, for every image they
+    hold, so ``DI[T[x][y]]`` is always there. It is built here, not in a
+    closure of the scan, so that the scan reads ``DI`` as a fast local."""
+    DI = [None] * len(D)
+
+    def row(i):
+        r = images[i].tolist()
+        for a in set(r):
+            if DI[a] is None:
+                DI[a] = D[a].tolist()
+        return r
+
+    return _Rows(row), DI
+
+
 class _Tables(NamedTuple):
     """The points under test, addressed by index: a whole finite space, or a
     box sample (then ``sample_size`` is set).
@@ -399,26 +417,30 @@ def estimate_contraction(
             mode = "exact" if form.exact else "bound"
             return ContractivityReport(epsilon, lam, False, None, 0, mode)
     tab = _map_tables(cmap, grid_step)
-    # the loop reads Python numbers: row T[i] of F(pts[i], pts[j]) is
-    # converted when the scan first reaches it
-    images = tab.images
+    # the loop reads Python numbers, each converted when the scan first
+    # reaches it: row T[i] of F(pts[i], pts[j]) and the distances DI[a][b]
+    # between images
+    images, D = tab.images, tab.D
     if isinstance(cmap, TableMap):  # images are point indices into D
-        T = _Rows(lambda i: images[i].tolist())
-        DI = tab.D.tolist()
+        T, DI = _index_rows(images, D)
     else:
         T = _Rows(lambda i: list(map(tuple, images[i].tolist())))
         DI = _Rows(_L1Row)
     # row-major in (x, u) with u <= x, read once, and in (y, v) with
-    # y <= v, read for each (x, u); each pair with its distance
-    xu_pairs = _pairs(tab.D, tab.L.T)
-    yv_pairs = list(_pairs(tab.D, tab.L))
+    # y <= v, read for each (x, u); each pair with its distance. The first
+    # (x, u) row keeps the (y, v) pairs as it reads them, and every later
+    # row iterates that list
+    yv_pairs: list[tuple[int, int, float]] = []
+    yv_first = itertools.chain.from_iterable(_kept(_pairs(D, tab.L), yv_pairs))
+    yv_rows = itertools.chain([yv_first], itertools.repeat(yv_pairs))
+    xu_pairs = itertools.chain.from_iterable(_pairs(D, tab.L.T))
     best = -1.0
     best_w = None
     tested = 0
-    for x, u, dxu in xu_pairs:
+    for (x, u, dxu), yv in zip(xu_pairs, yv_rows):
         tx = T[x]
         tu = T[u]
-        for y, v, dyv in yv_pairs:
+        for y, v, dyv in yv:
             s = dxu + dyv
             if s <= 0 or not s / 2.0 < epsilon:
                 continue
@@ -434,10 +456,23 @@ def estimate_contraction(
     return _contraction_report(tab, epsilon, max(best, 0.0), False, best_w, tested)
 
 
-def _pairs(D: np.ndarray, M: np.ndarray) -> Iterator[tuple[int, int, float]]:
-    """(i, j, D[i, j]) for the true cells of the mask M, in row-major order."""
-    i, j = np.nonzero(M)
-    return zip(i.tolist(), j.tolist(), D[i, j].tolist())
+def _pairs(D: np.ndarray, M: np.ndarray) -> Iterator[list[tuple[int, int, float]]]:
+    """(i, j, D[i, j]) for the true cells of the mask M, in row-major order:
+    one list for each block of 1, 2, 4, ... rows of M, built when it is
+    first read."""
+    lo, rows = 0, 1
+    while lo < len(M):
+        i, j = np.nonzero(M[lo : lo + rows])
+        i += lo
+        yield list(zip(i.tolist(), j.tolist(), D[i, j].tolist()))
+        lo, rows = lo + rows, 2 * rows
+
+
+def _kept(blocks: Iterator[list], out: list) -> Iterator[list]:
+    """``blocks``, each appended to ``out`` as it is read."""
+    for block in blocks:
+        out += block
+        yield block
 
 
 def _form(cmap: CoupledMap) -> MapForm | None:
@@ -705,10 +740,12 @@ def check_common_comparable(space: Space) -> HypothesisReport:
     witness = None
     if bad_xu.any():
         x = int(np.argmax(bad_xu.any(axis=1)))
-        occurs = np.zeros((s, 16), dtype=bool)  # occurs[y, r]: some rel[y, v] == r
-        occurs[np.arange(s)[:, None], rel] = True
-        # bad[u, y]: some v leaves (x, y) and (u, v) unlinked
-        bad = unlinked[code[x]] @ occurs.T
+        # occurs[y, r]: some rel[y, v] == r
+        occurs = np.zeros((s, 16), dtype=np.float32)
+        occurs[np.arange(s)[:, None], rel] = 1.0
+        # bad[u, y]: some v leaves (x, y) and (u, v) unlinked; a float32
+        # product counts the shared codes, at most 16, exactly
+        bad = (unlinked[code[x]].astype(np.float32) @ occurs.T) > 0
         y = int(np.argmax(bad.any(axis=0)))
         u = int(np.argmax(bad[:, y]))
         v = int(np.argmax(unlinked[code[x, u], rel[y]]))

@@ -152,9 +152,15 @@ def _closure(n: int, pairs) -> np.ndarray:
     P = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     L = np.eye(n, dtype=bool)
     L[P[:, 0], P[:, 1]] = True
-    for k in range(n):
-        L |= L[:, k, None] & L[k]  # rows i <= k take in row k
-    return L
+    # squaring a reflexive relation doubles the path lengths it holds, so
+    # ceil(log2 n) squarings close it; (F @ F)[i, j] counts the k with
+    # i <= k <= j, at most n, which float32 sums hold exactly below 2**24
+    while True:
+        F = L.astype(np.float32)
+        closed = (F @ F) > 0
+        if np.array_equal(closed, L):
+            return L
+        L = closed
 
 
 def _build(where: str, make, *args):

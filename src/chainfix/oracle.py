@@ -2,16 +2,19 @@
 
 Everything here recomputes what ``hypotheses`` and ``solver`` produce, but
 through a different route: block array sweeps where the checking route loops
-over quadruples, and boolean matrix frontier expansion, one product per hop
-level, where it takes a min-plus closure of hop counts over each
-intermediate point. The contraction sweep visits only order-admissible
-quadruples (u <= x, y <= v), in blocks of a fixed size, so its memory does
-not grow with n^4. Agreement between the two routes is the core equivalence
-guarantee, so this module must not import from ``hypotheses`` beyond the
-shared report type, and must not share a kernel with it. Both routes read
-the space's read-only ``D`` and ``L`` and the map's ``T`` without a copy:
-reading stored data is not sharing a kernel, and the sweeps below are this
-module's own.
+over quadruples, and frontier expansion, one matrix product per hop level,
+where it takes a min-plus closure of hop counts over each intermediate
+point. The contraction sweep visits only order-admissible quadruples
+(u <= x, y <= v), in blocks of whole (x, u) rows: 1, 2, 4, ... rows, up to
+about ``_BLOCK`` quadruples, so a violation in the first rows costs little
+and memory does not grow with n^4. Each hop level is a float32 BLAS
+product of 0/1 matrices whose entries count paths, at most n, so the
+float32 sums are exact. Agreement between the two routes is the core
+equivalence guarantee, so this module must not import from ``hypotheses``
+beyond the shared report type, and must not share a kernel with it. Both
+routes read the space's read-only ``D`` and ``L`` and the map's ``T``
+without a copy: reading stored data is not sharing a kernel, and the sweeps
+below are this module's own.
 
 The fixed pairs and the chain table are returned as read-only integer
 arrays, one row per pair, and stay arrays until ``canonical_json`` writes
@@ -55,8 +58,11 @@ def exhaustive_contraction_check(cmap: TableMap, epsilon: float) -> Contractivit
     Only (x, u) pairs with u <= x and (y, v) pairs with y <= v are visited;
     both lists are row-major, so (xu index, yv index) row-major order is the
     (x, u, y, v) order with the order-inadmissible quadruples left out. The
-    sweep takes whole xu rows, about ``_BLOCK`` quadruples at a time, and
-    returns at the first block holding a violation.
+    sweep takes blocks of whole xu rows, first one row, then twice as many
+    each time up to about ``_BLOCK`` quadruples, and returns at the first
+    block holding a violation. The first violation and the first attainment
+    of the maximum are found block by block, so the report does not depend
+    on where blocks end.
     Ratio arithmetic is the loop route's (``2.0 * dF / s`` with
     admissibility ``s / 2.0 < epsilon`` and ``s > 0``) so agreement is exact
     in floating point, not approximate.
@@ -69,13 +75,16 @@ def exhaustive_contraction_check(cmap: TableMap, epsilon: float) -> Contractivit
     D_xu = D[xs, us]
     D_yv = D[ys, vs]
     # whole xu rows per block; the order is reflexive, so ys is never empty
-    rows = max(1, _BLOCK // len(ys))
+    cap = max(1, _BLOCK // len(ys))
     best = -np.inf
     best_idx: tuple[int, int, int, int] | None = None
     tested = 0
-    for r0 in range(0, len(xs), rows):
-        bx, bu = xs[r0 : r0 + rows], us[r0 : r0 + rows]
-        S = D_xu[r0 : r0 + rows, None] + D_yv[None, :]
+    r0, rows = 0, 1
+    while r0 < len(xs):
+        block = slice(r0, r0 + rows)
+        r0, rows = r0 + rows, min(2 * rows, cap)
+        bx, bu = xs[block], us[block]
+        S = D_xu[block, None] + D_yv[None, :]
         adm = (S / 2.0 < epsilon) & (S > 0.0)
         count = int(np.count_nonzero(adm))
         if not count:
@@ -112,7 +121,7 @@ def exhaustive_contraction_check(cmap: TableMap, epsilon: float) -> Contractivit
 def min_chain_table(
     space, epsilon: float
 ) -> tuple[np.ndarray, list[tuple[int, int]], int]:
-    """Minimal ascending-chain hop counts via boolean frontier expansion.
+    """Minimal ascending-chain hop counts via frontier expansion.
 
     Returns (table, unreachable comparable pairs, max hop count). The table
     is a read-only (k, 3) intp array with one row (i, j, hops) per
@@ -120,8 +129,10 @@ def min_chain_table(
     list run in row-major order. Edges are p -> q with p <= q and
     d(p, q) < epsilon.
     Row i of the frontier holds the nodes first reached from i at the
-    current level; one boolean matrix product per level advances every
-    source at once, for at most n - 1 levels.
+    current level; one matrix product per level advances every source at
+    once, for at most n - 1 levels. The product runs on float32 0/1
+    matrices (BLAS): an entry counts the frontier nodes with an edge to
+    the target, at most n, which float32 sums hold exactly below 2**24.
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon!r}")
@@ -129,11 +140,12 @@ def min_chain_table(
     D, L = space.D, space.L
     edges = L & (D < epsilon)
     np.fill_diagonal(edges, False)
+    E = edges.astype(np.float32)
     hops = np.full((n, n), -1, dtype=np.intp)
     np.fill_diagonal(hops, 0)
     reached = frontier = np.eye(n, dtype=bool)
     for level in range(1, n):
-        frontier = (frontier @ edges) & ~reached
+        frontier = ((frontier.astype(np.float32) @ E) > 0) & ~reached
         if not frontier.any():
             break
         hops[frontier] = level

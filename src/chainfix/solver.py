@@ -49,7 +49,9 @@ class SolveConfig(Frozen):
     """Settings of ``picard_solve`` and ``verify_decay_bound``: a finite
     positive residual tolerance, an integer iteration cap of at least 1 (a
     cap the iteration count never equals would leave an orbit that does not
-    converge unbounded), and the decay bound's factors, when known."""
+    converge unbounded), and the decay bound's factors, when known: a finite
+    positive epsilon and an integer chain length of at least 1 (an infinite
+    epsilon bounds every step by inf, a certificate that says nothing)."""
 
     _fields = ("residual_tolerance", "max_iterations", "lam", "epsilon", "chain_n",
                "lambda_certified")
@@ -65,10 +67,11 @@ class SolveConfig(Frozen):
                               f"got {max_iterations!r}")
         if lam is not None and not 0.0 < lam < 1.0:
             raise DomainError(f"lam must lie in (0, 1), got {lam!r}")
-        if epsilon is not None and not epsilon > 0:
-            raise DomainError(f"epsilon must be positive, got {epsilon!r}")
-        if chain_n is not None and chain_n < 1:
-            raise DomainError(f"chain_n must be at least 1, got {chain_n!r}")
+        if epsilon is not None and not (is_finite_number(epsilon) and epsilon > 0):
+            raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
+        if chain_n is not None and (type(chain_n) is not int or chain_n < 1):
+            raise DomainError("chain_n must be an integer of at least 1, "
+                              f"got {chain_n!r}")
         vars(self).update(residual_tolerance=residual_tolerance,
                           max_iterations=max_iterations, lam=lam, epsilon=epsilon,
                           chain_n=chain_n, lambda_certified=lambda_certified)

@@ -8,9 +8,10 @@ values without validating, for loops whose points are known to be valid.
 
 Finite spaces are validated eagerly: every metric axiom (zero diagonal,
 symmetry, positivity, triangle inequality) and order axiom (reflexivity,
-antisymmetry, transitivity) is checked at construction time as a boolean
-mask over the whole matrix, and the first violation in row-major order of
-its index tuple is reported with its witnessing indices. Distances are
+antisymmetry, transitivity) is checked at construction time over the whole
+matrix, as a boolean mask or, for transitivity, one float32 matrix product,
+and the first violation in row-major order of its index tuple is reported
+with its witnessing indices. Distances are
 compared as float64, so each must be a finite float or an integer within
 2**52; the entries are tested as one array, and only a rejected matrix is
 scanned entry by entry to name its first bad entry. The arrays the checks
@@ -49,7 +50,7 @@ GRID_CAP = 20000  # most points a box grid may hold
 # Two integers up to 2**52 add exactly in float64, so the float64 triangle
 # check decides what it would on the caller's own integers.
 _MAX_EXACT_INT = 2**52
-_BLOCK = 1 << 18  # cells per slab of a triple sweep: bounded memory at any n
+_BLOCK = 1 << 18  # cells per slab of the triangle sweep: bounded memory at any n
 
 
 def is_finite_number(value) -> bool:
@@ -167,11 +168,15 @@ def _check_order(L: np.ndarray) -> None:
             f"order antisymmetry fails: {i} <= {j} and {j} <= {i}",
             field="order_pairs", witness=(i, j),
         )
-    # axes [i, j, k]: i <= j <= k but not i <= k
-    if hit := _first_in_blocks(
-        lambda r: L[r, :, None] & L & ~L[r, None], len(L), L.size, _BLOCK
-    ):
-        i, j, k = hit
+    # some j has i <= j <= k but not i <= k: (F @ F)[i, k] counts such j, at
+    # most n, which float32 sums hold exactly below 2**24. The first
+    # (i, j, k) in row-major order takes the first such row i, then the
+    # first j of row i that reaches past it, then the first k it reaches
+    F = L.astype(np.float32)
+    if hit := _first(((F @ F) > 0) & ~L):
+        i = hit[0]
+        j = int(np.argmax(L[i] & (L & ~L[i]).any(axis=1)))
+        k = int(np.argmax(L[j] & ~L[i]))
         raise InvalidInstanceError(
             f"order transitivity fails: {i} <= {j} <= {k} "
             f"but not {i} <= {k}",

@@ -95,11 +95,17 @@ def assert_same_report(got: ContractivityReport, ref: ContractivityReport):
 
 
 def block_of(space: FiniteSpace, quad) -> int:
-    """Index of the sweep block that holds quadruple (x, u, y, v)."""
+    """Index of the sweep block that holds quadruple (x, u, y, v): blocks of
+    1, 2, 4, ... (x, u) rows, up to ``_BLOCK`` quadruples of whole rows."""
     L = np.asarray(space.order, dtype=bool)
     xs, us = np.nonzero(L.T)
     row = int(np.flatnonzero((xs == quad[0]) & (us == quad[1]))[0])
-    return row // max(1, oracle._BLOCK // int(L.sum()))
+    cap = max(1, oracle._BLOCK // int(L.sum()))
+    block, end, rows = 0, 1, 1
+    while end <= row:
+        rows = min(2 * rows, cap)
+        block, end = block + 1, end + rows
+    return block
 
 
 class TestFixedPoints:
@@ -230,6 +236,40 @@ class TestBlockSweep:
         assert block_of(cmap.space, later) > block_of(cmap.space, got.witness)
         assert_same_report(got, dense_contraction_reference(cmap, 2.0))
         assert_same_report(got, estimate_contraction(cmap, 2.0))
+
+    def test_violation_in_row_zero(self):
+        # F(0, y) = y: the first row (0, 0) already moves one unit per unit
+        # step of y, ratio 2, and the sweep stops in its one-row first block
+        n = 64
+        cmap = TableMap(chain_space(n), (tuple(range(n)),) + ((0,) * n,) * (n - 1))
+        got = exhaustive_contraction_check(cmap, 1.0)
+        assert (got.violated, got.witness, got.pairs_tested) == (
+            True, (0, 0, 0, 1), 1)
+        assert block_of(cmap.space, got.witness) == 0
+        assert_same_report(got, dense_contraction_reference(cmap, 1.0))
+        assert_same_report(got, estimate_contraction(cmap, 1.0))
+
+    def test_tied_maximum_across_a_doubling_boundary(self):
+        # 0 < 1 < 2 < 3 form a chain and the images 4, 5, 6 compare with
+        # nothing; the points are L1 coordinates. F(x, y) depends on x alone,
+        # so row (x, u) peaks at y = v = 0 with 2 d(F x, F u) / d(x, u):
+        # 2*6/18 at (3, 0), the last row of the block of rows 3-6, and 2*4/12
+        # at (3, 1), the first row of the block of rows 7-14, the same float
+        coords = [(0, 0), (15, 9), (0, 40), (18, 0), (100, 0), (104, 0), (106, 0)]
+        n = len(coords)
+        dist = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in coords] for a in coords]
+        order = [[i == j or i <= j <= 3 for j in range(n)] for i in range(n)]
+        space = FiniteSpace.from_lists([f"p{i}" for i in range(n)], dist, order)
+        images = (6, 5, 4, 4, 4, 5, 6)
+        cmap = TableMap(space, tuple((images[x],) * n for x in range(n)))
+        got = exhaustive_contraction_check(cmap, 1000.0)
+        assert (got.violated, got.lambda_hat, got.witness) == (
+            False, 2.0 / 3.0, (3, 0, 0, 0))
+        tie = (3, 1, 0, 0)
+        assert 2.0 * dist[images[3]][images[1]] / dist[3][1] == got.lambda_hat
+        assert block_of(space, tie) == block_of(space, got.witness) + 1 == 3
+        assert_same_report(got, dense_contraction_reference(cmap, 1000.0))
+        assert_same_report(got, estimate_contraction(cmap, 1000.0))
 
     def test_peak_memory_stays_small(self):
         inst = generate_finite_instance(420, 64)  # constant map: full sweep

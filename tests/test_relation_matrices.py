@@ -1,9 +1,12 @@
 """Whole-matrix axiom checks and order reduction against the loops they replaced.
 
-``spaces._check_metric`` and ``spaces._check_order`` build one boolean mask
-per axiom and report its first True entry in row-major order of the index
-tuple; ``instances._covering_pairs`` is ``S & ~(S @ S)`` over the strict
-order; the generator runs Floyd-Warshall one whole-matrix pass per k. The
+``spaces._check_metric`` builds one boolean mask per axiom and reports its
+first True entry in row-major order of the index tuple; ``spaces._check_order``
+does so for reflexivity and antisymmetry, and finds the first transitivity
+failure (i, j, k) from one float32 product of the order with itself;
+``instances._covering_pairs`` is ``S & ~(S @ S)`` over the strict order;
+``instances._closure`` squares the order until it stops changing; the
+generator runs Floyd-Warshall one whole-matrix pass per k. The
 entries of the distance matrix, the map table and the order pairs are
 tested as whole lists (one pass over their types, then numpy or min/max
 for ranges). The functions below are test-only copies of the Python loops
@@ -97,6 +100,17 @@ def loop_check_order(leq):
                         f"but not {i} <= {k}",
                         witness=(i, j, k),
                     )
+
+
+def warshall_closure(n, pairs):
+    """The reflexive-transitive closure as ``_closure`` took it before it
+    squared the order: one whole-matrix pass per intermediate point k."""
+    L = np.eye(n, dtype=bool)
+    for i, j in pairs:
+        L[i, j] = True
+    for k in range(n):
+        L |= L[:, k, None] & L[k]
+    return L
 
 
 def loop_covering_pairs(order):
@@ -301,8 +315,9 @@ def test_generated_distances_match_loop(size):
 
 
 def test_spaces_beyond_a_document_sweep_in_slabs():
-    # at n = 100 the triple sweeps take the rows in slabs of 26, and both
-    # violations sit in the last slab
+    # at n = 100 the triangle sweep takes the rows in slabs of 26, and its
+    # violation sits in the last slab; the transitivity failure sits in the
+    # last rows of the order
     n = 100
     d = [[abs(i - j) for j in range(n)] for i in range(n)]
     d[90][95] = d[95][90] = 9  # > d[90][89] + d[89][95] = 7
@@ -313,6 +328,94 @@ def test_spaces_beyond_a_document_sweep_in_slabs():
     L = np.array(leq)
     assert outcome(_check_order, L) == outcome(loop_check_order, leq)
     assert outcome(_check_order, L)[1] == (80, 81, 99)
+
+
+@st.composite
+def pair_lists(draw):
+    """Order pairs as a document may list them: forward pairs of a random
+    DAG, with repeats, self-pairs and sometimes a back pair that closes a
+    cycle."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 8, 13, 64]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairs = [[perm[a], perm[b]] for a in range(n) for b in range(a + 1, n)
+             if rng.random() < density]
+    pairs += [rng.choice(pairs) for _ in range(draw(st.integers(0, 3)))] if pairs else []
+    pairs += [[i, i] for i in rng.sample(range(n), min(n, draw(st.integers(0, 2))))]
+    for _ in range(draw(st.integers(0, 2))):
+        if pairs:
+            i, j = rng.choice(pairs)
+            pairs.append([j, i])
+    rng.shuffle(pairs)
+    return n, pairs
+
+
+def chain_document(n, pairs):
+    """A finite document on n points of a line with the given order pairs."""
+    return {
+        "schema_version": 1,
+        "space": {"kind": "finite", "points": [f"p{i}" for i in range(n)],
+                  "distance_matrix": [[abs(i - j) for j in range(n)] for i in range(n)],
+                  "order_pairs": pairs},
+        "map": {"kind": "table", "table": [[0] * n for _ in range(n)]},
+        "seeds": {"x0": 0, "y0": 0},
+        "parameters": {"epsilon": 1.5},
+    }
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair_lists())
+def test_closure_matches_warshall(case):
+    n, pairs = case
+    L = _closure(n, pairs)
+    assert L.dtype == bool and L.shape == (n, n)
+    assert np.array_equal(L, warshall_closure(n, pairs))
+    # a cyclic list fails antisymmetry at the parse, with the message and
+    # witness the Warshall closure gives
+    expected = outcome(loop_check_order, warshall_closure(n, pairs).tolist())
+    assert outcome(_check_order, L) == expected
+    got = parsed_outcome(chain_document(n, pairs))
+    assert got == (None if expected is None else (*expected, "space.order_pairs"))
+
+
+def test_closure_and_order_check_beyond_a_document():
+    # a library space of 200 points, past the 64 a document may hold: the
+    # closure of a long path and of a random DAG, then the order check on
+    # the same relations broken in each way
+    n = 200
+    rng = random.Random(200)
+    path = [[i, i + 1] for i in range(n - 1)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    dag = [[perm[a], perm[b]] for a in range(n) for b in range(a + 1, n)
+           if rng.random() < 0.02]
+    d = [[abs(i - j) for j in range(n)] for i in range(n)]
+    labels = [f"p{i}" for i in range(n)]
+    for pairs in (path, dag):
+        L = _closure(n, pairs)
+        assert np.array_equal(L, warshall_closure(n, pairs))
+        space = FiniteSpace.from_lists(labels, d, L.tolist())
+        assert np.array_equal(space.L, L)
+        covers = _covering_pairs(L)
+        # a strict pair that is not a covering pair: dropping it breaks
+        # transitivity
+        strict = [p for p in np.argwhere(L & ~np.eye(n, dtype=bool)).tolist()
+                  if p not in covers]
+        for brk in ("drop", "back-edge", "irreflexive"):
+            leq = L.tolist()
+            i, j = strict[rng.randrange(len(strict))]
+            if brk == "drop":
+                leq[i][j] = False
+            elif brk == "back-edge":
+                leq[j][i] = True
+            else:
+                leq[i][i] = False
+            expected = outcome(loop_check_order, leq)
+            assert expected is not None
+            assert outcome(_check_order, np.array(leq)) == expected
+            assert outcome(FiniteSpace.from_lists, labels, d, leq) == expected
 
 
 def two_point_doc(d01, d10):

@@ -11,7 +11,9 @@ these maps without a scan, and it does not read a product of two factors
 that both read a variable); on
 generated finite tables, the same mixed-monotonicity verdict and witness, and the same contraction report as the finite index
 loop below. The box map's array tabulation is checked against ``apply`` by
-``repr``, escapes included.
+``repr``, escapes included. ``eager_contraction`` is the contraction scan
+as it stood before it converted its rows on first use; its reports must be
+``repr``-equal to the scan's.
 
 Mixed monotonicity is decided on covering pairs first, so cases whose first
 violation lies on a non-covering pair pin that the full scan still reports
@@ -50,6 +52,7 @@ from chainfix.hypotheses import (
 from chainfix.instances import generate_finite_instance
 from chainfix.mappings import TableMap, expression_map
 from chainfix.spaces import BoxSpace, FiniteSpace, point_jsonable
+from formula_reference import unread
 
 
 def reference_mixed_monotone(cmap, grid_step=None):
@@ -163,6 +166,49 @@ def reference_finite_contraction(cmap, epsilon):
                     if r > best:
                         best, best_w = r, (x, u, y, v)
     return HOLDS, best_w, max(best, 0.0), tested, tested == 0
+
+
+def eager_contraction(cmap, epsilon, grid_step=None):
+    """``estimate_contraction``'s scan of a table map or a box sample as it
+    was before it read its rows lazily: every distance row of a finite
+    space and every (y, v) pair are converted before the first quadruple.
+    The loop is the same, so both must give ``repr``-equal reports."""
+    tab = hypotheses._map_tables(cmap, grid_step)
+    images = tab.images
+    if isinstance(cmap, TableMap):
+        T = hypotheses._Rows(lambda i: images[i].tolist())
+        DI = tab.D.tolist()
+    else:
+        T = hypotheses._Rows(lambda i: list(map(tuple, images[i].tolist())))
+        DI = hypotheses._Rows(hypotheses._L1Row)
+
+    def pairs(M):
+        i, j = np.nonzero(M)
+        return zip(i.tolist(), j.tolist(), tab.D[i, j].tolist())
+
+    xu_pairs = pairs(tab.L.T)
+    yv_pairs = list(pairs(tab.L))
+    best = -1.0
+    best_w = None
+    tested = 0
+    for x, u, dxu in xu_pairs:
+        tx = T[x]
+        tu = T[u]
+        for y, v, dyv in yv_pairs:
+            s = dxu + dyv
+            if s <= 0 or not s / 2.0 < epsilon:
+                continue
+            tested += 1
+            r = 2.0 * DI[tx[y]][tu[v]] / s
+            if r >= 1.0:
+                return hypotheses._contraction_report(
+                    tab, epsilon, None, True, (x, u, y, v), tested
+                )
+            if r > best:
+                best = r
+                best_w = (x, u, y, v)
+    return hypotheses._contraction_report(
+        tab, epsilon, max(best, 0.0), False, best_w, tested)
 
 
 def coef(lo, hi):
@@ -411,6 +457,61 @@ def test_finite_contraction_matches_index_loop(case):
     assert (rep.verdict, rep.witness, repr(rep.lambda_hat), rep.pairs_tested,
             rep.vacuous) == (verdict, witness, repr(lam), tested, vacuous)
     assert rep.mode == "exhaustive"
+
+
+@given(finite_contraction_cases())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_lazy_rows_match_the_eager_loop_on_tables(case):
+    cmap, epsilon = case
+    assert repr(estimate_contraction(cmap, epsilon)) == repr(
+        eager_contraction(cmap, epsilon))
+
+
+@given(box_maps())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_lazy_rows_match_the_eager_loop_on_box_samples(case):
+    cmap, step, epsilon = case
+    assert repr(estimate_contraction(cmap, epsilon, step)) == repr(
+        eager_contraction(cmap, epsilon, step))
+
+
+def lazy_and_eager(cmap, epsilon, step=None):
+    rep = estimate_contraction(cmap, epsilon, step)
+    assert repr(rep) == repr(eager_contraction(cmap, epsilon, step))
+    return rep
+
+
+def test_lazy_rows_match_the_eager_loop_on_named_cases():
+    unit = BoxSpace((0.0,), (1.0,))
+    # ulp ties: rounding spreads the ratios of (x - y)/3 over a few ulps
+    # around 2/3, and the largest of them is attained 8 times, so the first
+    # attainment decides the witness
+    rep = lazy_and_eager(unread(expression_map(unit, "(x - y)/3 + 0.5")), 0.6, 0.1)
+    assert (rep.violated, rep.mode) == (False, "sampled")
+    # zero distances between images: a constant map measures 0 everywhere
+    rep = lazy_and_eager(unread(expression_map(unit, "0.5 + 0*x")), 0.6, 0.25)
+    assert (rep.lambda_hat, rep.witness, rep.vacuous) == (
+        0.0, ((0.0,), (0.0,), (0.0,), (0.25,)), False)
+    # vacuous: no two sample points lie within 2e-9 of each other
+    rep = lazy_and_eager(unread(expression_map(unit, "x*y")), 1e-9, 0.5)
+    assert (rep.vacuous, rep.pairs_tested) == (True, 0)
+    # a late violation: F is flat below x = 0.9 and steep above it, so only
+    # the last grid rows break it
+    rep = lazy_and_eager(
+        unread(expression_map(unit, "0.25 + 0.1*x + 5*max(0, x - 0.9)")), 0.6, 0.05)
+    assert rep.violated and rep.witness[0][0] > 0.9
+    # finite: the 15 generated documents of one benchmark seed, each map
+    # regime at n = 64, and a violation in the last row of a constant map
+    for seed in range(420, 435):
+        inst = generate_finite_instance(seed, 64)
+        if seed % 3:  # the constant maps scan 3.6 million quadruples
+            lazy_and_eager(inst.cmap, inst.params.epsilon)
+    n = 9
+    space = finite_space(n, "chain", random.Random(0), list(range(n)))
+    table = [[0] * n for _ in range(n)]
+    table[n - 1][n - 1] = n - 1
+    rep = lazy_and_eager(TableMap(space, table), 100.0)
+    assert rep.violated and rep.witness == (n - 1, 0, n - 1, n - 1)
 
 
 @pytest.mark.parametrize("table", [

@@ -82,6 +82,19 @@ class TestSolveConfig:
         with pytest.raises(DomainError, match=f"{field} must be .*{reason}"):
             SolveConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("epsilon", math.inf, "positive and finite"),  # every bound would be inf
+        ("epsilon", math.nan, "positive and finite"),
+        ("epsilon", 0.0, "positive and finite"),
+        ("chain_n", 2.5, "an integer"),
+        ("chain_n", True, "an integer"),  # a bool is no int
+        ("chain_n", 0, "at least 1"),
+    ])
+    def test_refuses_a_vacuous_certificate(self, field, value, reason):
+        factors = {"lam": 0.5, "epsilon": 0.6, "chain_n": 4, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be .*{reason}"):
+            SolveConfig(**factors, lambda_certified=True)
+
     def test_cap_stops_an_orbit_that_never_converges(self):
         cmap = TableMap(FiniteSpace(*self.ANTICHAIN), [[1, 1], [0, 0]])
         res = picard_solve(cmap, 0, 0, SolveConfig(max_iterations=3))
