@@ -78,7 +78,6 @@ class Instance(NamedTuple):
     x0: Point
     y0: Point
     params: Parameters
-    order_limit_closure: bool = True
     grid_step: float | None = None
 
 
@@ -361,20 +360,20 @@ def parse_instance(data) -> Instance:
                                    field="declared_flags")
     _known_keys(flags, "declared_flags")
     closure_flag = flags.get("order_limit_closure", True)
-    if not isinstance(closure_flag, bool):
+    if closure_flag is not True:
+        # a finite space is discrete and a box carries the product order of
+        # closed intervals, so the order of either kind is closed under limits
         raise InvalidInstanceError(
-            "must be a boolean",
+            "must be true: the order of every space kind is closed under limits"
+            if closure_flag is False else "must be a boolean",
             field="declared_flags.order_limit_closure",
         )
-    if isinstance(space, FiniteSpace):
-        closure_flag = True  # discrete topology: limits are eventual constants
     return Instance(
         space=space,
         cmap=cmap,
         x0=x0,
         y0=y0,
         params=Parameters(epsilon, tolerance, max_iterations, lam),
-        order_limit_closure=closure_flag,
         grid_step=grid_step,
     )
 
@@ -450,7 +449,7 @@ def instance_document(inst: Instance) -> dict:
             "y0": point_jsonable(inst.y0),
         },
         "parameters": params_doc,
-        "declared_flags": {"order_limit_closure": inst.order_limit_closure},
+        "declared_flags": {"order_limit_closure": True},
     }
 
 

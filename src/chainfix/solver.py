@@ -45,6 +45,17 @@ EXHAUSTED = "max-iterations-exhausted"
 DIVERGED = "diverged-from-box"
 
 
+def _check_factors(lam, epsilon, chain_n) -> None:
+    """Refuse a decay-bound factor outside its domain; None (not known) passes."""
+    if lam is not None and not 0.0 < lam < 1.0:
+        raise DomainError(f"lam must lie in (0, 1), got {lam!r}")
+    if epsilon is not None and not (is_finite_number(epsilon) and epsilon > 0):
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
+    # a bool is no int
+    if chain_n is not None and (type(chain_n) is not int or chain_n < 1):
+        raise DomainError(f"chain_n must be an integer of at least 1, got {chain_n!r}")
+
+
 class SolveConfig(Frozen):
     """Settings of ``picard_solve`` and ``verify_decay_bound``: a finite
     positive residual tolerance, an integer iteration cap of at least 1 (a
@@ -65,13 +76,7 @@ class SolveConfig(Frozen):
         if type(max_iterations) is not int or max_iterations < 1:  # a bool is no int
             raise DomainError("max_iterations must be an integer of at least 1, "
                               f"got {max_iterations!r}")
-        if lam is not None and not 0.0 < lam < 1.0:
-            raise DomainError(f"lam must lie in (0, 1), got {lam!r}")
-        if epsilon is not None and not (is_finite_number(epsilon) and epsilon > 0):
-            raise DomainError(f"epsilon must be positive and finite, got {epsilon!r}")
-        if chain_n is not None and (type(chain_n) is not int or chain_n < 1):
-            raise DomainError("chain_n must be an integer of at least 1, "
-                              f"got {chain_n!r}")
+        _check_factors(lam, epsilon, chain_n)
         vars(self).update(residual_tolerance=residual_tolerance,
                           max_iterations=max_iterations, lam=lam, epsilon=epsilon,
                           chain_n=chain_n, lambda_certified=lambda_certified)
@@ -121,13 +126,9 @@ class SolveResult(NamedTuple):
 
 
 def decay_bound(chain_n: int, lam: float, epsilon: float, m: int) -> float:
-    """Certified ceiling 2 * n * lam**m * epsilon on the m-th iteration step."""
-    if chain_n < 1:
-        raise DomainError(f"chain_n must be at least 1, got {chain_n!r}")
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"lam must lie in (0, 1), got {lam!r}")
-    if not epsilon > 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
+    """Certified ceiling 2 * n * lam**m * epsilon on the m-th iteration step,
+    for the factors ``SolveConfig`` accepts."""
+    _check_factors(lam, epsilon, chain_n)
     if m < 0:
         raise DomainError(f"iteration index must be nonnegative, got {m!r}")
     return 2.0 * chain_n * lam**m * epsilon

@@ -14,7 +14,12 @@ and the first violation in row-major order of its index tuple is reported
 with its witnessing indices. Distances are
 compared as float64, so each must be a finite float or an integer within
 2**52; the entries are tested as one array, and only a rejected matrix is
-scanned entry by entry to name its first bad entry. The arrays the checks
+scanned entry by entry to name its first bad entry. The O(n**3) triangle
+sweep runs on the narrowest array that decides it: when every distance is a
+whole number below 2**52, on the least unsigned integer type that holds
+twice the largest (one byte a cell up to 127). Such sums are exact in
+float64 and cannot wrap in that type, so each cell of the mask, and the
+first violation with it, is what the float64 sweep gives. The arrays the checks
 build are stored read-only, ``D`` (float64) and ``L`` (``L[p, q]`` iff
 p <= q), and every whole-matrix computation reads them without a copy;
 ``dist`` keeps the distances as given, so an integer stays an integer.
@@ -143,9 +148,14 @@ def _check_metric(d: Sequence[Sequence[float]]) -> np.ndarray:
             f"metric positivity fails: d[{i}][{j}] = {d[i][j]!r}",
             field="distance_matrix", witness=(i, j),
         )
+    # whole distances below 2**52 add exactly, and in the least unsigned type
+    # that holds twice the largest they cannot wrap: the same mask, narrower
+    W = D
+    if D.max() < _MAX_EXACT_INT and (np.floor(D) == D).all():
+        W = D.astype(np.min_scalar_type(2 * int(D.max())))
     # axes [i, k, j]: d[i][j] > d[i][k] + d[k][j]
     if hit := _first_in_blocks(
-        lambda r: D[r, None] > D[r, :, None] + D, len(D), D.size, _BLOCK
+        lambda r: W[r, None] > W[r, :, None] + W, len(W), W.size, _BLOCK
     ):
         i, k, j = hit
         raise InvalidInstanceError(

@@ -1011,6 +1011,19 @@ def test_misspelled_key_exits_two_naming_it(capsys, tmp_path, l1_path, where, ke
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["f1", "l1"])
+def test_order_limit_closure_false_exits_two(capsys, tmp_path, instance_dir, name):
+    doc = json.loads((instance_dir / f"{name}.json").read_text())
+    doc["declared_flags"]["order_limit_closure"] = False
+    path = tmp_path / "not-closed.json"
+    path.write_text(json.dumps(doc))
+    for command in ("check", "solve", "verify-lemma"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == ("error: declared_flags.order_limit_closure: must be true: "
+                       "the order of every space kind is closed under limits\n")
+
+
 @pytest.mark.parametrize("command", [
     ("chain", "--from", "0", "--to", "1", "--eps", "1e-9"), ("check",),
 ])

@@ -366,10 +366,32 @@ class TestRejections:
         with pytest.raises(InvalidInstanceError):
             parse_instance(doc)
 
-    def test_finite_forces_order_limit_closure(self):
-        doc = finite_doc()
+    @pytest.mark.parametrize("make_doc", [finite_doc, box_doc])
+    def test_refuses_order_limit_closure_false(self, make_doc):
+        # the order of either space kind is closed under limits, so a
+        # declared false contradicts the space
+        doc = make_doc()
         doc["declared_flags"]["order_limit_closure"] = False
-        assert parse_instance(doc).order_limit_closure is True
+        with pytest.raises(InvalidInstanceError) as exc:
+            parse_instance(doc)
+        assert exc.value.field == "declared_flags.order_limit_closure"
+        assert "must be true" in str(exc.value)
+
+    @pytest.mark.parametrize("value", [0, 1, "false", None])
+    def test_order_limit_closure_must_be_a_boolean(self, value):
+        doc = finite_doc()
+        doc["declared_flags"]["order_limit_closure"] = value
+        with pytest.raises(InvalidInstanceError, match="must be a boolean") as exc:
+            parse_instance(doc)
+        assert exc.value.field == "declared_flags.order_limit_closure"
+
+    @pytest.mark.parametrize("make_doc", [finite_doc, box_doc])
+    def test_order_limit_closure_is_written_true(self, make_doc):
+        doc = make_doc()
+        for flags in ({"order_limit_closure": True}, {}):
+            doc["declared_flags"] = flags
+            written = json.loads(dump_instance(parse_instance(doc)))
+            assert written["declared_flags"] == {"order_limit_closure": True}
 
     def test_load_reports_json_position(self, tmp_path):
         path = tmp_path / "broken.json"

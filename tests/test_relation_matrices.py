@@ -20,14 +20,17 @@ values, so an entry that is not a finite float, or is an integer beyond
 row-major position, before any axiom is looked at.
 """
 
+import inspect
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainfix import spaces
 from chainfix.errors import InvalidInstanceError
 from chainfix.instances import (
     _closure,
@@ -37,6 +40,8 @@ from chainfix.instances import (
     parse_instance,
 )
 from chainfix.spaces import FiniteSpace, _check_metric, _check_order
+
+first_in_blocks = spaces._first_in_blocks
 
 
 def loop_check_metric(d):
@@ -328,6 +333,105 @@ def test_spaces_beyond_a_document_sweep_in_slabs():
     L = np.array(leq)
     assert outcome(_check_order, L) == outcome(loop_check_order, leq)
     assert outcome(_check_order, L)[1] == (80, 81, 99)
+
+
+def sweep_dtype(d):
+    """The outcome of ``_check_metric`` on ``d``, and the dtype of the array
+    its triangle sweep ran on (None when it did not reach the sweep)."""
+    seen = []
+
+    def spy(mask, *args):
+        seen.append(inspect.getclosurevars(mask).nonlocals["W"].dtype)
+        return first_in_blocks(mask, *args)
+
+    with mock.patch.object(spaces, "_first_in_blocks", spy):
+        got = outcome(_check_metric, d)
+    assert len(seen) <= 1
+    return got, seen[0] if seen else None
+
+
+@pytest.mark.parametrize("top, dtype", [
+    (6, np.uint8), (127, np.uint8), (128, np.uint16), (32767, np.uint16),
+    (32768, np.uint32), (2**31 - 1, np.uint32), (2**31, np.uint64),
+    (2**52 - 1, np.uint64), (2**52, np.float64),
+])
+@pytest.mark.parametrize("kind", [int, float])
+def test_whole_distances_sweep_in_the_least_type_that_holds_their_sums(
+    top, dtype, kind
+):
+    # an equilateral triangle of side top sums to 2 * top, which wraps in
+    # any narrower type and would read as a violation; points on a line end
+    # to end at top are exact ties; stretching one side past the sum of the
+    # other two is a violation whatever the type
+    equilateral = [[0, top, top], [top, 0, top], [top, top, 0]]
+    half = top // 2
+    line = [[0, half, top], [half, 0, top - half], [top, top - half, 0]]
+    stretched = [[0, 1, top], [1, 0, 1], [top, 1, 0]]
+    for d in (equilateral, line, stretched):
+        d = [list(map(kind, row)) for row in d]
+        got, swept = sweep_dtype(d)
+        assert got == outcome(reference_metric, d)
+        assert swept == dtype
+    assert sweep_dtype([list(map(kind, row)) for row in stretched])[0][1] == (0, 2, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64])
+@pytest.mark.parametrize("kind", [int, float])
+def test_first_and_last_violations_keep_their_witness(n, kind):
+    # the same metric of whole distances, with one pair of points stretched
+    # past a two-hop path: the first pair in row-major order, then the last
+    rng = random.Random(n)
+    points = [rng.randrange(40) for _ in range(n)]
+    points = [p + 41 * i for i, p in enumerate(points)]
+    base = [[kind(abs(p - q)) for q in points] for p in points]
+    got, swept = sweep_dtype(base)
+    assert got is None and swept.kind == "u"
+    if n < 3:
+        return
+    for i, j in ((0, 1), (n - 2, n - 1), (n - 1, 0)):
+        d = [row[:] for row in base]
+        d[i][j] = d[j][i] = kind(min(base[i][k] + base[k][j]
+                                     for k in range(n) if k not in (i, j)) + 1)
+        got, swept = sweep_dtype(d)
+        assert got == outcome(reference_metric, d)
+        assert got[1][:2] == (min(i, j), max(i, j))
+        assert swept.kind == "u"
+
+
+@pytest.mark.parametrize("d, dtype", [
+    ([[-0.0, 1.0], [1.0, -0.0]], np.uint8),  # -0.0 is whole: it is 0
+    ([[-0.0, 1, 3], [1, 0.0, 1], [3, 1, -0.0]], np.uint8),
+    ([[0, 0.5, 1], [0.5, 0, 0.5], [1, 0.5, 0]], np.float64),
+    ([[0, 0.5, 1.5], [0.5, 0, 0.5], [1.5, 0.5, 0]], np.float64),
+    ([[0, 1e-300, 2e-300], [1e-300, 0, 1e-300], [2e-300, 1e-300, 0]], np.float64),
+    ([[0, 1e-300, 3e-300], [1e-300, 0, 1e-300], [3e-300, 1e-300, 0]], np.float64),
+    ([[0, 1, 1e-300], [1, 0, 1], [1e-300, 1, 0]], np.float64),
+    ([[0, 1e300, 1e300], [1e300, 0, 1e300], [1e300, 1e300, 0]], np.float64),
+    ([[0, 1e300, 3e300], [1e300, 0, 1e300], [3e300, 1e300, 0]], np.float64),
+    ([[0, 1, 2**53], [1, 0, 1], [2**53, 1, 0]], None),  # not exact: refused first
+])
+def test_other_distances_keep_the_float64_sweep(d, dtype):
+    got, swept = sweep_dtype(d)
+    assert got == outcome(reference_metric, d)
+    assert swept == dtype
+
+
+@pytest.mark.parametrize("scale", [1, 0.5])
+def test_library_space_beyond_a_document_sweeps_narrow_slabs(scale):
+    # at n = 200 the triangle sweep takes the rows in slabs of 6; the
+    # violation sits in the last slab, and a scale of 0.5 keeps float64
+    n = 200
+    d = [[abs(i - j) * scale for j in range(n)] for i in range(n)]
+    d[197][199] = d[199][197] = 3 * scale  # > d[197][198] + d[198][199]
+    leq = [[i <= j for j in range(n)] for i in range(n)]
+    labels = [f"p{i}" for i in range(n)]
+    got, swept = sweep_dtype(d)
+    assert swept == (np.uint16 if scale == 1 else np.float64)
+    assert got == outcome(reference_metric, d)
+    assert got[1] == (197, 199, 198)
+    assert outcome(FiniteSpace.from_lists, labels, d, leq) == got
+    d[197][199] = d[199][197] = 2 * scale  # a tie: the space is a metric
+    assert FiniteSpace.from_lists(labels, d, leq).dist[197][199] == 2 * scale
 
 
 @st.composite

@@ -64,6 +64,17 @@ class TestDecayBound:
         with pytest.raises(DomainError):
             decay_bound(1, 0.5, 0.3, -1)
 
+    @pytest.mark.parametrize("chain_n, epsilon, reason", [
+        (4, math.inf, "epsilon must be positive and finite"),  # a bound of inf
+        (2.5, 0.3, "chain_n must be an integer"),
+        (True, 0.3, "chain_n must be an integer"),  # a bool is no int
+    ])
+    def test_refuses_what_solve_config_refuses(self, chain_n, epsilon, reason):
+        with pytest.raises(DomainError, match=reason):
+            decay_bound(chain_n, 0.5, epsilon, 3)
+        with pytest.raises(DomainError, match=reason):
+            SolveConfig(lam=0.5, epsilon=epsilon, chain_n=chain_n)
+
 
 class TestSolveConfig:
     # the 2-point antichain whose table sends (0, 0) to (1, 1) and back: its
