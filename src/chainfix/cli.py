@@ -112,7 +112,8 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     inst = instances.load_instance(args.instance)
     suite = pipeline.run_hypothesis_suite(inst)
-    cfg, reasons = pipeline._configure(inst, suite)
+    cfg = pipeline.build_config(inst, suite)
+    reasons = pipeline.uncertified(inst, suite)
     result = solver.picard_solve(inst.cmap, inst.x0, inst.y0, cfg)
     collapse = solver.collapse_check(
         result,
@@ -251,7 +252,8 @@ def cmd_oracle(args) -> int:
 def cmd_verify_lemma(args) -> int:
     inst = instances.load_instance(args.instance)
     suite = pipeline.run_hypothesis_suite(inst)
-    cfg, reasons = pipeline._configure(inst, suite)
+    cfg = pipeline.build_config(inst, suite)
+    reasons = pipeline.uncertified(inst, suite)
     fx = inst.cmap.apply(inst.x0, inst.y0)
     fy = inst.cmap.apply(inst.y0, inst.x0)
     chain_up = chain_down = None

@@ -25,10 +25,12 @@ recursion limit.
 
 Every numeric literal is rewritten to a float at parse time, and a literal
 outside float range is a ``GrammarError``, so evaluation is float64
-arithmetic throughout. The same code object therefore evaluates Python
-floats (one point) and float64 arrays (many points at once, elementwise)
-with bitwise equal results: ``min`` and ``max`` keep the builtins' tie rule
-on both, and an overflow is an infinity rather than an exception.
+arithmetic throughout. ``evaluate`` runs the code object on the floats of
+one point, where the builtins ``min``, ``max`` and ``abs`` keep the first of
+tied arguments. ``ExpressionMap._tabulate`` runs the same code object on
+float64 arrays, many points at once, with an elementwise ``min`` and ``max``
+of the same tie rule beside it, so the two give bitwise equal values and an
+overflow is an infinity rather than an exception.
 """
 
 from __future__ import annotations
@@ -37,30 +39,10 @@ import ast
 import math
 import operator
 
-from ._lazy import numpy as np
 from .errors import Frozen, GrammarError, clipped_repr
 
-
-def _first_wins(beats):
-    # the builtins' rule: a later argument replaces the current one only when
-    # it beats it strictly, so min(0.0, -0.0) is 0.0 (np.minimum gives -0.0)
-    def pick(first, *rest):
-        for v in rest:
-            wins = beats(v, first)  # a bool at one point; numpy is not asked
-            if type(wins) is not bool and isinstance(wins, np.ndarray):
-                first = np.where(wins, v, first)
-            elif wins:
-                first = v
-        return first
-
-    return pick
-
-
-_FUNCS = {
-    "min": _first_wins(operator.lt),
-    "max": _first_wins(operator.gt),
-    "abs": abs,
-}
+# the builtins keep the first of tied arguments, so min(0.0, -0.0) is 0.0
+_FUNCS = {"min": min, "max": max, "abs": abs}
 _SCOPE = {"__builtins__": {}, **_FUNCS}
 _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,  # eval's float arithmetic
            ast.Mult: operator.mul, ast.Div: operator.truediv}
@@ -179,15 +161,11 @@ class CompiledExpression(Frozen):
         # tree but a call's callee, each after its operands
         vars(self).update(source=source, code=code, tree=tree, postorder=postorder)
 
-    def evaluate(self, env: dict) -> float | np.ndarray:
-        """The value at one point, or elementwise when ``env`` holds
-        broadcastable float64 arrays (then an array, or a float when the
-        expression reads no variable). Array callers choose how numpy
-        reports overflow and invalid operations."""
-        value = eval(self.code, _SCOPE, env)
-        if type(value) is float:  # one point; numpy is not asked
-            return value
-        return value if isinstance(value, np.ndarray) else float(value)
+    def evaluate(self, env: dict) -> float:
+        """The value, as a float, at the point whose coordinates ``env``
+        holds (a caller's integer coordinate passed through stays a float,
+        as in ``ExpressionMap._tabulate``)."""
+        return float(eval(self.code, _SCOPE, env))
 
 
 def parse_expression(source: str, dim: int = 1) -> CompiledExpression:

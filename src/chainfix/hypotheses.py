@@ -76,7 +76,9 @@ from .spaces import (
     FiniteSpace,
     Point,
     Space,
+    _composes,
     _covers,
+    _first,
     _first_in_blocks,
     _min_plus_closure,
     point_jsonable,
@@ -699,8 +701,7 @@ def check_seed(cmap: CoupledMap, x0: Point, y0: Point) -> HypothesisReport:
 def _common_bounds(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Which pairs of points share a common upper bound (UB) or a common
     lower bound (LB) under the order M[p, q] = p <= q of a finite space."""
-    F = M.astype(np.float32)
-    return (F @ F.T) > 0, (F.T @ F) > 0
+    return _composes(M, M.T), _composes(M.T, M)
 
 
 def check_common_comparable(space: Space) -> HypothesisReport:
@@ -741,11 +742,10 @@ def check_common_comparable(space: Space) -> HypothesisReport:
     if bad_xu.any():
         x = int(np.argmax(bad_xu.any(axis=1)))
         # occurs[y, r]: some rel[y, v] == r
-        occurs = np.zeros((s, 16), dtype=np.float32)
-        occurs[np.arange(s)[:, None], rel] = 1.0
-        # bad[u, y]: some v leaves (x, y) and (u, v) unlinked; a float32
-        # product counts the shared codes, at most 16, exactly
-        bad = (unlinked[code[x]].astype(np.float32) @ occurs.T) > 0
+        occurs = np.zeros((s, 16), dtype=bool)
+        occurs[np.arange(s)[:, None], rel] = True
+        # bad[u, y]: some v leaves (x, y) and (u, v) unlinked
+        bad = _composes(unlinked[code[x]], occurs.T)
         y = int(np.argmax(bad.any(axis=0)))
         u = int(np.argmax(bad[:, y]))
         v = int(np.argmax(unlinked[code[x, u], rel[y]]))
@@ -765,8 +765,6 @@ def check_pair_bounds(space: Space) -> HypothesisReport:
     if isinstance(space, BoxSpace):
         return HypothesisReport("pair-bounds", HOLDS, details={"mode": "exact"})
     upper, lower = _common_bounds(space.L)
-    bad = np.argwhere(~(upper | lower))
-    witness = bad[0].tolist() if bad.size else None
-    return HypothesisReport(
-        "pair-bounds", HOLDS if witness is None else VIOLATED, witness
-    )
+    if hit := _first(~(upper | lower)):
+        return HypothesisReport("pair-bounds", VIOLATED, list(hit))
+    return HypothesisReport("pair-bounds", HOLDS)

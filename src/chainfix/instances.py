@@ -39,6 +39,7 @@ from .spaces import (
     FiniteSpace,
     Point,
     Space,
+    _composes,
     _covers,
     _min_plus_closure,
     is_finite_number,
@@ -81,7 +82,9 @@ class Instance(NamedTuple):
     grid_step: float | None = None
 
 
-def _require(data: dict, key: str, kind, where: str):
+def _require(data: dict, key: str, kind, where: str, test=None):
+    """``data[key]`` read as ``kind``; ``test``, when given, returns why the
+    read value is refused, or None."""
     field = key if where == "document" else f"{where}.{key}"
     if key not in data:
         raise InvalidInstanceError("required field is missing", field=field)
@@ -92,20 +95,39 @@ def _require(data: dict, key: str, kind, where: str):
                 f"must be a finite number, got {clipped_repr(value)}",
                 field=field,
             )
-        return float(value)
-    if kind is int:
+        value = float(value)
+    elif kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidInstanceError(
                 f"must be an integer, got {clipped_repr(value)}",
                 field=field,
             )
-        return value
-    if not isinstance(value, kind):
+    elif not isinstance(value, kind):
         raise InvalidInstanceError(
             f"must be {kind.__name__}, got {clipped_repr(value)}",
             field=field,
         )
+    if test is not None and (reason := test(value)):
+        raise InvalidInstanceError(reason, field=field)
     return value
+
+
+def _optional(data: dict, key: str, kind, where: str, default, test=None):
+    """``_require``'s value, or ``default`` when ``data`` has no ``key``."""
+    return _require(data, key, kind, where, test) if key in data else default
+
+
+def _positive(v):
+    return None if v > 0 else f"must be positive, got {v}"
+
+
+def _iterations(v):
+    return None if 1 <= v <= MAX_ITERATIONS else (
+        f"must lie in [1, {MAX_ITERATIONS}], got {v}")
+
+
+def _in_unit_interval(v):
+    return None if 0.0 < v < 1.0 else f"must lie in (0, 1), got {v}"
 
 
 def _known_keys(data: dict, kind: str) -> None:
@@ -152,11 +174,9 @@ def _closure(n: int, pairs) -> np.ndarray:
     L = np.eye(n, dtype=bool)
     L[P[:, 0], P[:, 1]] = True
     # squaring a reflexive relation doubles the path lengths it holds, so
-    # ceil(log2 n) squarings close it; (F @ F)[i, j] counts the k with
-    # i <= k <= j, at most n, which float32 sums hold exactly below 2**24
+    # ceil(log2 n) squarings close it
     while True:
-        F = L.astype(np.float32)
-        closed = (F @ F) > 0
+        closed = _composes(L, L)
         if np.array_equal(closed, L):
             return L
         L = closed
@@ -197,10 +217,8 @@ def _parse_finite_space(data: dict) -> FiniteSpace:
 
 def _parse_box_space(data: dict) -> tuple[BoxSpace, float | None]:
     _known_keys(data, "box space")
-    dim = _require(data, "dimension", int, "space")
-    if dim < 1:
-        raise InvalidInstanceError(f"must be at least 1, got {dim}",
-                                   field="space.dimension")
+    dim = _require(data, "dimension", int, "space",
+                   lambda v: None if v >= 1 else f"must be at least 1, got {v}")
     lower = _require(data, "lower", list, "space")
     upper = _require(data, "upper", list, "space")
     if len(lower) != dim or len(upper) != dim:
@@ -209,13 +227,8 @@ def _parse_box_space(data: dict) -> tuple[BoxSpace, float | None]:
             field="space.lower" if len(lower) != dim else "space.upper",
         )
     space = _build("space", BoxSpace, tuple(lower), tuple(upper))
-    step = None
-    if "grid_step" in data:
-        step = _require(data, "grid_step", float, "space")
-        if step <= 0:
-            raise InvalidInstanceError(
-                f"must be positive, got {step}", field="space.grid_step"
-            )
+    step = _optional(data, "grid_step", float, "space", None, _positive)
+    if step is not None:
         _build("space.grid_step", space.grid_axes, step)  # raises over the cap
     return space, step
 
@@ -323,37 +336,17 @@ def parse_instance(data) -> Instance:
     y0 = parse_point(space, seeds.get("y0"), "seeds.y0")
     params_data = _require(data, "parameters", dict, "document")
     _known_keys(params_data, "parameters")
-    epsilon = _require(params_data, "epsilon", float, "parameters")
-    if epsilon <= 0:
-        raise InvalidInstanceError(
-            f"must be positive, got {epsilon}",
-            field="parameters.epsilon",
-        )
-    tolerance = 1e-10
-    if "tolerance" in params_data:
-        tolerance = _require(params_data, "tolerance", float, "parameters")
-        if tolerance <= 0:
-            raise InvalidInstanceError(
-                f"must be positive, got {tolerance}",
-                field="parameters.tolerance",
-            )
-    max_iterations = 200
-    if "max_iterations" in params_data:
-        max_iterations = _require(params_data, "max_iterations", int, "parameters")
-        if not 1 <= max_iterations <= MAX_ITERATIONS:
-            raise InvalidInstanceError(
-                f"must lie in [1, {MAX_ITERATIONS}], "
-                f"got {max_iterations}",
-                field="parameters.max_iterations",
-            )
-    lam = None
-    if "lambda_claimed" in params_data and params_data["lambda_claimed"] is not None:
-        lam = _require(params_data, "lambda_claimed", float, "parameters")
-        if not 0.0 < lam < 1.0:
-            raise InvalidInstanceError(
-                f"must lie in (0, 1), got {lam}",
-                field="parameters.lambda_claimed",
-            )
+    default = Parameters._field_defaults
+    params = Parameters(
+        _require(params_data, "epsilon", float, "parameters", _positive),
+        _optional(params_data, "tolerance", float, "parameters",
+                  default["tolerance"], _positive),
+        _optional(params_data, "max_iterations", int, "parameters",
+                  default["max_iterations"], _iterations),
+        # a null claim is no claim
+        None if params_data.get("lambda_claimed") is None else _require(
+            params_data, "lambda_claimed", float, "parameters", _in_unit_interval),
+    )
     flags = data.get("declared_flags", {})
     if not isinstance(flags, dict):
         raise InvalidInstanceError("must be an object",
@@ -373,7 +366,7 @@ def parse_instance(data) -> Instance:
         cmap=cmap,
         x0=x0,
         y0=y0,
-        params=Parameters(epsilon, tolerance, max_iterations, lam),
+        params=params,
         grid_step=grid_step,
     )
 
@@ -589,10 +582,8 @@ def generate_finite_instance(seed: int, size: int | None = None) -> Instance:
         dist[i][j] for i in range(n) for j in range(n) if i != j and L[i][j]
     ]
     epsilon = max(cover_d) + 0.5
-    if seed % 5 == 3 and comp_d:
+    if seed % 5 == 3 and comp_d:  # distinct points lie at least 1 apart
         epsilon = 0.75 * min(comp_d)
-        if epsilon <= 0:
-            epsilon = max(cover_d) + 0.5
 
     # longest ascending chain; edges only go up in index, so 0..n-1 is a
     # topological order and one DP pass suffices
@@ -633,18 +624,12 @@ def generate_finite_instance(seed: int, size: int | None = None) -> Instance:
     else:
         table = [[x] * n for x in range(n)]
 
-    seeds = None
-    for x0 in range(n):
-        for y0 in range(n):
-            fx = table[x0][y0]
-            fy = table[y0][x0]
-            if L[x0][fx] and L[fy][y0]:
-                seeds = (x0, y0)
-                break
-        if seeds:
-            break
-    if seeds is None:
-        seeds = (0, n - 1)
+    # the first seed pair in row-major order; every regime has a c with
+    # F(c, c) = c, and (c, c) is a seed pair, so there is one
+    seeds = next(
+        (x0, y0) for x0 in range(n) for y0 in range(n)
+        if L[x0][table[x0][y0]] and L[table[y0][x0]][y0]
+    )
 
     doc = {
         "schema_version": SCHEMA_VERSION,

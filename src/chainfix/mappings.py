@@ -19,19 +19,37 @@ never leaves the box.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Sequence, Union
 
 from ._lazy import numpy as np
 from .errors import EscapeError, Frozen, InvalidInstanceError, clipped_repr
-from .spaces import BoxPoint, BoxSpace, FiniteSpace, Point
+from .spaces import BoxPoint, BoxSpace, FiniteSpace, Point, _first
 
 if TYPE_CHECKING:
     from .affine import MapForm
     from .expressions import CompiledExpression
 
 _BLOCK = 1 << 16  # point pairs evaluated at once by ExpressionMap._tabulate
+
+
+def _first_wins(beats):
+    # the builtins' tie rule on arrays: a later argument replaces the current
+    # one only where it beats it strictly, so min(0.0, -0.0) is 0.0
+    # (np.minimum gives -0.0)
+    def pick(first, *rest):
+        for v in rest:
+            first = np.where(beats(v, first), v, first)
+        return first
+
+    return pick
+
+
+# the scope in which ``_tabulate`` evaluates a formula on float64 arrays
+_ARRAYS = {"__builtins__": {}, "min": _first_wins(operator.lt),
+           "max": _first_wins(operator.gt), "abs": abs}
 
 
 class TableMap(Frozen):
@@ -160,10 +178,9 @@ class ExpressionMap(Frozen):
             env = _env(X[r:r + step].T[:, :, None], Y.T)  # (rows, 1) by (len(ys),)
             with np.errstate(all="ignore"):  # an overflow is an escape, not a warning
                 for i, c in enumerate(self.components):
-                    block[..., i] = c.evaluate(env)
-            outside = ~((lo <= block) & (block <= hi)).all(-1)
-            if outside.any():
-                i, j = np.unravel_index(np.argmax(outside), outside.shape)
+                    block[..., i] = eval(c.code, _ARRAYS, env)
+            if hit := _first(~((lo <= block) & (block <= hi)).all(-1)):
+                i, j = hit
                 raise _escape(tuple(block[i, j].tolist()), xs[r + i], ys[j])
         return out
 

@@ -75,25 +75,18 @@ def uncertified(inst: Instance, suite: dict) -> tuple[str, ...]:
 
 def build_config(inst: Instance, suite: dict) -> SolveConfig:
     """Solve configuration from the instance parameters plus what was certified."""
-    return _configure(inst, suite)[0]
-
-
-def _configure(inst: Instance, suite: dict) -> tuple[SolveConfig, tuple[str, ...]]:
-    # build_config's configuration and the ``uncertified`` names it rests on;
     # the solver runs only for a command that configures it, not for ``check``
     from .solver import SolveConfig
 
-    reasons = uncertified(inst, suite)
     chainable = suite["epsilon-chainable"]
     chain_n = None
     if chainable.passed:
         chain_n = max(chainable.details["max_n"], 1)
-    cfg = SolveConfig(
+    return SolveConfig(
         residual_tolerance=inst.params.tolerance,
         max_iterations=inst.params.max_iterations,
         lam=_factor(inst, suite["uniform-local-contraction"]),
         epsilon=inst.params.epsilon,
         chain_n=chain_n,
-        lambda_certified=not reasons,
+        lambda_certified=not uncertified(inst, suite),
     )
-    return cfg, reasons

@@ -9,9 +9,12 @@ values without validating, for loops whose points are known to be valid.
 Finite spaces are validated eagerly: every metric axiom (zero diagonal,
 symmetry, positivity, triangle inequality) and order axiom (reflexivity,
 antisymmetry, transitivity) is checked at construction time over the whole
-matrix, as a boolean mask or, for transitivity, one float32 matrix product,
-and the first violation in row-major order of its index tuple is reported
-with its witnessing indices. Distances are
+matrix, as a boolean mask or, for transitivity, the order composed with
+itself, and the first violation in row-major order of its index tuple is
+reported with its witnessing indices. ``_composes`` is the one boolean
+relation product of the checking route (covers, transitivity, the order
+closure, common bounds and the common-comparable witness): a float32 BLAS
+product whose counts are exact. Distances are
 compared as float64, so each must be a finite float or an integer within
 2**52; the entries are tested as one array, and only a rejected matrix is
 scanned entry by entry to name its first bad entry. The O(n**3) triangle
@@ -87,12 +90,19 @@ def _first_in_blocks(
     return None
 
 
+def _composes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The boolean product of two relations: ``[i, j]`` iff some k has
+    ``A[i, k]`` and ``B[k, j]``. One float32 BLAS product counts the k, at
+    most the inner size, and float32 holds whole numbers exactly below
+    2**24, so the count is exact."""
+    return (A.astype(np.float32) @ B.astype(np.float32)) > 0
+
+
 def _covers(L: np.ndarray) -> np.ndarray:
     """Mask of the covering pairs of the order ``L``: i < j with no k
-    strictly between. One float32 BLAS product counts the k."""
+    strictly between."""
     strict = L & ~np.eye(len(L), dtype=bool)
-    S = strict.astype(np.float32)
-    return strict & ~((S @ S) > 0)
+    return strict & ~_composes(strict, strict)
 
 
 def _min_plus_closure(M: np.ndarray) -> np.ndarray:
@@ -178,12 +188,10 @@ def _check_order(L: np.ndarray) -> None:
             f"order antisymmetry fails: {i} <= {j} and {j} <= {i}",
             field="order_pairs", witness=(i, j),
         )
-    # some j has i <= j <= k but not i <= k: (F @ F)[i, k] counts such j, at
-    # most n, which float32 sums hold exactly below 2**24. The first
-    # (i, j, k) in row-major order takes the first such row i, then the
-    # first j of row i that reaches past it, then the first k it reaches
-    F = L.astype(np.float32)
-    if hit := _first(((F @ F) > 0) & ~L):
+    # some j has i <= j <= k but not i <= k. The first (i, j, k) in
+    # row-major order takes the first such row i, then the first j of row i
+    # that reaches past it, then the first k it reaches
+    if hit := _first(_composes(L, L) & ~L):
         i = hit[0]
         j = int(np.argmax(L[i] & (L & ~L[i]).any(axis=1)))
         k = int(np.argmax(L[j] & ~L[i]))

@@ -12,8 +12,10 @@ import sys
 import pytest
 
 import chainfix
-from chainfix.cli import run_cli
-from chainfix.instances import MAX_ITERATIONS
+from chainfix import pipeline, solver
+from chainfix.cli import emit_trace, run_cli
+from chainfix.errors import DomainError
+from chainfix.instances import MAX_ITERATIONS, load_instance
 
 SRC = os.path.dirname(os.path.dirname(chainfix.__file__))
 
@@ -1038,3 +1040,59 @@ def test_hop_count_over_the_cap_exits_two(capsys, tmp_path, l1_path, command):
     assert (code, out) == (2, "")
     assert err == ("error: epsilon 1e-09 needs chains of 1000000000 hops, "
                    f"over the cap of {MAX_ITERATIONS}\n")
+
+
+@pytest.mark.parametrize("name, edit, line", [
+    ("l1", lambda d: d["space"].update(dimension=0),
+     "space.dimension: must be at least 1, got 0"),
+    ("f1", lambda d: d.update(map={"kind": "expression", "formula": "x"}),
+     "map.kind: expression maps require a box space"),
+    ("l1", lambda d: d["map"].update(formula=5),
+     "map.formula: must be a string or a list of strings"),
+    ("f1", lambda d: d["map"].update(kind="graph"),
+     "map.kind: must be 'table' or 'expression', got 'graph'"),
+    ("f1", lambda d: d.update(declared_flags=[]),
+     "declared_flags: must be an object"),
+    ("f1", lambda d: d["space"].update(points=[], distance_matrix=[],
+                                       order_pairs=[]),
+     "space.points: finite space needs at least one point"),
+    ("l1", lambda d: d["space"].update(grid_step=0),
+     "space.grid_step: must be positive, got 0.0"),
+    ("l1", lambda d: d["parameters"].update(tolerance=-1),
+     "parameters.tolerance: must be positive, got -1.0"),
+    ("l1", lambda d: d["parameters"].update(max_iterations=MAX_ITERATIONS + 1),
+     f"parameters.max_iterations: must lie in [1, {MAX_ITERATIONS}], "
+     f"got {MAX_ITERATIONS + 1}"),
+    ("l1", lambda d: d["parameters"].update(lambda_claimed=1),
+     "parameters.lambda_claimed: must lie in (0, 1), got 1.0"),
+], ids=["dimension-0", "expression-on-finite", "formula-5", "map-kind-graph",
+        "flags-list", "no-points", "grid-step-0", "tolerance-negative",
+        "iterations-over-cap", "lambda-1"])
+def test_refusal_names_its_field(capsys, tmp_path, instance_dir, name, edit,
+                                 line):
+    doc = json.loads((instance_dir / f"{name}.json").read_text())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+def test_null_lambda_claim_is_no_claim(capsys, tmp_path, l1_path):
+    doc = json.loads(pathlib.Path(l1_path).read_text())
+    doc["parameters"]["lambda_claimed"] = None
+    path = tmp_path / "null-claim.json"
+    path.write_text(json.dumps(doc))
+    assert load_instance(str(path)).params.lambda_claimed is None
+    del doc["parameters"]["lambda_claimed"]
+    path.write_text(json.dumps(doc))
+    assert load_instance(str(path)).params.lambda_claimed is None
+
+
+def test_emit_trace_refuses_an_unknown_format(l1_path):
+    inst = load_instance(l1_path)
+    cfg = pipeline.build_config(inst, pipeline.run_hypothesis_suite(inst))
+    result = solver.picard_solve(inst.cmap, inst.x0, inst.y0, cfg)
+    with pytest.raises(DomainError) as exc:
+        emit_trace(result, "xml")
+    assert str(exc.value) == "unknown trace format 'xml'"

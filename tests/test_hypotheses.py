@@ -275,6 +275,16 @@ class TestChains:
         with pytest.raises(DomainError):
             Chain((0, 2), 1.5).validate(sp)
 
+    @pytest.mark.parametrize("points, message", [
+        ((), "a chain needs at least one point"),
+        ((0, 1, 0), "chain step 1 -> 0 is not ascending"),
+    ], ids=["empty", "descending"])
+    def test_chain_validate_rejects_no_point_and_a_descent(self, points,
+                                                          message):
+        with pytest.raises(DomainError) as exc:
+            Chain(points, 1.5).validate(chain_space(3))
+        assert str(exc.value) == message
+
     def test_bfs_minimality_against_brute_force(self):
         # every ascending candidate sequence, shortest wins
         sp = chain_space(5, scale=1.0)

@@ -364,6 +364,14 @@ def test_overflow_escapes_quietly(capfd):
     assert "RuntimeWarning" not in capfd.readouterr().err
 
 
+def test_integer_coordinates_give_float_images():
+    # a library caller may pass integer coordinates; an image that passes
+    # one through is a float, as the tabulated image is
+    cmap = expression_map(BoxSpace((0,), (2,)), ["min(x, y)"])
+    pts = [(0,), (1,), (2,)]
+    assert repr(images_by_apply(cmap, pts)) == repr(images_by_tabulate(cmap, pts))
+
+
 def finite_space(n, kind, rng, positions=None):
     # "chain" is the dense total order, "antichain" the identity and
     # "random" the transitive closure of i <= j for half the i < j; the
