@@ -59,40 +59,28 @@ def _csv_point(pt) -> str:
     return str(pt)
 
 
+_TRACE_COLUMNS = ("m", "x", "y", "residual", "eta_step", "bound")
+
+
 def emit_trace(result: solver.SolveResult, fmt: str) -> bytes:
     """Iteration trace; row m's eta_step and bound describe the step into m."""
     step_bounds = {row.m: row.bound for row in result.bound_check}
+    rows = [(row.m, row.x, row.y, _residual(row.residual), row.eta_step,
+             step_bounds.get(row.m - 1)) for row in result.trace]
     if fmt == "jsonl":
-        lines = []
-        for row in result.trace:
-            doc = {
-                "m": row.m,
-                "x": spaces.point_jsonable(row.x),
-                "y": spaces.point_jsonable(row.y),
-                "residual": _residual(row.residual),
-                "eta_step": row.eta_step,
-                "bound": step_bounds.get(row.m - 1),
-            }
-            lines.append(json.dumps(doc, sort_keys=True))
+        point = spaces.point_jsonable
+        lines = [
+            json.dumps(dict(zip(_TRACE_COLUMNS, (m, point(x), point(y), *rest))),
+                       sort_keys=True)
+            for m, x, y, *rest in rows
+        ]
         return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
     if fmt != "csv":
         raise DomainError(f"unknown trace format {fmt!r}")
-    out = ["m,x,y,residual,eta_step,bound"]
-    for row in result.trace:
-        bound = step_bounds.get(row.m - 1)
-        res = _residual(row.residual)
-        out.append(
-            ",".join(
-                [
-                    str(row.m),
-                    _csv_point(row.x),
-                    _csv_point(row.y),
-                    "" if res is None else repr(res),
-                    "" if row.eta_step is None else repr(row.eta_step),
-                    "" if bound is None else repr(bound),
-                ]
-            )
-        )
+    out = [",".join(_TRACE_COLUMNS)]
+    for m, x, y, *rest in rows:
+        numbers = ("" if v is None else repr(v) for v in rest)
+        out.append(",".join([str(m), _csv_point(x), _csv_point(y), *numbers]))
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
@@ -109,11 +97,17 @@ def cmd_check(args) -> int:
     return 1 if doc["violated"] else 0
 
 
-def cmd_solve(args) -> int:
-    inst = instances.load_instance(args.instance)
+def _configured(path: str):
+    """The instance at ``path``, its hypothesis suite, its solve configuration
+    and the hypotheses that leave its decay bound uncertified."""
+    inst = instances.load_instance(path)
     suite = pipeline.run_hypothesis_suite(inst)
     cfg = pipeline.build_config(inst, suite)
-    reasons = pipeline.uncertified(inst, suite)
+    return inst, suite, cfg, pipeline.uncertified(inst, suite)
+
+
+def cmd_solve(args) -> int:
+    inst, suite, cfg, reasons = _configured(args.instance)
     result = solver.picard_solve(inst.cmap, inst.x0, inst.y0, cfg)
     collapse = solver.collapse_check(
         result,
@@ -140,13 +134,13 @@ def cmd_solve(args) -> int:
             "lam": cfg.lam,
             "epsilon": cfg.epsilon,
             "chain_n": cfg.chain_n,
-            "lambda_certified": cfg.lambda_certified,
+            "lambda_certified": not reasons,
             "uncertified": list(reasons),
         },
         "hypotheses": _suite_doc(suite),
         "violated": _violated(suite),
         "bound": {
-            "advisory": not cfg.lambda_certified,
+            "advisory": bool(reasons),
             "all_below": (
                 solver.below_bound(result.bound_check) if result.bound_check else None
             ),
@@ -250,10 +244,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify_lemma(args) -> int:
-    inst = instances.load_instance(args.instance)
-    suite = pipeline.run_hypothesis_suite(inst)
-    cfg = pipeline.build_config(inst, suite)
-    reasons = pipeline.uncertified(inst, suite)
+    inst, _, cfg, reasons = _configured(args.instance)
     fx = inst.cmap.apply(inst.x0, inst.y0)
     fy = inst.cmap.apply(inst.y0, inst.x0)
     chain_up = chain_down = None
@@ -265,7 +256,7 @@ def cmd_verify_lemma(args) -> int:
         inst.cmap, (inst.x0, inst.y0), cfg, horizon=args.horizon,
         chain_up=chain_up, chain_down=chain_down,
     )
-    advisory = not cfg.lambda_certified
+    advisory = bool(reasons)
     doc = {
         "instance": args.instance,
         "horizon": args.horizon,
@@ -356,7 +347,7 @@ def run_cli(argv=None) -> int:
     try:
         return args.func(args)
     except (ChainfixError, OSError) as exc:
-        field = getattr(exc, "field", None)  # the document key at fault, if any
+        field = getattr(exc, "field", None)  # an OSError names no field
         where = f"{field}: " if field else ""
         print(f"error: {where}{exc}", file=sys.stderr)
         return 2

@@ -50,29 +50,32 @@ class Frozen:
 
 
 class ChainfixError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Carries the first violated requirement, when it has one: ``field`` is
+    the document key at fault, bare from a space or map constructor
+    (``table``) and as a dotted path once ``parse_instance`` has prefixed it
+    (``map.table``); ``witness`` is the offending indices or points. A
+    subclass that always blames one key names it as its class's ``field``.
+    """
+
+    field: str | None = None
+
+    def __init__(self, *args, field: str | None = None, witness=None):
+        super().__init__(*args)
+        if field is not None:
+            self.field = field
+        self.witness = witness
 
 
 class InvalidInstanceError(ChainfixError):
-    """A space, map, or instance file failed validation.
-
-    Carries the first violated requirement: ``field`` is the document key at
-    fault, bare from a space or map constructor (``table``) and as a dotted
-    path once ``parse_instance`` has prefixed it (``map.table``); ``witness``
-    is the offending indices or points.
-    """
-
-    def __init__(self, message: str, *, field: str | None = None, witness=None):
-        super().__init__(message)
-        self.field = field
-        self.witness = witness
+    """A space, map, or instance file failed validation."""
 
 
 class GrammarError(InvalidInstanceError):
     """An expression from a document's ``formula`` fell outside the grammar."""
 
-    def __init__(self, message: str, *, field: str | None = "formula", witness=None):
-        super().__init__(message, field=field, witness=witness)
+    field = "formula"
 
 
 class DomainError(ChainfixError):
@@ -83,15 +86,11 @@ class EscapeError(ChainfixError):
     """An expression map produced a value outside its box.
 
     Signals an ill-posed instance; the solver reports it as divergence.
-    ``field`` is the document key at fault, always ``map.formula``;
-    ``witness`` is the pair of points (x, y) whose image left the box.
+    ``field`` is always ``map.formula``; ``witness`` is the pair of points
+    (x, y) whose image left the box.
     """
 
     field = "map.formula"
-
-    def __init__(self, message: str, *, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class SamplingError(ChainfixError):
@@ -99,7 +98,3 @@ class SamplingError(ChainfixError):
     a grid over its point cap, or tables over their byte budget. ``field``
     names the document key that sets the sample (``space.grid_step``) when
     that key is at fault."""
-
-    def __init__(self, message: str, *, field: str | None = None):
-        super().__init__(message)
-        self.field = field

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 from ._lazy import numpy as np
 from .errors import EscapeError, Frozen, InvalidInstanceError, clipped_repr
-from .spaces import BoxPoint, BoxSpace, FiniteSpace, Point, _first
+from .spaces import BoxPoint, BoxSpace, FiniteSpace, Point, _first, _first_entry
 
 if TYPE_CHECKING:
     from .affine import MapForm
@@ -54,7 +54,8 @@ _ARRAYS = {"__builtins__": {}, "min": _first_wins(operator.lt),
 
 class TableMap(Frozen):
     """F given as an n x n table of point indices: T[x, y] = F(x, y); the
-    table (int rows or an int array) is stored read-only as intp."""
+    table (rows of Python or numpy integers, or an integer array) is stored
+    read-only as intp."""
 
     _fields = ("space", "T")
 
@@ -73,19 +74,18 @@ class TableMap(Frozen):
             except OverflowError:  # a Python integer beyond intp
                 pass
         if T is None or T.ndim != 2 or T.min() < 0 or T.max() >= n:
-            # the whole-table test failed: name the first entry that is no index
-            for i, row in enumerate(rows):
-                for j, v in enumerate(row):
-                    if (
-                        isinstance(v, bool)
-                        or not isinstance(v, (int, np.integer))
-                        or not 0 <= v < n
-                    ):
-                        raise InvalidInstanceError(
-                            f"map table entry [{i}][{j}] = {clipped_repr(v)} "
-                            "is not a point index",
-                            field="table", witness=(i, j),
-                        )
+            # the whole-table test failed: name the first entry that is no
+            # index; with none (numpy integer rows), the rows are read as given
+            if hit := _first_entry(rows, lambda v: isinstance(v, bool) or not (
+                isinstance(v, (int, np.integer)) and 0 <= v < n
+            )):
+                i, j, v = hit
+                raise InvalidInstanceError(
+                    f"map table entry [{i}][{j}] = {clipped_repr(v)} "
+                    "is not a point index",
+                    field="table", witness=(i, j),
+                )
+            T = np.array(rows, dtype=np.intp)
         T.setflags(write=False)
         vars(self).update(space=space, T=T)
 

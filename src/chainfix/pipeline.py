@@ -74,7 +74,8 @@ def uncertified(inst: Instance, suite: dict) -> tuple[str, ...]:
 
 
 def build_config(inst: Instance, suite: dict) -> SolveConfig:
-    """Solve configuration from the instance parameters plus what was certified."""
+    """Solve configuration from the instance parameters and the suite's
+    factors; whether they certify the bound is ``uncertified``'s answer."""
     # the solver runs only for a command that configures it, not for ``check``
     from .solver import SolveConfig
 
@@ -88,5 +89,4 @@ def build_config(inst: Instance, suite: dict) -> SolveConfig:
         lam=_factor(inst, suite["uniform-local-contraction"]),
         epsilon=inst.params.epsilon,
         chain_n=chain_n,
-        lambda_certified=not uncertified(inst, suite),
     )

@@ -12,11 +12,10 @@ locality epsilon), successive iterates of a seed-condition start obey
     step_m <= 2 * n * lam**m * epsilon
 
 and the solver records that bound next to the observed step so a violation
-is visible in the trace. Whether the bound is certified is decided once, by
-``pipeline.uncertified``, and reaches the solver only as
-``SolveConfig.lambda_certified``; otherwise the bound is advisory (a grid
-cannot prove the hypotheses on a continuum), so the numbers are reported but
-a breach is not an error.
+is visible in the trace. Whether the bound is certified is
+``pipeline.uncertified``'s decision, and the solver never sees it; an
+uncertified bound is advisory (a grid cannot prove the hypotheses on a
+continuum), so the numbers are reported but a breach is not an error.
 
 ``picard_solve`` and ``verify_decay_bound`` read one orbit, ``_orbit``.
 It validates the seeds once. Every later point is an image of the map, which
@@ -64,12 +63,11 @@ class SolveConfig(Frozen):
     positive epsilon and an integer chain length of at least 1 (an infinite
     epsilon bounds every step by inf, a certificate that says nothing)."""
 
-    _fields = ("residual_tolerance", "max_iterations", "lam", "epsilon", "chain_n",
-               "lambda_certified")
+    _fields = ("residual_tolerance", "max_iterations", "lam", "epsilon", "chain_n")
 
     def __init__(self, residual_tolerance: float = 1e-10, max_iterations: int = 200,
                  lam: float | None = None, epsilon: float | None = None,
-                 chain_n: int | None = None, lambda_certified: bool = False) -> None:
+                 chain_n: int | None = None) -> None:
         if not (is_finite_number(residual_tolerance) and residual_tolerance > 0):
             raise DomainError("residual_tolerance must be a finite positive number, "
                               f"got {residual_tolerance!r}")
@@ -79,7 +77,7 @@ class SolveConfig(Frozen):
         _check_factors(lam, epsilon, chain_n)
         vars(self).update(residual_tolerance=residual_tolerance,
                           max_iterations=max_iterations, lam=lam, epsilon=epsilon,
-                          chain_n=chain_n, lambda_certified=lambda_certified)
+                          chain_n=chain_n)
 
     @property
     def can_bound(self) -> bool:

@@ -77,6 +77,16 @@ def _first(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(map(int, np.unravel_index(k, mask.shape))) if mask.flat[k] else None
 
 
+def _first_entry(rows, bad) -> tuple[int, int, object] | None:
+    """The first entry ``v`` of the nested ``rows``, in row-major order, for
+    which ``bad(v)`` holds, as ``(i, j, v)``; None when there is none."""
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if bad(v):
+                return i, j, v
+    return None
+
+
 def _first_in_blocks(
     mask, rows: int, row_cells: int, block: int
 ) -> tuple[int, ...] | None:
@@ -129,16 +139,16 @@ def _check_metric(d: Sequence[Sequence[float]]) -> np.ndarray:
         or int in types and (np.abs(D) > _MAX_EXACT_INT).any()
     ):
         # the whole-matrix test failed: name the first inexact entry
-        for i, row in enumerate(d):
-            for j, v in enumerate(row):
-                if not (isinstance(v, float) and math.isfinite(v)) and not (
-                    is_finite_number(v) and abs(v) <= _MAX_EXACT_INT
-                ):
-                    raise InvalidInstanceError(
-                        f"distance d[{i}][{j}] = {clipped_repr(v)} is not a "
-                        "finite float or an integer within 2**52",
-                        field="distance_matrix", witness=(i, j),
-                    )
+        if hit := _first_entry(d, lambda v: not (
+            isinstance(v, float) and math.isfinite(v)
+            or is_finite_number(v) and abs(v) <= _MAX_EXACT_INT
+        )):
+            i, j, v = hit
+            raise InvalidInstanceError(
+                f"distance d[{i}][{j}] = {clipped_repr(v)} is not a "
+                "finite float or an integer within 2**52",
+                field="distance_matrix", witness=(i, j),
+            )
         D = np.array(d, dtype=float)
     if hit := _first(np.diagonal(D) != 0):
         i = hit[0]
@@ -231,13 +241,12 @@ class FiniteSpace(Frozen):
             set(map(type, chain.from_iterable(L))) <= {bool, np.bool_}
         ):
             # the whole-matrix test failed: name the first entry that is no boolean
-            for i, row in enumerate(L):
-                for j, v in enumerate(row):
-                    if not isinstance(v, (bool, np.bool_)):
-                        raise InvalidInstanceError(
-                            f"order entry [{i}][{j}] = {v!r} is not a boolean",
-                            field="order_pairs", witness=(i, j),
-                        )
+            if hit := _first_entry(L, lambda v: not isinstance(v, (bool, np.bool_))):
+                i, j, v = hit
+                raise InvalidInstanceError(
+                    f"order entry [{i}][{j}] = {v!r} is not a boolean",
+                    field="order_pairs", witness=(i, j),
+                )
         D = _check_metric(dist)
         L = np.array(L, dtype=bool)  # a copy that no caller can write
         _check_order(L)

@@ -21,7 +21,7 @@ from chainfix.cli import run_cli
 from chainfix.hypotheses import HOLDS
 from chainfix.instances import generate_finite_instance, load_instance
 from chainfix.oracle import oracle_report
-from chainfix.pipeline import build_config, run_hypothesis_suite
+from chainfix.pipeline import build_config, run_hypothesis_suite, uncertified
 from chainfix.solver import collapse_check, picard_solve, verify_decay_bound
 
 from conftest import ACCEPTANCE_LINES
@@ -109,9 +109,8 @@ def test_decay_bound(pool, l1_path, l2d_path, chain4_path):
     records, _ = pool
     targets = []
     for seed, inst, suite, _ in records:
-        cfg = build_config(inst, suite)
-        if cfg.lambda_certified:
-            targets.append((f"seed{seed}", inst, cfg))
+        if not uncertified(inst, suite):
+            targets.append((f"seed{seed}", inst, build_config(inst, suite)))
     for path in (l1_path, l2d_path, chain4_path):
         inst = load_instance(path)
         suite = run_hypothesis_suite(inst)
@@ -157,7 +156,7 @@ def test_monotone_trajectories(pool, l1_path, l2d_path, chain4_path):
     targets = [
         (f"seed{seed}", inst, build_config(inst, suite))
         for seed, inst, suite, _ in records
-        if build_config(inst, suite).lambda_certified
+        if not uncertified(inst, suite)
     ]
     for path in (l1_path, l2d_path, chain4_path):
         inst = load_instance(path)

@@ -114,6 +114,13 @@ class TestComponentForm:
         assert (form.slopes, exact_range(form)) == ({"x": (1, 1)}, (0, 1))
         assert form.error >= reference_form(expr, UNIT_BOX).error
 
+    def test_divisor_within_its_rounding_bound_is_not_read(self):
+        # 0.1 + 0.2 - 0.3 evaluates to 2**-54, but the fold's bound on its
+        # rounding error reaches its value, so it cannot rule out a zero
+        # divisor, and the sampled route decides the formula instead
+        assert component_form(parse_expression("x / (0.1 + 0.2 - 0.3)"),
+                              UNIT_BOX) is None
+
     def test_literals_are_the_floats_evaluation_reads(self):
         form = component_form(parse_expression("0.1*x"), UNIT_BOX)
         assert form.slopes == {"x": (Fraction(0.1),) * 2}

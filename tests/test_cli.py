@@ -1096,3 +1096,53 @@ def test_emit_trace_refuses_an_unknown_format(l1_path):
     with pytest.raises(DomainError) as exc:
         emit_trace(result, "xml")
     assert str(exc.value) == "unknown trace format 'xml'"
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda d: d["space"]["distance_matrix"][0].__setitem__(1, 10**400),
+     "space.distance_matrix: distance d[0][1] = 1" + "0" * 79
+     + "... (401 characters) is not a finite float or an integer within 2**52"),
+    (lambda d: d["map"]["table"][0].__setitem__(0, 2**70),
+     "map.table: map table entry [0][0] = 1180591620717411303424 "
+     "is not a point index"),
+    (lambda d: d["map"]["table"][0].__setitem__(0, -2**63 - 1),
+     "map.table: map table entry [0][0] = -9223372036854775809 "
+     "is not a point index"),
+], ids=["distance-10**400", "table-2**70", "table-below-int64"])
+def test_unrepresentable_entry_exits_two_naming_it(capsys, tmp_path, f1_path, edit,
+                                                   line):
+    # integers no float64 or intp holds fail the whole-matrix read, and the
+    # scan names the first of them
+    doc = json.loads(pathlib.Path(f1_path).read_text())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+def test_verify_lemma_exits_one_on_a_certified_miss(capsys, monkeypatch,
+                                                    chain4_path):
+    # chain4 is certified and its first observed step is 8: a ceiling of 1
+    # is missed, and a certified miss is a violation
+    monkeypatch.setattr(solver, "decay_bound", lambda n, lam, eps, m: 1.0)
+    code, out, _ = run(capsys, "verify-lemma", chain4_path, "--horizon", "3")
+    doc = json.loads(out)
+    assert code == 1
+    assert (doc["advisory"], doc["all_below_bound"], doc["escaped_at"]) == (
+        False, False, None)
+    assert doc["rows"][0] == [0, 8, 1.0]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify-lemma"])
+def test_certification_is_decided_once_per_call(capsys, monkeypatch, chain4_path,
+                                                command):
+    calls = []
+
+    def spy(inst, suite, decide=pipeline.uncertified):
+        calls.append(inst)
+        return decide(inst, suite)
+
+    monkeypatch.setattr(pipeline, "uncertified", spy)
+    code, _, _ = run(capsys, command, chain4_path)
+    assert (code, len(calls)) == (0, 1)

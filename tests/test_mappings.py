@@ -12,6 +12,7 @@ so c = 3/7. First iterates from (0, 1):
 All four values are exact in binary floating point.
 """
 
+import numpy as np
 import pytest
 
 from chainfix.errors import EscapeError, InvalidInstanceError
@@ -99,6 +100,27 @@ def test_table_map_rejects_bool_entry():
         TableMap(sp, ((True, 0), (0, 0)))
     assert exc.value.field == "table"
     assert exc.value.witness == (0, 0)
+
+
+@pytest.mark.parametrize("rows", [
+    lambda T: list(T),  # rows that are integer arrays
+    lambda T: [[np.int64(v) for v in row] for row in T],
+], ids=["array-rows", "int64-entries"])
+def test_table_map_reads_rows_of_numpy_integers(rows):
+    sp = chain_space(3)
+    from_array = TableMap(sp, np.array([[0, 0, 0], [1, 1, 0], [2, 1, 1]]))
+    cmap = TableMap(sp, rows(from_array.T))
+    assert cmap == from_array
+    assert cmap.T.dtype == np.intp and not cmap.T.flags.writeable
+
+
+def test_table_map_rejects_out_of_range_numpy_integer():
+    sp = chain_space(2)
+    bad = np.int64(3)
+    with pytest.raises(InvalidInstanceError) as exc:
+        TableMap(sp, [[np.int64(0), bad], [np.int64(1), np.int64(1)]])
+    assert (exc.value.field, exc.value.witness) == ("table", (0, 1))
+    assert str(exc.value) == f"map table entry [0][1] = {bad!r} is not a point index"
 
 
 def test_expression_map_component_count_checked():

@@ -39,7 +39,7 @@ def test_empty_exactly_when_the_old_conjunction_holds(instance_dir):
         suite = run_hypothesis_suite(inst)
         reasons = uncertified(inst, suite)
         assert (reasons == ()) == certified_reference(inst, suite)
-        assert build_config(inst, suite).lambda_certified == (reasons == ())
+        assert reasons or build_config(inst, suite).can_bound
         empty += reasons == ()
     assert 10 < empty < len(instances)
 

@@ -121,3 +121,22 @@ def test_membership_is_asked_of_boxes_only():
     # finite point is checked by validate_point alone
     assert hasattr(BoxSpace, "contains")
     assert not hasattr(FiniteSpace, "contains")
+
+
+def test_errors_share_one_shape():
+    # ``field`` and ``witness`` are keywords of the base class alone; an
+    # error that always blames one key names it as a class attribute
+    base = chainfix.ChainfixError
+    errors = [getattr(chainfix, name) for name in sorted(PUBLIC)
+              if name.endswith("Error")]
+    assert all(issubclass(cls, base) for cls in errors)
+    assert [cls for cls in errors if "__init__" in vars(cls)] == [base]
+    for cls in errors:
+        exc = cls("message", field="key", witness=(0, 1))
+        assert (str(exc), exc.field, exc.witness) == ("message", "key", (0, 1))
+    defaults = {cls.__name__: (cls("m").field, cls("m").witness) for cls in errors}
+    assert defaults == {
+        "ChainfixError": (None, None), "DomainError": (None, None),
+        "EscapeError": ("map.formula", None), "GrammarError": ("formula", None),
+        "InvalidInstanceError": (None, None), "SamplingError": (None, None),
+    }

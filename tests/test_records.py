@@ -112,7 +112,7 @@ VALIDATED = {
     ExpressionMap: (("space", "components"), ("space", "components")),
     CompiledExpression: (("source", "code", "tree", "postorder"), ("source",)),
     SolveConfig: (("residual_tolerance", "max_iterations", "lam", "epsilon",
-                   "chain_n", "lambda_certified"),) * 2,
+                   "chain_n"),) * 2,
 }
 
 

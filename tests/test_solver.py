@@ -104,7 +104,12 @@ class TestSolveConfig:
     def test_refuses_a_vacuous_certificate(self, field, value, reason):
         factors = {"lam": 0.5, "epsilon": 0.6, "chain_n": 4, field: value}
         with pytest.raises(DomainError, match=f"{field} must be .*{reason}"):
-            SolveConfig(**factors, lambda_certified=True)
+            SolveConfig(**factors)
+
+    def test_certification_is_not_a_setting(self):
+        # pipeline.uncertified decides it, and the solver never reads it
+        with pytest.raises(TypeError):
+            SolveConfig(lambda_certified=True)
 
     def test_cap_stops_an_orbit_that_never_converges(self):
         cmap = TableMap(FiniteSpace(*self.ANTICHAIN), [[1, 1], [0, 0]])
@@ -170,7 +175,6 @@ class TestPicard:
 
     def test_bound_rows_recorded_when_certified(self, chain4_path):
         inst, cfg, res = solve_instance(chain4_path)
-        assert cfg.lambda_certified
         assert uncertified(inst, run_hypothesis_suite(inst)) == ()
         assert res.bound_check
         for row in res.bound_check:

@@ -95,6 +95,16 @@ class TestFiniteSpace:
         assert from_array == from_rows
         assert from_array.leq(0, 1) and not from_array.leq(1, 0)
 
+    @pytest.mark.parametrize("order", [
+        [[True, False]],
+        [[True, False], [False]],
+    ], ids=["one-row", "short-row"])
+    def test_rejects_order_that_is_not_n_by_n(self, order):
+        with pytest.raises(InvalidInstanceError) as exc:
+            FiniteSpace.from_lists(["a", "b"], [[0, 1], [1, 0]], order)
+        assert (exc.value.field, str(exc.value)) == (
+            "order_pairs", "order relation must be 2 x 2")
+
     def test_validate_point_range(self):
         sp = chain_space(2)
         with pytest.raises(DomainError):
@@ -140,6 +150,16 @@ class TestBoxSpace:
         with pytest.raises(InvalidInstanceError, match="axis 0") as exc:
             BoxSpace(lower, upper)
         assert exc.value.witness == (0,)
+
+    @pytest.mark.parametrize("lower, upper", [
+        ((), ()),
+        ((0.0,), (1.0, 1.0)),
+    ], ids=["no-axes", "unequal-lengths"])
+    def test_rejects_bounds_of_no_axes_or_unequal_lengths(self, lower, upper):
+        with pytest.raises(InvalidInstanceError) as exc:
+            BoxSpace(lower, upper)
+        assert (exc.value.field, str(exc.value)) == (
+            "lower", "box bounds must be nonempty and same length")
 
     def test_validate_point_outside(self):
         box = BoxSpace((0.0,), (1.0,))
